@@ -91,14 +91,16 @@ def solve_generalized(
     )
 
 
+def relative_ridge(b: np.ndarray) -> float:
+    """The b_shift used with B: DEFAULT_RIDGE_SCALE times B's mean diagonal."""
+    return DEFAULT_RIDGE_SCALE * float(np.trace(b)) / b.shape[0]
+
+
 def assemble_operands(
-    features: np.ndarray,
-    objective: np.ndarray,
-    delta: float,
-    centering: np.ndarray | None = None,
+    features: np.ndarray, objective: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build A = X Q X' + delta I and B = X H X' from stacked row features
-    (samples in rows).
+    """Build A = X'QX + delta I from the m×m objective X'QX, and B = X'HX
+    from stacked row features (samples in rows).
 
     B is formed as the centered gram matrix C'C so it is symmetric positive
     semidefinite by construction.
@@ -108,31 +110,12 @@ def assemble_operands(
         raise ConfigError("features must be 2-d (samples in rows)")
     if delta < 0:
         raise ConfigError("delta must be non-negative")
-    n, m = f.shape
-    if objective.shape != (n, n):
-        raise ConfigError(f"objective is {objective.shape}, expected ({n}, {n})")
-    a = f.T @ objective @ f
-    a = 0.5 * (a + a.T)
+    m = f.shape[1]
+    if objective.shape != (m, m):
+        raise ConfigError(f"objective is {objective.shape}, expected ({m}, {m})")
+    a = 0.5 * (objective + objective.T)
     a[np.diag_indices(m)] += delta
-    if centering is None:
-        centered = f - f.mean(axis=0)
-    else:
-        centered = centering @ f
+    centered = f - f.mean(axis=0)
     b = centered.T @ centered
     b = 0.5 * (b + b.T)
     return a, b
-
-
-def assemble_and_solve(
-    features: np.ndarray,
-    objective: np.ndarray,
-    delta: float,
-    n_components: int,
-    centering: np.ndarray | None = None,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-) -> TransformSolution:
-    """Assemble the operands and solve for the smallest n_components pairs,
-    with a small relative ridge on B to make it definite."""
-    a, b = assemble_operands(features, objective, delta, centering)
-    b_shift = ridge_scale * float(np.trace(b)) / b.shape[0]
-    return solve_generalized(a, b, n_components, b_shift=b_shift)

@@ -1,12 +1,21 @@
-"""Coefficient matrices whose quadratic forms drive the adaptation objective.
+"""Objective terms in moment form: m×m operands, never n×n coefficient matrices.
 
-Every builder returns an (n, n) matrix over the stacked sample order
-(source rows first, then target rows) such that for a projection P and the
-stacked feature matrix X (columns are samples), tr(P' X Q X' P) equals the
-corresponding sum of squared distances in the projected space.  Unselected
-target samples contribute zero rows and columns to every label-dependent
-matrix; they only participate in the marginal distribution term and in the
-centering matrix.
+Each term is a quadratic form tr(P' T P) over the stacked features X (n
+samples in rows, m columns; source rows first, then target rows) that equals
+a sum of squared distances in the projected space.  Every such sum depends on
+the samples only through per-group moments: the count n_g, the sum s_g (m)
+and the Gram matrix G_g (m×m) of each source class, each selected-target
+class, and the domain totals.  With means mu_g = s_g / n_g:
+
+- within-class scatter: sum_g (G_g - s_g s_g' / n_g)
+- center push, marginal and conditional MMD, cross push: weighted
+  (mu_a - mu_b)(mu_a - mu_b)', complement means taken from totals minus
+  the group
+- same-label Laplacian: sum_c (n_c G_c - s_c s_c') over source and
+  selected target rows of class c together
+
+So building T costs O(n m^2) time and O(C m^2) memory.  Unselected target
+samples enter only the marginal distribution term.
 """
 
 from __future__ import annotations
@@ -38,8 +47,8 @@ class Hyperparams:
 class JointLabeling:
     """Source labels plus current target pseudo labels and the selection mask.
 
-    Indices into the matrices are global: source sample i sits at row i,
-    target sample j at row n_source + j.
+    Rows of the stacked features follow the same order: source sample i sits
+    at row i, target sample j at row n_source + j.
     """
 
     source: np.ndarray
@@ -73,227 +82,68 @@ class JointLabeling:
     def n_total(self) -> int:
         return self.n_source + self.n_target
 
-    def source_members(self, cls: int) -> np.ndarray:
-        return np.flatnonzero(self.source == cls)
-
-    def target_members(self, cls: int) -> np.ndarray:
-        """Global indices of selected target samples pseudo-labeled cls."""
-        local = np.flatnonzero((self.target == cls) & self.selected)
-        return local + self.n_source
-
-    def selected_targets(self) -> np.ndarray:
-        return np.flatnonzero(self.selected) + self.n_source
-
-    def all_targets(self) -> np.ndarray:
-        return np.arange(self.n_target) + self.n_source
-
 
 @dataclass
 class ObjectiveMatrices:
-    """All term matrices for one iteration plus their composition."""
+    """All m×m term operands for one iteration plus their composition."""
 
     within_class: np.ndarray
     center_push: np.ndarray
     mmd: np.ndarray
     cross_st: np.ndarray
     cross_ts: np.ndarray
-    similarity: np.ndarray
     laplacian: np.ndarray
-    centering: np.ndarray
     combined: np.ndarray
     skipped: list[str] = field(default_factory=list)
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """H = I - (1/n) 11': removes the grand mean from the sample dimension."""
-    if n < 1:
-        raise DataError("centering matrix needs n >= 1")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+def _class_moments(
+    rows: np.ndarray, labels: np.ndarray, n_classes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class counts (C,), sums (C, m) and Gram matrices (C, m, m)."""
+    m = rows.shape[1]
+    counts = np.bincount(labels, minlength=n_classes)
+    sums = np.zeros((n_classes, m))
+    grams = np.zeros((n_classes, m, m))
+    for cls in np.flatnonzero(counts):
+        members = rows[labels == cls]
+        sums[cls] = members.sum(axis=0)
+        grams[cls] = members.T @ members
+    return counts, sums, grams
 
 
-def _scatter_block(out: np.ndarray, members: np.ndarray) -> None:
-    # Adds the projector that maps each member onto its deviation from the
-    # group mean; its quadratic form is the within-group squared scatter.
-    count = members.shape[0]
-    out[members, members] += 1.0
-    out[np.ix_(members, members)] -= 1.0 / count
+def _means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # Rows with a zero count are never used with a non-zero weight.
+    return sums / np.maximum(counts, 1)[:, None]
 
 
-def within_class_projection(labeling: JointLabeling) -> np.ndarray:
-    """Quadratic form: sum of squared distances of samples to their class mean.
-
-    Source samples use true labels; selected target samples use pseudo
-    labels.  Source and target blocks are centered independently.
-    """
-    out = np.zeros((labeling.n_total, labeling.n_total))
-    for cls in range(labeling.n_classes):
-        src = labeling.source_members(cls)
-        if src.size:
-            _scatter_block(out, src)
-        tgt = labeling.target_members(cls)
-        if tgt.size:
-            _scatter_block(out, tgt)
-    return out
+def _weighted_outer(diffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_c weights[c] * diffs[c] diffs[c]'."""
+    return (diffs * weights[:, None]).T @ diffs
 
 
-def _push_vector(n: int, members: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    v = np.zeros(n)
-    v[members] = 1.0 / members.shape[0]
-    v[rest] = -1.0 / rest.shape[0]
-    return v
-
-
-def center_push_matrix(
-    labeling: JointLabeling, cls: int
-) -> tuple[np.ndarray, list[str]]:
-    """Quadratic form: count-weighted squared distance between the class mean
-    and the mean of all other samples in the same domain, summed over domains.
-
-    Maximizing it pushes each class away from the center of everything else.
-    A single-class source has no complement and is a configuration error; on
-    the target side early curriculum stages can legitimately leave a class
-    empty or complement-less, so those blocks are skipped and reported.
-    """
-    n = labeling.n_total
-    out = np.zeros((n, n))
+def _skipped_terms(n_src: np.ndarray, n_tgt: np.ndarray) -> list[str]:
+    """Terms left out because a class is empty or has an empty complement,
+    in the order the terms are built."""
+    classes = range(n_src.shape[0])
+    tgt_total = int(n_tgt.sum())
     skipped: list[str] = []
-    src = labeling.source_members(cls)
-    if src.size:
-        src_rest = np.setdiff1d(np.arange(labeling.n_source), src)
-        if src_rest.size == 0:
-            raise ConfigError(f"source contains only class {cls}: empty complement")
-        v = _push_vector(n, src, src_rest)
-        out += src.shape[0] * np.outer(v, v)
-    else:
-        skipped.append(f"center-push source block: class {cls} empty")
-    tgt = labeling.target_members(cls)
-    sel = labeling.selected_targets()
-    tgt_rest = np.setdiff1d(sel, tgt)
-    if tgt.size and tgt_rest.size:
-        w = _push_vector(n, tgt, tgt_rest)
-        out += tgt.shape[0] * np.outer(w, w)
-    elif not tgt.size:
-        skipped.append(f"center-push target block: class {cls} has no selected samples")
-    else:
-        skipped.append(f"center-push target block: class {cls} has empty complement")
-    return out, skipped
-
-
-def center_push_total(labeling: JointLabeling) -> tuple[np.ndarray, list[str]]:
-    out = np.zeros((labeling.n_total, labeling.n_total))
-    skipped: list[str] = []
-    for cls in range(labeling.n_classes):
-        mat, skips = center_push_matrix(labeling, cls)
-        out += mat
-        skipped.extend(skips)
-    return out, skipped
-
-
-def marginal_mmd_matrix(
-    labeling: JointLabeling, include_unselected: bool = True
-) -> np.ndarray:
-    """Quadratic form: squared distance between projected domain means."""
-    n = labeling.n_total
-    src = np.arange(labeling.n_source)
-    tgt = labeling.all_targets() if include_unselected else labeling.selected_targets()
-    if tgt.size == 0:
-        raise DataError("marginal distribution term needs at least one target sample")
-    v = _push_vector(n, src, tgt)
-    return np.outer(v, v)
-
-
-def conditional_mmd_matrix(labeling: JointLabeling, cls: int) -> np.ndarray | None:
-    """Per-class mean-difference form, or None when either side lacks cls."""
-    src = labeling.source_members(cls)
-    tgt = labeling.target_members(cls)
-    if src.size == 0 or tgt.size == 0:
-        return None
-    v = _push_vector(labeling.n_total, src, tgt)
-    return np.outer(v, v)
-
-
-def mmd_total(
-    labeling: JointLabeling, include_unselected: bool = True
-) -> tuple[np.ndarray, list[str]]:
-    """Marginal plus all available conditional mean-difference matrices."""
-    out = marginal_mmd_matrix(labeling, include_unselected)
-    skipped: list[str] = []
-    for cls in range(labeling.n_classes):
-        mat = conditional_mmd_matrix(labeling, cls)
-        if mat is None:
+    for cls in classes:
+        if not n_src[cls]:
+            skipped.append(f"center-push source block: class {cls} empty")
+        if not n_tgt[cls]:
+            skipped.append(f"center-push target block: class {cls} has no selected samples")
+        elif n_tgt[cls] == tgt_total:
+            skipped.append(f"center-push target block: class {cls} has empty complement")
+    for cls in classes:
+        if not (n_src[cls] and n_tgt[cls]):
             skipped.append(f"conditional distribution term: class {cls} missing on one side")
-        else:
-            out += mat
-    return out, skipped
-
-
-def cross_push_matrices(
-    labeling: JointLabeling, cls: int
-) -> tuple[np.ndarray | None, np.ndarray | None, list[str]]:
-    """Cross-domain push-away forms for one class.
-
-    The first matrix measures the squared distance between the source class
-    mean and the mean of the other classes' selected target samples; the
-    second swaps the roles.  Maximizing both keeps a class away from the
-    opposite domain's competing-class center.
-    """
-    n = labeling.n_total
-    src = labeling.source_members(cls)
-    tgt = labeling.target_members(cls)
-    skipped: list[str] = []
-    if src.size == 0 or tgt.size == 0:
-        skipped.append(f"cross-domain push: class {cls} missing on one side")
-        return None, None, skipped
-    src_rest = np.setdiff1d(np.arange(labeling.n_source), src)
-    tgt_rest = np.setdiff1d(labeling.selected_targets(), tgt)
-    st = None
-    if tgt_rest.size:
-        v = _push_vector(n, src, tgt_rest)
-        st = np.outer(v, v)
-    else:
-        skipped.append(f"cross-domain push: class {cls} has empty target complement")
-    ts = None
-    if src_rest.size:
-        w = _push_vector(n, tgt, src_rest)
-        ts = np.outer(w, w)
-    else:
-        raise ConfigError(f"source contains only class {cls}: empty complement")
-    return st, ts, skipped
-
-
-def cross_push_totals(
-    labeling: JointLabeling,
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    n = labeling.n_total
-    st_total = np.zeros((n, n))
-    ts_total = np.zeros((n, n))
-    skipped: list[str] = []
-    for cls in range(labeling.n_classes):
-        st, ts, skips = cross_push_matrices(labeling, cls)
-        if st is not None:
-            st_total += st
-        if ts is not None:
-            ts_total += ts
-        skipped.extend(skips)
-    return st_total, ts_total, skipped
-
-
-def similarity_laplacian(labeling: JointLabeling) -> tuple[np.ndarray, np.ndarray]:
-    """Binary same-label affinity over all labeled samples and its Laplacian.
-
-    tr(P' X L X' P) equals half the sum of squared projected distances over
-    same-label pairs, so minimizing it pulls same-label samples together
-    across and within domains.
-    """
-    n = labeling.n_total
-    labeled = np.concatenate([np.arange(labeling.n_source), labeling.selected_targets()])
-    labels = np.concatenate(
-        [labeling.source, labeling.target[labeling.selected]]
-    )
-    w = np.zeros((n, n))
-    w[np.ix_(labeled, labeled)] = (labels[:, None] == labels[None, :]).astype(float)
-    lap = np.diag(w.sum(axis=1)) - w
-    return w, lap
+    for cls in classes:
+        if not (n_src[cls] and n_tgt[cls]):
+            skipped.append(f"cross-domain push: class {cls} missing on one side")
+        elif n_tgt[cls] == tgt_total:
+            skipped.append(f"cross-domain push: class {cls} has empty target complement")
+    return skipped
 
 
 def compose_objective(
@@ -326,32 +176,71 @@ def compose_objective(
 
 def build_objective_matrices(
     labeling: JointLabeling,
+    features: np.ndarray,
     params: Hyperparams,
     components: tuple[str, ...] = ("erm", "da", "cde", "dfl"),
     legacy_beta_prefactor: bool = False,
     include_unselected_in_m0: bool = True,
 ) -> ObjectiveMatrices:
-    """Build every term matrix for the current labeling and compose them."""
-    if labeling.selected_targets().size == 0:
+    """Build every m×m term X'QX for the current labeling and compose them.
+
+    features stacks the source rows, then the target rows.  Source samples
+    use true labels, selected target samples pseudo labels.  The center push
+    weighs each class's squared distance to the rest of its domain by its
+    count; the cross push compares a class mean with the opposite domain's
+    other-class mean.  A single-class source has no complement and is a
+    configuration error; on the target side early curriculum stages can
+    leave a class empty or complement-less, so those blocks are skipped and
+    reported in ``skipped``.
+    """
+    if not labeling.selected.any():
         raise DataError("no selected target samples: cannot build objective")
-    within = within_class_projection(labeling)
-    push, skipped = center_push_total(labeling)
-    mmd, skips = mmd_total(labeling, include_unselected_in_m0)
-    skipped.extend(skips)
-    cross_st, cross_ts, skips = cross_push_totals(labeling)
-    skipped.extend(skips)
-    similarity, laplacian = similarity_laplacian(labeling)
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != labeling.n_total:
+        raise ConfigError(f"features are {x.shape}, expected ({labeling.n_total}, m)")
+    xs = x[: labeling.n_source]
+    xt = x[labeling.n_source :]
+    xt_sel = xt[labeling.selected]
+    n_src, s_src, g_src = _class_moments(xs, labeling.source, labeling.n_classes)
+    n_tgt, s_tgt, g_tgt = _class_moments(
+        xt_sel, labeling.target[labeling.selected], labeling.n_classes
+    )
+    only = np.flatnonzero((n_src > 0) & (n_src == labeling.n_source))
+    if only.size:
+        raise ConfigError(f"source contains only class {only[0]}: empty complement")
+    marginal_rows = xt if include_unselected_in_m0 else xt_sel
+    if marginal_rows.shape[0] == 0:
+        raise DataError("marginal distribution term needs at least one target sample")
+
+    n_sel = n_tgt.sum()
+    mean_src = _means(s_src, n_src)
+    mean_tgt = _means(s_tgt, n_tgt)
+    rest_src = _means(s_src.sum(axis=0) - s_src, labeling.n_source - n_src)
+    rest_tgt = _means(s_tgt.sum(axis=0) - s_tgt, n_sel - n_tgt)
+    both = ((n_src > 0) & (n_tgt > 0)).astype(float)
+    tgt_has_rest = n_tgt < n_sel
+
+    within = g_src.sum(axis=0) + g_tgt.sum(axis=0)
+    within -= _weighted_outer(mean_src, n_src) + _weighted_outer(mean_tgt, n_tgt)
+    push = _weighted_outer(mean_src - rest_src, n_src)
+    push += _weighted_outer(mean_tgt - rest_tgt, np.where(tgt_has_rest, n_tgt, 0))
+    marginal = xs.mean(axis=0) - marginal_rows.mean(axis=0)
+    mmd = np.outer(marginal, marginal) + _weighted_outer(mean_src - mean_tgt, both)
+    cross_st = _weighted_outer(mean_src - rest_tgt, both * tgt_has_rest)
+    cross_ts = _weighted_outer(mean_tgt - rest_src, both)
+    n_cls = n_src + n_tgt
+    s_cls = s_src + s_tgt
+    laplacian = np.einsum("c,cij->ij", n_cls, g_src + g_tgt) - s_cls.T @ s_cls
+
     parts = ObjectiveMatrices(
         within_class=within,
         center_push=push,
         mmd=mmd,
         cross_st=cross_st,
         cross_ts=cross_ts,
-        similarity=similarity,
         laplacian=laplacian,
-        centering=centering_matrix(labeling.n_total),
         combined=np.zeros_like(within),
-        skipped=skipped,
+        skipped=_skipped_terms(n_src, n_tgt),
     )
     parts.combined = compose_objective(parts, params, components, legacy_beta_prefactor)
     return parts

@@ -1,10 +1,10 @@
 """Independent numerical oracles and the randomized self-check suite.
 
-Every objective matrix in this package is supposed to satisfy a trace
-identity of the form tr(P' X Q X' P) = (some explicit sum of squared
+Every m×m objective term T = X'QX in this package is supposed to satisfy a
+trace identity of the form tr(P' T P) = (some explicit sum of squared
 distances).  The oracles below evaluate those sums directly with per-sample
-Python loops, sharing no code with the matrix builders, so agreement between
-the two is meaningful evidence and not a tautology.  The eigensolver is
+Python loops, sharing no code with the moment-form builder, so agreement
+between the two is meaningful evidence and not a tautology.  The eigensolver is
 checked against an independent dense reference from scipy.
 """
 
@@ -37,9 +37,9 @@ class CheckResult:
 # distance-sum oracles (explicit loops, no shared code with the builders)
 
 
-def trace_form(matrix: np.ndarray, features: np.ndarray, projection: np.ndarray) -> float:
-    z = features @ projection
-    return float(np.trace(z.T @ matrix @ z))
+def trace_form(term: np.ndarray, projection: np.ndarray) -> float:
+    """tr(P' T P) for an m×m term T = X'QX."""
+    return float(np.trace(projection.T @ term @ projection))
 
 
 def _mean_of(rows: list[np.ndarray]) -> np.ndarray:
@@ -228,9 +228,30 @@ def _rel_err(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
+def _first_per_class(labels: np.ndarray, count: int) -> np.ndarray:
+    keep = [np.flatnonzero(labels == cls)[:count] for cls in range(int(labels.max()) + 1)]
+    return np.sort(np.concatenate(keep))
+
+
+def _balanced_subinstance(inst: Instance) -> Instance:
+    """Fully selected sub-instance with the same count for every class in
+    each domain: the first rows of each class, as many as the rarest has."""
+    keep_s = _first_per_class(inst.ys, int(np.bincount(inst.ys).min()))
+    keep_t = _first_per_class(inst.yt, int(np.bincount(inst.yt).min()))
+    return Instance(
+        xs=inst.xs[keep_s],
+        ys=inst.ys[keep_s],
+        xt=inst.xt[keep_t],
+        yt=inst.yt[keep_t],
+        selected=np.ones(keep_t.shape[0], dtype=bool),
+        projection=inst.projection,
+    )
+
+
 def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> list[CheckResult]:
-    """Compare every term matrix against its distance-sum oracle on random
-    instances, including partially selected ones."""
+    """Compare every m×m term against the sum over classes of its
+    distance-sum oracle on random instances, including partially selected
+    ones."""
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
 
@@ -242,85 +263,75 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
         labeling = inst.labeling
         f = inst.features
         p = inst.projection
-        n_classes = labeling.n_classes
+        classes = range(labeling.n_classes)
         sel = inst.selected
         xt_sel = inst.xt[sel]
         yt_sel = inst.yt[sel]
+        terms = objectives.build_objective_matrices(labeling, f, Hyperparams())
 
-        within = objectives.within_class_projection(labeling)
         expected = oracle_within_scatter(p, inst.xs, inst.ys)
         if sel.any():
             expected += oracle_within_scatter(p, xt_sel, yt_sel)
-        record("within_class", _rel_err(trace_form(within, f, p), expected))
+        record("within_class", _rel_err(trace_form(terms.within_class, p), expected))
 
-        for cls in range(n_classes):
-            mat, _ = objectives.center_push_matrix(labeling, cls)
-            expected = oracle_center_push(p, inst.xs, inst.ys, cls)
-            expected += oracle_center_push(p, xt_sel, yt_sel, cls)
-            record("center_push", _rel_err(trace_form(mat, f, p), expected))
+        expected = sum(
+            oracle_center_push(p, inst.xs, inst.ys, cls)
+            + oracle_center_push(p, xt_sel, yt_sel, cls)
+            for cls in classes
+        )
+        record("center_push", _rel_err(trace_form(terms.center_push, p), expected))
 
-        marginal = objectives.marginal_mmd_matrix(labeling, include_unselected=True)
-        expected = oracle_marginal_mmd(p, inst.xs, inst.xt)
-        record("marginal_mmd_all", _rel_err(trace_form(marginal, f, p), expected))
-        marginal_sel = objectives.marginal_mmd_matrix(labeling, include_unselected=False)
-        expected = oracle_marginal_mmd(p, inst.xs, xt_sel)
-        record("marginal_mmd_selected", _rel_err(trace_form(marginal_sel, f, p), expected))
+        conditional = sum(
+            oracle_conditional_mmd(p, inst.xs, inst.ys, xt_sel, yt_sel, cls)
+            for cls in classes
+        )
+        expected = oracle_marginal_mmd(p, inst.xs, inst.xt) + conditional
+        record("mmd_all", _rel_err(trace_form(terms.mmd, p), expected))
+        terms_sel = objectives.build_objective_matrices(
+            labeling, f, Hyperparams(), include_unselected_in_m0=False
+        )
+        expected = oracle_marginal_mmd(p, inst.xs, xt_sel) + conditional
+        record("mmd_selected", _rel_err(trace_form(terms_sel.mmd, p), expected))
 
-        for cls in range(n_classes):
-            mat = objectives.conditional_mmd_matrix(labeling, cls)
-            value = 0.0 if mat is None else trace_form(mat, f, p)
-            expected = oracle_conditional_mmd(p, inst.xs, inst.ys, xt_sel, yt_sel, cls)
-            record("conditional_mmd", _rel_err(value, expected))
+        # the pull/push pair only exists for classes present on both
+        # sides, so the term oracles are gated the same way
+        present = [cls for cls in classes if (yt_sel == cls).any()]
+        expected = sum(
+            oracle_cross_push_st(p, inst.xs, inst.ys, xt_sel, yt_sel, cls) for cls in present
+        )
+        record("cross_push_st", _rel_err(trace_form(terms.cross_st, p), expected))
+        expected = sum(
+            oracle_cross_push_ts(p, inst.xs, inst.ys, xt_sel, yt_sel, cls) for cls in present
+        )
+        record("cross_push_ts", _rel_err(trace_form(terms.cross_ts, p), expected))
 
-        for cls in range(n_classes):
-            st, ts, _ = objectives.cross_push_matrices(labeling, cls)
-            # the pull/push pair only exists for classes present on both
-            # sides, so the term oracles are gated the same way
-            present = bool((yt_sel == cls).any())
-            value = 0.0 if st is None else trace_form(st, f, p)
-            expected = (
-                oracle_cross_push_st(p, inst.xs, inst.ys, xt_sel, yt_sel, cls)
-                if present
-                else 0.0
-            )
-            record("cross_push_st", _rel_err(value, expected))
-            value = 0.0 if ts is None else trace_form(ts, f, p)
-            expected = (
-                oracle_cross_push_ts(p, inst.xs, inst.ys, xt_sel, yt_sel, cls)
-                if present
-                else 0.0
-            )
-            record("cross_push_ts", _rel_err(value, expected))
-
-        _, lap = objectives.similarity_laplacian(labeling)
         x_labeled = np.vstack([inst.xs, xt_sel]) if sel.any() else inst.xs
         y_labeled = np.concatenate([inst.ys, yt_sel])
         expected = oracle_pairwise_same_label(p, x_labeled, y_labeled)
-        record("laplacian", _rel_err(trace_form(lap, f, p), expected))
-
-        h = objectives.centering_matrix(labeling.n_total)
-        record("centering_idempotent", float(np.abs(h @ h - h).max()))
-        record("centering_nullspace", float(np.abs(h @ np.ones(labeling.n_total)).max()))
+        record("laplacian", _rel_err(trace_form(terms.laplacian, p), expected))
 
         if sel.all():
             beta = float(rng.uniform(0.0, 0.9))
-            push, _ = objectives.center_push_total(labeling)
-            value = trace_form(within, f, p) - beta * trace_form(push, f, p)
+            value = trace_form(terms.within_class, p) - beta * trace_form(terms.center_push, p)
             expected = oracle_empirical_errors(p, inst.xs, inst.ys, inst.xt, inst.yt, beta)
             record("empirical_total", _rel_err(value, expected))
 
-            # count-weighted matrix assembly that should reproduce the
-            # definitional sample-level sum exactly
-            value = (1.0 - beta) * trace_form(within, f, p)
-            for cls in range(n_classes):
-                n_sc = int((inst.ys == cls).sum())
-                n_tc = int((inst.yt == cls).sum())
-                mat = objectives.conditional_mmd_matrix(labeling, cls)
-                st, ts, _ = objectives.cross_push_matrices(labeling, cls)
-                value += (n_sc + n_tc) * trace_form(mat, f, p)
-                value -= beta * n_sc * trace_form(st, f, p)
-                value -= beta * n_tc * trace_form(ts, f, p)
-            expected = oracle_cross_domain_errors(p, inst.xs, inst.ys, inst.xt, inst.yt, beta)
+            # count-weighted assembly that should reproduce the definitional
+            # sample-level sum exactly; with equal class counts per domain
+            # the per-class weights are constant, so the term totals carry
+            # it, and the marginal part of the mmd term is taken back out
+            bal = _balanced_subinstance(inst)
+            n_sc = bal.xs.shape[0] // labeling.n_classes
+            n_tc = bal.xt.shape[0] // labeling.n_classes
+            bal_terms = objectives.build_objective_matrices(
+                bal.labeling, bal.features, Hyperparams()
+            )
+            conditional = trace_form(bal_terms.mmd, p) - oracle_marginal_mmd(p, bal.xs, bal.xt)
+            value = (1.0 - beta) * trace_form(bal_terms.within_class, p)
+            value += (n_sc + n_tc) * conditional
+            value -= beta * n_sc * trace_form(bal_terms.cross_st, p)
+            value -= beta * n_tc * trace_form(bal_terms.cross_ts, p)
+            expected = oracle_cross_domain_errors(p, bal.xs, bal.ys, bal.xt, bal.yt, beta)
             record("cross_domain_total", _rel_err(value, expected))
 
         params = Hyperparams(
@@ -330,7 +341,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
             eta=float(rng.uniform(0, 2)),
             delta=1.0,
         )
-        parts = objectives.build_objective_matrices(labeling, params)
+        parts = objectives.build_objective_matrices(labeling, f, params)
         manual = (
             parts.within_class
             - params.beta * parts.center_push
@@ -339,27 +350,30 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
             - params.gamma * (parts.cross_st + parts.cross_ts)
         )
         record("composition", float(np.abs(parts.combined - manual).max()))
-        for name, mat in (
-            ("within_class", parts.within_class),
-            ("center_push", parts.center_push),
-            ("mmd", parts.mmd),
-            ("cross_st", parts.cross_st),
-            ("cross_ts", parts.cross_ts),
-            ("laplacian", parts.laplacian),
-            ("combined", parts.combined),
+        # a shared translation of every row moves no distance
+        shifted = objectives.build_objective_matrices(labeling, f + 1.0, params)
+        for name in (
+            "within_class",
+            "center_push",
+            "mmd",
+            "cross_st",
+            "cross_ts",
+            "laplacian",
+            "combined",
         ):
+            mat = getattr(parts, name)
+            scale = max(1.0, float(np.abs(mat).max()))
             record(f"symmetry:{name}", float(np.abs(mat - mat.T).max()))
-        record("idempotent:within_class", float(np.abs(within @ within - within).max()))
-        ones = np.ones(labeling.n_total)
-        record("nullspace:mmd", float(np.abs(parts.mmd @ ones).max()))
-        record("nullspace:laplacian", float(np.abs(parts.laplacian @ ones).max()))
-        eigs = np.linalg.eigvalsh(parts.laplacian)
-        record("psd:laplacian", max(0.0, float(-eigs.min())))
+            moved = float(np.abs(getattr(shifted, name) - mat).max())
+            record(f"translation:{name}", moved / scale)
+        for name in ("within_class", "laplacian"):
+            eigs = np.linalg.eigvalsh(getattr(parts, name))
+            record(f"psd:{name}", max(0.0, float(-eigs.min())))
 
     results = []
     for name in sorted(worst):
         bound = 1e-10 if ":" in name else tol
-        bound = 1e-8 if name.startswith(("psd", "idempotent", "centering")) else bound
+        bound = 1e-8 if name.startswith("psd") else bound
         results.append(CheckResult(name, worst[name] <= bound, worst[name]))
     return results
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curriculum
-from .eigsolve import TransformSolution, assemble_operands, solve_generalized, DEFAULT_RIDGE_SCALE
+from .eigsolve import TransformSolution, assemble_operands, relative_ridge, solve_generalized
 from .errors import CdemError, DataError, NumericError
 from .matio import DomainPair, ExperimentConfig, write_matrix
 from .objectives import (
@@ -213,16 +213,14 @@ def run_adaptation(
             )
             parts = build_objective_matrices(
                 labeling,
+                features,
                 params,
                 components=config.components,
                 legacy_beta_prefactor=config.legacy_beta_prefactor,
                 include_unselected_in_m0=config.include_unselected_in_m0,
             )
-            operands = assemble_operands(features, parts.combined, params.delta)
-            b_shift = DEFAULT_RIDGE_SCALE * float(np.trace(operands[1])) / operands[1].shape[0]
-            solution = solve_generalized(
-                operands[0], operands[1], config.subspace_dim, b_shift=b_shift
-            )
+            a, b = assemble_operands(features, parts.combined, params.delta)
+            solution = solve_generalized(a, b, config.subspace_dim, b_shift=relative_ridge(b))
             projected = features @ solution.projection
             zs = projected[:n_source]
             zt = projected[n_source:]
@@ -241,12 +239,12 @@ def run_adaptation(
             state = curriculum.select(table, counts, step, total, pair.n_classes)
             curriculum.apply_selection(table, state)
 
-            objective = float(np.sum(projected * (parts.combined @ projected)))
-            objective += params.delta * float(np.sum(solution.projection**2))
+            # tr(P'AP); with B-orthonormal P this is the eigenvalue sum
+            objective = float(np.sum(solution.projection * (a @ solution.projection)))
             if not np.isfinite(objective):
                 raise NumericError("objective value is not finite")
             if dump_dir is not None:
-                _dump_iteration(Path(dump_dir), step, parts, operands, solution)
+                _dump_iteration(Path(dump_dir), step, parts, (a, b), solution)
 
             agreement = float(np.mean(table.label == prev_labels))
             prev_labels = table.label.copy()

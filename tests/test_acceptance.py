@@ -20,7 +20,7 @@ import pytest
 
 from cdem import bench, curriculum, selftest
 from cdem.cli import main
-from cdem.eigsolve import assemble_and_solve, assemble_operands
+from cdem.eigsolve import assemble_operands, relative_ridge, solve_generalized
 from cdem.matio import ExperimentConfig, load_config
 from cdem.objectives import Hyperparams, JointLabeling, build_objective_matrices
 from cdem.prototype import combined_pseudo_labels
@@ -86,11 +86,9 @@ def test_projection_satisfies_variance_constraint():
         n_classes=pair.n_classes,
     )
     params = Hyperparams(beta=0.1, lam=0.1, gamma=0.1, eta=0.1, delta=0.1)
-    parts = build_objective_matrices(labeling, params)
-    solution = assemble_and_solve(
-        features, parts.combined, params.delta, config.subspace_dim
-    )
-    _, b = assemble_operands(features, parts.combined, params.delta)
+    parts = build_objective_matrices(labeling, features, params)
+    a, b = assemble_operands(features, parts.combined, params.delta)
+    solution = solve_generalized(a, b, config.subspace_dim, b_shift=relative_ridge(b))
     gram = solution.projection.T @ b @ solution.projection
     worst = float(np.abs(gram - np.eye(config.subspace_dim)).max())
     _verdict(

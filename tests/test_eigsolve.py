@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from cdem import selftest
-from cdem.eigsolve import assemble_and_solve, assemble_operands, solve_generalized
+from cdem.eigsolve import assemble_operands, relative_ridge, solve_generalized
 from cdem.errors import ConfigError, NumericError
 
 
@@ -58,7 +58,8 @@ def test_reference_agreement_with_shift():
     a = 0.5 * (a + a.T)
     root = rng.standard_normal((m, m))
     b = root @ root.T + 0.5 * np.eye(m)
-    shift = 1e-9 * np.trace(b) / m
+    shift = relative_ridge(b)
+    assert shift == 1e-9 * np.trace(b) / m
     sol = solve_generalized(a, b, 5, b_shift=shift)
     reference = scipy.linalg.eigh(a, b + shift * np.eye(m), eigvals_only=True)
     assert np.abs(sol.eigenvalues - reference[:5]).max() <= 1e-8
@@ -86,16 +87,14 @@ def test_indefinite_b_raises_numeric_error():
 def test_assemble_operands_structure():
     rng = np.random.default_rng(12)
     f = rng.standard_normal((15, 6))
-    q = rng.standard_normal((15, 15))
-    q = 0.5 * (q + q.T)
+    q = rng.standard_normal((6, 6))
     a, b = assemble_operands(f, q, delta=0.7)
-    assert np.allclose(a, f.T @ q @ f + 0.7 * np.eye(6), atol=1e-10)
-    centered = f - f.mean(axis=0)
-    assert np.allclose(b, centered.T @ centered, atol=1e-10)
+    assert np.allclose(a, 0.5 * (q + q.T) + 0.7 * np.eye(6), atol=1e-12)
+    assert np.abs(a - a.T).max() == 0.0
     h = np.eye(15) - np.full((15, 15), 1 / 15)
-    a2, b2 = assemble_operands(f, q, delta=0.7, centering=h)
-    assert np.allclose(b2, b, atol=1e-10)
-    del a2
+    assert np.allclose(b, f.T @ h @ f, atol=1e-10)
+    with pytest.raises(ConfigError):
+        assemble_operands(f, np.eye(15), delta=0.7)
 
 
 def test_assemble_and_solve_centering_constraint():
@@ -103,10 +102,10 @@ def test_assemble_and_solve_centering_constraint():
     f = rng.standard_normal((25, 8))
     q = rng.standard_normal((25, 25))
     q = 0.5 * (q + q.T)
-    sol = assemble_and_solve(f, q, delta=0.1, n_components=3)
+    a, b = assemble_operands(f, f.T @ q @ f, delta=0.1)
+    sol = solve_generalized(a, b, 3, b_shift=relative_ridge(b))
     centered = f - f.mean(axis=0)
-    b = centered.T @ centered
-    gram = sol.projection.T @ b @ sol.projection
+    gram = sol.projection.T @ (centered.T @ centered) @ sol.projection
     assert np.abs(gram - np.eye(3)).max() <= 1e-6
 
 
@@ -115,6 +114,6 @@ def test_rank_deficient_b_survives_via_ridge():
     rng = np.random.default_rng(14)
     base = rng.standard_normal((20, 3))
     f = np.hstack([base, base])
-    q = np.eye(20)
-    sol = assemble_and_solve(f, q, delta=0.0, n_components=2)
+    a, b = assemble_operands(f, f.T @ f, delta=0.0)
+    sol = solve_generalized(a, b, 2, b_shift=relative_ridge(b))
     assert np.isfinite(sol.eigenvalues).all()

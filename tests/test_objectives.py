@@ -1,4 +1,5 @@
-"""Term matrices: frozen small examples, invariants, and oracle agreement."""
+"""Objective terms: frozen small examples, invariants, metamorphic relations
+and oracle agreement."""
 
 from __future__ import annotations
 
@@ -11,15 +12,10 @@ from cdem.objectives import (
     Hyperparams,
     JointLabeling,
     build_objective_matrices,
-    center_push_matrix,
-    centering_matrix,
     compose_objective,
-    conditional_mmd_matrix,
-    cross_push_matrices,
-    marginal_mmd_matrix,
-    similarity_laplacian,
-    within_class_projection,
 )
+
+TERMS = ("within_class", "center_push", "mmd", "cross_st", "cross_ts", "laplacian", "combined")
 
 
 def _labeling(source, target, selected=None, n_classes=2):
@@ -29,108 +25,106 @@ def _labeling(source, target, selected=None, n_classes=2):
     return JointLabeling(np.asarray(source), target, selected, n_classes)
 
 
+def _terms(source, target, selected=None, n_classes=2, **kwargs):
+    # identity features make every m×m term X'QX the coefficient matrix Q
+    lab = _labeling(source, target, selected, n_classes)
+    return build_objective_matrices(lab, np.eye(lab.n_total), Hyperparams(), **kwargs)
+
+
 def test_within_class_two_samples_same_class():
-    lab = _labeling([0, 0], [1])
-    mat = within_class_projection(lab)
+    mat = _terms([0, 0, 1], [1]).within_class
     assert np.allclose(mat[:2, :2], [[0.5, -0.5], [-0.5, 0.5]])
     # a single-sample class centers onto itself
-    assert np.allclose(mat[2:, 2:], 0.0)
+    assert np.allclose(mat[2:, :], 0.0) and np.allclose(mat[:, 2:], 0.0)
 
 
 def test_within_class_singletons_vanish():
-    lab = _labeling([0, 1], [0, 1])
-    mat = within_class_projection(lab)
+    mat = _terms([0, 1], [0, 1]).within_class
     assert np.abs(mat).max() == 0.0
 
 
 def test_within_class_unselected_rows_zero():
-    lab = _labeling([0, 1], [0, 0, 1], selected=[True, False, True])
-    mat = within_class_projection(lab)
+    mat = _terms([0, 1], [0, 0, 1], selected=[True, False, True]).within_class
     assert np.abs(mat[3]).max() == 0.0 and np.abs(mat[:, 3]).max() == 0.0
 
 
 def test_center_push_two_singleton_classes():
-    lab = _labeling([0, 1], [0, 1])
-    mat, skipped = center_push_matrix(lab, 0)
-    assert not skipped
-    expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(mat[:2, :2], expected)
-    assert np.allclose(mat[2:, 2:], expected)
+    parts = _terms([0, 1], [0, 1])
+    assert not parts.skipped
+    # each of the two classes contributes [[1, -1], [-1, 1]] per domain
+    expected = np.array([[2.0, -2.0], [-2.0, 2.0]])
+    assert np.allclose(parts.center_push[:2, :2], expected)
+    assert np.allclose(parts.center_push[2:, 2:], expected)
+    assert np.abs(parts.center_push[:2, 2:]).max() == 0.0
 
 
 def test_center_push_single_class_source_rejected():
-    lab = JointLabeling(np.array([0, 0]), np.array([0, 1]), np.ones(2, bool), 2)
-    with pytest.raises(ConfigError):
-        center_push_matrix(lab, 0)
+    with pytest.raises(ConfigError, match=r"^source contains only class 0: empty complement$"):
+        _terms([0, 0], [0, 1])
 
 
 def test_center_push_target_gaps_skipped():
     # no selected target of class 1: its target block is skipped, not fatal
-    lab = _labeling([0, 1], [0, 0])
-    mat, skipped = center_push_matrix(lab, 1)
-    assert any("class 1" in s for s in skipped)
-    assert np.abs(mat[2:, 2:]).max() == 0.0
+    parts = _terms([0, 1], [0, 0])
+    assert "center-push target block: class 1 has no selected samples" in parts.skipped
+    assert "center-push target block: class 0 has empty complement" in parts.skipped
+    assert np.abs(parts.center_push[2:, 2:]).max() == 0.0
 
 
 def test_marginal_mmd_one_sample_each():
-    lab = JointLabeling(np.array([0]), np.array([1]), np.ones(1, bool), 2)
-    mat = marginal_mmd_matrix(lab)
-    assert np.allclose(mat, [[1.0, -1.0], [-1.0, 1.0]])
+    # no class on both sides, so the mmd term is the marginal one alone
+    mat = _terms([0, 1], [2], n_classes=3).mmd
+    v = np.array([0.5, 0.5, -1.0])
+    assert np.allclose(mat, np.outer(v, v))
 
 
 def test_marginal_mmd_selection_toggle():
-    lab = _labeling([0, 1], [0, 1, 1], selected=[True, True, False])
-    all_t = marginal_mmd_matrix(lab, include_unselected=True)
-    sel_t = marginal_mmd_matrix(lab, include_unselected=False)
+    source, target, selected = [0, 1], [0, 1, 1], [True, True, False]
+    all_t = _terms(source, target, selected, include_unselected_in_m0=True).mmd
+    sel_t = _terms(source, target, selected, include_unselected_in_m0=False).mmd
     assert np.abs(all_t[:, 4]).max() > 0.0
     assert np.abs(sel_t[:, 4]).max() == 0.0
     with pytest.raises(DataError):
-        marginal_mmd_matrix(
-            _labeling([0, 1], [0, 1], selected=[False, False]),
-            include_unselected=False,
-        )
+        _terms([0, 1], [0, 1], selected=[False, False], include_unselected_in_m0=False)
 
 
 def test_conditional_mmd_missing_class_is_none():
-    lab = _labeling([0, 1], [0, 0])
-    assert conditional_mmd_matrix(lab, 1) is None
-    assert conditional_mmd_matrix(lab, 0) is not None
+    parts = _terms([0, 1], [0, 0])
+    assert "conditional distribution term: class 1 missing on one side" in parts.skipped
+    assert not any(s.startswith("conditional distribution term: class 0") for s in parts.skipped)
+    marginal = np.array([0.5, 0.5, -0.5, -0.5])
+    class0 = np.array([1.0, 0.0, -0.5, -0.5])
+    assert np.allclose(parts.mmd, np.outer(marginal, marginal) + np.outer(class0, class0))
 
 
 def test_cross_push_missing_class_skipped():
-    lab = _labeling([0, 1], [0, 0])
-    st, ts, skipped = cross_push_matrices(lab, 1)
-    assert st is None and ts is None and skipped
+    parts = _terms([0, 1], [0, 0])
+    assert "cross-domain push: class 1 missing on one side" in parts.skipped
+    assert "cross-domain push: class 0 has empty target complement" in parts.skipped
+    assert np.abs(parts.cross_st).max() == 0.0
+    # class 0's target mean against the other source class
+    w = np.array([0.0, -1.0, 0.5, 0.5])
+    assert np.allclose(parts.cross_ts, np.outer(w, w))
 
 
 def test_laplacian_two_samples():
-    lab_same = JointLabeling(np.array([0]), np.array([0]), np.ones(1, bool), 2)
-    _, lap = similarity_laplacian(lab_same)
-    assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]])
-    lab_diff = JointLabeling(np.array([0]), np.array([1]), np.ones(1, bool), 2)
-    _, lap = similarity_laplacian(lab_diff)
+    lap = _terms([0, 1], [0]).laplacian
+    assert np.allclose(lap[np.ix_([0, 2], [0, 2])], [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.abs(lap[1]).max() == 0.0 and np.abs(lap[:, 1]).max() == 0.0
+    lap = _terms([0, 1], [2], n_classes=3).laplacian
     assert np.abs(lap).max() == 0.0
 
 
 def test_laplacian_ignores_unselected():
-    lab = _labeling([0, 1], [0, 0], selected=[True, False])
-    w, lap = similarity_laplacian(lab)
-    assert np.abs(w[3]).max() == 0.0
-    assert np.abs(lap[3]).max() == 0.0
-
-
-def test_centering_matrix_properties():
-    h = centering_matrix(5)
-    assert np.abs(h @ h - h).max() <= 1e-12
-    assert np.abs(h @ np.ones(5)).max() <= 1e-12
-    assert np.abs(h - h.T).max() == 0.0
+    lap = _terms([0, 1], [0, 0], selected=[True, False]).laplacian
+    assert np.abs(lap[3]).max() == 0.0 and np.abs(lap[:, 3]).max() == 0.0
 
 
 def test_compose_zero_weights_gives_within_class():
     rng = np.random.default_rng(4)
     lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6), n_classes=2)
     params = Hyperparams(beta=0.0, lam=0.0, gamma=0.0, eta=0.0, delta=0.0)
-    parts = build_objective_matrices(lab, params)
+    parts = build_objective_matrices(lab, np.eye(lab.n_total), params)
     assert np.array_equal(parts.combined, parts.within_class)
 
 
@@ -138,7 +132,7 @@ def test_compose_distribution_only():
     rng = np.random.default_rng(5)
     lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6), n_classes=2)
     params = Hyperparams(beta=0.0, lam=1.0, gamma=0.0, eta=0.0, delta=0.0)
-    parts = build_objective_matrices(lab, params)
+    parts = build_objective_matrices(lab, np.eye(lab.n_total), params)
     assert np.allclose(parts.combined, parts.within_class + parts.mmd)
 
 
@@ -146,7 +140,7 @@ def test_compose_component_switches():
     rng = np.random.default_rng(6)
     lab = _labeling(rng.integers(0, 3, 10), rng.integers(0, 3, 9), n_classes=3)
     params = Hyperparams(beta=0.3, lam=0.7, gamma=0.2, eta=0.4, delta=1.0)
-    parts = build_objective_matrices(lab, params)
+    parts = build_objective_matrices(lab, np.eye(lab.n_total), params)
     erm_only = compose_objective(parts, params, components=("erm",))
     assert np.array_equal(erm_only, parts.within_class - 0.3 * parts.center_push)
     da = compose_objective(parts, params, components=("erm", "da"))
@@ -161,15 +155,19 @@ def test_hyperparams_reject_negative():
 
 
 def test_build_requires_selected_targets():
-    lab = _labeling([0, 1], [0, 1], selected=[False, False])
-    with pytest.raises(DataError):
-        build_objective_matrices(lab, Hyperparams())
+    with pytest.raises(DataError, match=r"^no selected target samples: cannot build objective$"):
+        _terms([0, 1], [0, 1], selected=[False, False])
 
 
 def test_skipped_terms_reported():
-    lab = _labeling([0, 1, 1], [0, 0])
-    parts = build_objective_matrices(lab, Hyperparams())
-    assert any("class 1" in s for s in parts.skipped)
+    parts = _terms([0, 1, 1], [0, 0])
+    assert parts.skipped == [
+        "center-push target block: class 0 has empty complement",
+        "center-push target block: class 1 has no selected samples",
+        "conditional distribution term: class 1 missing on one side",
+        "cross-domain push: class 0 has empty target complement",
+        "cross-domain push: class 1 missing on one side",
+    ]
 
 
 def test_oracle_agreement_randomized():
@@ -179,31 +177,63 @@ def test_oracle_agreement_randomized():
         assert res.passed, res.line()
 
 
+def _random_terms(seed, cases=10):
+    """(instance, parts) pairs on generic random instances, partly selected."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        inst = selftest.random_instance(rng)
+        yield inst, build_objective_matrices(inst.labeling, inst.features, Hyperparams())
+
+
+def _assert_terms_close(parts, expected, tol, transform=lambda t: t):
+    for name in TERMS:
+        want = transform(getattr(expected, name))
+        got = getattr(parts, name)
+        assert np.abs(got - want).max() <= tol * np.abs(want).max(), name
+
+
 def test_matrix_invariants_randomized():
-    rng = np.random.default_rng(77)
-    for _ in range(10):
-        n_classes = int(rng.integers(2, 5))
-        n_s = int(rng.integers(n_classes, 20))
-        n_t = int(rng.integers(n_classes, 20))
-        ys = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, n_s - n_classes)])
-        yt = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, n_t - n_classes)])
-        selected = rng.random(n_t) < 0.8
-        selected[0] = True
-        lab = JointLabeling(ys, yt, selected, n_classes)
-        parts = build_objective_matrices(lab, Hyperparams())
-        for mat in (
-            parts.within_class,
-            parts.center_push,
-            parts.mmd,
-            parts.cross_st,
-            parts.cross_ts,
-            parts.laplacian,
-            parts.combined,
-        ):
+    for _, parts in _random_terms(77):
+        for name in TERMS:
+            mat = getattr(parts, name)
             assert np.abs(mat - mat.T).max() <= 1e-10
-        q = parts.within_class
-        assert np.abs(q @ q - q).max() <= 1e-8
-        ones = np.ones(lab.n_total)
-        assert np.abs(parts.mmd @ ones).max() <= 1e-10
-        assert np.abs(parts.laplacian @ ones).max() <= 1e-10
+        assert np.linalg.eigvalsh(parts.within_class).min() >= -1e-8
         assert np.linalg.eigvalsh(parts.laplacian).min() >= -1e-8
+
+
+def test_terms_invariant_under_row_permutation():
+    rng = np.random.default_rng(78)
+    for inst, parts in _random_terms(78):
+        ps = rng.permutation(inst.ys.shape[0])
+        pt = rng.permutation(inst.yt.shape[0])
+        lab = JointLabeling(inst.ys[ps], inst.yt[pt], inst.selected[pt], inst.labeling.n_classes)
+        features = np.vstack([inst.xs[ps], inst.xt[pt]])
+        permuted = build_objective_matrices(lab, features, Hyperparams())
+        _assert_terms_close(permuted, parts, 1e-12)
+
+
+def test_terms_invariant_under_class_relabeling():
+    rng = np.random.default_rng(79)
+    for inst, parts in _random_terms(79):
+        n_classes = inst.labeling.n_classes
+        perm = rng.permutation(n_classes)
+        lab = JointLabeling(perm[inst.ys], perm[inst.yt], inst.selected, n_classes)
+        relabeled = build_objective_matrices(lab, inst.features, Hyperparams())
+        _assert_terms_close(relabeled, parts, 1e-10)
+
+
+def test_terms_invariant_under_translation():
+    rng = np.random.default_rng(80)
+    for inst, parts in _random_terms(80):
+        shift = rng.standard_normal(inst.features.shape[1])
+        moved = build_objective_matrices(inst.labeling, inst.features + shift, Hyperparams())
+        _assert_terms_close(moved, parts, 1e-10)
+
+
+def test_terms_rotate_with_features():
+    rng = np.random.default_rng(81)
+    for inst, parts in _random_terms(81):
+        m = inst.features.shape[1]
+        rot, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        rotated = build_objective_matrices(inst.labeling, inst.features @ rot, Hyperparams())
+        _assert_terms_close(rotated, parts, 1e-10, transform=lambda t: rot.T @ t @ rot)
