@@ -4,7 +4,7 @@ Reports are written as a compact CSV (one decimal accuracy, plus an average
 row per method) and a JSON file carrying full-precision accuracies and the
 per-step training traces.  Wall-clock timings are kept in memory and on the
 console only, so repeated runs with the same configuration and seed produce
-byte-identical report files.
+byte-identical report files under a fixed BLAS configuration.
 """
 
 from __future__ import annotations
@@ -154,8 +154,13 @@ def run_task_suite(
     tasks: list[str | None],
     ablation: bool = False,
     baseline: bool = False,
+    dump_dir: Path | None = None,
 ) -> list[TaskResult]:
-    """Run every task, parallelized across tasks (CDEM_THREADS caps workers)."""
+    """Run every task, parallelized across tasks (CDEM_THREADS caps workers).
+
+    dump_dir, when given, receives each non-ablation run's per-step matrices.
+    Their file names carry no task name, so pass it with a single task only.
+    """
 
     def one_task(task: str | None) -> list[TaskResult]:
         pair = load_domain_pair(config, task)
@@ -167,7 +172,9 @@ def run_task_suite(
         if ablation:
             results.extend(run_ablation_suite(pair, config, labels, task=name))
         else:
-            results.append(run_adaptation_task(pair, config, labels, task=name))
+            results.append(
+                run_adaptation_task(pair, config, labels, task=name, dump_dir=dump_dir)
+            )
         return results
 
     if len(tasks) == 1:

@@ -48,24 +48,14 @@ def _report(results: list[bench.TaskResult], out: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, tasks = _load(args)
+    dump_dir = None
     if args.dump is not None:
         if len(tasks) != 1 or args.ablation:
             raise CdemError("--dump needs a single task without --ablation")
-        pair = bench.load_domain_pair(config, tasks[0])
-        labels = bench.load_eval_labels(config, pair, tasks[0])
-        name = tasks[0] if tasks[0] is not None else "task"
-        results = []
-        if args.with_baseline:
-            results.append(bench.run_source_only(pair, config, labels, task=name))
-        results.append(
-            bench.run_adaptation_task(
-                pair, config, labels, task=name, dump_dir=Path(args.dump)
-            )
-        )
-    else:
-        results = bench.run_task_suite(
-            config, tasks, ablation=args.ablation, baseline=args.with_baseline
-        )
+        dump_dir = Path(args.dump)
+    results = bench.run_task_suite(
+        config, tasks, ablation=args.ablation, baseline=args.with_baseline, dump_dir=dump_dir
+    )
     _report(results, args.out)
     return 0
 

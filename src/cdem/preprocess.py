@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, DegenerateDataError
 
@@ -30,6 +31,13 @@ class PcaModel:
 def fit_pca(features: np.ndarray, n_components: int) -> PcaModel:
     """Fit a PCA basis with a deterministic sign convention.
 
+    The top eigenpairs come from the Gram matrix on the smaller side of the
+    centered data C: C'C (d×d) when n ≥ d, CC' (n×n) when n < d, so the cost
+    follows min(n, d) and no SVD factor of C is ever formed.  When n < d the
+    basis is the Q of a thin QR of C'U: its columns equal ±C'u/√λ for the
+    components with variance, and QR keeps them orthonormal even for the
+    components past the centered rank, where that division is by ≈0.
+
     Each basis column is flipped so that its largest-magnitude entry is
     positive, which makes the result a pure function of the input bytes.
     """
@@ -41,15 +49,20 @@ def fit_pca(features: np.ndarray, n_components: int) -> PcaModel:
         )
     mean = x.mean(axis=0)
     centered = x - mean
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    if singular[0] <= 0.0:
+    wide = n < d
+    gram = centered @ centered.T if wide else centered.T @ centered
+    size = gram.shape[0]
+    evals, evecs = scipy.linalg.eigh(gram, subset_by_index=[size - n_components, size - 1])
+    evals = evals[::-1]
+    evecs = evecs[:, ::-1]
+    if evals[0] <= 0.0:
         raise DegenerateDataError("all samples identical: no variance to project")
-    basis = vt[:n_components].T.copy()
+    basis = np.linalg.qr(centered.T @ evecs)[0] if wide else evecs.copy()
     for j in range(basis.shape[1]):
         pivot = int(np.argmax(np.abs(basis[:, j])))
         if basis[pivot, j] < 0:
             basis[:, j] = -basis[:, j]
-    variance = (singular[:n_components] ** 2) / max(n - 1, 1)
+    variance = np.maximum(evals, 0.0) / max(n - 1, 1)
     return PcaModel(mean=mean, basis=basis, explained_variance=variance)
 
 

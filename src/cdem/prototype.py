@@ -20,13 +20,10 @@ class PrototypeSet:
     """Class centers in the projected space.
 
     centers : (C, k) per-class means
-    complement_centers : (C, k) mean of all samples outside each class, or
-        None when a complement is undefined (single cluster, empty cluster)
     counts : (C,) samples per class
     """
 
     centers: np.ndarray
-    complement_centers: np.ndarray | None
     counts: np.ndarray
 
 
@@ -55,7 +52,7 @@ class PseudoLabelTable:
 
 
 def fit_prototypes(features: np.ndarray, labels: np.ndarray, n_classes: int) -> PrototypeSet:
-    """Per-class means and complement means; every class must be present."""
+    """Per-class means; every class must be present."""
     z = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if z.ndim != 2 or y.shape != (z.shape[0],):
@@ -69,11 +66,9 @@ def fit_prototypes(features: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     if missing.size:
         raise DataError(f"class {int(missing[0])} has no samples")
     centers = np.zeros((n_classes, z.shape[1]))
-    complements = np.zeros_like(centers)
     for cls in range(n_classes):
         centers[cls] = z[y == cls].mean(axis=0)
-        complements[cls] = z[y != cls].mean(axis=0)
-    return PrototypeSet(centers=centers, complement_centers=complements, counts=counts)
+    return PrototypeSet(centers=centers, counts=counts)
 
 
 def class_probabilities(centers: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -146,13 +141,7 @@ def target_kmeans(
                 centers[cls] = z[members].mean(axis=0)
         prev_assign = assign
     counts = np.bincount(assign, minlength=n_clusters)
-    complements: np.ndarray | None = None
-    if n_clusters >= 2 and (counts > 0).all():
-        complements = np.stack(
-            [z[assign != cls].mean(axis=0) for cls in range(n_clusters)]
-        )
-    proto = PrototypeSet(centers=centers, complement_centers=complements, counts=counts)
-    return proto, assign, history
+    return PrototypeSet(centers=centers, counts=counts), assign, history
 
 
 def combined_pseudo_labels(

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdem
 from cdem.cli import main
+from cdem.synth import ShiftSpec, write_dataset
 
 
 def _make_dataset(tmp_path, name="data", **spec_over):
@@ -82,6 +88,27 @@ def test_run_dump_rejects_ablation(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_predictions_identical_across_blas_threads(tmp_path):
+    # A wide task (n < d) at one and two OpenBLAS threads.  report.json floats
+    # may differ in the last digits between the two; predictions and
+    # report.csv may not.
+    config = write_dataset(ShiftSpec(n_per_domain=200, dims=1024), tmp_path / "data")["config"]
+    src = str(Path(cdem.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        subprocess.run(
+            [sys.executable, "-m", "cdem.cli", "run", "--config", str(config), "--out", str(out)],
+            check=True, env=env, stdout=subprocess.DEVNULL,
+        )
+        outputs.append(
+            ((out / "report.csv").read_bytes(), (out / "task_cdem_predictions.txt").read_bytes())
+        )
+    assert outputs[0] == outputs[1]
 
 
 def test_baseline_flow(tmp_path):

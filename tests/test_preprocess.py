@@ -83,9 +83,51 @@ def test_component_bounds():
         fit_pca(x, 0)
 
 
+def _svd_reference_cases():
+    rng = np.random.default_rng(31)
+    tall = rng.standard_normal((40, 12)) @ rng.standard_normal((12, 12))
+    wide = rng.standard_normal((15, 60))
+    # 12 rows centered around their mean span only 11 directions
+    wide_short = rng.standard_normal((12, 40))
+    tall_short = rng.standard_normal((30, 8))
+    tall_short[:, 7] = tall_short[:, 2]
+    # (features, n_components, centered rank falls short of n_components)
+    return {
+        "tall": (tall, 9, False),
+        "wide": (wide, 10, False),
+        "wide-rank-deficient": (wide_short, 12, True),
+        "tall-rank-deficient": (tall_short, 8, True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_svd_reference_cases()))
+def test_matches_svd_reference_on_both_gram_sides(case):
+    x, m, short = _svd_reference_cases()[case]
+    n = x.shape[0]
+    model = fit_pca(x, m)
+    centered = x - x.mean(axis=0)
+    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    assert np.abs(model.basis.T @ model.basis - np.eye(m)).max() <= 1e-10
+    z = transform(model, x)
+    ref = centered @ vt[:m].T
+    ref_gram = ref @ ref.T
+    assert np.abs(z @ z.T - ref_gram).max() <= 1e-8 * np.abs(ref_gram).max()
+    ref_variance = singular[:m] ** 2 / (n - 1)
+    assert np.abs(model.explained_variance - ref_variance).max() <= 1e-10 * ref_variance[0]
+    # column j carries the j-th largest variance, not just the right subspace
+    assert np.abs(z.var(axis=0, ddof=1) - ref_variance).max() <= 1e-10 * ref_variance[0]
+    if short:
+        assert model.explained_variance[-1] <= 1e-10 * ref_variance[0]
+    for j in range(m):
+        col = model.basis[:, j]
+        assert col[np.argmax(np.abs(col))] > 0
+
+
 def test_zero_variance_rejected():
     with pytest.raises(DegenerateDataError):
         fit_pca(np.ones((6, 3)), 1)
+    with pytest.raises(DegenerateDataError):
+        fit_pca(np.ones((3, 6)), 1)
 
 
 def test_normalize_rows_fixed_example():

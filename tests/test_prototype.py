@@ -23,8 +23,6 @@ def test_fit_prototypes_fixed_example():
     protos = fit_prototypes(z, y, 2)
     assert np.allclose(protos.centers[0], [1.0, 0.0])
     assert np.allclose(protos.centers[1], [0.0, 2.0])
-    assert np.allclose(protos.complement_centers[0], [0.0, 2.0])
-    assert np.allclose(protos.complement_centers[1], [1.0, 0.0])
     assert protos.counts.tolist() == [2, 1]
 
 
@@ -101,7 +99,6 @@ def test_kmeans_empty_cluster_keeps_previous_center():
     assert assign.tolist() == [0, 0, 0]
     assert np.allclose(protos.centers[1], far)
     assert protos.counts.tolist() == [3, 0]
-    assert protos.complement_centers is None
 
 
 def test_kmeans_single_cluster_is_global_mean():
