@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matio import (
+    WEIGHT_KEYS,
     DomainPair,
     ExperimentConfig,
     load_domain_pair,
@@ -115,6 +117,26 @@ def run_adaptation_task(
     )
 
 
+def _run_method(
+    pair: DomainPair,
+    config: ExperimentConfig,
+    eval_labels: np.ndarray | None,
+    task: str,
+    method: str,
+    dump_dir: Path | None = None,
+) -> TaskResult:
+    """One report method: "source-only", "cdem" (the config as given) or an
+    ABLATION_STAGES name (the config with that stage's components)."""
+    if method == "source-only":
+        return run_source_only(pair, config, eval_labels, task=task)
+    stages = dict(ABLATION_STAGES)
+    if method in stages:
+        config = replace(config, components=stages[method])
+    elif method != "cdem":
+        raise ConfigError(f"unknown method {method!r}")
+    return run_adaptation_task(pair, config, eval_labels, task, method, dump_dir)
+
+
 def run_ablation_suite(
     pair: DomainPair,
     config: ExperimentConfig,
@@ -122,13 +144,7 @@ def run_ablation_suite(
     task: str = "task",
 ) -> list[TaskResult]:
     """One run per cumulative component stage, in fixed order."""
-    results = []
-    for method, components in ABLATION_STAGES:
-        staged = config.with_components(components)
-        results.append(
-            run_adaptation_task(pair, staged, eval_labels, task=task, method=method)
-        )
-    return results
+    return [_run_method(pair, config, eval_labels, task, name) for name, _ in ABLATION_STAGES]
 
 
 def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[str | None]:
@@ -152,30 +168,22 @@ def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[str 
 def run_task_suite(
     config: ExperimentConfig,
     tasks: list[str | None],
-    ablation: bool = False,
-    baseline: bool = False,
+    methods: Sequence[str] = ("cdem",),
     dump_dir: Path | None = None,
 ) -> list[TaskResult]:
-    """Run every task, parallelized across tasks (CDEM_THREADS caps workers).
+    """Run every method (see _run_method) on every task, in that order,
+    parallelized across tasks (CDEM_THREADS caps workers).
 
-    dump_dir, when given, receives each non-ablation run's per-step matrices.
-    Their file names carry no task name, so pass it with a single task only.
+    dump_dir, when given, receives each adaptation run's per-step matrices.
+    Their file names carry neither task nor method, so pass it with a single
+    task and a single adaptation method only.
     """
 
     def one_task(task: str | None) -> list[TaskResult]:
         pair = load_domain_pair(config, task)
         labels = load_eval_labels(config, pair, task)
         name = task if task is not None else "task"
-        results: list[TaskResult] = []
-        if baseline:
-            results.append(run_source_only(pair, config, labels, task=name))
-        if ablation:
-            results.extend(run_ablation_suite(pair, config, labels, task=name))
-        else:
-            results.append(
-                run_adaptation_task(pair, config, labels, task=name, dump_dir=dump_dir)
-            )
-        return results
+        return [_run_method(pair, config, labels, name, m, dump_dir) for m in methods]
 
     if len(tasks) == 1:
         return one_task(tasks[0])
@@ -195,10 +203,9 @@ def run_grid(
     Requires evaluation labels for every task.  Returns (assignment, mean
     accuracy) per grid point, in deterministic sweep order.
     """
-    valid = {"beta", "lambda", "gamma", "eta", "delta"}
-    bad = [p for p in param_names if p not in valid]
+    bad = [p for p in param_names if p not in WEIGHT_KEYS]
     if bad:
-        raise ConfigError(f"cannot sweep {bad}; choose from {sorted(valid)}")
+        raise ConfigError(f"cannot sweep {bad}; choose from {sorted(WEIGHT_KEYS)}")
     loaded = []
     for task in tasks:
         pair = load_domain_pair(config, task)
@@ -208,7 +215,7 @@ def run_grid(
         loaded.append((task if task is not None else "task", pair, labels))
 
     def one_point(assignment: dict[str, float]) -> tuple[dict[str, float], float]:
-        fields = {("lam" if k == "lambda" else k): v for k, v in assignment.items()}
+        fields = {WEIGHT_KEYS[k]: v for k, v in assignment.items()}
         point_config = replace(config, **fields)
         accs = [
             run_adaptation_task(pair, point_config, labels, task=name).accuracy

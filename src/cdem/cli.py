@@ -53,22 +53,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if len(tasks) != 1 or args.ablation:
             raise CdemError("--dump needs a single task without --ablation")
         dump_dir = Path(args.dump)
-    results = bench.run_task_suite(
-        config, tasks, ablation=args.ablation, baseline=args.with_baseline, dump_dir=dump_dir
-    )
-    _report(results, args.out)
+    methods = ["source-only"] if args.with_baseline else []
+    methods += [name for name, _ in bench.ABLATION_STAGES] if args.ablation else ["cdem"]
+    _report(bench.run_task_suite(config, tasks, methods, dump_dir), args.out)
     return 0
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     config, tasks = _load(args)
-    results = []
-    for task in tasks:
-        pair = bench.load_domain_pair(config, task)
-        labels = bench.load_eval_labels(config, pair, task)
-        name = task if task is not None else "task"
-        results.append(bench.run_source_only(pair, config, labels, task=name))
-    _report(results, args.out)
+    _report(bench.run_task_suite(config, tasks, ["source-only"]), args.out)
     return 0
 
 

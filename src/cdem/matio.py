@@ -11,12 +11,13 @@ directory containing the file.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
+from .objectives import Hyperparams
 
 MAGIC = b"CDM1"
 _HEADER = struct.Struct("<4sII")
@@ -180,6 +181,10 @@ class DatasetEntry:
     labels: Path | None = None
 
 
+# Config-file name -> ExperimentConfig field of each objective weight.
+WEIGHT_KEYS = {"beta": "beta", "lambda": "lam", "gamma": "gamma", "eta": "eta", "delta": "delta"}
+
+
 @dataclass
 class ExperimentConfig:
     """Fully resolved experiment settings (defaults match the benchmark setup)."""
@@ -198,17 +203,10 @@ class ExperimentConfig:
     delta: float = 1.0
     seed: int = 0
     normalize: bool = True
-    joint_pca: bool = True
-    kmeans_warm_start: bool = False
-    legacy_beta_prefactor: bool = False
-    include_unselected_in_m0: bool = True
     components: tuple[str, ...] = KNOWN_COMPONENTS
     datasets: dict[str, DatasetEntry] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.pca_dim < 1 or self.subspace_dim < 1:
             raise ConfigError("pca_dim and subspace_dim must be positive")
         if self.subspace_dim > self.pca_dim:
@@ -217,26 +215,20 @@ class ExperimentConfig:
             )
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
-        for name in ("beta", "lam", "gamma", "eta", "delta"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+        self.hyperparams  # checks the weight signs
+        if not self.components:
+            raise ConfigError(f"components is empty; choose from {list(KNOWN_COMPONENTS)}")
         bad = [c for c in self.components if c not in KNOWN_COMPONENTS]
         if bad:
             raise ConfigError(f"unknown components: {bad}")
 
-    def with_components(self, components: tuple[str, ...]) -> "ExperimentConfig":
-        return replace(self, components=components)
+    @property
+    def hyperparams(self) -> Hyperparams:
+        return Hyperparams(**{name: getattr(self, name) for name in WEIGHT_KEYS.values()})
 
 
-_BOOL_KEYS = {
-    "normalize",
-    "joint_pca",
-    "kmeans_warm_start",
-    "legacy_beta_prefactor",
-    "include_unselected_in_m0",
-}
+_BOOL_KEYS = {"normalize"}
 _INT_KEYS = {"pca_dim", "subspace_dim", "iterations", "seed"}
-_FLOAT_KEYS = {"beta", "lambda", "gamma", "eta", "delta"}
 _PATH_KEYS = {"source_features", "source_labels", "target_features", "target_labels"}
 
 
@@ -283,12 +275,11 @@ def parse_config_text(text: str, base_dir: Path) -> ExperimentConfig:
                 kwargs[key] = int(value)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {key} must be an integer") from exc
-        elif key in _FLOAT_KEYS:
+        elif key in WEIGHT_KEYS:
             try:
-                parsed = float(value)
+                kwargs[WEIGHT_KEYS[key]] = float(value)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {key} must be a number") from exc
-            kwargs["lam" if key == "lambda" else key] = parsed
         elif key in _BOOL_KEYS:
             kwargs[key] = _parse_bool(value, key)
         elif key == "components":

@@ -150,18 +150,14 @@ def compose_objective(
     parts: "ObjectiveMatrices",
     params: Hyperparams,
     components: tuple[str, ...] = ("erm", "da", "cde", "dfl"),
-    legacy_beta_prefactor: bool = False,
 ) -> np.ndarray:
     """Weighted combination of the term matrices.
 
-    The empirical block is within_class - beta * center_push; the historical
-    variant scales that whole block by (1 - beta).  Distribution alignment
-    (da), cross-domain push (cde) and the affinity Laplacian (dfl) toggle
-    with the component switches used by the ablation suite.
+    The empirical block is within_class - beta * center_push.  Distribution
+    alignment (da), cross-domain push (cde) and the affinity Laplacian (dfl)
+    toggle with the component switches used by the ablation suite.
     """
     erm = parts.within_class - params.beta * parts.center_push
-    if legacy_beta_prefactor:
-        erm = (1.0 - params.beta) * erm
     out = np.zeros_like(parts.within_class)
     if "erm" in components:
         out = out + erm
@@ -179,8 +175,6 @@ def build_objective_matrices(
     features: np.ndarray,
     params: Hyperparams,
     components: tuple[str, ...] = ("erm", "da", "cde", "dfl"),
-    legacy_beta_prefactor: bool = False,
-    include_unselected_in_m0: bool = True,
 ) -> ObjectiveMatrices:
     """Build every m×m term X'QX for the current labeling and compose them.
 
@@ -208,9 +202,6 @@ def build_objective_matrices(
     only = np.flatnonzero((n_src > 0) & (n_src == labeling.n_source))
     if only.size:
         raise ConfigError(f"source contains only class {only[0]}: empty complement")
-    marginal_rows = xt if include_unselected_in_m0 else xt_sel
-    if marginal_rows.shape[0] == 0:
-        raise DataError("marginal distribution term needs at least one target sample")
 
     n_sel = n_tgt.sum()
     mean_src = _means(s_src, n_src)
@@ -224,7 +215,7 @@ def build_objective_matrices(
     within -= _weighted_outer(mean_src, n_src) + _weighted_outer(mean_tgt, n_tgt)
     push = _weighted_outer(mean_src - rest_src, n_src)
     push += _weighted_outer(mean_tgt - rest_tgt, np.where(tgt_has_rest, n_tgt, 0))
-    marginal = xs.mean(axis=0) - marginal_rows.mean(axis=0)
+    marginal = xs.mean(axis=0) - xt.mean(axis=0)
     mmd = np.outer(marginal, marginal) + _weighted_outer(mean_src - mean_tgt, both)
     cross_st = _weighted_outer(mean_src - rest_tgt, both * tgt_has_rest)
     cross_ts = _weighted_outer(mean_tgt - rest_src, both)
@@ -242,5 +233,5 @@ def build_objective_matrices(
         combined=np.zeros_like(within),
         skipped=_skipped_terms(n_src, n_tgt),
     )
-    parts.combined = compose_objective(parts, params, components, legacy_beta_prefactor)
+    parts.combined = compose_objective(parts, params, components)
     return parts

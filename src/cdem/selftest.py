@@ -287,11 +287,6 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
         )
         expected = oracle_marginal_mmd(p, inst.xs, inst.xt) + conditional
         record("mmd_all", _rel_err(trace_form(terms.mmd, p), expected))
-        terms_sel = objectives.build_objective_matrices(
-            labeling, f, Hyperparams(), include_unselected_in_m0=False
-        )
-        expected = oracle_marginal_mmd(p, inst.xs, xt_sel) + conditional
-        record("mmd_selected", _rel_err(trace_form(terms_sel.mmd, p), expected))
 
         # the pull/push pair only exists for classes present on both
         # sides, so the term oracles are gated the same way

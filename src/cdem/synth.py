@@ -169,7 +169,8 @@ def write_dataset(spec: ShiftSpec, out_dir: str | Path) -> dict[str, Path]:
         "source_labels=source_labels.txt",
         "target_features=target_features.cdm",
         "target_labels=target_labels.txt",
-        f"pca_dim={min(spec.dims, 2 * spec.n_per_domain)}",
+        # the stacked, centered rows have rank at most 2n - 1
+        f"pca_dim={min(spec.dims, 2 * spec.n_per_domain - 1)}",
         f"subspace_dim={min(4, spec.dims)}",
         "iterations=11",
         "beta=0.1",

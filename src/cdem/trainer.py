@@ -19,12 +19,7 @@ from . import curriculum
 from .eigsolve import TransformSolution, assemble_operands, relative_ridge, solve_generalized
 from .errors import CdemError, DataError, NumericError
 from .matio import DomainPair, ExperimentConfig, write_matrix
-from .objectives import (
-    Hyperparams,
-    JointLabeling,
-    ObjectiveMatrices,
-    build_objective_matrices,
-)
+from .objectives import JointLabeling, ObjectiveMatrices, build_objective_matrices
 from .preprocess import fit_pca, normalize_rows, transform
 from .prototype import (
     PseudoLabelTable,
@@ -85,15 +80,11 @@ class AdaptationResult:
 def preprocess_pair(
     pair: DomainPair, config: ExperimentConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shared PCA over the stacked domains (default) or per-domain PCA,
-    followed by optional unit-length row normalization."""
-    if config.joint_pca:
-        model = fit_pca(np.vstack([pair.source_x, pair.target_x]), config.pca_dim)
-        zs = transform(model, pair.source_x)
-        zt = transform(model, pair.target_x)
-    else:
-        zs = transform(fit_pca(pair.source_x, config.pca_dim), pair.source_x)
-        zt = transform(fit_pca(pair.target_x, config.pca_dim), pair.target_x)
+    """Shared PCA over the stacked domains, followed by optional unit-length
+    row normalization."""
+    model = fit_pca(np.vstack([pair.source_x, pair.target_x]), config.pca_dim)
+    zs = transform(model, pair.source_x)
+    zt = transform(model, pair.target_x)
     if config.normalize:
         zs = normalize_rows(zs)
         zt = normalize_rows(zt)
@@ -183,13 +174,7 @@ def run_adaptation(
 ) -> AdaptationResult:
     """Full alternating run; returns exactly config.iterations records."""
     eval_labels = _validated_eval_labels(eval_labels, pair)
-    params = Hyperparams(
-        beta=config.beta,
-        lam=config.lam,
-        gamma=config.gamma,
-        eta=config.eta,
-        delta=config.delta,
-    )
+    params = config.hyperparams
     total = config.iterations
     zs_raw, zt_raw = preprocess_pair(pair, config)
     features = np.vstack([zs_raw, zt_raw])
@@ -197,7 +182,6 @@ def run_adaptation(
 
     table = _bootstrap_table(zs_raw, pair.source_y, zt_raw, pair.n_classes, total)
     prev_labels = table.label.copy()
-    kmeans_centers: np.ndarray | None = None
     records: list[IterationRecord] = []
     solution: TransformSolution | None = None
     zs = zs_raw
@@ -212,12 +196,7 @@ def run_adaptation(
                 n_classes=pair.n_classes,
             )
             parts = build_objective_matrices(
-                labeling,
-                features,
-                params,
-                components=config.components,
-                legacy_beta_prefactor=config.legacy_beta_prefactor,
-                include_unselected_in_m0=config.include_unselected_in_m0,
+                labeling, features, params, components=config.components
             )
             a, b = assemble_operands(features, parts.combined, params.delta)
             solution = solve_generalized(a, b, config.subspace_dim, b_shift=relative_ridge(b))
@@ -226,11 +205,7 @@ def run_adaptation(
             zt = projected[n_source:]
 
             protos = fit_prototypes(zs, pair.source_y, pair.n_classes)
-            init = protos.centers
-            if config.kmeans_warm_start and kmeans_centers is not None:
-                init = kmeans_centers
-            cluster_protos, _, _ = target_kmeans(zt, init)
-            kmeans_centers = cluster_protos.centers
+            cluster_protos, _, _ = target_kmeans(zt, protos.centers)
 
             p_source = class_probabilities(protos.centers, zt)
             p_target = class_probabilities(cluster_protos.centers, zt)

@@ -105,9 +105,11 @@ def test_run_task_suite_from_files(tmp_path):
     spec = ShiftSpec(classes=2, n_per_domain=20, dims=4, separation=8.0, seed=3)
     paths = write_dataset(spec, tmp_path)
     config = replace(load_config(paths["config"]), iterations=2, subspace_dim=2)
-    results = bench.run_task_suite(config, [None], baseline=True)
+    results = bench.run_task_suite(config, [None], ["source-only", "cdem"])
     assert [r.method for r in results] == ["source-only", "cdem"]
     assert all(r.accuracy is not None for r in results)
+    with pytest.raises(ConfigError, match="unknown method 'bogus'"):
+        bench.run_task_suite(config, [None], ["bogus"])
 
 
 def test_run_task_suite_parallel_registry(tmp_path, monkeypatch):

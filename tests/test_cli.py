@@ -13,7 +13,8 @@ import pytest
 
 import cdem
 from cdem.cli import main
-from cdem.synth import ShiftSpec, write_dataset
+from cdem.matio import write_labels, write_matrix
+from cdem.synth import ShiftSpec, generate, write_dataset
 
 
 def _make_dataset(tmp_path, name="data", **spec_over):
@@ -109,6 +110,40 @@ def test_predictions_identical_across_blas_threads(tmp_path):
             ((out / "report.csv").read_bytes(), (out / "task_cdem_predictions.txt").read_bytes())
         )
     assert outputs[0] == outputs[1]
+
+
+def _three_domain_registry(root):
+    """Three small labeled domains, so `--task all` runs six tasks."""
+    lines = ["pca_dim=8", "subspace_dim=4"]
+    for index, (name, rotation) in enumerate((("A", 0.0), ("B", 25.0), ("C", -30.0))):
+        spec = ShiftSpec(classes=3, n_per_domain=60, dims=10, separation=6.0,
+                         rotation_deg=rotation, translation=(0.5 * index,), seed=index)
+        pair, labels = generate(spec)
+        write_matrix(pair.target_x, root / f"{name}_x.cdm")
+        write_labels(labels, root / f"{name}_y.txt")
+        lines += [f"dataset.{name}.features={name}_x.cdm", f"dataset.{name}.labels={name}_y.txt"]
+    (root / "config.txt").write_text("\n".join(lines) + "\n")
+    return root / "config.txt"
+
+
+def test_reports_identical_across_task_workers(tmp_path):
+    config = _three_domain_registry(tmp_path)
+    src = str(Path(cdem.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for command in ("run", "baseline"):
+        reports = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"{command}{workers}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", CDEM_THREADS=workers,
+                       PYTHONPATH=pythonpath)
+            subprocess.run(
+                [sys.executable, "-m", "cdem.cli", command, "--config", str(config),
+                 "--task", "all", "--out", str(out)],
+                check=True, env=env, stdout=subprocess.DEVNULL, timeout=120,
+            )
+            reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(reports[0]) > 2
+        assert reports[0] == reports[1]
 
 
 def test_baseline_flow(tmp_path):

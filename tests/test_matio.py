@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cdem.errors import ConfigError, DataError, FormatError
 from cdem.matio import (
+    _BOOL_KEYS,
+    _INT_KEYS,
     MAGIC,
+    WEIGHT_KEYS,
     DomainPair,
+    ExperimentConfig,
     load_config,
     load_domain_pair,
     load_eval_labels,
@@ -206,8 +213,26 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     with pytest.raises(ConfigError):
         load_config(path)
     path.write_text("beta=-0.5\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^beta must be non-negative$"):
         load_config(path)
+    path.write_text("components=\n")
+    with pytest.raises(ConfigError, match=r"^components is empty"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=r"^components is empty"):
+        ExperimentConfig(components=())
+    for removed in ("joint_pca", "kmeans_warm_start", "legacy_beta_prefactor",
+                    "include_unselected_in_m0"):
+        path.write_text(f"{removed}=true\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Remaining keys and defaults:", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `([a-z_]+)` \|", table, flags=re.MULTILINE))
+    accepted = _INT_KEYS | set(WEIGHT_KEYS) | _BOOL_KEYS | {"components"}
+    assert listed == accepted
 
 
 def test_config_registry_tasks(tmp_path):

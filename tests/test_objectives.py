@@ -25,10 +25,10 @@ def _labeling(source, target, selected=None, n_classes=2):
     return JointLabeling(np.asarray(source), target, selected, n_classes)
 
 
-def _terms(source, target, selected=None, n_classes=2, **kwargs):
+def _terms(source, target, selected=None, n_classes=2):
     # identity features make every m×m term X'QX the coefficient matrix Q
     lab = _labeling(source, target, selected, n_classes)
-    return build_objective_matrices(lab, np.eye(lab.n_total), Hyperparams(), **kwargs)
+    return build_objective_matrices(lab, np.eye(lab.n_total), Hyperparams())
 
 
 def test_within_class_two_samples_same_class():
@@ -78,14 +78,15 @@ def test_marginal_mmd_one_sample_each():
     assert np.allclose(mat, np.outer(v, v))
 
 
-def test_marginal_mmd_selection_toggle():
-    source, target, selected = [0, 1], [0, 1, 1], [True, True, False]
-    all_t = _terms(source, target, selected, include_unselected_in_m0=True).mmd
-    sel_t = _terms(source, target, selected, include_unselected_in_m0=False).mmd
-    assert np.abs(all_t[:, 4]).max() > 0.0
-    assert np.abs(sel_t[:, 4]).max() == 0.0
-    with pytest.raises(DataError):
-        _terms([0, 1], [0, 1], selected=[False, False], include_unselected_in_m0=False)
+def test_marginal_mmd_includes_unselected_targets():
+    # the unselected target (row 4) enters the marginal term, and only it
+    mmd = _terms([0, 1], [0, 1, 1], selected=[True, True, False]).mmd
+    third = 1.0 / 3.0
+    marginal = np.array([0.5, 0.5, -third, -third, -third])
+    class0 = np.array([1.0, 0.0, -1.0, 0.0, 0.0])
+    class1 = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
+    expected = sum(np.outer(v, v) for v in (marginal, class0, class1))
+    assert np.allclose(mmd, expected)
 
 
 def test_conditional_mmd_missing_class_is_none():
@@ -145,8 +146,6 @@ def test_compose_component_switches():
     assert np.array_equal(erm_only, parts.within_class - 0.3 * parts.center_push)
     da = compose_objective(parts, params, components=("erm", "da"))
     assert np.allclose(da, erm_only + 0.7 * parts.mmd)
-    legacy = compose_objective(parts, params, components=("erm",), legacy_beta_prefactor=True)
-    assert np.allclose(legacy, 0.7 * erm_only)
 
 
 def test_hyperparams_reject_negative():

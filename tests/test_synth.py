@@ -7,6 +7,7 @@ import pytest
 
 from cdem.errors import ConfigError, FormatError
 from cdem.matio import load_config, load_domain_pair, load_eval_labels, read_matrix
+from cdem.preprocess import fit_pca
 from cdem.synth import (
     ShiftSpec,
     class_counts,
@@ -163,6 +164,16 @@ def test_write_dataset_roundtrip(tmp_path):
     assert np.array_equal(loaded.target_x, pair.target_x)
     assert np.array_equal(load_eval_labels(config, loaded), target_y)
     assert config.subspace_dim == min(4, spec.dims)
+
+
+def test_write_dataset_pca_dim_within_centered_rank(tmp_path):
+    # 400 stacked rows have centered rank 399: a 400th component has no variance
+    spec = ShiftSpec(n_per_domain=200, dims=1024)
+    config = load_config(write_dataset(spec, tmp_path)["config"])
+    assert config.pca_dim == 399
+    pair = load_domain_pair(config)
+    model = fit_pca(np.vstack([pair.source_x, pair.target_x]), config.pca_dim)
+    assert model.explained_variance[-1] > 0.0
 
 
 def test_standard_spec_is_frozen():

@@ -135,13 +135,6 @@ def test_objective_matches_eigenvalue_sum():
     assert abs(final.objective - result.eigenvalues.sum()) <= 1e-10 * abs(final.objective)
 
 
-def test_warm_start_toggle_runs():
-    pair, labels = generate(_small_spec(seed=6))
-    cold = run_adaptation(pair, _small_config(), labels)
-    warm = run_adaptation(pair, _small_config(kmeans_warm_start=True), labels)
-    assert len(cold.records) == len(warm.records)
-
-
 def test_component_subset_runs():
     pair, labels = generate(_small_spec(seed=7))
     config = _small_config(components=("erm",))
