@@ -1,10 +1,13 @@
 """Generalized symmetric eigensolver used to extract the projection.
 
-Solves A p = theta B p for the k smallest eigenvalues via an explicit
-Cholesky reduction: with B = L L', the problem becomes the ordinary
-symmetric one (L^-1 A L^-T) u = theta u and p = L^-T u.  The returned
-columns are orthonormal under B, which is exactly the constraint the
-adaptation objective imposes.
+Solves A p = theta (B + sI) p for the k smallest eigenvalues, where
+B = X'HX is the centered Gram matrix of the features and s a small relative
+ridge.  B depends only on the features, so a run builds, checks and
+Cholesky-factors it once (``assemble_operands``): with B + sI = L L' the
+constraint keeps W = L^-T.  Each step is then the ordinary symmetric problem
+(W'AW) u = theta u with p = W u, one matrix product and one ``eigh``.  The
+returned columns are orthonormal under B + sI, which is exactly the
+constraint the adaptation objective imposes.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from .errors import ConfigError, NumericError
 # Relative ridge added to B before factorization; keeps the reduction stable
 # when the centered gram matrix is numerically rank deficient.
 DEFAULT_RIDGE_SCALE = 1e-9
+# Largest relative residual a solve may return; anything above it is a bad
+# solve, not a projection.
+RESIDUAL_BOUND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,15 @@ class TransformSolution:
     residual: float
 
 
+@dataclass(frozen=True)
+class FactoredConstraint:
+    """The constraint matrix B + sI and W = L^-T for its Cholesky factor L,
+    so that W'(B + sI)W = I."""
+
+    shifted: np.ndarray
+    whiten: np.ndarray
+
+
 def _check_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -47,45 +62,53 @@ def _check_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def solve_generalized(
-    a: np.ndarray, b: np.ndarray, n_components: int, b_shift: float = 0.0
-) -> TransformSolution:
-    """Smallest n_components eigenpairs of A p = theta (B + b_shift I) p."""
-    a = _check_symmetric(a, "A")
+def factor_constraint(b: np.ndarray, b_shift: float = 0.0) -> FactoredConstraint:
+    """Check B, add b_shift I and factor the result once for many solves."""
     b = _check_symmetric(b, "B")
-    m = a.shape[0]
-    if b.shape[0] != m:
-        raise ConfigError(f"A is {a.shape}, B is {b.shape}")
-    if n_components < 1 or n_components > m:
-        raise ConfigError(f"n_components={n_components} not in [1, {m}]")
     if b_shift < 0:
         raise ConfigError("b_shift must be non-negative")
-    b_shifted = b if b_shift == 0.0 else b + b_shift * np.eye(m)
+    m = b.shape[0]
+    shifted = b + b_shift * np.eye(m)
     try:
-        chol = scipy.linalg.cholesky(b_shifted, lower=True)
+        chol = scipy.linalg.cholesky(shifted, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(
             "B is not positive definite even after the ridge shift; "
             "increase b_shift or check the feature matrix for rank collapse"
         ) from exc
-    # reduced = L^-1 A L^-T, symmetric by construction up to roundoff
-    half = scipy.linalg.solve_triangular(chol, a, lower=True)
-    reduced = scipy.linalg.solve_triangular(chol, half.T, lower=True).T
+    whiten = scipy.linalg.solve_triangular(chol, np.eye(m), lower=True).T
+    return FactoredConstraint(shifted=shifted, whiten=whiten)
+
+
+def solve_generalized(
+    a: np.ndarray, constraint: FactoredConstraint, n_components: int
+) -> TransformSolution:
+    """Smallest n_components eigenpairs of A p = theta (B + sI) p, with
+    B + sI given by its factored constraint."""
+    a = _check_symmetric(a, "A")
+    m = a.shape[0]
+    if constraint.shifted.shape[0] != m:
+        raise ConfigError(f"A is {a.shape}, B is {constraint.shifted.shape}")
+    if n_components < 1 or n_components > m:
+        raise ConfigError(f"n_components={n_components} not in [1, {m}]")
+    w = constraint.whiten
+    reduced = w.T @ a @ w
     reduced = 0.5 * (reduced + reduced.T)
     eigenvalues, vectors = np.linalg.eigh(reduced)
     theta = eigenvalues[:n_components].copy()
-    projection = scipy.linalg.solve_triangular(
-        chol.T, vectors[:, :n_components], lower=False
-    )
-    for j in range(n_components):
-        pivot = int(np.argmax(np.abs(projection[:, j])))
-        if projection[pivot, j] < 0:
-            projection[:, j] = -projection[:, j]
-    resid = a @ projection - (b_shifted @ projection) * theta[None, :]
-    denom = np.linalg.norm(a) + np.abs(theta) * np.linalg.norm(b_shifted)
+    projection = w @ vectors[:, :n_components]
+    pivots = np.abs(projection).argmax(axis=0)
+    projection *= np.where(projection[pivots, np.arange(n_components)] < 0, -1.0, 1.0)
+    b = constraint.shifted
+    resid = a @ projection - (b @ projection) * theta[None, :]
+    denom = np.linalg.norm(a) + np.abs(theta) * np.linalg.norm(b)
     rel = np.linalg.norm(resid, axis=0) / denom
     if not np.isfinite(rel).all():
         raise NumericError("eigensolver produced non-finite residuals")
+    if rel.max() > RESIDUAL_BOUND:
+        raise NumericError(
+            f"eigensolver residual {rel.max():.3e} exceeds {RESIDUAL_BOUND:g}"
+        )
     return TransformSolution(
         projection=projection, eigenvalues=theta, residual=float(rel.max())
     )
@@ -96,11 +119,9 @@ def relative_ridge(b: np.ndarray) -> float:
     return DEFAULT_RIDGE_SCALE * float(np.trace(b)) / b.shape[0]
 
 
-def assemble_operands(
-    features: np.ndarray, objective: np.ndarray, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build A = X'QX + delta I from the m×m objective X'QX, and B = X'HX
-    from stacked row features (samples in rows).
+def assemble_operands(features: np.ndarray) -> FactoredConstraint:
+    """Build B = X'HX from stacked row features (samples in rows), add the
+    relative ridge and factor it.
 
     B is formed as the centered gram matrix C'C so it is symmetric positive
     semidefinite by construction.
@@ -108,14 +129,6 @@ def assemble_operands(
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ConfigError("features must be 2-d (samples in rows)")
-    if delta < 0:
-        raise ConfigError("delta must be non-negative")
-    m = f.shape[1]
-    if objective.shape != (m, m):
-        raise ConfigError(f"objective is {objective.shape}, expected ({m}, {m})")
-    a = 0.5 * (objective + objective.T)
-    a[np.diag_indices(m)] += delta
     centered = f - f.mean(axis=0)
     b = centered.T @ centered
-    b = 0.5 * (b + b.T)
-    return a, b
+    return factor_constraint(b, relative_ridge(b))

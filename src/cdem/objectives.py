@@ -3,19 +3,21 @@
 Each term is a quadratic form tr(P' T P) over the stacked features X (n
 samples in rows, m columns; source rows first, then target rows) that equals
 a sum of squared distances in the projected space.  Every such sum depends on
-the samples only through per-group moments: the count n_g, the sum s_g (m)
-and the Gram matrix G_g (m×m) of each source class, each selected-target
-class, and the domain totals.  With means mu_g = s_g / n_g:
+the samples only through the count n_g and the sum s_g (m) of each source
+class and each selected-target class, and through two Gram matrices per
+domain side: the plain X'X of its rows and the count-weighted
+X' diag(n_{y_r}) X, where n_{y_r} counts row r's class over both sides.
+With means mu_g = s_g / n_g:
 
-- within-class scatter: sum_g (G_g - s_g s_g' / n_g)
+- within-class scatter: Xs'Xs + Xsel'Xsel - sum_g n_g mu_g mu_g'
 - center push, marginal and conditional MMD, cross push: weighted
   (mu_a - mu_b)(mu_a - mu_b)', complement means taken from totals minus
   the group
-- same-label Laplacian: sum_c (n_c G_c - s_c s_c') over source and
-  selected target rows of class c together
+- same-label Laplacian: R' diag(n_{y_r}) R - sum_c s_c s_c', where R holds
+  the source and the selected target rows and s_c sums class c over both
 
-So building T costs O(n m^2) time and O(C m^2) memory.  Unselected target
-samples enter only the marginal distribution term.
+So building T costs O(n m^2) time and O(m^2 + C m) memory.  Unselected
+target samples enter only the marginal distribution term.
 """
 
 from __future__ import annotations
@@ -99,17 +101,11 @@ class ObjectiveMatrices:
 
 def _class_moments(
     rows: np.ndarray, labels: np.ndarray, n_classes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class counts (C,), sums (C, m) and Gram matrices (C, m, m)."""
-    m = rows.shape[1]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class counts (C,) and sums (C, m)."""
     counts = np.bincount(labels, minlength=n_classes)
-    sums = np.zeros((n_classes, m))
-    grams = np.zeros((n_classes, m, m))
-    for cls in np.flatnonzero(counts):
-        members = rows[labels == cls]
-        sums[cls] = members.sum(axis=0)
-        grams[cls] = members.T @ members
-    return counts, sums, grams
+    onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)
+    return counts, onehot @ rows
 
 
 def _means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -195,10 +191,9 @@ def build_objective_matrices(
     xs = x[: labeling.n_source]
     xt = x[labeling.n_source :]
     xt_sel = xt[labeling.selected]
-    n_src, s_src, g_src = _class_moments(xs, labeling.source, labeling.n_classes)
-    n_tgt, s_tgt, g_tgt = _class_moments(
-        xt_sel, labeling.target[labeling.selected], labeling.n_classes
-    )
+    y_sel = labeling.target[labeling.selected]
+    n_src, s_src = _class_moments(xs, labeling.source, labeling.n_classes)
+    n_tgt, s_tgt = _class_moments(xt_sel, y_sel, labeling.n_classes)
     only = np.flatnonzero((n_src > 0) & (n_src == labeling.n_source))
     if only.size:
         raise ConfigError(f"source contains only class {only[0]}: empty complement")
@@ -211,7 +206,7 @@ def build_objective_matrices(
     both = ((n_src > 0) & (n_tgt > 0)).astype(float)
     tgt_has_rest = n_tgt < n_sel
 
-    within = g_src.sum(axis=0) + g_tgt.sum(axis=0)
+    within = xs.T @ xs + xt_sel.T @ xt_sel
     within -= _weighted_outer(mean_src, n_src) + _weighted_outer(mean_tgt, n_tgt)
     push = _weighted_outer(mean_src - rest_src, n_src)
     push += _weighted_outer(mean_tgt - rest_tgt, np.where(tgt_has_rest, n_tgt, 0))
@@ -221,7 +216,9 @@ def build_objective_matrices(
     cross_ts = _weighted_outer(mean_tgt - rest_src, both)
     n_cls = n_src + n_tgt
     s_cls = s_src + s_tgt
-    laplacian = np.einsum("c,cij->ij", n_cls, g_src + g_tgt) - s_cls.T @ s_cls
+    laplacian = (xs * n_cls[labeling.source, None]).T @ xs
+    laplacian += (xt_sel * n_cls[y_sel, None]).T @ xt_sel
+    laplacian -= s_cls.T @ s_cls
 
     parts = ObjectiveMatrices(
         within_class=within,

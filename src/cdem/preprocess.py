@@ -38,6 +38,11 @@ def fit_pca(features: np.ndarray, n_components: int) -> PcaModel:
     components with variance, and QR keeps them orthonormal even for the
     components past the centered rank, where that division is by ≈0.
 
+    When the top n_components make up at least half of the Gram side, one
+    full divide-and-conquer ``eigh`` (driver "evd") followed by slicing is
+    faster than the subset solver; below half, the subset solver wins and
+    keeps the memory of the full eigenvector matrix out of the run.
+
     Each basis column is flipped so that its largest-magnitude entry is
     positive, which makes the result a pure function of the input bytes.
     """
@@ -52,9 +57,12 @@ def fit_pca(features: np.ndarray, n_components: int) -> PcaModel:
     wide = n < d
     gram = centered @ centered.T if wide else centered.T @ centered
     size = gram.shape[0]
-    evals, evecs = scipy.linalg.eigh(gram, subset_by_index=[size - n_components, size - 1])
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
+    if 2 * n_components >= size:
+        evals, evecs = scipy.linalg.eigh(gram, driver="evd")
+    else:
+        evals, evecs = scipy.linalg.eigh(gram, subset_by_index=[size - n_components, size - 1])
+    evals = evals[::-1][:n_components]
+    evecs = evecs[:, ::-1][:, :n_components]
     if evals[0] <= 0.0:
         raise DegenerateDataError("all samples identical: no variance to project")
     basis = np.linalg.qr(centered.T @ evecs)[0] if wide else evecs.copy()

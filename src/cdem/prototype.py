@@ -135,10 +135,10 @@ def target_kmeans(
             break
         if len(history) > 1 and history[-2] - sse <= tol * max(history[-2], 1e-300):
             break
-        for cls in range(n_clusters):
-            members = np.flatnonzero(assign == cls)
-            if members.size:
-                centers[cls] = z[members].mean(axis=0)
+        counts = np.bincount(assign, minlength=n_clusters)
+        sums = (assign == np.arange(n_clusters)[:, None]).astype(np.float64) @ z
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
         prev_assign = assign
     counts = np.bincount(assign, minlength=n_clusters)
     return PrototypeSet(centers=centers, counts=counts), assign, history

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import objectives
-from .eigsolve import solve_generalized
+from .eigsolve import factor_constraint, solve_generalized
 from .objectives import Hyperparams, JointLabeling
 
 
@@ -386,7 +386,7 @@ def check_eigensolver(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> list
         a = 0.5 * (a + a.T)
         root = rng.standard_normal((m, m))
         b = root @ root.T + 0.5 * np.eye(m)
-        sol = solve_generalized(a, b, k)
+        sol = solve_generalized(a, factor_constraint(b), k)
         reference = scipy.linalg.eigh(a, b, eigvals_only=True)
         scale = max(1.0, float(np.abs(reference).max()))
         worst_theta = max(

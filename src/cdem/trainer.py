@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curriculum
-from .eigsolve import TransformSolution, assemble_operands, relative_ridge, solve_generalized
+from .eigsolve import TransformSolution, assemble_operands, solve_generalized
 from .errors import CdemError, DataError, NumericError
 from .matio import DomainPair, ExperimentConfig, write_matrix
 from .objectives import JointLabeling, ObjectiveMatrices, build_objective_matrices
@@ -179,6 +179,8 @@ def run_adaptation(
     zs_raw, zt_raw = preprocess_pair(pair, config)
     features = np.vstack([zs_raw, zt_raw])
     n_source = pair.n_source
+    constraint = assemble_operands(features)
+    delta_identity = params.delta * np.eye(features.shape[1])
 
     table = _bootstrap_table(zs_raw, pair.source_y, zt_raw, pair.n_classes, total)
     prev_labels = table.label.copy()
@@ -198,8 +200,8 @@ def run_adaptation(
             parts = build_objective_matrices(
                 labeling, features, params, components=config.components
             )
-            a, b = assemble_operands(features, parts.combined, params.delta)
-            solution = solve_generalized(a, b, config.subspace_dim, b_shift=relative_ridge(b))
+            a = parts.combined + delta_identity
+            solution = solve_generalized(a, constraint, config.subspace_dim)
             projected = features @ solution.projection
             zs = projected[:n_source]
             zt = projected[n_source:]
@@ -219,7 +221,7 @@ def run_adaptation(
             if not np.isfinite(objective):
                 raise NumericError("objective value is not finite")
             if dump_dir is not None:
-                _dump_iteration(Path(dump_dir), step, parts, (a, b), solution)
+                _dump_iteration(Path(dump_dir), step, parts, (a, constraint.shifted), solution)
 
             agreement = float(np.mean(table.label == prev_labels))
             prev_labels = table.label.copy()

@@ -20,7 +20,7 @@ import pytest
 
 from cdem import bench, curriculum, selftest
 from cdem.cli import main
-from cdem.eigsolve import assemble_operands, relative_ridge, solve_generalized
+from cdem.eigsolve import assemble_operands, solve_generalized
 from cdem.matio import ExperimentConfig, load_config
 from cdem.objectives import Hyperparams, JointLabeling, build_objective_matrices
 from cdem.prototype import combined_pseudo_labels
@@ -87,9 +87,10 @@ def test_projection_satisfies_variance_constraint():
     )
     params = Hyperparams(beta=0.1, lam=0.1, gamma=0.1, eta=0.1, delta=0.1)
     parts = build_objective_matrices(labeling, features, params)
-    a, b = assemble_operands(features, parts.combined, params.delta)
-    solution = solve_generalized(a, b, config.subspace_dim, b_shift=relative_ridge(b))
-    gram = solution.projection.T @ b @ solution.projection
+    a = parts.combined + params.delta * np.eye(features.shape[1])
+    solution = solve_generalized(a, assemble_operands(features), config.subspace_dim)
+    centered = features - features.mean(axis=0)
+    gram = solution.projection.T @ (centered.T @ centered) @ solution.projection
     worst = float(np.abs(gram - np.eye(config.subspace_dim)).max())
     _verdict(
         "variance-constraint",

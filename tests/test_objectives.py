@@ -236,3 +236,44 @@ def test_terms_rotate_with_features():
         rot, _ = np.linalg.qr(rng.standard_normal((m, m)))
         rotated = build_objective_matrices(inst.labeling, inst.features @ rot, Hyperparams())
         _assert_terms_close(rotated, parts, 1e-10, transform=lambda t: rot.T @ t @ rot)
+
+
+def _per_class_gram_terms(xs, ys, xt_sel, yt_sel, n_classes):
+    """Within-class scatter and Laplacian from one Gram matrix per class:
+    sum_g (G_g - s_g s_g' / n_g) per domain side, and sum_c (n_c G_c - s_c s_c')
+    over the source and selected target rows of class c together."""
+    m = xs.shape[1]
+    within = np.zeros((m, m))
+    laplacian = np.zeros((m, m))
+    for cls in range(n_classes):
+        src = xs[ys == cls]
+        tgt = xt_sel[yt_sel == cls]
+        for rows in (src, tgt):
+            if rows.shape[0]:
+                s = rows.sum(axis=0)
+                within += rows.T @ rows - np.outer(s, s) / rows.shape[0]
+        rows = np.vstack([src, tgt])
+        if rows.shape[0]:
+            s = rows.sum(axis=0)
+            laplacian += rows.shape[0] * (rows.T @ rows) - np.outer(s, s)
+    return within, laplacian
+
+
+def test_two_gram_terms_match_per_class_grams():
+    # Office-Home's 65 classes, with classes missing from the source, from the
+    # selected targets, and from both
+    rng = np.random.default_rng(82)
+    n_classes, m = 65, 12
+    ys = rng.choice(np.arange(5, 64), size=300)
+    yt = rng.choice(np.r_[0:5, 10:60], size=260)
+    selected = rng.random(260) < 0.6
+    xs = rng.standard_normal((300, m)) + 2.0
+    xt = rng.standard_normal((260, m)) - 1.0
+    lab = JointLabeling(ys, yt, selected, n_classes)
+    parts = build_objective_matrices(lab, np.vstack([xs, xt]), Hyperparams())
+    n_src = np.bincount(ys, minlength=n_classes)
+    n_tgt = np.bincount(yt[selected], minlength=n_classes)
+    assert (n_src[:5] == 0).all() and (n_tgt[5:10] == 0).all() and n_src[64] == n_tgt[64] == 0
+    within, laplacian = _per_class_gram_terms(xs, ys, xt[selected], yt[selected], n_classes)
+    assert np.abs(parts.within_class - within).max() <= 1e-12 * np.abs(within).max()
+    assert np.abs(parts.laplacian - laplacian).max() <= 1e-12 * np.abs(laplacian).max()

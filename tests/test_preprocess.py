@@ -91,12 +91,18 @@ def _svd_reference_cases():
     wide_short = rng.standard_normal((12, 40))
     tall_short = rng.standard_normal((30, 8))
     tall_short[:, 7] = tall_short[:, 2]
-    # (features, n_components, centered rank falls short of n_components)
+    tall_few = rng.standard_normal((50, 20)) @ rng.standard_normal((20, 20))
+    wide_few = rng.standard_normal((16, 70))
+    # (features, n_components, centered rank falls short of n_components);
+    # the "-few" cases ask for less than half of the Gram side, so they take
+    # the subset solver, and the others the full one
     return {
         "tall": (tall, 9, False),
         "wide": (wide, 10, False),
         "wide-rank-deficient": (wide_short, 12, True),
         "tall-rank-deficient": (tall_short, 8, True),
+        "tall-few": (tall_few, 6, False),
+        "wide-few": (wide_few, 5, False),
     }
 
 

@@ -163,3 +163,39 @@ def test_present_class_centers_subset():
     centers, classes = present_class_centers(z, np.array([2, 2, 0]), 3)
     assert classes.tolist() == [0, 2]
     assert np.allclose(centers, [[4.0], [0.5]])
+
+
+def _loop_kmeans(z, centers, max_iters=100, tol=1e-6):
+    """Lloyd iterations that update one cluster at a time."""
+    centers = centers.copy()
+    history = []
+    prev = None
+    for _ in range(max_iters):
+        dist = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(dist, axis=1)
+        sse = float(dist[np.arange(z.shape[0]), assign].sum())
+        history.append(sse)
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        if len(history) > 1 and history[-2] - sse <= tol * max(history[-2], 1e-300):
+            break
+        for cls in range(centers.shape[0]):
+            if (assign == cls).any():
+                centers[cls] = z[assign == cls].mean(axis=0)
+        prev = assign
+    return centers, assign, history
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kmeans_matches_per_cluster_loop(seed):
+    rng = np.random.default_rng(60 + seed)
+    truth = 4.0 * rng.standard_normal((6, 5))
+    z = np.vstack([c + rng.standard_normal((30, 5)) for c in truth])
+    # a far center never wins a sample, so its cluster stays empty throughout
+    init = np.vstack([truth + rng.standard_normal(truth.shape), np.full(5, 1e3)])
+    protos, assign, history = target_kmeans(z, init)
+    centers, ref_assign, ref_history = _loop_kmeans(z, init)
+    assert np.array_equal(assign, ref_assign)
+    assert len(history) == len(ref_history)
+    assert protos.counts[-1] == 0 and np.array_equal(protos.centers[-1], init[-1])
+    assert np.abs(protos.centers - centers).max() <= 1e-12 * np.abs(z).max()

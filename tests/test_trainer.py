@@ -89,7 +89,7 @@ def test_identical_domains_align_exactly():
 
 
 def test_alignment_weight_reduces_domain_gap_term():
-    from cdem.eigsolve import assemble_operands, relative_ridge, solve_generalized
+    from cdem.eigsolve import assemble_operands, solve_generalized
     from cdem.objectives import Hyperparams, JointLabeling, build_objective_matrices
     from cdem.selftest import trace_form
 
@@ -103,12 +103,13 @@ def test_alignment_weight_reduces_domain_gap_term():
         selected=np.ones(pair.n_target, dtype=bool),
         n_classes=pair.n_classes,
     )
+    constraint = assemble_operands(features)
     gap_terms = []
     for lam in (0.0, 10.0):
         params = Hyperparams(beta=0.1, lam=lam, gamma=0.1, eta=0.1, delta=0.1)
         parts = build_objective_matrices(labeling, features, params)
-        a, b = assemble_operands(features, parts.combined, params.delta)
-        solution = solve_generalized(a, b, 3, b_shift=relative_ridge(b))
+        a = parts.combined + params.delta * np.eye(features.shape[1])
+        solution = solve_generalized(a, constraint, 3)
         gap_terms.append(trace_form(parts.mmd, solution.projection))
     # both solves minimize over the same feasible frames, so the heavier
     # alignment weight cannot end up with a larger alignment term
@@ -162,6 +163,46 @@ def test_error_carries_step_context(monkeypatch):
 
     monkeypatch.setattr(trainer_mod, "build_objective_matrices", explode)
     with pytest.raises(DataError, match=r"^step 1: forced failure$"):
+        run_adaptation(pair, _small_config(), None)
+
+
+def test_constraint_factored_once_per_run(monkeypatch):
+    import cdem.trainer as trainer_mod
+    import scipy.linalg
+
+    counts = {"cholesky": 0, "solve": 0}
+    cholesky = scipy.linalg.cholesky
+    solve = trainer_mod.solve_generalized
+
+    def counting_cholesky(*args, **kwargs):
+        counts["cholesky"] += 1
+        return cholesky(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        counts["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(trainer_mod, "solve_generalized", counting_solve)
+    pair, labels = generate(_small_spec(seed=10))
+    result = run_adaptation(pair, _small_config(iterations=11), labels)
+    assert len(result.records) == 11
+    assert counts == {"cholesky": 1, "solve": 11}
+
+
+def test_residual_gate_carries_step_context(monkeypatch):
+    import cdem.eigsolve as eigsolve_mod
+    from cdem.errors import NumericError
+
+    exact = np.linalg.eigh
+
+    def perturbed(mat):
+        values, vectors = exact(mat)
+        return values, vectors + 1e-3
+
+    monkeypatch.setattr(eigsolve_mod.np.linalg, "eigh", perturbed)
+    pair, _ = generate(_small_spec(seed=11))
+    with pytest.raises(NumericError, match=r"^step 1: eigensolver residual .* exceeds 1e-06$"):
         run_adaptation(pair, _small_config(), None)
 
 
