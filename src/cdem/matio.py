@@ -54,6 +54,14 @@ def _read_binary_matrix(raw: bytes, context: str) -> np.ndarray:
     return _as_matrix(data.reshape(rows, cols).copy(), context)
 
 
+def read_text(path: str | Path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise FormatError."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text") from exc
+
+
 def _read_csv_matrix(raw: bytes, context: str) -> np.ndarray:
     try:
         text = raw.decode("utf-8")
@@ -101,7 +109,7 @@ def read_labels(path: str | Path) -> np.ndarray:
     """Load a label vector: one non-negative decimal integer per line."""
     path = Path(path)
     values: list[int] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -110,7 +118,10 @@ def read_labels(path: str | Path) -> np.ndarray:
             raise FormatError(f"{path}: line {lineno}: not an integer label") from exc
     if not values:
         raise FormatError(f"{path}: no labels")
-    labels = np.asarray(values, dtype=np.int64)
+    try:
+        labels = np.asarray(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError(f"{path}: label outside the int64 range") from exc
     if (labels < 0).any():
         raise DataError(f"{path}: negative label")
     return labels
@@ -296,7 +307,7 @@ def parse_config_text(text: str, base_dir: Path) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat key=value experiment file."""
     path = Path(path)
-    return parse_config_text(path.read_text(), path.parent.resolve())
+    return parse_config_text(read_text(path), path.parent.resolve())
 
 
 def _resolve_task_paths(

@@ -2,7 +2,8 @@
 
 Class probabilities come from a softmax over negative (unsquared) Euclidean
 distances to the class centers, computed with the usual max-shift so the
-exponentials never overflow.
+exponentials never overflow.  Every distance comes from one BLAS product in
+``squared_distances``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataError
 
@@ -71,11 +71,26 @@ def fit_prototypes(features: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     return PrototypeSet(centers=centers, counts=counts)
 
 
+def squared_distances(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, C) squared Euclidean distances as |z|^2 + |c|^2 - 2 z c'.
+
+    Both sides are first shifted by the mean of the centers, so the norms
+    stay near the scale of the distances and the cancellation loses little;
+    rounding can still leave tiny negatives, which are clipped to 0.
+    """
+    c = np.asarray(centers, dtype=np.float64)
+    shift = c.mean(axis=0)
+    z = np.asarray(features, dtype=np.float64) - shift
+    c = c - shift
+    dist = z @ (-2.0 * c.T)
+    dist += np.einsum("ij,ij->i", z, z)[:, None]
+    dist += np.einsum("ij,ij->i", c, c)[None, :]
+    return np.maximum(dist, 0.0, out=dist)
+
+
 def class_probabilities(centers: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Row-stochastic softmax over negative Euclidean distances to centers."""
-    z = np.asarray(features, dtype=np.float64)
-    dist = cdist(z, np.asarray(centers, dtype=np.float64))
-    logits = -dist
+    logits = -np.sqrt(squared_distances(features, centers))
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)
@@ -84,8 +99,7 @@ def class_probabilities(centers: np.ndarray, features: np.ndarray) -> np.ndarray
 
 def nearest_center_labels(centers: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Hard assignment to the closest center (ties go to the lower index)."""
-    dist = cdist(np.asarray(features, dtype=np.float64), np.asarray(centers, dtype=np.float64))
-    return np.argmin(dist, axis=1).astype(np.int64)
+    return np.argmin(squared_distances(features, centers), axis=1).astype(np.int64)
 
 
 def present_class_centers(
@@ -127,7 +141,7 @@ def target_kmeans(
     assign = np.zeros(z.shape[0], dtype=np.int64)
     prev_assign: np.ndarray | None = None
     for _ in range(max_iters):
-        dist = cdist(z, centers, metric="sqeuclidean")
+        dist = squared_distances(z, centers)
         assign = np.argmin(dist, axis=1).astype(np.int64)
         sse = float(dist[np.arange(z.shape[0]), assign].sum())
         history.append(sse)

@@ -91,20 +91,24 @@ def test_run_dump_rejects_ablation(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _child_env(**overrides) -> dict[str, str]:
+    """Environment for a child interpreter that imports this checkout's cdem."""
+    src = str(Path(cdem.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **overrides)
+
+
 def test_predictions_identical_across_blas_threads(tmp_path):
     # A wide task (n < d) at one and two OpenBLAS threads.  report.json floats
     # may differ in the last digits between the two; predictions and
     # report.csv may not.
     config = write_dataset(ShiftSpec(n_per_domain=200, dims=1024), tmp_path / "data")["config"]
-    src = str(Path(cdem.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         subprocess.run(
             [sys.executable, "-m", "cdem.cli", "run", "--config", str(config), "--out", str(out)],
-            check=True, env=env, stdout=subprocess.DEVNULL,
+            check=True, env=_child_env(OPENBLAS_NUM_THREADS=threads), stdout=subprocess.DEVNULL,
         )
         outputs.append(
             ((out / "report.csv").read_bytes(), (out / "task_cdem_predictions.txt").read_bytes())
@@ -128,14 +132,11 @@ def _three_domain_registry(root):
 
 def test_reports_identical_across_task_workers(tmp_path):
     config = _three_domain_registry(tmp_path)
-    src = str(Path(cdem.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for command in ("run", "baseline"):
         reports = []
         for workers in ("1", "3"):
             out = tmp_path / f"{command}{workers}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", CDEM_THREADS=workers,
-                       PYTHONPATH=pythonpath)
+            env = _child_env(OPENBLAS_NUM_THREADS="1", CDEM_THREADS=workers)
             subprocess.run(
                 [sys.executable, "-m", "cdem.cli", command, "--config", str(config),
                  "--task", "all", "--out", str(out)],
@@ -144,6 +145,33 @@ def test_reports_identical_across_task_workers(tmp_path):
             reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(reports[0]) > 2
         assert reports[0] == reports[1]
+
+
+_SCIPY_PROBE = """
+import sys
+from cdem.cli import main
+
+out = sys.argv[1]
+config = out + "/data/config.txt"
+for argv in (
+    ["synth", "--out", out + "/data", "--seed", "1"],
+    ["run", "--config", config, "--out", out + "/run"],
+    ["baseline", "--config", config, "--out", out + "/baseline"],
+    ["grid", "--config", config, "--out", out + "/grid", "--params", "lambda"],
+):
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_load_no_scipy(tmp_path):
+    # Importing scipy costs several times what numpy does; below the large-Gram
+    # PCA branch, the user-facing commands load numpy only.
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        check=True, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_baseline_flow(tmp_path):

@@ -90,6 +90,16 @@ def test_indefinite_b_raises_numeric_error():
         factor_constraint(-np.eye(3))
 
 
+def test_non_finite_operands_raise_numeric_error():
+    bad = np.eye(3)
+    bad[0, 0] = np.nan
+    with pytest.raises(NumericError, match="^B has NaN or infinite entries$"):
+        factor_constraint(bad)
+    bad[0, 0] = np.inf
+    with pytest.raises(NumericError, match="^A has NaN or infinite entries$"):
+        solve_generalized(bad, factor_constraint(np.eye(3)), 1)
+
+
 def test_assemble_operands_structure():
     rng = np.random.default_rng(12)
     f = rng.standard_normal((15, 6))
@@ -104,6 +114,20 @@ def test_assemble_operands_structure():
     assert np.abs(np.tril(w, -1)).max() == 0.0  # W = L^-T is upper triangular
     with pytest.raises(ConfigError):
         assemble_operands(np.ones(15))
+
+
+def test_whiten_upper_triangular_for_rank_deficient_b():
+    # two columns depend on others, so B is singular and only the ridge lifts
+    # it; L then has subdiagonal entries larger than their column's diagonal,
+    # which makes a pivoted LU inverse leave rounding above the diagonal
+    rng = np.random.default_rng(14)
+    f = rng.standard_normal((15, 6))
+    f[:, 5] = 2.0 * f[:, 0]
+    f[:, 4] = f[:, 2] - 3.0 * f[:, 1]
+    constraint = assemble_operands(f)
+    w = constraint.whiten
+    assert np.abs(np.tril(w, -1)).max() == 0.0
+    assert np.abs(w.T @ constraint.shifted @ w - np.eye(6)).max() <= 1e-6
 
 
 def test_assemble_and_solve_centering_constraint():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdem.errors import ConfigError, DataError, FormatError
+from cdem.errors import CdemError, ConfigError, DataError, FormatError
 from cdem.matio import (
     _BOOL_KEYS,
     _INT_KEYS,
@@ -140,6 +140,50 @@ def test_labels_validation(tmp_path):
     path.write_text("")
     with pytest.raises(FormatError):
         read_labels(path)
+    path.write_text("1\n99999999999999999999\n")
+    with pytest.raises(FormatError, match="int64 range"):
+        read_labels(path)
+
+
+def test_non_utf8_text_rejected(tmp_path):
+    labels = tmp_path / "labels.txt"
+    labels.write_bytes(b"1\n\xff\xfe2\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        read_labels(labels)
+    config = tmp_path / "config.txt"
+    config.write_bytes(b"pca_dim=\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        load_config(config)
+
+
+_FUZZ_SEEDS = {
+    "labels": (read_labels, "".join(f"{i % 7}\n" for i in range(40)).encode()),
+    "config": (
+        load_config,
+        b"source_features=s.cdm\nsource_labels=s.txt\ntarget_features=t.cdm\n"
+        b"pca_dim=10\nsubspace_dim=4\niterations=5\nbeta=0.1\nlambda=0.2\n"
+        b"normalize=true\ncomponents=erm,da\ndataset.A.features=a.cdm\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ_SEEDS))
+def test_byte_flips_raise_only_cdem_errors(tmp_path, kind):
+    reader, seed_bytes = _FUZZ_SEEDS[kind]
+    rng = np.random.default_rng(61)
+    path = tmp_path / f"{kind}.txt"
+    failures = 0
+    for _ in range(1000):
+        mutant = bytearray(seed_bytes)
+        for pos in rng.integers(0, len(mutant), size=int(rng.integers(1, 4))):
+            mutant[pos] = int(rng.integers(0, 256))
+        path.write_bytes(bytes(mutant))
+        try:
+            reader(path)
+        except CdemError:
+            failures += 1
+    # most mutants are rejected, some still parse; nothing else escapes
+    assert 0 < failures < 1000
 
 
 def test_domain_pair_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cdem.errors import ConfigError, DegenerateDataError
-from cdem.preprocess import fit_pca, normalize_rows, transform
+from cdem.preprocess import RANK_RTOL, fit_pca, normalize_rows, transform
 
 
 def test_line_data_gives_diagonal_direction():
@@ -94,8 +94,8 @@ def _svd_reference_cases():
     tall_few = rng.standard_normal((50, 20)) @ rng.standard_normal((20, 20))
     wide_few = rng.standard_normal((16, 70))
     # (features, n_components, centered rank falls short of n_components);
-    # the "-few" cases ask for less than half of the Gram side, so they take
-    # the subset solver, and the others the full one
+    # the wide cases with full rank take the Cholesky QR, the rank-deficient
+    # one the Householder QR
     return {
         "tall": (tall, 9, False),
         "wide": (wide, 10, False),
@@ -127,6 +127,25 @@ def test_matches_svd_reference_on_both_gram_sides(case):
     for j in range(m):
         col = model.basis[:, j]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def test_wide_cholesky_qr_matches_householder_qr_near_rank_tolerance():
+    rng = np.random.default_rng(37)
+    n, d = 60, 200
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, n)))[0]
+    x = (u * np.geomspace(1.0, 1e-4, n)) @ v.T
+    centered = x - x.mean(axis=0)
+    evals, evecs = np.linalg.eigh(centered @ centered.T)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    # the smallest requested eigenvalue sits just above the rank tolerance
+    m = int(np.count_nonzero(evals > 1.5 * RANK_RTOL * evals[0]))
+    assert evals[m - 1] < 1e-7 * evals[0]
+    model = fit_pca(x, m)
+    ref = np.linalg.qr(centered.T @ evecs[:, :m])[0]
+    ref *= np.where(ref[np.abs(ref).argmax(axis=0), np.arange(m)] < 0, -1.0, 1.0)
+    assert np.abs(model.basis - ref).max() <= 1e-12
+    assert np.abs(model.basis.T @ model.basis - np.eye(m)).max() <= 1e-12
 
 
 def test_zero_variance_rejected():

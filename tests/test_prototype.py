@@ -13,6 +13,7 @@ from cdem.prototype import (
     fit_prototypes,
     nearest_center_labels,
     present_class_centers,
+    squared_distances,
     target_kmeans,
 )
 
@@ -29,6 +30,20 @@ def test_fit_prototypes_fixed_example():
 def test_fit_prototypes_missing_class_rejected():
     with pytest.raises(DataError):
         fit_prototypes(np.zeros((3, 2)), np.array([0, 0, 0]), 2)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_squared_distances_match_pairwise_loop(offset):
+    # A large shared offset would cost the plain |z|^2 + |c|^2 - 2zc'
+    # expansion about eight digits; shifting by the center mean keeps them.
+    rng = np.random.default_rng(20)
+    centers = rng.standard_normal((5, 3)) + offset
+    z = np.vstack([rng.standard_normal((40, 3)) + offset, centers[2]])
+    dist = squared_distances(z, centers)
+    ref = np.array([[float(np.sum((row - c) ** 2)) for c in centers] for row in z])
+    assert np.abs(dist - ref).max() <= 1e-12 * ref.max()
+    assert (dist >= 0.0).all()
+    assert dist[-1, 2] <= 1e-12 * ref.max()
 
 
 def test_probabilities_row_stochastic_and_ordered():

@@ -149,6 +149,10 @@ def test_parse_shift_spec_errors(tmp_path):
     no_eq.write_text("classes 2\n")
     with pytest.raises(FormatError):
         parse_shift_spec(no_eq)
+    not_utf8 = tmp_path / "d.txt"
+    not_utf8.write_bytes(b"classes=\xff3\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        parse_shift_spec(not_utf8)
 
 
 def test_write_dataset_roundtrip(tmp_path):

@@ -168,10 +168,9 @@ def test_error_carries_step_context(monkeypatch):
 
 def test_constraint_factored_once_per_run(monkeypatch):
     import cdem.trainer as trainer_mod
-    import scipy.linalg
 
     counts = {"cholesky": 0, "solve": 0}
-    cholesky = scipy.linalg.cholesky
+    cholesky = np.linalg.cholesky
     solve = trainer_mod.solve_generalized
 
     def counting_cholesky(*args, **kwargs):
@@ -182,7 +181,7 @@ def test_constraint_factored_once_per_run(monkeypatch):
         counts["solve"] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(trainer_mod, "solve_generalized", counting_solve)
     pair, labels = generate(_small_spec(seed=10))
     result = run_adaptation(pair, _small_config(iterations=11), labels)
