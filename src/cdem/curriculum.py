@@ -25,16 +25,15 @@ class CurriculumState:
     selected_ids : sorted target-sample indices that were admitted
     """
 
-    step: int
-    total_steps: int
     quotas: np.ndarray
     consistent_counts: np.ndarray
     selected_ids: np.ndarray
 
 
-def quota(count: int, step: int, total_steps: int) -> int:
-    """ceil(count * step / total_steps) without floating point."""
-    if count < 0 or step < 1 or total_steps < step:
+def quota(count: int | np.ndarray, step: int, total_steps: int) -> int | np.ndarray:
+    """ceil(count * step / total_steps) without floating point; count may be
+    an integer array of per-class counts."""
+    if np.any(np.asarray(count) < 0) or step < 1 or total_steps < step:
         raise ConfigError(f"bad quota arguments: count={count}, step={step}/{total_steps}")
     return (count * step + total_steps - 1) // total_steps
 
@@ -58,30 +57,19 @@ def select(
         n_classes = counts.shape[0]
     if counts.shape != (n_classes,):
         raise DataError(f"class_counts must have shape ({n_classes},)")
-    if not 1 <= step <= total_steps:
-        raise ConfigError(f"step {step} outside [1, {total_steps}]")
-    quotas = np.zeros(n_classes, dtype=np.int64)
-    consistent_counts = np.zeros(n_classes, dtype=np.int64)
-    chosen: list[np.ndarray] = []
-    for cls in range(n_classes):
-        pool = np.flatnonzero(table.consistent & (table.label == cls))
-        consistent_counts[cls] = pool.size
-        admitted = min(quota(int(counts[cls]), step, total_steps), pool.size)
-        quotas[cls] = admitted
-        if admitted:
-            # lexsort: last key is primary, so order by descending confidence
-            # and break ties on the original index
-            order = pool[np.lexsort((pool, -table.confidence[pool]))]
-            chosen.append(order[:admitted])
-    selected_ids = (
-        np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
-    )
+    pool = np.flatnonzero(table.consistent)
+    # lexsort: last key is primary, so candidates are grouped by label, most
+    # confident first within a class, ties broken on the original index
+    order = pool[np.lexsort((pool, -table.confidence[pool], table.label[pool]))]
+    labels = table.label[order]
+    consistent_counts = np.bincount(labels, minlength=n_classes)
+    quotas = np.minimum(quota(counts, step, total_steps), consistent_counts)
+    class_start = np.cumsum(consistent_counts) - consistent_counts
+    rank = np.arange(order.size) - class_start[labels]
     return CurriculumState(
-        step=step,
-        total_steps=total_steps,
         quotas=quotas,
         consistent_counts=consistent_counts,
-        selected_ids=selected_ids,
+        selected_ids=np.sort(order[rank < quotas[labels]]),
     )
 
 

@@ -4,8 +4,9 @@ Each term is a quadratic form tr(P' T P) over the stacked features X (n
 samples in rows, m columns; source rows first, then target rows) that equals
 a sum of squared distances in the projected space.  Every such sum depends on
 the samples only through the count n_g and the sum s_g (m) of each source
-class and each selected-target class, and through two Gram matrices per
-domain side: the plain X'X of its rows and the count-weighted
+class and each selected-target class (both from ``prototype.class_moments``,
+the one place class counts and sums are computed), and through two Gram
+matrices per domain side: the plain X'X of its rows and the count-weighted
 X' diag(n_{y_r}) X, where n_{y_r} counts row r's class over both sides.
 With means mu_g = s_g / n_g:
 
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .prototype import class_moments
 
 
 @dataclass(frozen=True)
@@ -97,15 +99,6 @@ class ObjectiveMatrices:
     laplacian: np.ndarray
     combined: np.ndarray
     skipped: list[str] = field(default_factory=list)
-
-
-def _class_moments(
-    rows: np.ndarray, labels: np.ndarray, n_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class counts (C,) and sums (C, m)."""
-    counts = np.bincount(labels, minlength=n_classes)
-    onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)
-    return counts, onehot @ rows
 
 
 def _means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -192,8 +185,8 @@ def build_objective_matrices(
     xt = x[labeling.n_source :]
     xt_sel = xt[labeling.selected]
     y_sel = labeling.target[labeling.selected]
-    n_src, s_src = _class_moments(xs, labeling.source, labeling.n_classes)
-    n_tgt, s_tgt = _class_moments(xt_sel, y_sel, labeling.n_classes)
+    n_src, s_src = class_moments(xs, labeling.source, labeling.n_classes)
+    n_tgt, s_tgt = class_moments(xt_sel, y_sel, labeling.n_classes)
     only = np.flatnonzero((n_src > 0) & (n_src == labeling.n_source))
     if only.size:
         raise ConfigError(f"source contains only class {only[0]}: empty complement")

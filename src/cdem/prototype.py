@@ -3,7 +3,9 @@
 Class probabilities come from a softmax over negative (unsquared) Euclidean
 distances to the class centers, computed with the usual max-shift so the
 exponentials never overflow.  Every distance comes from one BLAS product in
-``squared_distances``.
+``squared_distances``.  Every per-class count and row sum (prototypes,
+k-means, the objective and the trainer's diagnostics) comes from
+``class_moments``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ class PseudoLabelTable:
         return self.label.shape[0]
 
 
+def class_moments(
+    rows: np.ndarray, labels: np.ndarray, n_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class counts (C,) and row sums (C, m); an empty class has count 0
+    and a zero sum."""
+    counts = np.bincount(labels, minlength=n_classes)
+    onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)
+    return counts, onehot @ rows
+
+
 def fit_prototypes(features: np.ndarray, labels: np.ndarray, n_classes: int) -> PrototypeSet:
     """Per-class means; every class must be present."""
     z = np.asarray(features, dtype=np.float64)
@@ -61,14 +73,11 @@ def fit_prototypes(features: np.ndarray, labels: np.ndarray, n_classes: int) -> 
         raise DataError("need at least two classes")
     if y.min() < 0 or y.max() >= n_classes:
         raise DataError(f"labels outside [0, {n_classes})")
-    counts = np.bincount(y, minlength=n_classes)
+    counts, sums = class_moments(z, y, n_classes)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise DataError(f"class {int(missing[0])} has no samples")
-    centers = np.zeros((n_classes, z.shape[1]))
-    for cls in range(n_classes):
-        centers[cls] = z[y == cls].mean(axis=0)
-    return PrototypeSet(centers=centers, counts=counts)
+    return PrototypeSet(centers=sums / counts[:, None], counts=counts)
 
 
 def squared_distances(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -102,18 +111,6 @@ def nearest_center_labels(centers: np.ndarray, features: np.ndarray) -> np.ndarr
     return np.argmin(squared_distances(features, centers), axis=1).astype(np.int64)
 
 
-def present_class_centers(
-    features: np.ndarray, labels: np.ndarray, n_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centers for the classes that actually occur; used by diagnostics where
-    a pseudo-labeling may not cover every class."""
-    z = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    present = np.flatnonzero(np.bincount(y, minlength=n_classes) > 0)
-    centers = np.stack([z[y == cls].mean(axis=0) for cls in present])
-    return centers, present
-
-
 def target_kmeans(
     features: np.ndarray,
     init_centers: np.ndarray,
@@ -138,23 +135,20 @@ def target_kmeans(
     if max_iters < 1:
         raise ConfigError("max_iters must be at least 1")
     history: list[float] = []
-    assign = np.zeros(z.shape[0], dtype=np.int64)
     prev_assign: np.ndarray | None = None
     for _ in range(max_iters):
         dist = squared_distances(z, centers)
         assign = np.argmin(dist, axis=1).astype(np.int64)
         sse = float(dist[np.arange(z.shape[0]), assign].sum())
         history.append(sse)
+        counts, sums = class_moments(z, assign, n_clusters)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         if len(history) > 1 and history[-2] - sse <= tol * max(history[-2], 1e-300):
             break
-        counts = np.bincount(assign, minlength=n_clusters)
-        sums = (assign == np.arange(n_clusters)[:, None]).astype(np.float64) @ z
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
         prev_assign = assign
-    counts = np.bincount(assign, minlength=n_clusters)
     return PrototypeSet(centers=centers, counts=counts), assign, history
 
 

@@ -23,11 +23,11 @@ from .objectives import JointLabeling, ObjectiveMatrices, build_objective_matric
 from .preprocess import fit_pca, normalize_rows, transform
 from .prototype import (
     PseudoLabelTable,
+    class_moments,
     class_probabilities,
     combined_pseudo_labels,
     fit_prototypes,
     nearest_center_labels,
-    present_class_centers,
     target_kmeans,
 )
 
@@ -94,21 +94,25 @@ def preprocess_pair(
 def evaluate_cross_domain_errors(
     z_source: np.ndarray,
     y_source: np.ndarray,
+    source_centers: np.ndarray,
     z_target: np.ndarray,
     pseudo_labels: np.ndarray,
-    n_classes: int,
     eval_labels: np.ndarray | None = None,
 ) -> CrossDomainErrors:
-    """Fit one prototype classifier per domain and cross-score both."""
-    centers_s, classes_s = present_class_centers(z_source, y_source, n_classes)
-    centers_t, classes_t = present_class_centers(z_target, pseudo_labels, n_classes)
+    """Cross-score the source prototype classifier (source_centers, one row
+    per class) and a target one fit on the pseudo labels of the classes they
+    cover."""
+    counts, sums = class_moments(z_target, pseudo_labels, source_centers.shape[0])
+    classes_t = np.flatnonzero(counts)
+    centers_t = sums[classes_t] / counts[classes_t, None]
     y_target_ref = pseudo_labels if eval_labels is None else eval_labels
-    pred = lambda centers, classes, z: classes[nearest_center_labels(centers, z)]
+    source_model = lambda z: nearest_center_labels(source_centers, z)
+    target_model = lambda z: classes_t[nearest_center_labels(centers_t, z)]
     return CrossDomainErrors(
-        source_model_on_source=float(np.mean(pred(centers_s, classes_s, z_source) != y_source)),
-        target_model_on_target=float(np.mean(pred(centers_t, classes_t, z_target) != y_target_ref)),
-        target_model_on_source=float(np.mean(pred(centers_t, classes_t, z_source) != y_source)),
-        source_model_on_target=float(np.mean(pred(centers_s, classes_s, z_target) != y_target_ref)),
+        source_model_on_source=float(np.mean(source_model(z_source) != y_source)),
+        target_model_on_target=float(np.mean(target_model(z_target) != y_target_ref)),
+        target_model_on_source=float(np.mean(target_model(z_source) != y_source)),
+        source_model_on_target=float(np.mean(source_model(z_target) != y_target_ref)),
     )
 
 
@@ -229,7 +233,7 @@ def run_adaptation(
             if eval_labels is not None:
                 accuracy = float(np.mean(table.label == eval_labels) * 100.0)
             errors = evaluate_cross_domain_errors(
-                zs, pair.source_y, zt, table.label, pair.n_classes, eval_labels
+                zs, pair.source_y, protos.centers, zt, table.label, eval_labels
             )
             records.append(
                 IterationRecord(

@@ -127,3 +127,39 @@ def test_zero_count_class_gets_zero_quota():
     table = _make_table([(0, 0.9), (0, 0.8)])
     state = select(table, np.array([2, 0]), 2, 11)
     assert state.quotas.tolist() == [1, 0]
+
+
+def _loop_select(table, counts, step, total):
+    """Per-class reference: sort each class's consistent rows on their own."""
+    quotas, consistent, chosen = [], [], []
+    for cls, count in enumerate(counts):
+        pool = [i for i in range(table.n_samples) if table.consistent[i] and table.label[i] == cls]
+        pool.sort(key=lambda i: (-table.confidence[i], i))
+        admitted = min(-(-int(count) * step // total), len(pool))
+        quotas.append(admitted)
+        consistent.append(len(pool))
+        chosen += pool[:admitted]
+    return quotas, consistent, sorted(chosen)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_matches_per_class_loop(seed):
+    rng = np.random.default_rng(70 + seed)
+    c = 4
+    for _ in range(25):
+        n = int(rng.integers(5, 60))
+        # rows drawn from a small palette repeat exactly, so confidences tie
+        palette = rng.dirichlet(np.ones(c), size=6)
+        ps = palette[rng.integers(0, 6, size=n)]
+        pt = np.where(rng.random((n, 1)) < 0.7, ps, palette[rng.integers(0, 6, size=n)])
+        total = int(rng.integers(1, 12))
+        step = int(rng.integers(1, total + 1))
+        table = combined_pseudo_labels(ps, pt, step, total)
+        table.consistent &= table.label != 3  # class 3 has no consistent rows
+        counts = rng.integers(0, n, size=c)
+        counts[0] = 0  # class 0 gets no quota even with consistent rows
+        state = select(table, counts, step, total, c)
+        quotas, consistent, chosen = _loop_select(table, counts, step, total)
+        assert state.quotas.tolist() == quotas
+        assert state.consistent_counts.tolist() == consistent
+        assert state.selected_ids.tolist() == chosen

@@ -164,6 +164,15 @@ _FUZZ_SEEDS = {
         b"pca_dim=10\nsubspace_dim=4\niterations=5\nbeta=0.1\nlambda=0.2\n"
         b"normalize=true\ncomponents=erm,da\ndataset.A.features=a.cdm\n",
     ),
+    "matrix-cdm1": (
+        read_matrix,
+        MAGIC + (4).to_bytes(4, "little") + (3).to_bytes(4, "little")
+        + np.linspace(-2.0, 2.0, 12).astype("<f8").tobytes(),
+    ),
+    "matrix-csv": (
+        read_matrix,
+        "".join(f"{i}.5,{-i},{0.25 * i}\n" for i in range(8)).encode(),
+    ),
 }
 
 

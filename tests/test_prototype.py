@@ -8,11 +8,11 @@ import pytest
 
 from cdem.errors import ConfigError, DataError
 from cdem.prototype import (
+    class_moments,
     class_probabilities,
     combined_pseudo_labels,
     fit_prototypes,
     nearest_center_labels,
-    present_class_centers,
     squared_distances,
     target_kmeans,
 )
@@ -173,11 +173,11 @@ def test_combined_validation():
         combined_pseudo_labels(ps, np.ones((3, 2)) / 2, 1, 11)
 
 
-def test_present_class_centers_subset():
-    z = np.array([[0.0], [1.0], [4.0]])
-    centers, classes = present_class_centers(z, np.array([2, 2, 0]), 3)
-    assert classes.tolist() == [0, 2]
-    assert np.allclose(centers, [[4.0], [0.5]])
+def test_class_moments_fixed_example():
+    z = np.array([[0.0, 1.0], [1.0, 2.0], [4.0, -3.0]])
+    counts, sums = class_moments(z, np.array([2, 2, 0]), 4)
+    assert counts.tolist() == [1, 0, 2, 0]
+    assert sums.tolist() == [[4.0, -3.0], [0.0, 0.0], [1.0, 3.0], [0.0, 0.0]]
 
 
 def _loop_kmeans(z, centers, max_iters=100, tol=1e-6):

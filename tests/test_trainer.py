@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cdem.matio import DomainPair, ExperimentConfig
+from cdem.prototype import fit_prototypes
 from cdem.selftest import oracle_marginal_mmd
 from cdem.synth import ShiftSpec, generate
 from cdem.trainer import evaluate_cross_domain_errors, preprocess_pair, run_adaptation
@@ -210,7 +211,8 @@ def test_cross_domain_errors_perfect_separation():
     ys = np.array([0, 0, 1, 1])
     zt = zs + 0.01
     yt = ys.copy()
-    errors = evaluate_cross_domain_errors(zs, ys, zt, yt, 2)
+    centers = fit_prototypes(zs, ys, 2).centers
+    errors = evaluate_cross_domain_errors(zs, ys, centers, zt, yt)
     assert errors.source_model_on_source == 0.0
     assert errors.target_model_on_target == 0.0
     assert errors.target_model_on_source == 0.0
@@ -223,7 +225,52 @@ def test_cross_domain_errors_against_truth():
     zt = np.array([[0.5], [10.5]])
     pseudo = np.array([0, 0])  # second pseudo label is wrong
     truth = np.array([0, 1])
-    errors = evaluate_cross_domain_errors(zs, ys, zt, pseudo, 2, truth)
+    centers = fit_prototypes(zs, ys, 2).centers
+    errors = evaluate_cross_domain_errors(zs, ys, centers, zt, pseudo, truth)
     # target model has a single class and mislabels the class-1 sample
     assert errors.target_model_on_target == 0.5
     assert errors.source_model_on_target == 0.0
+
+
+def _metamorphic_task(seed):
+    """A 4-class task whose class margins leave no near-ties to flip."""
+    spec = ShiftSpec(
+        classes=4, n_per_domain=120, dims=20, separation=6.0,
+        rotation_deg=20.0, translation=(1.0, -1.0, 0.5), noise_scale=0.3, seed=seed,
+    )
+    pair, labels = generate(spec)
+    config = _small_config(pca_dim=12, subspace_dim=6, iterations=5)
+    predictions = run_adaptation(pair, config, labels).predictions
+    assert np.unique(predictions).size == pair.n_classes
+    return pair, config, predictions
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permuting_target_rows_permutes_predictions(seed):
+    pair, config, predictions = _metamorphic_task(seed)
+    perm = np.random.default_rng(seed).permutation(pair.n_target)
+    moved = DomainPair(pair.source_x, pair.source_y, pair.target_x[perm], pair.n_classes)
+    assert np.array_equal(run_adaptation(moved, config).predictions, predictions[perm])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permuting_class_ids_permutes_labels(seed):
+    pair, config, predictions = _metamorphic_task(seed)
+    ids = np.random.default_rng(seed).permutation(pair.n_classes)
+    renamed = DomainPair(pair.source_x, ids[pair.source_y], pair.target_x, pair.n_classes)
+    assert np.array_equal(run_adaptation(renamed, config).predictions, ids[predictions])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rotating_and_translating_features_keeps_predictions(seed):
+    # PCA and the eigensolver fix each axis's sign from the data, so the
+    # rotated run may flip axes; distances, and so labels, cannot change
+    pair, config, predictions = _metamorphic_task(seed)
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((pair.n_features, pair.n_features)))
+    shift = 5.0 * rng.standard_normal(pair.n_features)
+    moved = DomainPair(
+        pair.source_x @ rotation + shift, pair.source_y,
+        pair.target_x @ rotation + shift, pair.n_classes,
+    )
+    assert np.array_equal(run_adaptation(moved, config).predictions, predictions)
