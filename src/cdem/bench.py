@@ -85,9 +85,9 @@ def run_source_only(
 ) -> TaskResult:
     """No adaptation: prototype classifier on preprocessed source features."""
     start = time.perf_counter()
-    zs, zt = preprocess_pair(pair, config)
-    protos = fit_prototypes(zs, pair.source_y, pair.n_classes)
-    predictions = np.argmax(class_probabilities(protos.centers, zt), axis=1)
+    z = preprocess_pair(pair, config)
+    centers = fit_prototypes(z[: pair.n_source], pair.source_y, pair.n_classes)
+    predictions = np.argmax(class_probabilities(centers, z[pair.n_source :]), axis=1)
     return TaskResult(
         task=task,
         method="source-only",

@@ -39,22 +39,17 @@ def quota(count: int | np.ndarray, step: int, total_steps: int) -> int | np.ndar
 
 
 def select(
-    table: PseudoLabelTable,
-    class_counts: np.ndarray,
-    step: int,
-    total_steps: int,
-    n_classes: int | None = None,
+    table: PseudoLabelTable, class_counts: np.ndarray, step: int, total_steps: int
 ) -> CurriculumState:
     """Admit the most confident consistent samples per class, up to quota.
 
-    class_counts holds the estimated per-class target population used for
-    the proportional quota (in training this is the combined pseudo-label
+    class_counts holds, for each class (column of table.p), the estimated
+    target population used for the proportional quota (in training this is the combined pseudo-label
     histogram over all target samples).  Ties in confidence break toward
     the lower sample index, which keeps selection deterministic.
     """
     counts = np.asarray(class_counts, dtype=np.int64)
-    if n_classes is None:
-        n_classes = counts.shape[0]
+    n_classes = table.p.shape[1]
     if counts.shape != (n_classes,):
         raise DataError(f"class_counts must have shape ({n_classes},)")
     pool = np.flatnonzero(table.consistent)

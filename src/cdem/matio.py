@@ -134,56 +134,69 @@ def write_labels(labels, path: str | Path) -> None:
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
 
 
-@dataclass
 class DomainPair:
-    """Feature matrices for one adaptation task.
+    """Feature rows for one adaptation task.
 
-    Target labels are deliberately not part of this type: training code only
-    ever sees the pair, evaluation labels travel separately.
+    x is one C-contiguous (n_source + n_target) × d float64 matrix, source
+    rows first, then target rows; source_x and target_x are read-only views
+    of it.  Target labels are deliberately not part of this type: training
+    code only ever sees the pair, evaluation labels travel separately.
     """
 
-    source_x: np.ndarray
-    source_y: np.ndarray
-    target_x: np.ndarray
-    n_classes: int
-    source_class_counts: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.source_x = _as_matrix(self.source_x, "source features")
-        self.target_x = _as_matrix(self.target_x, "target features")
-        self.source_y = np.asarray(self.source_y, dtype=np.int64)
-        if self.source_y.ndim != 1:
+    def __init__(self, source_x, source_y, target_x, n_classes: int) -> None:
+        source_x = _as_matrix(source_x, "source features")
+        target_x = _as_matrix(target_x, "target features")
+        source_y = np.asarray(source_y, dtype=np.int64)
+        if source_y.ndim != 1:
             raise DataError("source labels must be 1-d")
-        if self.source_x.shape[0] != self.source_y.shape[0]:
+        if source_x.shape[0] != source_y.shape[0]:
             raise DataError(
-                f"source has {self.source_x.shape[0]} rows but {self.source_y.shape[0]} labels"
+                f"source has {source_x.shape[0]} rows but {source_y.shape[0]} labels"
             )
-        if self.source_x.shape[1] != self.target_x.shape[1]:
+        if source_x.shape[1] != target_x.shape[1]:
             raise DataError(
-                f"feature width mismatch: source {self.source_x.shape[1]}, "
-                f"target {self.target_x.shape[1]}"
+                f"feature width mismatch: source {source_x.shape[1]}, "
+                f"target {target_x.shape[1]}"
             )
-        if self.n_classes < 2:
+        if n_classes < 2:
             raise DataError("need at least two classes")
-        if self.source_y.min() < 0 or self.source_y.max() >= self.n_classes:
+        if source_y.min() < 0 or source_y.max() >= n_classes:
             raise DataError("source labels outside [0, n_classes)")
-        counts = np.bincount(self.source_y, minlength=self.n_classes)
+        counts = np.bincount(source_y, minlength=n_classes)
         if (counts == 0).any():
             missing = int(np.flatnonzero(counts == 0)[0])
             raise DataError(f"class {missing} has no source samples")
-        self.source_class_counts = counts
+        self.x = np.concatenate([source_x, target_x])
+        self.x.flags.writeable = False
+        self.n_source = source_x.shape[0]
+        self.source_y = source_y
+        self.n_classes = n_classes
 
     @property
-    def n_source(self) -> int:
-        return self.source_x.shape[0]
+    def source_x(self) -> np.ndarray:
+        return self.x[: self.n_source]
+
+    @property
+    def target_x(self) -> np.ndarray:
+        return self.x[self.n_source :]
 
     @property
     def n_target(self) -> int:
-        return self.target_x.shape[0]
+        return self.x.shape[0] - self.n_source
 
-    @property
-    def n_features(self) -> int:
-        return self.source_x.shape[1]
+
+def validate_eval_labels(labels, pair: DomainPair, context: str) -> np.ndarray:
+    """Held-out target labels as int64: one per target row, each in
+    [0, n_classes)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (pair.n_target,):
+        raise DataError(
+            f"{context}: shape {labels.shape}, expected one label per target row "
+            f"({pair.n_target},)"
+        )
+    if labels.min() < 0 or labels.max() >= pair.n_classes:
+        raise DataError(f"{context}: label outside [0, {pair.n_classes})")
+    return labels
 
 
 @dataclass
@@ -354,11 +367,4 @@ def load_eval_labels(
     _, _, _, tgt_y_path = _resolve_task_paths(config, task)
     if tgt_y_path is None:
         return None
-    labels = read_labels(tgt_y_path)
-    if labels.shape[0] != pair.n_target:
-        raise DataError(
-            f"{tgt_y_path}: {labels.shape[0]} labels for {pair.n_target} target rows"
-        )
-    if labels.max() >= pair.n_classes:
-        raise DataError(f"{tgt_y_path}: label outside [0, {pair.n_classes})")
-    return labels
+    return validate_eval_labels(read_labels(tgt_y_path), pair, str(tgt_y_path))

@@ -17,7 +17,8 @@ RANK_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Linear projector onto the leading principal directions.
+    """Linear projector onto the leading principal directions: rows x map
+    to (x - mean) @ basis.
 
     mean : (d,) column means of the fitting data
     basis : (d, m) orthonormal columns, ordered by decreasing variance
@@ -27,10 +28,6 @@ class PcaModel:
     mean: np.ndarray
     basis: np.ndarray
     explained_variance: np.ndarray
-
-    @property
-    def n_components(self) -> int:
-        return self.basis.shape[1]
 
 
 def fit_pca(features: np.ndarray, n_components: int) -> PcaModel:
@@ -82,15 +79,6 @@ def fit_pca(features: np.ndarray, n_components: int) -> PcaModel:
             basis[:, j] = -basis[:, j]
     variance = np.maximum(evals, 0.0) / max(n - 1, 1)
     return PcaModel(mean=mean, basis=basis, explained_variance=variance)
-
-
-def transform(model: PcaModel, features: np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.mean.shape[0]:
-        raise ConfigError(
-            f"expected shape (n, {model.mean.shape[0]}), got {x.shape}"
-        )
-    return (x - model.mean) @ model.basis
 
 
 def normalize_rows(features: np.ndarray) -> np.ndarray:

@@ -17,16 +17,9 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
-@dataclass(frozen=True)
-class PrototypeSet:
-    """Class centers in the projected space.
-
-    centers : (C, k) per-class means
-    counts : (C,) samples per class
-    """
-
-    centers: np.ndarray
-    counts: np.ndarray
+# Lloyd iteration cap and relative SSE decrease below which k-means stops.
+KMEANS_MAX_ITERS = 100
+KMEANS_TOL = 1e-6
 
 
 @dataclass
@@ -63,8 +56,8 @@ def class_moments(
     return counts, onehot @ rows
 
 
-def fit_prototypes(features: np.ndarray, labels: np.ndarray, n_classes: int) -> PrototypeSet:
-    """Per-class means; every class must be present."""
+def fit_prototypes(features: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(C, k) per-class means; every class must be present."""
     z = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if z.ndim != 2 or y.shape != (z.shape[0],):
@@ -77,7 +70,7 @@ def fit_prototypes(features: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise DataError(f"class {int(missing[0])} has no samples")
-    return PrototypeSet(centers=sums / counts[:, None], counts=counts)
+    return sums / counts[:, None]
 
 
 def squared_distances(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -112,18 +105,15 @@ def nearest_center_labels(centers: np.ndarray, features: np.ndarray) -> np.ndarr
 
 
 def target_kmeans(
-    features: np.ndarray,
-    init_centers: np.ndarray,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-) -> tuple[PrototypeSet, np.ndarray, list[float]]:
+    features: np.ndarray, init_centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd iterations from the given centers.
 
     The initialization from projected source class centers is what ties
     cluster index c to class c, so no matching step is needed afterwards.
-    Empty clusters keep their previous center.  Returns the final centers,
-    the assignment vector, and the per-iteration sum of squared errors
-    (non-increasing).
+    Empty clusters keep their previous center.  Returns the final (C, k)
+    centers, the assignment vector, and the per-iteration sum of squared
+    errors (non-increasing).
     """
     z = np.asarray(features, dtype=np.float64)
     centers = np.asarray(init_centers, dtype=np.float64).copy()
@@ -132,24 +122,22 @@ def target_kmeans(
     n_clusters = centers.shape[0]
     if n_clusters < 1 or n_clusters > z.shape[0]:
         raise DataError(f"cannot place {n_clusters} clusters on {z.shape[0]} samples")
-    if max_iters < 1:
-        raise ConfigError("max_iters must be at least 1")
     history: list[float] = []
     prev_assign: np.ndarray | None = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dist = squared_distances(z, centers)
         assign = np.argmin(dist, axis=1).astype(np.int64)
         sse = float(dist[np.arange(z.shape[0]), assign].sum())
         history.append(sse)
-        counts, sums = class_moments(z, assign, n_clusters)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
-        if len(history) > 1 and history[-2] - sse <= tol * max(history[-2], 1e-300):
+        if len(history) > 1 and history[-2] - sse <= KMEANS_TOL * max(history[-2], 1e-300):
             break
+        counts, sums = class_moments(z, assign, n_clusters)
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
         prev_assign = assign
-    return PrototypeSet(centers=centers, counts=counts), assign, history
+    return centers, assign, history
 
 
 def combined_pseudo_labels(

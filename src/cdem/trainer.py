@@ -1,12 +1,15 @@
 """Alternating optimization: solve for a projection, relabel, reselect.
 
-One run preprocesses both domains, bootstraps pseudo labels from a
-source-only prototype classifier in the preprocessed space, then alternates
-for a fixed number of steps between (a) solving the generalized eigenproblem
-for the current labeling and (b) refreshing pseudo labels and the curriculum
-selection in the new subspace.  True target labels never enter any of these
-steps; when provided they are used solely to score predictions per step.
-"""
+A run works on one feature matrix: the source rows followed by the target
+rows, as ``DomainPair.x`` stores them.  It projects that matrix onto a
+shared PCA basis once and bootstraps pseudo labels from a source-only
+prototype classifier in the preprocessed space.  It then alternates for a
+fixed number of steps between (a) solving the generalized eigenproblem for
+the current labeling and (b) refreshing pseudo labels and the curriculum
+selection in the new subspace.  Each domain's rows are row slices of the
+joint matrix, never separate copies.  True target labels never enter any of
+these steps; when provided they are used solely to score predictions per
+step."""
 
 from __future__ import annotations
 
@@ -17,10 +20,10 @@ import numpy as np
 
 from . import curriculum
 from .eigsolve import TransformSolution, assemble_operands, solve_generalized
-from .errors import CdemError, DataError, NumericError
-from .matio import DomainPair, ExperimentConfig, write_matrix
+from .errors import CdemError, NumericError
+from .matio import DomainPair, ExperimentConfig, validate_eval_labels, write_matrix
 from .objectives import JointLabeling, ObjectiveMatrices, build_objective_matrices
-from .preprocess import fit_pca, normalize_rows, transform
+from .preprocess import fit_pca, normalize_rows
 from .prototype import (
     PseudoLabelTable,
     class_moments,
@@ -77,18 +80,12 @@ class AdaptationResult:
         return self.records[-1].accuracy
 
 
-def preprocess_pair(
-    pair: DomainPair, config: ExperimentConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared PCA over the stacked domains, followed by optional unit-length
-    row normalization."""
-    model = fit_pca(np.vstack([pair.source_x, pair.target_x]), config.pca_dim)
-    zs = transform(model, pair.source_x)
-    zt = transform(model, pair.target_x)
-    if config.normalize:
-        zs = normalize_rows(zs)
-        zt = normalize_rows(zt)
-    return zs, zt
+def preprocess_pair(pair: DomainPair, config: ExperimentConfig) -> np.ndarray:
+    """PCA fit on and applied to pair.x, followed by optional unit-length row
+    normalization: (n_source + n_target) × pca_dim, source rows first."""
+    model = fit_pca(pair.x, config.pca_dim)
+    z = (pair.x - model.mean) @ model.basis
+    return normalize_rows(z) if config.normalize else z
 
 
 def evaluate_cross_domain_errors(
@@ -116,31 +113,15 @@ def evaluate_cross_domain_errors(
     )
 
 
-def _validated_eval_labels(
-    eval_labels: np.ndarray | None, pair: DomainPair
-) -> np.ndarray | None:
-    if eval_labels is None:
-        return None
-    labels = np.asarray(eval_labels, dtype=np.int64)
-    if labels.shape != (pair.n_target,):
-        raise DataError(
-            f"evaluation labels have shape {labels.shape}, expected ({pair.n_target},)"
-        )
-    if labels.min() < 0 or labels.max() >= pair.n_classes:
-        raise DataError(f"evaluation labels outside [0, {pair.n_classes})")
-    return labels
-
-
 def _bootstrap_table(
     zs: np.ndarray, ys: np.ndarray, zt: np.ndarray, n_classes: int, total_steps: int
 ) -> PseudoLabelTable:
     # Identity projection: classify raw preprocessed targets with source
     # prototypes, treat that single distribution as both classifiers.
-    protos = fit_prototypes(zs, ys, n_classes)
-    p_source = class_probabilities(protos.centers, zt)
+    p_source = class_probabilities(fit_prototypes(zs, ys, n_classes), zt)
     table = combined_pseudo_labels(p_source, p_source.copy(), 1, total_steps)
     counts = np.bincount(table.label, minlength=n_classes)
-    state = curriculum.select(table, counts, 1, total_steps, n_classes)
+    state = curriculum.select(table, counts, 1, total_steps)
     curriculum.apply_selection(table, state)
     return table
 
@@ -177,21 +158,21 @@ def run_adaptation(
     dump_dir: str | Path | None = None,
 ) -> AdaptationResult:
     """Full alternating run; returns exactly config.iterations records."""
-    eval_labels = _validated_eval_labels(eval_labels, pair)
+    if eval_labels is not None:
+        eval_labels = validate_eval_labels(eval_labels, pair, "evaluation labels")
     params = config.hyperparams
     total = config.iterations
-    zs_raw, zt_raw = preprocess_pair(pair, config)
-    features = np.vstack([zs_raw, zt_raw])
+    features = preprocess_pair(pair, config)
     n_source = pair.n_source
     constraint = assemble_operands(features)
     delta_identity = params.delta * np.eye(features.shape[1])
 
-    table = _bootstrap_table(zs_raw, pair.source_y, zt_raw, pair.n_classes, total)
+    table = _bootstrap_table(
+        features[:n_source], pair.source_y, features[n_source:], pair.n_classes, total
+    )
     prev_labels = table.label.copy()
     records: list[IterationRecord] = []
     solution: TransformSolution | None = None
-    zs = zs_raw
-    zt = zt_raw
 
     for step in range(1, total + 1):
         try:
@@ -210,14 +191,14 @@ def run_adaptation(
             zs = projected[:n_source]
             zt = projected[n_source:]
 
-            protos = fit_prototypes(zs, pair.source_y, pair.n_classes)
-            cluster_protos, _, _ = target_kmeans(zt, protos.centers)
+            source_centers = fit_prototypes(zs, pair.source_y, pair.n_classes)
+            cluster_centers, _, _ = target_kmeans(zt, source_centers)
 
-            p_source = class_probabilities(protos.centers, zt)
-            p_target = class_probabilities(cluster_protos.centers, zt)
+            p_source = class_probabilities(source_centers, zt)
+            p_target = class_probabilities(cluster_centers, zt)
             table = combined_pseudo_labels(p_source, p_target, step, total)
             counts = np.bincount(table.label, minlength=pair.n_classes)
-            state = curriculum.select(table, counts, step, total, pair.n_classes)
+            state = curriculum.select(table, counts, step, total)
             curriculum.apply_selection(table, state)
 
             # tr(P'AP); with B-orthonormal P this is the eigenvalue sum
@@ -233,7 +214,7 @@ def run_adaptation(
             if eval_labels is not None:
                 accuracy = float(np.mean(table.label == eval_labels) * 100.0)
             errors = evaluate_cross_domain_errors(
-                zs, pair.source_y, protos.centers, zt, table.label, eval_labels
+                zs, pair.source_y, source_centers, zt, table.label, eval_labels
             )
             records.append(
                 IterationRecord(

@@ -77,8 +77,7 @@ def test_eigensolver_matches_reference():
 def test_projection_satisfies_variance_constraint():
     pair, labels = generate(standard_shift_spec())
     config = _reference_config()
-    zs, zt = preprocess_pair(pair, config)
-    features = np.vstack([zs, zt])
+    features = preprocess_pair(pair, config)
     labeling = JointLabeling(
         source=pair.source_y,
         target=labels,
@@ -134,7 +133,7 @@ def test_curriculum_quotas_integer_exact():
     clamped = 0
     exact = True
     for step in range(1, total + 1):
-        state = curriculum.select(table, counts, step, total, 3)
+        state = curriculum.select(table, counts, step, total)
         for cls in range(3):
             want = math.ceil(Fraction(int(counts[cls]) * step, total))
             admitted = min(want, int(consistent_counts[cls]))
@@ -142,7 +141,7 @@ def test_curriculum_quotas_integer_exact():
                 clamped += 1
             exact = exact and int(state.quotas[cls]) == admitted
         exact = exact and state.selected_ids.size == int(state.quotas.sum())
-    final = curriculum.select(table, counts, total, total, 3)
+    final = curriculum.select(table, counts, total, total)
     exact = exact and final.quotas.tolist() == [10, 2, 0]
     ok = exact and clamped > 0
     _verdict(

@@ -79,7 +79,7 @@ def test_selected_always_consistent_and_counts_match():
         step = int(rng.integers(1, 12))
         table = combined_pseudo_labels(ps, pt, step, 11)
         counts = np.bincount(table.label, minlength=c)
-        state = select(table, counts, step, 11, c)
+        state = select(table, counts, step, 11)
         apply_selection(table, state)
         assert (table.consistent[table.selected]).all()
         for cls in range(c):
@@ -96,7 +96,7 @@ def test_final_step_admits_all_consistent():
     pt = rng.dirichlet(np.ones(3), size=25)
     table = combined_pseudo_labels(ps, pt, 11, 11)
     counts = np.bincount(table.label, minlength=3)
-    state = select(table, counts, 11, 11, 3)
+    state = select(table, counts, 11, 11)
     assert state.selected_ids.size == table.consistent.sum()
 
 
@@ -107,10 +107,10 @@ def test_selection_invariant_under_permutation():
     pt = rng.dirichlet(np.ones(c), size=n)
     table = combined_pseudo_labels(ps, pt, 2, 5)
     counts = np.bincount(table.label, minlength=c)
-    state = select(table, counts, 2, 5, c)
+    state = select(table, counts, 2, 5)
     perm = rng.permutation(n)
     table_p = combined_pseudo_labels(ps[perm], pt[perm], 2, 5)
-    state_p = select(table_p, counts, 2, 5, c)
+    state_p = select(table_p, counts, 2, 5)
     # confidences are distinct with probability one, so the selected SET maps
     # through the permutation
     expected = np.sort(np.argsort(perm)[state.selected_ids])
@@ -158,7 +158,7 @@ def test_select_matches_per_class_loop(seed):
         table.consistent &= table.label != 3  # class 3 has no consistent rows
         counts = rng.integers(0, n, size=c)
         counts[0] = 0  # class 0 gets no quota even with consistent rows
-        state = select(table, counts, step, total, c)
+        state = select(table, counts, step, total)
         quotas, consistent, chosen = _loop_select(table, counts, step, total)
         assert state.quotas.tolist() == quotas
         assert state.consistent_counts.tolist() == consistent

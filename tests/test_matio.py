@@ -24,6 +24,7 @@ from cdem.matio import (
     write_labels,
     write_matrix,
 )
+from cdem.trainer import run_adaptation
 
 
 def test_binary_round_trip_bit_identical(tmp_path):
@@ -199,8 +200,7 @@ def test_domain_pair_validation():
     xs = np.zeros((4, 3))
     xt = np.zeros((2, 3))
     pair = DomainPair(xs, [0, 1, 0, 1], xt, 2)
-    assert pair.n_source == 4 and pair.n_target == 2 and pair.n_features == 3
-    assert pair.source_class_counts.tolist() == [2, 2]
+    assert pair.n_source == 4 and pair.n_target == 2 and pair.x.shape == (6, 3)
     with pytest.raises(DataError):
         DomainPair(xs, [0, 0, 0, 0], xt, 2)  # class 1 missing
     with pytest.raises(DataError):
@@ -211,6 +211,21 @@ def test_domain_pair_validation():
         DomainPair(xs, [0, 1, 0, 1], np.zeros((2, 4)), 2)  # width mismatch
     with pytest.raises(DataError):
         DomainPair(xs, [0, 0, 0, 0], xt, 1)  # single class
+
+
+def test_domain_pair_rows_are_read_only_views_of_one_matrix():
+    rng = np.random.default_rng(4)
+    xs = rng.standard_normal((4, 3))
+    xt = rng.standard_normal((2, 3))
+    pair = DomainPair(xs, [0, 1, 0, 1], xt, 2)
+    assert pair.x.flags.c_contiguous and pair.x.dtype == np.float64
+    assert np.array_equal(pair.x, np.vstack([xs, xt]))
+    for view, rows in ((pair.source_x, xs), (pair.target_x, xt)):
+        assert np.shares_memory(view, pair.x) and np.array_equal(view, rows)
+        assert not view.flags.writeable
+    # the pair copies its input: writing to the caller's array leaves it be
+    xs[0, 0] = 99.0
+    assert pair.source_x[0, 0] != 99.0
 
 
 def _write_task(tmp_path, n_classes=2):
@@ -309,9 +324,9 @@ def test_config_registry_tasks(tmp_path):
         load_domain_pair(config)  # no explicit paths in this file
 
 
-def test_eval_labels_validated(tmp_path):
+def _task_with_eval_labels(tmp_path, labels):
     _write_task(tmp_path)
-    (tmp_path / "yt.txt").write_text("0\n1\n0\n1\n7\n")
+    (tmp_path / "yt.txt").write_text("".join(f"{v}\n" for v in labels))
     cfg_path = tmp_path / "exp.txt"
     cfg_path.write_text(
         "source_features=xs.cdm\nsource_labels=ys.txt\n"
@@ -319,6 +334,23 @@ def test_eval_labels_validated(tmp_path):
         "pca_dim=4\nsubspace_dim=2\n"
     )
     config = load_config(cfg_path)
-    pair = load_domain_pair(config)
+    return config, load_domain_pair(config)
+
+
+def test_eval_labels_validated(tmp_path):
+    config, pair = _task_with_eval_labels(tmp_path, [0, 1, 0, 1, 7])
     with pytest.raises(DataError):
         load_eval_labels(config, pair)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[0, 1, 0, 1], [0, 1, -1, 1, 0], [0, 1, 0, 1, 2]],
+    ids=["wrong-length", "negative", "class-out-of-range"],
+)
+def test_eval_labels_contract_checked_on_both_paths(tmp_path, labels):
+    config, pair = _task_with_eval_labels(tmp_path, labels)
+    with pytest.raises(DataError, match=re.escape(str(tmp_path / "yt.txt"))):
+        load_eval_labels(config, pair)
+    with pytest.raises(DataError, match="^evaluation labels: "):
+        run_adaptation(pair, config, np.array(labels))

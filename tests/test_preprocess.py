@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cdem.errors import ConfigError, DegenerateDataError
-from cdem.preprocess import RANK_RTOL, fit_pca, normalize_rows, transform
+from cdem.preprocess import RANK_RTOL, fit_pca, normalize_rows
 
 
 def test_line_data_gives_diagonal_direction():
@@ -52,7 +52,7 @@ def test_projection_preserves_subspace_inner_products():
         n, d, m = 30, 8, 4
         x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
         model = fit_pca(x, m)
-        z = transform(model, x)
+        z = (x - model.mean) @ model.basis
         centered = x - x.mean(axis=0)
         evals, evecs = np.linalg.eigh(centered.T @ centered / (n - 1))
         top = evecs[:, ::-1][:, :m]
@@ -67,12 +67,6 @@ def test_explained_variance_matches_covariance_eigenvalues():
     centered = x - x.mean(axis=0)
     evals = np.linalg.eigvalsh(centered.T @ centered / 49)[::-1]
     assert np.allclose(model.explained_variance, evals, atol=1e-10)
-
-
-def test_transform_requires_matching_width():
-    model = fit_pca(np.random.default_rng(0).standard_normal((10, 4)), 2)
-    with pytest.raises(ConfigError):
-        transform(model, np.zeros((3, 5)))
 
 
 def test_component_bounds():
@@ -114,7 +108,7 @@ def test_matches_svd_reference_on_both_gram_sides(case):
     centered = x - x.mean(axis=0)
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
     assert np.abs(model.basis.T @ model.basis - np.eye(m)).max() <= 1e-10
-    z = transform(model, x)
+    z = (x - model.mean) @ model.basis
     ref = centered @ vt[:m].T
     ref_gram = ref @ ref.T
     assert np.abs(z @ z.T - ref_gram).max() <= 1e-8 * np.abs(ref_gram).max()

@@ -21,10 +21,10 @@ from cdem.prototype import (
 def test_fit_prototypes_fixed_example():
     z = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     y = np.array([0, 0, 1])
-    protos = fit_prototypes(z, y, 2)
-    assert np.allclose(protos.centers[0], [1.0, 0.0])
-    assert np.allclose(protos.centers[1], [0.0, 2.0])
-    assert protos.counts.tolist() == [2, 1]
+    centers = fit_prototypes(z, y, 2)
+    assert centers.shape == (2, 2)
+    assert np.allclose(centers[0], [1.0, 0.0])
+    assert np.allclose(centers[1], [0.0, 2.0])
 
 
 def test_fit_prototypes_missing_class_rejected():
@@ -93,10 +93,10 @@ def test_kmeans_converges_immediately_on_true_centers():
         [centers[0] + 0.1 * rng.standard_normal((20, 2)),
          centers[1] + 0.1 * rng.standard_normal((20, 2))]
     )
-    protos, assign, history = target_kmeans(z, centers)
+    found, assign, history = target_kmeans(z, centers)
     assert assign[:20].tolist() == [0] * 20 and assign[20:].tolist() == [1] * 20
     assert len(history) <= 3
-    assert np.allclose(protos.centers[0], z[:20].mean(axis=0))
+    assert np.allclose(found[0], z[:20].mean(axis=0))
 
 
 def test_kmeans_sse_non_increasing():
@@ -110,17 +110,17 @@ def test_kmeans_sse_non_increasing():
 def test_kmeans_empty_cluster_keeps_previous_center():
     z = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
     far = np.array([100.0, 100.0])
-    protos, assign, _ = target_kmeans(z, np.vstack([[0.0, 0.0], far]))
+    centers, assign, _ = target_kmeans(z, np.vstack([[0.0, 0.0], far]))
     assert assign.tolist() == [0, 0, 0]
-    assert np.allclose(protos.centers[1], far)
-    assert protos.counts.tolist() == [3, 0]
+    assert np.allclose(centers[1], far)
+    assert np.bincount(assign, minlength=2).tolist() == [3, 0]
 
 
 def test_kmeans_single_cluster_is_global_mean():
     rng = np.random.default_rng(25)
     z = rng.standard_normal((12, 2))
-    protos, assign, _ = target_kmeans(z, z[:1])
-    assert np.allclose(protos.centers[0], z.mean(axis=0))
+    centers, assign, _ = target_kmeans(z, z[:1])
+    assert np.allclose(centers[0], z.mean(axis=0))
     assert (assign == 0).all()
 
 
@@ -208,9 +208,10 @@ def test_kmeans_matches_per_cluster_loop(seed):
     z = np.vstack([c + rng.standard_normal((30, 5)) for c in truth])
     # a far center never wins a sample, so its cluster stays empty throughout
     init = np.vstack([truth + rng.standard_normal(truth.shape), np.full(5, 1e3)])
-    protos, assign, history = target_kmeans(z, init)
-    centers, ref_assign, ref_history = _loop_kmeans(z, init)
+    centers, assign, history = target_kmeans(z, init)
+    ref_centers, ref_assign, ref_history = _loop_kmeans(z, init)
     assert np.array_equal(assign, ref_assign)
     assert len(history) == len(ref_history)
-    assert protos.counts[-1] == 0 and np.array_equal(protos.centers[-1], init[-1])
-    assert np.abs(protos.centers - centers).max() <= 1e-12 * np.abs(z).max()
+    assert np.bincount(assign, minlength=init.shape[0])[-1] == 0
+    assert np.array_equal(centers[-1], init[-1])
+    assert np.abs(centers - ref_centers).max() <= 1e-12 * np.abs(z).max()

@@ -176,7 +176,7 @@ def test_write_dataset_pca_dim_within_centered_rank(tmp_path):
     config = load_config(write_dataset(spec, tmp_path)["config"])
     assert config.pca_dim == 399
     pair = load_domain_pair(config)
-    model = fit_pca(np.vstack([pair.source_x, pair.target_x]), config.pca_dim)
+    model = fit_pca(pair.x, config.pca_dim)
     assert model.explained_variance[-1] > 0.0
 
 

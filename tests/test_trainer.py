@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cdem.matio import DomainPair, ExperimentConfig
+from cdem.preprocess import fit_pca, normalize_rows
 from cdem.prototype import fit_prototypes
 from cdem.selftest import oracle_marginal_mmd
 from cdem.synth import ShiftSpec, generate
@@ -96,8 +99,7 @@ def test_alignment_weight_reduces_domain_gap_term():
 
     pair, labels = generate(_small_spec(translation=(1.5, -1.5)))
     config = _small_config()
-    zs0, zt0 = preprocess_pair(pair, config)
-    features = np.vstack([zs0, zt0])
+    features = preprocess_pair(pair, config)
     labeling = JointLabeling(
         source=pair.source_y,
         target=labels,
@@ -206,12 +208,44 @@ def test_residual_gate_carries_step_context(monkeypatch):
         run_adaptation(pair, _small_config(), None)
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("dims", [6, 300])
+def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
+    pair, _ = generate(_small_spec(n_per_domain=75, dims=dims))
+    config = _small_config(pca_dim=6, normalize=normalize)
+    model = fit_pca(np.vstack([pair.source_x, pair.target_x]), config.pca_dim)
+    parts = [(x - model.mean) @ model.basis for x in (pair.source_x, pair.target_x)]
+    if normalize:
+        parts = [normalize_rows(z) for z in parts]
+    assert np.array_equal(preprocess_pair(pair, config), np.vstack(parts))
+
+
+def test_preprocess_pair_peak_memory_below_two_pair_copies():
+    # wide-d's shape.  One n×d temporary at a time (the centered copy in
+    # fit_pca, then pair.x - mean) keeps the peak under two copies of the
+    # pair's rows; stacking the domains a second time for PCA does not.
+    rng = np.random.default_rng(0)
+    n, d = 400, 4096
+    pair = DomainPair(
+        rng.standard_normal((n, d)), np.arange(n) % 2, rng.standard_normal((n, d)), 2
+    )
+    pair_bytes = pair.source_x.nbytes + pair.target_x.nbytes
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        preprocess_pair(pair, ExperimentConfig(pca_dim=128, subspace_dim=32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 2.0 * pair_bytes
+
+
 def test_cross_domain_errors_perfect_separation():
     zs = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0]])
     ys = np.array([0, 0, 1, 1])
     zt = zs + 0.01
     yt = ys.copy()
-    centers = fit_prototypes(zs, ys, 2).centers
+    centers = fit_prototypes(zs, ys, 2)
     errors = evaluate_cross_domain_errors(zs, ys, centers, zt, yt)
     assert errors.source_model_on_source == 0.0
     assert errors.target_model_on_target == 0.0
@@ -225,7 +259,7 @@ def test_cross_domain_errors_against_truth():
     zt = np.array([[0.5], [10.5]])
     pseudo = np.array([0, 0])  # second pseudo label is wrong
     truth = np.array([0, 1])
-    centers = fit_prototypes(zs, ys, 2).centers
+    centers = fit_prototypes(zs, ys, 2)
     errors = evaluate_cross_domain_errors(zs, ys, centers, zt, pseudo, truth)
     # target model has a single class and mislabels the class-1 sample
     assert errors.target_model_on_target == 0.5
@@ -267,8 +301,9 @@ def test_rotating_and_translating_features_keeps_predictions(seed):
     # rotated run may flip axes; distances, and so labels, cannot change
     pair, config, predictions = _metamorphic_task(seed)
     rng = np.random.default_rng(seed)
-    rotation, _ = np.linalg.qr(rng.standard_normal((pair.n_features, pair.n_features)))
-    shift = 5.0 * rng.standard_normal(pair.n_features)
+    d = pair.x.shape[1]
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    shift = 5.0 * rng.standard_normal(d)
     moved = DomainPair(
         pair.source_x @ rotation + shift, pair.source_y,
         pair.target_x @ rotation + shift, pair.n_classes,
