@@ -2,8 +2,9 @@
 
 Reports are written as a compact CSV (one decimal accuracy, plus an average
 row per method) and a JSON file carrying full-precision accuracies and the
-per-step training traces.  Wall-clock timings are kept in memory and on the
-console only, so repeated runs with the same configuration and seed produce
+per-step training traces, one ``IterationRecord`` per step with its field
+names as keys.  Wall-clock timings are kept in memory and on the console
+only, so repeated runs with the same configuration and inputs produce
 byte-identical report files under a fixed BLAS configuration.
 """
 
@@ -15,7 +16,7 @@ import os
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,16 +138,6 @@ def _run_method(
     return run_adaptation_task(pair, config, eval_labels, task, method, dump_dir)
 
 
-def run_ablation_suite(
-    pair: DomainPair,
-    config: ExperimentConfig,
-    eval_labels: np.ndarray | None = None,
-    task: str = "task",
-) -> list[TaskResult]:
-    """One run per cumulative component stage, in fixed order."""
-    return [_run_method(pair, config, eval_labels, task, name) for name, _ in ABLATION_STAGES]
-
-
 def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[str | None]:
     """Resolve CLI task names; 'all' expands to every ordered registry pair."""
     if not names:
@@ -233,43 +224,17 @@ def run_grid(
         return list(pool.map(one_point, points))
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
+def _numpy_to_json(value):
+    """json.dumps default: numpy arrays and scalars as plain lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _trace_payload(trace: AdaptationResult) -> dict:
-    steps = []
-    for rec in trace.records:
-        steps.append(
-            {
-                "step": rec.step,
-                "objective": rec.objective,
-                "selected_per_class": _jsonable(rec.selected_per_class),
-                "n_selected": rec.n_selected,
-                "agreement": rec.agreement,
-                "accuracy": rec.accuracy,
-                "errors": {
-                    "source_model_on_source": rec.errors.source_model_on_source,
-                    "target_model_on_target": rec.errors.target_model_on_target,
-                    "target_model_on_source": rec.errors.target_model_on_source,
-                    "source_model_on_target": rec.errors.source_model_on_target,
-                },
-                "skipped": list(rec.skipped),
-            }
-        )
     return {
-        "eigenvalues": _jsonable(trace.eigenvalues),
-        "steps": steps,
+        "eigenvalues": trace.eigenvalues,
+        "steps": [asdict(rec) for rec in trace.records],
         "n_selected_final": int(trace.selected.sum()),
     }
 
@@ -314,7 +279,9 @@ def emit_report(results: list[TaskResult], out_dir: str | Path) -> dict[str, Pat
         "average": averages,
     }
     json_path = out / "report.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
+    )
 
     paths = {"csv": csv_path, "json": json_path}
     for res in results:

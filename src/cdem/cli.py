@@ -26,15 +26,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="registry task like C-A; repeatable; 'all' expands to every ordered pair",
     )
     parser.add_argument("--out", default="cdem-report", help="report directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
 def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str | None]]:
     config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    tasks = bench.expand_tasks(config, args.task)
-    return config, tasks
+    return config, bench.expand_tasks(config, args.task)
 
 
 def _report(results: list[bench.TaskResult], out: str) -> None:

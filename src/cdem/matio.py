@@ -10,19 +10,20 @@ directory containing the file.
 
 from __future__ import annotations
 
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .objectives import Hyperparams
+from .objectives import KNOWN_COMPONENTS, Hyperparams
 
 MAGIC = b"CDM1"
 _HEADER = struct.Struct("<4sII")
-
-KNOWN_COMPONENTS = ("erm", "da", "cde", "dfl")
 
 
 def _as_matrix(values, context: str) -> np.ndarray:
@@ -36,22 +37,22 @@ def _as_matrix(values, context: str) -> np.ndarray:
     return arr
 
 
-def _read_binary_matrix(raw: bytes, context: str) -> np.ndarray:
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{context}: truncated header ({len(raw)} bytes)")
-    magic, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{context}: bad magic {magic!r}")
+def _read_binary_matrix(f: BinaryIO, header: bytes, context: str) -> np.ndarray:
+    """The payload after a CDM1 header, read straight into the matrix once
+    the file size matches the header's."""
+    if len(header) < _HEADER.size:
+        raise FormatError(f"{context}: truncated header ({len(header)} bytes)")
+    _, rows, cols = _HEADER.unpack(header)
     expected = rows * cols * 8
-    payload = len(raw) - _HEADER.size
+    payload = os.fstat(f.fileno()).st_size - _HEADER.size
     if payload != expected:
         raise FormatError(
             f"{context}: header says {rows}x{cols} ({expected} payload bytes), found {payload}"
         )
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     if rows < 1 or cols < 1:
         raise FormatError(f"{context}: empty matrix of shape ({rows}, {cols})")
-    return _as_matrix(data.reshape(rows, cols).copy(), context)
+    data = np.fromfile(f, dtype="<f8", count=rows * cols)
+    return _as_matrix(data.reshape(rows, cols), context)
 
 
 def read_text(path: str | Path) -> str:
@@ -86,10 +87,12 @@ def _read_csv_matrix(raw: bytes, context: str) -> np.ndarray:
 def read_matrix(path: str | Path) -> np.ndarray:
     """Load a matrix, sniffing the binary container by its magic bytes."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] == MAGIC:
-        return _read_binary_matrix(raw, str(path))
-    return _read_csv_matrix(raw, str(path))
+    with path.open("rb") as f:
+        header = f.read(_HEADER.size)
+        if header[: len(MAGIC)] == MAGIC:
+            return _read_binary_matrix(f, header, str(path))
+        f.seek(0)
+        return _read_csv_matrix(f.read(), str(path))
 
 
 def write_matrix(matrix, path: str | Path) -> None:
@@ -225,7 +228,6 @@ class ExperimentConfig:
     gamma: float = 0.1
     eta: float = 0.1
     delta: float = 1.0
-    seed: int = 0
     normalize: bool = True
     components: tuple[str, ...] = KNOWN_COMPONENTS
     datasets: dict[str, DatasetEntry] = field(default_factory=dict)
@@ -252,7 +254,7 @@ class ExperimentConfig:
 
 
 _BOOL_KEYS = {"normalize"}
-_INT_KEYS = {"pca_dim", "subspace_dim", "iterations", "seed"}
+_INT_KEYS = {"pca_dim", "subspace_dim", "iterations"}
 _PATH_KEYS = {"source_features", "source_labels", "target_features", "target_labels"}
 
 
@@ -265,22 +267,33 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def parse_config_text(text: str, base_dir: Path) -> ExperimentConfig:
-    kwargs: dict = {}
-    datasets: dict[str, DatasetEntry] = {}
+def read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for each ``key=value`` line of a text file,
+    both sides stripped; blank lines and lines starting with ``#`` are
+    skipped.  A line without ``=`` raises FormatError, a repeated key
+    ConfigError."""
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
+            raise FormatError(f"{path}: line {lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
         seen.add(key)
+        yield lineno, key, value.strip()
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse a flat key=value experiment file; relative paths resolve against
+    the directory containing it."""
+    base_dir = Path(path).parent.resolve()
+    kwargs: dict = {}
+    datasets: dict[str, DatasetEntry] = {}
+    for lineno, key, value in read_key_values(path):
         if key.startswith("dataset."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in ("features", "labels"):
@@ -315,12 +328,6 @@ def parse_config_text(text: str, base_dir: Path) -> ExperimentConfig:
             raise ConfigError(f"dataset.{name}: missing features path")
     kwargs["datasets"] = datasets
     return ExperimentConfig(**kwargs)
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a flat key=value experiment file."""
-    path = Path(path)
-    return parse_config_text(read_text(path), path.parent.resolve())
 
 
 def _resolve_task_paths(

@@ -30,6 +30,9 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .prototype import class_moments
 
+# The objective blocks compose_objective switches on and off.
+KNOWN_COMPONENTS = ("erm", "da", "cde", "dfl")
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -138,7 +141,7 @@ def _skipped_terms(n_src: np.ndarray, n_tgt: np.ndarray) -> list[str]:
 def compose_objective(
     parts: "ObjectiveMatrices",
     params: Hyperparams,
-    components: tuple[str, ...] = ("erm", "da", "cde", "dfl"),
+    components: tuple[str, ...] = KNOWN_COMPONENTS,
 ) -> np.ndarray:
     """Weighted combination of the term matrices.
 
@@ -163,7 +166,7 @@ def build_objective_matrices(
     labeling: JointLabeling,
     features: np.ndarray,
     params: Hyperparams,
-    components: tuple[str, ...] = ("erm", "da", "cde", "dfl"),
+    components: tuple[str, ...] = KNOWN_COMPONENTS,
 ) -> ObjectiveMatrices:
     """Build every m×m term X'QX for the current labeling and compose them.
 

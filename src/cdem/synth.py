@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .matio import DomainPair, read_text, write_labels, write_matrix
+from .matio import DomainPair, read_key_values, write_labels, write_matrix
 
 _SPEC_INT_KEYS = {"classes", "n_per_domain", "dims", "seed"}
 _SPEC_FLOAT_KEYS = {"separation", "rotation_deg", "noise_scale"}
@@ -123,15 +123,7 @@ def standard_shift_spec(seed: int = 0) -> ShiftSpec:
 def parse_shift_spec(path: str | Path) -> ShiftSpec:
     """Read a ShiftSpec from a flat key=value file."""
     kwargs: dict = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise FormatError(f"{path}: line {lineno}: expected key=value")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in read_key_values(path):
         try:
             if key in _SPEC_INT_KEYS:
                 kwargs[key] = int(value)

@@ -113,17 +113,25 @@ def evaluate_cross_domain_errors(
     )
 
 
+def _relabel(
+    p_source: np.ndarray, p_target: np.ndarray, step: int, total_steps: int
+) -> tuple[PseudoLabelTable, curriculum.CurriculumState]:
+    """Pseudo labels from the two classifiers' class probabilities, with the
+    step's curriculum selection applied; quotas follow the label histogram."""
+    table = combined_pseudo_labels(p_source, p_target, step, total_steps)
+    counts = np.bincount(table.label, minlength=p_source.shape[1])
+    state = curriculum.select(table, counts, step, total_steps)
+    curriculum.apply_selection(table, state)
+    return table, state
+
+
 def _bootstrap_table(
     zs: np.ndarray, ys: np.ndarray, zt: np.ndarray, n_classes: int, total_steps: int
 ) -> PseudoLabelTable:
     # Identity projection: classify raw preprocessed targets with source
     # prototypes, treat that single distribution as both classifiers.
     p_source = class_probabilities(fit_prototypes(zs, ys, n_classes), zt)
-    table = combined_pseudo_labels(p_source, p_source.copy(), 1, total_steps)
-    counts = np.bincount(table.label, minlength=n_classes)
-    state = curriculum.select(table, counts, 1, total_steps)
-    curriculum.apply_selection(table, state)
-    return table
+    return _relabel(p_source, p_source.copy(), 1, total_steps)[0]
 
 
 def _dump_iteration(
@@ -196,10 +204,7 @@ def run_adaptation(
 
             p_source = class_probabilities(source_centers, zt)
             p_target = class_probabilities(cluster_centers, zt)
-            table = combined_pseudo_labels(p_source, p_target, step, total)
-            counts = np.bincount(table.label, minlength=pair.n_classes)
-            state = curriculum.select(table, counts, step, total)
-            curriculum.apply_selection(table, state)
+            table, state = _relabel(p_source, p_target, step, total)
 
             # tr(P'AP); with B-orthonormal P this is the eigenvalue sum
             objective = float(np.sum(solution.projection * (a @ solution.projection)))

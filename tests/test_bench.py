@@ -86,9 +86,13 @@ def test_expand_tasks():
 
 def test_ablation_stage_order():
     pair, labels = _separable_pair(seed=1)
-    results = bench.run_ablation_suite(pair, _fast_config(), labels, task="demo")
-    assert [r.method for r in results] == ["erm", "erm+da", "erm+da+cde", "full"]
-    for r in results:
+    config = _fast_config()
+    assert [name for name, _ in bench.ABLATION_STAGES] == ["erm", "erm+da", "erm+da+cde", "full"]
+    for name, components in bench.ABLATION_STAGES:
+        r = bench.run_adaptation_task(
+            pair, replace(config, components=components), labels, task="demo", method=name
+        )
+        assert r.method == name
         assert r.trace is not None
         assert len(r.trace.records) == 3
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import cdem
-from cdem.cli import main
+from cdem.cli import build_parser, main
 from cdem.matio import write_labels, write_matrix
 from cdem.synth import ShiftSpec, generate, write_dataset
 
@@ -236,6 +238,32 @@ def test_unknown_task_errors(tmp_path, capsys):
 def test_no_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_run_rejects_seed_flag(tmp_path):
+    # training consumes no randomness, so run/baseline/grid take no seed
+    config = _make_dataset(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config), "--out", str(tmp_path / "r"), "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_readme_synopsis_lists_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    documented: dict[str, set[str]] = {}
+    for entry in re.split(r"^cdem ", block, flags=re.MULTILINE)[1:]:
+        command, _, rest = entry.partition(" ")
+        documented[command] = set(re.findall(r"--[a-z][a-z-]*", rest))
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    accepted = {
+        command: {s for a in sub._actions for s in a.option_strings if s.startswith("--")}
+        - {"--help"}
+        for command, sub in subparsers.choices.items()
+    }
+    assert documented == accepted
 
 
 def test_seed_override_changes_dataset(tmp_path):

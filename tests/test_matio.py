@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,23 @@ def test_byte_flips_raise_only_cdem_errors(tmp_path, kind):
     assert 0 < failures < 1000
 
 
+def test_read_matrix_peak_memory_near_one_matrix(tmp_path):
+    # The CDM1 payload goes straight into the returned array: what the read
+    # allocates beyond it is the n×d/8 finiteness mask, not a second copy.
+    x = np.random.default_rng(5).standard_normal((2000, 1024))
+    path = tmp_path / "x.cdm"
+    write_matrix(x, path)
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        loaded = read_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded, x)
+    assert peak - baseline <= 1.25 * x.nbytes
+
+
 def test_domain_pair_validation():
     xs = np.zeros((4, 3))
     xt = np.zeros((2, 3))
@@ -272,7 +290,10 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     with pytest.raises(ConfigError):
         load_config(path)
     path.write_text("pca_dim=4\npca_dim=8\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: line 2: duplicate key 'pca_dim'")):
+        load_config(path)
+    path.write_text("# comment\n\npca_dim 4\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: line 3: expected key=value")):
         load_config(path)
     path.write_text("subspace_dim=8\npca_dim=4\n")
     with pytest.raises(ConfigError):
@@ -289,7 +310,7 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     with pytest.raises(ConfigError, match=r"^components is empty"):
         ExperimentConfig(components=())
     for removed in ("joint_pca", "kmeans_warm_start", "legacy_beta_prefactor",
-                    "include_unselected_in_m0"):
+                    "include_unselected_in_m0", "seed"):
         path.write_text(f"{removed}=true\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)

@@ -149,6 +149,10 @@ def test_parse_shift_spec_errors(tmp_path):
     no_eq.write_text("classes 2\n")
     with pytest.raises(FormatError):
         parse_shift_spec(no_eq)
+    duplicate = tmp_path / "e.txt"
+    duplicate.write_text("classes=2\nseed=1\nclasses=3\n")
+    with pytest.raises(ConfigError, match="line 3: duplicate key 'classes'"):
+        parse_shift_spec(duplicate)
     not_utf8 = tmp_path / "d.txt"
     not_utf8.write_bytes(b"classes=\xff3\n")
     with pytest.raises(FormatError, match="not UTF-8 text"):
