@@ -1,9 +1,12 @@
-"""Easy-to-hard target sample selection.
+"""Curriculum pseudo-labeling: blended target labels and easy-to-hard
+selection, both on the schedule step/total.
 
-Each step admits at most ceil(count * step / total) samples per class,
-clamped by how many consistently-labeled candidates exist.  The ceiling is
-computed in integer arithmetic so quota sequences are exact and the final
-step always admits every consistent sample.
+Each step blends the source and target classifiers with weight step/total
+on the target side, then admits at most ceil(count * step / total) samples
+per class, where count is the class's size in the blended labeling, clamped
+by how many consistently-labeled candidates exist.  The ceiling is computed
+in integer arithmetic so quota sequences are exact and the final step always
+admits every consistent sample.
 """
 
 from __future__ import annotations
@@ -13,7 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .prototype import PseudoLabelTable
+
+
+@dataclass
+class PseudoLabelTable:
+    """Per-target-sample labels for one curriculum step.
+
+    p is the (n_t, C) row-stochastic blend of the two classifiers, label
+    its argmax and confidence its max; consistent marks rows where both
+    classifiers pick the same class.
+    """
+
+    p: np.ndarray
+    label: np.ndarray
+    consistent: np.ndarray
+    confidence: np.ndarray
+
+    @property
+    def n_samples(self) -> int:
+        return self.label.shape[0]
 
 
 @dataclass(frozen=True)
@@ -21,13 +42,38 @@ class CurriculumState:
     """Outcome of one selection step.
 
     quotas : (C,) admitted count per class (already clamped)
-    consistent_counts : (C,) available consistent candidates per class
-    selected_ids : sorted target-sample indices that were admitted
+    selected : (n_t,) mask of the admitted target samples
     """
 
     quotas: np.ndarray
-    consistent_counts: np.ndarray
-    selected_ids: np.ndarray
+    selected: np.ndarray
+
+    @property
+    def selected_ids(self) -> np.ndarray:
+        """Sorted indices of the admitted target samples."""
+        return np.flatnonzero(self.selected)
+
+
+def combined_pseudo_labels(
+    p_source: np.ndarray, p_target: np.ndarray, step: int, total_steps: int
+) -> PseudoLabelTable:
+    """Blend the two classifiers with weight step/total_steps on the target
+    side, so early steps trust the source model and the final step trusts
+    target structure alone."""
+    ps = np.asarray(p_source, dtype=np.float64)
+    pt = np.asarray(p_target, dtype=np.float64)
+    if ps.shape != pt.shape or ps.ndim != 2:
+        raise DataError(f"probability tables disagree: {ps.shape} vs {pt.shape}")
+    if not 1 <= step <= total_steps:
+        raise ConfigError(f"step {step} outside [1, {total_steps}]")
+    weight = step / total_steps
+    p = (1.0 - weight) * ps + weight * pt
+    return PseudoLabelTable(
+        p=p,
+        label=np.argmax(p, axis=1).astype(np.int64),
+        consistent=np.argmax(ps, axis=1) == np.argmax(pt, axis=1),
+        confidence=p.max(axis=1),
+    )
 
 
 def quota(count: int | np.ndarray, step: int, total_steps: int) -> int | np.ndarray:
@@ -38,38 +84,24 @@ def quota(count: int | np.ndarray, step: int, total_steps: int) -> int | np.ndar
     return (count * step + total_steps - 1) // total_steps
 
 
-def select(
-    table: PseudoLabelTable, class_counts: np.ndarray, step: int, total_steps: int
-) -> CurriculumState:
+def select(table: PseudoLabelTable, step: int, total_steps: int) -> CurriculumState:
     """Admit the most confident consistent samples per class, up to quota.
 
-    class_counts holds, for each class (column of table.p), the estimated
-    target population used for the proportional quota (in training this is the combined pseudo-label
-    histogram over all target samples).  Ties in confidence break toward
-    the lower sample index, which keeps selection deterministic.
+    Each class's quota follows its count in table.label.  Ties in
+    confidence break toward the lower sample index, which keeps selection
+    deterministic.
     """
-    counts = np.asarray(class_counts, dtype=np.int64)
     n_classes = table.p.shape[1]
-    if counts.shape != (n_classes,):
-        raise DataError(f"class_counts must have shape ({n_classes},)")
     pool = np.flatnonzero(table.consistent)
     # lexsort: last key is primary, so candidates are grouped by label, most
     # confident first within a class, ties broken on the original index
     order = pool[np.lexsort((pool, -table.confidence[pool], table.label[pool]))]
     labels = table.label[order]
     consistent_counts = np.bincount(labels, minlength=n_classes)
+    counts = np.bincount(table.label, minlength=n_classes)
     quotas = np.minimum(quota(counts, step, total_steps), consistent_counts)
     class_start = np.cumsum(consistent_counts) - consistent_counts
     rank = np.arange(order.size) - class_start[labels]
-    return CurriculumState(
-        quotas=quotas,
-        consistent_counts=consistent_counts,
-        selected_ids=np.sort(order[rank < quotas[labels]]),
-    )
-
-
-def apply_selection(table: PseudoLabelTable, state: CurriculumState) -> None:
-    """Write the admitted set back into the table's selection mask."""
-    mask = np.zeros(table.n_samples, dtype=bool)
-    mask[state.selected_ids] = True
-    table.selected = mask
+    selected = np.zeros(table.n_samples, dtype=bool)
+    selected[order[rank < quotas[labels]]] = True
+    return CurriculumState(quotas=quotas, selected=selected)

@@ -1,4 +1,5 @@
-"""Nearest-class-mean classification and target-side clustering.
+"""Class means, distances, nearest-class-mean classification and target
+k-means.
 
 Class probabilities come from a softmax over negative (unsquared) Euclidean
 distances to the class centers, computed with the usual max-shift so the
@@ -10,8 +11,6 @@ k-means, the objective and the trainer's diagnostics) comes from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataError
@@ -20,30 +19,6 @@ from .errors import ConfigError, DataError
 # Lloyd iteration cap and relative SSE decrease below which k-means stops.
 KMEANS_MAX_ITERS = 100
 KMEANS_TOL = 1e-6
-
-
-@dataclass
-class PseudoLabelTable:
-    """Per-target-sample labeling state for one curriculum step.
-
-    p_source / p_target / p are (n_t, C) row-stochastic; p interpolates the
-    two. consistent marks rows where both classifiers agree; selected is
-    filled in by the curriculum and starts all False.
-    """
-
-    p_source: np.ndarray
-    p_target: np.ndarray
-    p: np.ndarray
-    label_source: np.ndarray
-    label_target: np.ndarray
-    label: np.ndarray
-    consistent: np.ndarray
-    confidence: np.ndarray
-    selected: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.label.shape[0]
 
 
 def class_moments(
@@ -139,32 +114,3 @@ def target_kmeans(
         prev_assign = assign
     return centers, assign, history
 
-
-def combined_pseudo_labels(
-    p_source: np.ndarray, p_target: np.ndarray, step: int, total_steps: int
-) -> PseudoLabelTable:
-    """Blend the two classifiers with weight step/total_steps on the target
-    side, so early steps trust the source model and the final step trusts
-    target structure alone."""
-    ps = np.asarray(p_source, dtype=np.float64)
-    pt = np.asarray(p_target, dtype=np.float64)
-    if ps.shape != pt.shape or ps.ndim != 2:
-        raise DataError(f"probability tables disagree: {ps.shape} vs {pt.shape}")
-    if not 1 <= step <= total_steps:
-        raise ConfigError(f"step {step} outside [1, {total_steps}]")
-    weight = step / total_steps
-    p = (1.0 - weight) * ps + weight * pt
-    label_source = np.argmax(ps, axis=1).astype(np.int64)
-    label_target = np.argmax(pt, axis=1).astype(np.int64)
-    label = np.argmax(p, axis=1).astype(np.int64)
-    return PseudoLabelTable(
-        p_source=ps,
-        p_target=pt,
-        p=p,
-        label_source=label_source,
-        label_target=label_target,
-        label=label,
-        consistent=label_source == label_target,
-        confidence=p.max(axis=1),
-        selected=np.zeros(ps.shape[0], dtype=bool),
-    )

@@ -19,16 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import curriculum
+from .curriculum import combined_pseudo_labels
 from .eigsolve import TransformSolution, assemble_operands, solve_generalized
 from .errors import CdemError, NumericError
 from .matio import DomainPair, ExperimentConfig, validate_eval_labels, write_matrix
 from .objectives import JointLabeling, ObjectiveMatrices, build_objective_matrices
 from .preprocess import fit_pca, normalize_rows
 from .prototype import (
-    PseudoLabelTable,
     class_moments,
     class_probabilities,
-    combined_pseudo_labels,
     fit_prototypes,
     nearest_center_labels,
     target_kmeans,
@@ -75,10 +74,6 @@ class AdaptationResult:
     target_embedding: np.ndarray
     source_labels: np.ndarray
 
-    @property
-    def final_accuracy(self) -> float | None:
-        return self.records[-1].accuracy
-
 
 def preprocess_pair(pair: DomainPair, config: ExperimentConfig) -> np.ndarray:
     """PCA fit on and applied to pair.x, followed by optional unit-length row
@@ -111,27 +106,6 @@ def evaluate_cross_domain_errors(
         target_model_on_source=float(np.mean(target_model(z_source) != y_source)),
         source_model_on_target=float(np.mean(source_model(z_target) != y_target_ref)),
     )
-
-
-def _relabel(
-    p_source: np.ndarray, p_target: np.ndarray, step: int, total_steps: int
-) -> tuple[PseudoLabelTable, curriculum.CurriculumState]:
-    """Pseudo labels from the two classifiers' class probabilities, with the
-    step's curriculum selection applied; quotas follow the label histogram."""
-    table = combined_pseudo_labels(p_source, p_target, step, total_steps)
-    counts = np.bincount(table.label, minlength=p_source.shape[1])
-    state = curriculum.select(table, counts, step, total_steps)
-    curriculum.apply_selection(table, state)
-    return table, state
-
-
-def _bootstrap_table(
-    zs: np.ndarray, ys: np.ndarray, zt: np.ndarray, n_classes: int, total_steps: int
-) -> PseudoLabelTable:
-    # Identity projection: classify raw preprocessed targets with source
-    # prototypes, treat that single distribution as both classifiers.
-    p_source = class_probabilities(fit_prototypes(zs, ys, n_classes), zt)
-    return _relabel(p_source, p_source.copy(), 1, total_steps)[0]
 
 
 def _dump_iteration(
@@ -175,10 +149,16 @@ def run_adaptation(
     constraint = assemble_operands(features)
     delta_identity = params.delta * np.eye(features.shape[1])
 
-    table = _bootstrap_table(
-        features[:n_source], pair.source_y, features[n_source:], pair.n_classes, total
+    # Bootstrap in the identity projection: source prototypes classify the
+    # preprocessed targets, and that one distribution stands for both
+    # classifiers.
+    p_source = class_probabilities(
+        fit_prototypes(features[:n_source], pair.source_y, pair.n_classes),
+        features[n_source:],
     )
-    prev_labels = table.label.copy()
+    table = combined_pseudo_labels(p_source, p_source, 1, total)
+    state = curriculum.select(table, 1, total)
+    prev_labels = table.label
     records: list[IterationRecord] = []
     solution: TransformSolution | None = None
 
@@ -187,7 +167,7 @@ def run_adaptation(
             labeling = JointLabeling(
                 source=pair.source_y,
                 target=table.label,
-                selected=table.selected,
+                selected=state.selected,
                 n_classes=pair.n_classes,
             )
             parts = build_objective_matrices(
@@ -204,7 +184,8 @@ def run_adaptation(
 
             p_source = class_probabilities(source_centers, zt)
             p_target = class_probabilities(cluster_centers, zt)
-            table, state = _relabel(p_source, p_target, step, total)
+            table = combined_pseudo_labels(p_source, p_target, step, total)
+            state = curriculum.select(table, step, total)
 
             # tr(P'AP); with B-orthonormal P this is the eigenvalue sum
             objective = float(np.sum(solution.projection * (a @ solution.projection)))
@@ -214,7 +195,7 @@ def run_adaptation(
                 _dump_iteration(Path(dump_dir), step, parts, (a, constraint.shifted), solution)
 
             agreement = float(np.mean(table.label == prev_labels))
-            prev_labels = table.label.copy()
+            prev_labels = table.label
             accuracy = None
             if eval_labels is not None:
                 accuracy = float(np.mean(table.label == eval_labels) * 100.0)
@@ -225,8 +206,8 @@ def run_adaptation(
                 IterationRecord(
                     step=step,
                     objective=objective,
-                    selected_per_class=state.quotas.copy(),
-                    n_selected=int(state.selected_ids.size),
+                    selected_per_class=state.quotas,
+                    n_selected=int(state.selected.sum()),
                     agreement=agreement,
                     accuracy=accuracy,
                     errors=errors,
@@ -242,8 +223,8 @@ def run_adaptation(
         projection=solution.projection,
         eigenvalues=solution.eigenvalues,
         records=records,
-        predictions=table.label.copy(),
-        selected=table.selected.copy(),
+        predictions=table.label,
+        selected=state.selected,
         source_embedding=zs[:, :embed_cols].copy(),
         target_embedding=zt[:, :embed_cols].copy(),
         source_labels=pair.source_y.copy(),

@@ -21,10 +21,10 @@ import pytest
 
 from cdem import bench, curriculum, selftest
 from cdem.cli import main
+from cdem.curriculum import combined_pseudo_labels
 from cdem.eigsolve import assemble_operands, solve_generalized
 from cdem.matio import ExperimentConfig, load_config
 from cdem.objectives import Hyperparams, JointLabeling, build_objective_matrices
-from cdem.prototype import combined_pseudo_labels
 from cdem.synth import standard_shift_spec, generate, write_dataset
 from cdem.trainer import preprocess_pair
 
@@ -134,7 +134,7 @@ def test_curriculum_quotas_integer_exact():
     clamped = 0
     exact = True
     for step in range(1, total + 1):
-        state = curriculum.select(table, counts, step, total)
+        state = curriculum.select(table, step, total)
         for cls in range(3):
             want = math.ceil(Fraction(int(counts[cls]) * step, total))
             admitted = min(want, int(consistent_counts[cls]))
@@ -142,7 +142,7 @@ def test_curriculum_quotas_integer_exact():
                 clamped += 1
             exact = exact and int(state.quotas[cls]) == admitted
         exact = exact and state.selected_ids.size == int(state.quotas.sum())
-    final = curriculum.select(table, counts, total, total)
+    final = curriculum.select(table, total, total)
     exact = exact and final.quotas.tolist() == [10, 2, 0]
     ok = exact and clamped > 0
     _verdict(

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cdem.curriculum import apply_selection, quota, select
+from cdem.curriculum import combined_pseudo_labels, quota, select
 from cdem.errors import ConfigError
-from cdem.prototype import combined_pseudo_labels
 
 
 def _table(p_source, p_target, step=1, total=11):
@@ -52,19 +51,18 @@ def _make_table(conf_by_class):
 
 def test_selects_most_confident_per_class():
     table = _make_table([(0, 0.9), (0, 0.8), (0, 0.95), (1, 0.7), (1, 0.6)])
-    state = select(table, np.array([3, 2]), 1, 3)
-    # quotas: ceil(3/3)=1, ceil(2/3)=1
+    state = select(table, 1, 3)
+    # class counts [3, 2]; quotas: ceil(3/3)=1, ceil(2/3)=1
     assert state.quotas.tolist() == [1, 1]
     assert state.selected_ids.tolist() == [2, 3]
-    apply_selection(table, state)
-    assert table.selected.tolist() == [False, False, True, True, False]
+    assert state.selected.tolist() == [False, False, True, True, False]
 
 
 def test_quota_clamped_by_consistency():
     table = _make_table([(0, 0.9), (0, 0.8), (1, 0.7)])
     table.consistent[:] = [True, False, False]
-    state = select(table, np.array([10, 10]), 3, 3)
-    assert state.consistent_counts.tolist() == [1, 0]
+    state = select(table, 3, 3)
+    # class counts [2, 1] at the final step, clamped to the consistent [1, 0]
     assert state.quotas.tolist() == [1, 0]
     assert state.selected_ids.tolist() == [0]
 
@@ -79,14 +77,14 @@ def test_selected_always_consistent_and_counts_match():
         step = int(rng.integers(1, 12))
         table = combined_pseudo_labels(ps, pt, step, 11)
         counts = np.bincount(table.label, minlength=c)
-        state = select(table, counts, step, 11)
-        apply_selection(table, state)
-        assert (table.consistent[table.selected]).all()
+        state = select(table, step, 11)
+        assert (table.consistent[state.selected]).all()
+        assert np.array_equal(state.selected_ids, np.flatnonzero(state.selected))
         for cls in range(c):
-            chosen = table.selected & (table.label == cls)
-            assert chosen.sum() == state.quotas[cls]
+            in_class = table.label == cls
+            assert (state.selected & in_class).sum() == state.quotas[cls]
             assert state.quotas[cls] == min(
-                quota(int(counts[cls]), step, 11), state.consistent_counts[cls]
+                quota(int(counts[cls]), step, 11), (table.consistent & in_class).sum()
             )
 
 
@@ -95,8 +93,7 @@ def test_final_step_admits_all_consistent():
     ps = rng.dirichlet(np.ones(3), size=25)
     pt = rng.dirichlet(np.ones(3), size=25)
     table = combined_pseudo_labels(ps, pt, 11, 11)
-    counts = np.bincount(table.label, minlength=3)
-    state = select(table, counts, 11, 11)
+    state = select(table, 11, 11)
     assert state.selected_ids.size == table.consistent.sum()
 
 
@@ -106,11 +103,10 @@ def test_selection_invariant_under_permutation():
     ps = rng.dirichlet(np.ones(c), size=n)
     pt = rng.dirichlet(np.ones(c), size=n)
     table = combined_pseudo_labels(ps, pt, 2, 5)
-    counts = np.bincount(table.label, minlength=c)
-    state = select(table, counts, 2, 5)
+    state = select(table, 2, 5)
     perm = rng.permutation(n)
     table_p = combined_pseudo_labels(ps[perm], pt[perm], 2, 5)
-    state_p = select(table_p, counts, 2, 5)
+    state_p = select(table_p, 2, 5)
     # confidences are distinct with probability one, so the selected SET maps
     # through the permutation
     expected = np.sort(np.argsort(perm)[state.selected_ids])
@@ -119,27 +115,27 @@ def test_selection_invariant_under_permutation():
 
 def test_tie_breaks_by_original_index():
     table = _make_table([(0, 0.8), (0, 0.8), (0, 0.8)])
-    state = select(table, np.array([3, 0]), 1, 3)
+    state = select(table, 1, 3)
     assert state.selected_ids.tolist() == [0]
 
 
 def test_zero_count_class_gets_zero_quota():
     table = _make_table([(0, 0.9), (0, 0.8)])
-    state = select(table, np.array([2, 0]), 2, 11)
+    state = select(table, 2, 11)
     assert state.quotas.tolist() == [1, 0]
 
 
-def _loop_select(table, counts, step, total):
+def _loop_select(table, step, total):
     """Per-class reference: sort each class's consistent rows on their own."""
-    quotas, consistent, chosen = [], [], []
+    counts = np.bincount(table.label, minlength=table.p.shape[1])
+    quotas, chosen = [], []
     for cls, count in enumerate(counts):
         pool = [i for i in range(table.n_samples) if table.consistent[i] and table.label[i] == cls]
         pool.sort(key=lambda i: (-table.confidence[i], i))
         admitted = min(-(-int(count) * step // total), len(pool))
         quotas.append(admitted)
-        consistent.append(len(pool))
         chosen += pool[:admitted]
-    return quotas, consistent, sorted(chosen)
+    return quotas, sorted(chosen)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -156,10 +152,7 @@ def test_select_matches_per_class_loop(seed):
         step = int(rng.integers(1, total + 1))
         table = combined_pseudo_labels(ps, pt, step, total)
         table.consistent &= table.label != 3  # class 3 has no consistent rows
-        counts = rng.integers(0, n, size=c)
-        counts[0] = 0  # class 0 gets no quota even with consistent rows
-        state = select(table, counts, step, total)
-        quotas, consistent, chosen = _loop_select(table, counts, step, total)
+        state = select(table, step, total)
+        quotas, chosen = _loop_select(table, step, total)
         assert state.quotas.tolist() == quotas
-        assert state.consistent_counts.tolist() == consistent
         assert state.selected_ids.tolist() == chosen

@@ -13,6 +13,7 @@ from cdem.errors import CdemError, ConfigError, DataError, FormatError
 from cdem.matio import (
     _BOOL_KEYS,
     _INT_KEYS,
+    _PATH_KEYS,
     MAGIC,
     WEIGHT_KEYS,
     DomainPair,
@@ -322,6 +323,24 @@ def test_readme_lists_every_config_key():
     listed = set(re.findall(r"^\| `([a-z_]+)` \|", table, flags=re.MULTILINE))
     accepted = _INT_KEYS | set(WEIGHT_KEYS) | _BOOL_KEYS | {"components"}
     assert listed == accepted
+
+
+def test_readme_config_examples_load_bare_paths(tmp_path):
+    # a comment after a value would become part of the file name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```\n(.*?)```", section, flags=re.DOTALL)
+    assert len(blocks) == 2
+    for index, block in enumerate(blocks):
+        path = tmp_path / f"config{index}.txt"
+        path.write_text(block)
+        config = load_config(path)
+        paths = [getattr(config, key) for key in sorted(_PATH_KEYS)]
+        paths += [p for e in config.datasets.values() for p in (e.features, e.labels)]
+        paths = [p for p in paths if p is not None]
+        assert paths
+        for p in paths:
+            assert re.fullmatch(r"\w+\.(cdm|txt)", p.name), p.name
 
 
 def test_config_registry_tasks(tmp_path):

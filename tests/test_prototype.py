@@ -6,11 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from cdem.curriculum import combined_pseudo_labels
 from cdem.errors import ConfigError, DataError
 from cdem.prototype import (
     class_moments,
     class_probabilities,
-    combined_pseudo_labels,
     fit_prototypes,
     nearest_center_labels,
     squared_distances,
@@ -138,9 +138,7 @@ def test_combined_fixed_example():
     )
     assert np.abs(p.p - np.array([[0.70909090909090905, 0.29090909090909089]])).max() <= 1e-12
     assert p.label.tolist() == [0]
-    assert p.label_source.tolist() == [0] and p.label_target.tolist() == [1]
     assert p.consistent.tolist() == [False]
-    assert not p.selected.any()
 
 
 def test_combined_final_step_is_target_only():
@@ -159,7 +157,7 @@ def test_combined_rows_sum_to_one():
     for step in (1, 5, 11):
         table = combined_pseudo_labels(ps, pt, step, 11)
         assert np.abs(table.p.sum(axis=1) - 1.0).max() <= 1e-9
-        assert np.array_equal(table.consistent, table.label_source == table.label_target)
+        assert np.array_equal(table.consistent, np.argmax(ps, axis=1) == np.argmax(pt, axis=1))
         assert np.allclose(table.confidence, table.p.max(axis=1))
 
 

@@ -34,7 +34,8 @@ def test_every_wrapped_name_resolves():
 
 def test_observers_read_the_shapes_they_expect():
     # An observer that meets a changed shape raises inside the traced run.
-    tracer = _tracer_module().Tracer()
+    traced = _tracer_module()
+    tracer = traced.Tracer()
     pair, labels = generate(ShiftSpec(classes=3, n_per_domain=60, dims=8, seed=2))
     config = ExperimentConfig(pca_dim=6, subspace_dim=3, iterations=3)
     tracer.install()
@@ -47,3 +48,9 @@ def test_observers_read_the_shapes_they_expect():
     assert tracer.counts["prototype.kmeans_iters"] >= config.iterations
     # curriculum.select(table, ...) takes the table first, returns .selected_ids
     assert tracer.last_admit["main"] == (int(result.selected.sum()), pair.n_target)
+    # A span wrapped under a name the run no longer calls through records
+    # nothing, and its time moves unnoticed into the caller's self time.
+    called = {span["name"] for span in tracer.spans}
+    for module, attribute, span, _ in traced.WRAPPED:
+        if module in ("cdem.trainer", "cdem.curriculum"):
+            assert span in called, f"{span}: {module}.{attribute} recorded no call"

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cdem.errors import ConfigError, DataError
 from cdem.matio import DomainPair, ExperimentConfig
 from cdem.preprocess import fit_pca, normalize_rows
 from cdem.prototype import fit_prototypes
@@ -74,7 +75,7 @@ def test_identical_domains_reach_perfect_accuracy():
     pair = DomainPair(x, y, x.copy(), 2)
     config = _small_config(pca_dim=5, subspace_dim=2, iterations=3)
     result = run_adaptation(pair, config, y)
-    assert result.final_accuracy == 100.0
+    assert result.records[-1].accuracy == 100.0
 
 
 def test_identical_domains_align_exactly():
@@ -309,3 +310,52 @@ def test_rotating_and_translating_features_keeps_predictions(seed):
         pair.target_x @ rotation + shift, pair.n_classes,
     )
     assert np.array_equal(run_adaptation(moved, config).predictions, predictions)
+
+
+def _with_target(pair, target_x):
+    return DomainPair(pair.source_x, pair.source_y, target_x, pair.n_classes)
+
+
+def _constant_first_column(pair):
+    x = pair.x.copy()
+    x[:, 0] = 1.5
+    return DomainPair(x[: pair.n_source], pair.source_y, x[pair.n_source :], pair.n_classes)
+
+
+# case -> (input from the 4-class task, config overrides, outcome): an outcome
+# is the named error and its message, or the predicted classes and the number
+# of objective terms skipped at the last step.
+DEGENERATE_CASES = {
+    "three-target-rows": (
+        lambda pair: _with_target(pair, pair.target_x[:3]), {},
+        (DataError, "step 1: cannot place 4 clusters on 3 samples"),
+    ),
+    "pca-dim-above-width": (lambda pair: pair, {"pca_dim": 13}, (ConfigError, "n_components=13")),
+    "constant-feature-column": (_constant_first_column, {}, ([0, 1, 2, 3], 0)),
+    "identical-domains": (lambda pair: _with_target(pair, pair.source_x), {}, ([0, 1, 2, 3], 0)),
+    "subspace-below-classes": (lambda pair: pair, {"subspace_dim": 3}, ([0, 1, 2, 3], 0)),
+    "pca-dim-at-width": (lambda pair: pair, {"pca_dim": 12}, ([0, 1, 2, 3], 0)),
+    "identical-target-rows": (
+        lambda pair: _with_target(pair, np.repeat(pair.target_x[:1], pair.n_target, axis=0)),
+        {},
+        ([0], 11),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
+def test_degenerate_inputs_run_or_raise_named_errors(case):
+    build, overrides, outcome = DEGENERATE_CASES[case]
+    pair, _ = generate(ShiftSpec(classes=4, n_per_domain=40, dims=12, seed=3))
+    pair = build(pair)
+    config = ExperimentConfig(**dict(pca_dim=10, subspace_dim=6, iterations=5) | overrides)
+    expected, detail = outcome
+    if isinstance(expected, type):
+        with pytest.raises(expected, match=detail):
+            run_adaptation(pair, config)
+        return
+    result = run_adaptation(pair, config)
+    assert len(result.records) == config.iterations
+    assert all(np.isfinite(rec.objective) for rec in result.records)
+    assert np.unique(result.predictions).tolist() == expected
+    assert len(result.records[-1].skipped) == detail
