@@ -1,9 +1,9 @@
 """Alternating optimization: solve for a projection, relabel, reselect.
 
 A run works on one feature matrix: the source rows followed by the target
-rows, as ``DomainPair.x`` stores them.  It projects that matrix onto a
-shared PCA basis once and bootstraps pseudo labels from a source-only
-prototype classifier in the preprocessed space.  It then alternates for a
+rows, as ``DomainPair.x`` stores them.  It replaces that matrix once by its
+PCA scores, fit on both domains together, and bootstraps pseudo labels from
+a source-only prototype classifier in that space.  It then alternates for a
 fixed number of steps between (a) solving the generalized eigenproblem for
 the current labeling and (b) refreshing pseudo labels and the curriculum
 selection in the new subspace.  Each domain's rows are row slices of the
@@ -76,10 +76,9 @@ class AdaptationResult:
 
 
 def preprocess_pair(pair: DomainPair, config: ExperimentConfig) -> np.ndarray:
-    """PCA fit on and applied to pair.x, followed by optional unit-length row
+    """PCA scores of pair.x, followed by optional unit-length row
     normalization: (n_source + n_target) × pca_dim, source rows first."""
-    model = fit_pca(pair.x, config.pca_dim)
-    z = (pair.x - model.mean) @ model.basis
+    z = fit_pca(pair.x, config.pca_dim)
     return normalize_rows(z) if config.normalize else z
 
 

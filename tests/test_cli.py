@@ -167,8 +167,8 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_runs_load_no_scipy(tmp_path):
-    # Importing scipy costs several times what numpy does; below the large-Gram
-    # PCA branch, the user-facing commands load numpy only.
+    # Importing scipy costs several times what numpy does, so the user-facing
+    # commands load numpy only.
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
         check=True, env=_child_env(), capture_output=True, text=True, timeout=120,

@@ -6,42 +6,64 @@ import numpy as np
 import pytest
 
 from cdem.errors import ConfigError, DegenerateDataError
-from cdem.preprocess import RANK_RTOL, fit_pca, normalize_rows
+from cdem.preprocess import fit_pca, normalize_rows
+
+
+def _gram_eigenvectors(x, z):
+    """The kept eigenvectors of the Gram on x's smaller centered side,
+    recovered from the scores z up to positive column scales: C = U S V'
+    and z = U_k S_k give z itself for CC' and C'z = V_k S_k² for C'C."""
+    centered = x - x.mean(axis=0)
+    return z if x.shape[0] < x.shape[1] else centered.T @ z
+
+
+def _svd_scores(x, m):
+    """U_k S_k of the centered x's thin SVD, each U column flipped so that
+    its largest-magnitude entry is positive."""
+    u, singular, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    u = u[:, :m] * np.where(u[np.abs(u[:, :m]).argmax(axis=0), np.arange(m)] < 0, -1.0, 1.0)
+    return u * singular[:m]
 
 
 def test_line_data_gives_diagonal_direction():
+    # tall: the scores are signed distances along (1, 1)/sqrt(2)
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    model = fit_pca(x, 1)
-    expected = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-    assert np.allclose(model.basis, expected, atol=1e-12)
+    expected = (np.arange(4.0) - 1.5)[:, None] * np.sqrt(2.0)
+    assert np.allclose(fit_pca(x, 1), expected, atol=1e-12)
+    # wide: three points on a line in five dimensions
+    direction = np.array([1.0, -2.0, 0.0, 2.0, 4.0])
+    t = np.array([0.0, 1.0, 3.0])
+    expected = (t - t.mean())[:, None] * np.linalg.norm(direction)
+    assert np.allclose(fit_pca(t[:, None] * direction, 1), expected, atol=1e-12)
 
 
 def test_sign_convention_deterministic():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((40, 6))
-    model = fit_pca(x, 6)
-    for j in range(6):
-        col = model.basis[:, j]
-        assert col[np.argmax(np.abs(col))] > 0
-    # flipping the input data must flip nothing about the convention
-    model2 = fit_pca(-x, 6)
-    for j in range(6):
-        col = model2.basis[:, j]
-        assert col[np.argmax(np.abs(col))] > 0
+    for shape in ((40, 6), (6, 40)):
+        x = rng.standard_normal(shape)
+        m = min(shape) - 1
+        z, z_negated = fit_pca(x, m), fit_pca(-x, m)
+        for source, scores in ((x, z), (-x, z_negated)):
+            vecs = _gram_eigenvectors(source, scores)
+            assert (vecs[np.abs(vecs).argmax(axis=0), np.arange(m)] > 0).all()
+        # negating the input leaves the Gram's bytes and so the convention
+        # alone: the tall scores negate exactly, the wide ones do not move
+        assert np.array_equal(z_negated, z if shape[0] < shape[1] else -z)
 
 
 def test_basis_orthonormal_and_variance_sorted():
+    # scores along orthonormal directions have a diagonal Gram, Lambda_k
     rng = np.random.default_rng(7)
     for _ in range(10):
         n = int(rng.integers(5, 60))
         d = int(rng.integers(2, 16))
         m = int(rng.integers(1, min(n, d) + 1))
         x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
-        model = fit_pca(x, m)
-        gram = model.basis.T @ model.basis
-        assert np.abs(gram - np.eye(m)).max() <= 1e-8
-        assert (np.diff(model.explained_variance) <= 1e-12).all()
-        assert (model.explained_variance >= -1e-12).all()
+        z = fit_pca(x, m)
+        gram = z.T @ z
+        variance = np.diag(gram) / (n - 1)
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-8 * gram[0, 0]
+        assert (np.diff(variance) <= 1e-12 * variance[0]).all()
 
 
 def test_projection_preserves_subspace_inner_products():
@@ -51,8 +73,7 @@ def test_projection_preserves_subspace_inner_products():
     for _ in range(5):
         n, d, m = 30, 8, 4
         x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
-        model = fit_pca(x, m)
-        z = (x - model.mean) @ model.basis
+        z = fit_pca(x, m)
         centered = x - x.mean(axis=0)
         evals, evecs = np.linalg.eigh(centered.T @ centered / (n - 1))
         top = evecs[:, ::-1][:, :m]
@@ -63,10 +84,10 @@ def test_projection_preserves_subspace_inner_products():
 def test_explained_variance_matches_covariance_eigenvalues():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((50, 7)) * np.array([5, 3, 2, 1, 1, 0.5, 0.1])
-    model = fit_pca(x, 7)
+    z = fit_pca(x, 7)
     centered = x - x.mean(axis=0)
     evals = np.linalg.eigvalsh(centered.T @ centered / 49)[::-1]
-    assert np.allclose(model.explained_variance, evals, atol=1e-10)
+    assert np.allclose(z.var(axis=0, ddof=1), evals, atol=1e-10)
 
 
 def test_component_bounds():
@@ -87,9 +108,7 @@ def _svd_reference_cases():
     tall_short[:, 7] = tall_short[:, 2]
     tall_few = rng.standard_normal((50, 20)) @ rng.standard_normal((20, 20))
     wide_few = rng.standard_normal((16, 70))
-    # (features, n_components, centered rank falls short of n_components);
-    # the wide cases with full rank take the Cholesky QR, the rank-deficient
-    # one the Householder QR
+    # (features, n_components, centered rank falls short of n_components)
     return {
         "tall": (tall, 9, False),
         "wide": (wide, 10, False),
@@ -104,42 +123,42 @@ def _svd_reference_cases():
 def test_matches_svd_reference_on_both_gram_sides(case):
     x, m, short = _svd_reference_cases()[case]
     n = x.shape[0]
-    model = fit_pca(x, m)
-    centered = x - x.mean(axis=0)
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    assert np.abs(model.basis.T @ model.basis - np.eye(m)).max() <= 1e-10
-    z = (x - model.mean) @ model.basis
-    ref = centered @ vt[:m].T
+    z = fit_pca(x, m)
+    assert z.shape == (n, m)
+    ref = _svd_scores(x, m)
     ref_gram = ref @ ref.T
     assert np.abs(z @ z.T - ref_gram).max() <= 1e-8 * np.abs(ref_gram).max()
-    ref_variance = singular[:m] ** 2 / (n - 1)
-    assert np.abs(model.explained_variance - ref_variance).max() <= 1e-10 * ref_variance[0]
+    ref_variance = ref.var(axis=0, ddof=1)
     # column j carries the j-th largest variance, not just the right subspace
     assert np.abs(z.var(axis=0, ddof=1) - ref_variance).max() <= 1e-10 * ref_variance[0]
+    gram = z.T @ z
+    assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-10 * gram[0, 0]
+    kept = m - 1 if short else m
     if short:
-        assert model.explained_variance[-1] <= 1e-10 * ref_variance[0]
-    for j in range(m):
-        col = model.basis[:, j]
-        assert col[np.argmax(np.abs(col))] > 0
+        assert z[:, -1].var(ddof=1) <= 1e-10 * ref_variance[0]
+    vecs = _gram_eigenvectors(x, z)[:, :kept]
+    assert (vecs[np.abs(vecs).argmax(axis=0), np.arange(kept)] > 0).all()
+    # same sign rule on the same side: the columns agree, not only their span
+    if n < x.shape[1]:
+        assert np.abs(z[:, :kept] - ref[:, :kept]).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_wide_cholesky_qr_matches_householder_qr_near_rank_tolerance():
+def test_wide_scores_match_svd_near_rank_tolerance():
+    # Singular values fall over four decades, so the smallest kept eigenvalue
+    # of CC' is about 1e-8 of the largest: there the square root of a
+    # rounded eigenvalue is furthest, relatively, from the singular value.
     rng = np.random.default_rng(37)
     n, d = 60, 200
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
     v = np.linalg.qr(rng.standard_normal((d, n)))[0]
     x = (u * np.geomspace(1.0, 1e-4, n)) @ v.T
     centered = x - x.mean(axis=0)
-    evals, evecs = np.linalg.eigh(centered @ centered.T)
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    # the smallest requested eigenvalue sits just above the rank tolerance
-    m = int(np.count_nonzero(evals > 1.5 * RANK_RTOL * evals[0]))
+    evals = np.linalg.eigvalsh(centered @ centered.T)[::-1]
+    m = int(np.count_nonzero(evals > 1.5e-8 * evals[0]))
     assert evals[m - 1] < 1e-7 * evals[0]
-    model = fit_pca(x, m)
-    ref = np.linalg.qr(centered.T @ evecs[:, :m])[0]
-    ref *= np.where(ref[np.abs(ref).argmax(axis=0), np.arange(m)] < 0, -1.0, 1.0)
-    assert np.abs(model.basis - ref).max() <= 1e-12
-    assert np.abs(model.basis.T @ model.basis - np.eye(m)).max() <= 1e-12
+    z = fit_pca(x, m)
+    assert np.abs(z - _svd_scores(x, m)).max() <= 1e-12
+    assert np.abs(z.T @ z - np.diag(evals[:m])).max() <= 1e-12
 
 
 def test_zero_variance_rejected():

@@ -9,7 +9,7 @@ import pytest
 
 from cdem.errors import ConfigError, DataError
 from cdem.matio import DomainPair, ExperimentConfig
-from cdem.preprocess import fit_pca, normalize_rows
+from cdem.preprocess import normalize_rows
 from cdem.prototype import fit_prototypes
 from cdem.selftest import oracle_marginal_mmd
 from cdem.synth import ShiftSpec, generate
@@ -209,22 +209,41 @@ def test_residual_gate_carries_step_context(monkeypatch):
         run_adaptation(pair, _small_config(), None)
 
 
+def _positive_pivots(vecs):
+    """vecs with each column flipped so that its largest-magnitude entry is
+    positive, fit_pca's sign rule for Gram eigenvectors."""
+    pivots = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(pivots < 0, -1.0, 1.0)
+
+
 @pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("dims", [6, 300])
 def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
+    # 150 stacked rows: 6 columns put PCA on its tall side, 300 on its wide one
     pair, _ = generate(_small_spec(n_per_domain=75, dims=dims))
     config = _small_config(pca_dim=6, normalize=normalize)
-    model = fit_pca(np.vstack([pair.source_x, pair.target_x]), config.pca_dim)
-    parts = [(x - model.mean) @ model.basis for x in (pair.source_x, pair.target_x)]
+    m = config.pca_dim
+    stacked = np.vstack([pair.source_x, pair.target_x])
+    mean = stacked.mean(axis=0)
+    centered = stacked - mean
+    if dims < stacked.shape[0]:
+        basis = _positive_pivots(np.linalg.eigh(centered.T @ centered)[1][:, ::-1][:, :m])
+        parts = [(x - mean) @ basis for x in (pair.source_x, pair.target_x)]
+        if normalize:
+            parts = [normalize_rows(z) for z in parts]
+        assert np.array_equal(preprocess_pair(pair, config), np.vstack(parts))
+        return
+    u, singular, _ = np.linalg.svd(centered, full_matrices=False)
+    ref = _positive_pivots(u[:, :m]) * singular[:m]
     if normalize:
-        parts = [normalize_rows(z) for z in parts]
-    assert np.array_equal(preprocess_pair(pair, config), np.vstack(parts))
+        ref = normalize_rows(ref)
+    assert np.abs(preprocess_pair(pair, config) - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_preprocess_pair_peak_memory_below_two_pair_copies():
-    # wide-d's shape.  One n×d temporary at a time (the centered copy in
-    # fit_pca, then pair.x - mean) keeps the peak under two copies of the
-    # pair's rows; stacking the domains a second time for PCA does not.
+def test_preprocess_pair_peak_memory_below_one_and_a_half_pair_copies():
+    # wide-d's shape.  The only n×d temporary is fit_pca's centered copy of
+    # the pair's rows: the wide scores come from the n×n Gram's
+    # eigenvectors, with no n×d projection.
     rng = np.random.default_rng(0)
     n, d = 400, 4096
     pair = DomainPair(
@@ -238,7 +257,7 @@ def test_preprocess_pair_peak_memory_below_two_pair_copies():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - baseline <= 2.0 * pair_bytes
+    assert peak - baseline <= 1.5 * pair_bytes
 
 
 def test_cross_domain_errors_perfect_separation():
@@ -267,10 +286,10 @@ def test_cross_domain_errors_against_truth():
     assert errors.source_model_on_target == 0.0
 
 
-def _metamorphic_task(seed):
+def _metamorphic_task(seed, dims):
     """A 4-class task whose class margins leave no near-ties to flip."""
     spec = ShiftSpec(
-        classes=4, n_per_domain=120, dims=20, separation=6.0,
+        classes=4, n_per_domain=120, dims=dims, separation=6.0,
         rotation_deg=20.0, translation=(1.0, -1.0, 0.5), noise_scale=0.3, seed=seed,
     )
     pair, labels = generate(spec)
@@ -280,27 +299,34 @@ def _metamorphic_task(seed):
     return pair, config, predictions
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_permuting_target_rows_permutes_predictions(seed):
-    pair, config, predictions = _metamorphic_task(seed)
+# (seed, dims): the 240 stacked rows put PCA on its tall side with 20 feature
+# columns and on its wide side with 300
+METAMORPHIC_TASKS = [pytest.param(seed, 20, id=str(seed)) for seed in range(4)] + [
+    pytest.param(seed, 300, id=f"wide-{seed}") for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("seed, dims", METAMORPHIC_TASKS)
+def test_permuting_target_rows_permutes_predictions(seed, dims):
+    pair, config, predictions = _metamorphic_task(seed, dims)
     perm = np.random.default_rng(seed).permutation(pair.n_target)
     moved = DomainPair(pair.source_x, pair.source_y, pair.target_x[perm], pair.n_classes)
     assert np.array_equal(run_adaptation(moved, config).predictions, predictions[perm])
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_permuting_class_ids_permutes_labels(seed):
-    pair, config, predictions = _metamorphic_task(seed)
+@pytest.mark.parametrize("seed, dims", METAMORPHIC_TASKS)
+def test_permuting_class_ids_permutes_labels(seed, dims):
+    pair, config, predictions = _metamorphic_task(seed, dims)
     ids = np.random.default_rng(seed).permutation(pair.n_classes)
     renamed = DomainPair(pair.source_x, ids[pair.source_y], pair.target_x, pair.n_classes)
     assert np.array_equal(run_adaptation(renamed, config).predictions, ids[predictions])
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_rotating_and_translating_features_keeps_predictions(seed):
+@pytest.mark.parametrize("seed, dims", METAMORPHIC_TASKS)
+def test_rotating_and_translating_features_keeps_predictions(seed, dims):
     # PCA and the eigensolver fix each axis's sign from the data, so the
     # rotated run may flip axes; distances, and so labels, cannot change
-    pair, config, predictions = _metamorphic_task(seed)
+    pair, config, predictions = _metamorphic_task(seed, dims)
     rng = np.random.default_rng(seed)
     d = pair.x.shape[1]
     rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -322,6 +348,14 @@ def _constant_first_column(pair):
     return DomainPair(x[: pair.n_source], pair.source_y, x[pair.n_source :], pair.n_classes)
 
 
+def _wide_pair(pair):
+    # 88 low-noise columns more than the 80 rows, so pca_dim=80 keeps one
+    # component past the centered rank of 79
+    noise = 0.1 * np.random.default_rng(0).standard_normal((pair.x.shape[0], 88))
+    x = np.hstack([pair.x, noise])
+    return DomainPair(x[: pair.n_source], pair.source_y, x[pair.n_source :], pair.n_classes)
+
+
 # case -> (input from the 4-class task, config overrides, outcome): an outcome
 # is the named error and its message, or the predicted classes and the number
 # of objective terms skipped at the last step.
@@ -335,6 +369,7 @@ DEGENERATE_CASES = {
     "identical-domains": (lambda pair: _with_target(pair, pair.source_x), {}, ([0, 1, 2, 3], 0)),
     "subspace-below-classes": (lambda pair: pair, {"subspace_dim": 3}, ([0, 1, 2, 3], 0)),
     "pca-dim-at-width": (lambda pair: pair, {"pca_dim": 12}, ([0, 1, 2, 3], 0)),
+    "wide-pca-dim-at-row-count": (_wide_pair, {"pca_dim": 80}, ([0, 1, 2, 3], 0)),
     "identical-target-rows": (
         lambda pair: _with_target(pair, np.repeat(pair.target_x[:1], pair.n_target, axis=0)),
         {},
