@@ -12,7 +12,7 @@ from .errors import (
 )
 from .matio import DomainPair, ExperimentConfig, load_config, load_domain_pair
 from .synth import ShiftSpec, generate, standard_shift_spec
-from .trainer import AdaptationResult, run_adaptation
+from .trainer import AdaptationResult, PreparedTask, prepare_task, run_adaptation
 
 __version__ = "0.1.0"
 
@@ -26,11 +26,13 @@ __all__ = [
     "ExperimentConfig",
     "FormatError",
     "NumericError",
+    "PreparedTask",
     "ShiftSpec",
     "__version__",
     "generate",
     "load_config",
     "load_domain_pair",
+    "prepare_task",
     "run_adaptation",
     "standard_shift_spec",
 ]

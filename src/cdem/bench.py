@@ -1,5 +1,16 @@
 """Task running, baselines, ablation, grid search, and report emission.
 
+Every command prepares each task once (``trainer.PreparedTask``: PCA
+scores, factored constraint, source-side objective moments) and runs all of
+its methods, ablation stages and grid points on it.  Tasks are loaded
+together: each feature and label file is read and checked once, however many
+tasks name it, and each unordered pair of registry domains is prepared once,
+stacked in sorted-name order, in a pool pass before any task runs.  A task
+whose source name sorts after its target's takes that pair's features with
+the two row blocks swapped and shares its factored constraint, so B-A gets
+the same bytes run alone as inside ``--task all``.  The raw feature matrices
+are dropped once every pair is prepared.
+
 Reports are written as a compact CSV (one decimal accuracy, plus an average
 row per method) and a JSON file carrying full-precision accuracies and the
 per-step training traces, one ``IterationRecord`` per step with its field
@@ -14,24 +25,36 @@ import itertools
 import json
 import os
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import matio
+from .eigsolve import FactoredConstraint
 from .errors import ConfigError
 from .matio import (
     WEIGHT_KEYS,
     DomainPair,
     ExperimentConfig,
-    load_domain_pair,
-    load_eval_labels,
+    check_task,
+    load_domain_pair,  # noqa: F401 -- perfbench/run.py scores its reference through it
+    load_eval_labels,  # noqa: F401 -- likewise
+    resolve_task_paths,
+    validate_eval_labels,
     write_labels,
 )
 from .prototype import class_probabilities, fit_prototypes
-from .trainer import AdaptationResult, preprocess_pair, run_adaptation
+from .trainer import (
+    AdaptationResult,
+    PreparedTask,
+    as_prepared,
+    label_task,
+    preprocess_rows,
+    run_adaptation,
+)
 
 GRID_VALUES = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
 
@@ -79,16 +102,17 @@ def accuracy_pct(predictions: np.ndarray, truth: np.ndarray | None) -> float | N
 
 
 def run_source_only(
-    pair: DomainPair,
+    pair: DomainPair | PreparedTask,
     config: ExperimentConfig,
     eval_labels: np.ndarray | None = None,
     task: str = "task",
 ) -> TaskResult:
-    """No adaptation: prototype classifier on preprocessed source features."""
+    """No adaptation: prototype classifier on the prepared source features."""
     start = time.perf_counter()
-    z = preprocess_pair(pair, config)
-    centers = fit_prototypes(z[: pair.n_source], pair.source_y, pair.n_classes)
-    predictions = np.argmax(class_probabilities(centers, z[pair.n_source :]), axis=1)
+    prepared = as_prepared(pair, config)
+    z, n_source = prepared.features, prepared.n_source
+    centers = fit_prototypes(z[:n_source], prepared.source_y, prepared.n_classes)
+    predictions = np.argmax(class_probabilities(centers, z[n_source:]), axis=1)
     return TaskResult(
         task=task,
         method="source-only",
@@ -99,7 +123,7 @@ def run_source_only(
 
 
 def run_adaptation_task(
-    pair: DomainPair,
+    pair: DomainPair | PreparedTask,
     config: ExperimentConfig,
     eval_labels: np.ndarray | None = None,
     task: str = "task",
@@ -119,7 +143,7 @@ def run_adaptation_task(
 
 
 def _run_method(
-    pair: DomainPair,
+    pair: PreparedTask,
     config: ExperimentConfig,
     eval_labels: np.ndarray | None,
     task: str,
@@ -156,6 +180,99 @@ def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[str 
     return list(names)
 
 
+@dataclass(frozen=True)
+class LoadedTask:
+    """One checked task whose domain pair is prepared; ``prepare`` labels it.
+
+    rows : the pair's ``preprocess_rows`` result, first domain's rows first
+    n_first : row count of the first domain
+    swapped : whether the source is the second domain
+    """
+
+    name: str
+    rows: tuple[np.ndarray, FactoredConstraint]
+    n_first: int
+    swapped: bool
+    source_y: np.ndarray
+    n_classes: int
+    eval_labels: np.ndarray | None
+
+    def prepare(self, config: ExperimentConfig) -> PreparedTask:
+        features, constraint = self.rows
+        if self.swapped:
+            features = np.concatenate([features[self.n_first :], features[: self.n_first]])
+        return label_task(features, constraint, self.source_y, self.n_classes, config)
+
+
+def _parallel_map(fn: Callable, items: list) -> list:
+    """fn over items, on a thread pool when there is more than one
+    (CDEM_THREADS caps workers); results in input order."""
+    if len(items) == 1:
+        return [fn(items[0])]
+    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
+        return list(pool.map(fn, items))
+
+
+def load_tasks(config: ExperimentConfig, tasks: list[str | None]) -> dict[str | None, LoadedTask]:
+    """Read and check every task's inputs, then prepare each domain pair.
+
+    Each feature and label file is read once, however many tasks name it.
+    Every task runs the checks ``load_domain_pair`` and ``load_eval_labels``
+    run, in task order, with their messages, before any pair is prepared.
+    A registry task stacks its two domains in sorted-name order, so it and
+    its reverse share one ``preprocess_rows`` call; the config's direct pair
+    stacks source then target.  The read matrices are released on return.
+    """
+    matrices: dict[Path, np.ndarray] = {}
+    label_files: dict[Path, np.ndarray] = {}
+
+    # The readers are looked up on matio at call time, so a wrapper put on
+    # them there (perfbench's tracer) sees every read.
+    def matrix(path: Path) -> np.ndarray:
+        if path not in matrices:
+            matrices[path] = matio.read_matrix(path)
+        return matrices[path]
+
+    def labels(path: Path) -> np.ndarray:
+        if path not in label_files:
+            label_files[path] = matio.read_labels(path)
+        return label_files[path]
+
+    checked = []
+    for task in tasks:
+        src_x, src_y, tgt_x, tgt_y = resolve_task_paths(config, task)
+        source_x, source_y, target_x = matrix(src_x), labels(src_y), matrix(tgt_x)
+        n_classes = int(source_y.max()) + 1
+        source_y = check_task(source_x, source_y, target_x, n_classes)
+        eval_labels = None
+        if tgt_y is not None:
+            eval_labels = validate_eval_labels(
+                labels(tgt_y), target_x.shape[0], n_classes, str(tgt_y)
+            )
+        src_name, _, tgt_name = (task or "").partition("-")
+        swapped = src_name > tgt_name
+        pair = (tgt_x, src_x) if swapped else (src_x, tgt_x)
+        checked.append((task, pair, swapped, source_y, n_classes, eval_labels))
+
+    pairs = list(dict.fromkeys(pair for _, pair, *_ in checked))
+    prepared = _parallel_map(
+        lambda pair: preprocess_rows(np.concatenate([matrices[p] for p in pair]), config), pairs
+    )
+    rows = dict(zip(pairs, prepared))
+    return {
+        task: LoadedTask(
+            name=task if task is not None else "task",
+            rows=rows[pair],
+            n_first=matrices[pair[0]].shape[0],
+            swapped=swapped,
+            source_y=source_y,
+            n_classes=n_classes,
+            eval_labels=eval_labels,
+        )
+        for task, pair, swapped, source_y, n_classes, eval_labels in checked
+    }
+
+
 def run_task_suite(
     config: ExperimentConfig,
     tasks: list[str | None],
@@ -163,23 +280,24 @@ def run_task_suite(
     dump_dir: Path | None = None,
 ) -> list[TaskResult]:
     """Run every method (see _run_method) on every task, in that order,
-    parallelized across tasks (CDEM_THREADS caps workers).
+    parallelized across tasks (CDEM_THREADS caps workers).  Each task is
+    prepared once for all of its methods (see ``load_tasks``).
 
     dump_dir, when given, receives each adaptation run's per-step matrices.
     Their file names carry neither task nor method, so pass it with a single
     task and a single adaptation method only.
     """
+    loaded = load_tasks(config, tasks)
 
     def one_task(task: str | None) -> list[TaskResult]:
-        pair = load_domain_pair(config, task)
-        labels = load_eval_labels(config, pair, task)
-        name = task if task is not None else "task"
-        return [_run_method(pair, config, labels, name, m, dump_dir) for m in methods]
+        item = loaded[task]
+        prepared = item.prepare(config)
+        return [
+            _run_method(prepared, config, item.eval_labels, item.name, m, dump_dir)
+            for m in methods
+        ]
 
-    if len(tasks) == 1:
-        return one_task(tasks[0])
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        chunks = list(pool.map(one_task, tasks))
+    chunks = _parallel_map(one_task, tasks)
     return [result for chunk in chunks for result in chunk]
 
 
@@ -191,26 +309,27 @@ def run_grid(
 ) -> list[tuple[dict[str, float], float]]:
     """Sweep the standard grid over the named weights; score by mean accuracy.
 
-    Requires evaluation labels for every task.  Returns (assignment, mean
-    accuracy) per grid point, in deterministic sweep order.
+    Requires evaluation labels for every task.  Every task is prepared once
+    and shared by all grid points.  Returns (assignment, mean accuracy) per
+    grid point, in deterministic sweep order.
     """
     bad = [p for p in param_names if p not in WEIGHT_KEYS]
     if bad:
         raise ConfigError(f"cannot sweep {bad}; choose from {sorted(WEIGHT_KEYS)}")
-    loaded = []
-    for task in tasks:
-        pair = load_domain_pair(config, task)
-        labels = load_eval_labels(config, pair, task)
-        if labels is None:
-            raise ConfigError("grid search needs target labels for every task")
-        loaded.append((task if task is not None else "task", pair, labels))
+    repeated = sorted({p for p in param_names if param_names.count(p) > 1})
+    if repeated:
+        raise ConfigError(f"cannot sweep {repeated} more than once")
+    loaded = list(load_tasks(config, tasks).values())
+    if any(item.eval_labels is None for item in loaded):
+        raise ConfigError("grid search needs target labels for every task")
+    prepared = [(item.name, item.prepare(config), item.eval_labels) for item in loaded]
 
     def one_point(assignment: dict[str, float]) -> tuple[dict[str, float], float]:
         fields = {WEIGHT_KEYS[k]: v for k, v in assignment.items()}
         point_config = replace(config, **fields)
         accs = [
-            run_adaptation_task(pair, point_config, labels, task=name).accuracy
-            for name, pair, labels in loaded
+            run_adaptation_task(task, point_config, labels, task=name).accuracy
+            for name, task, labels in prepared
         ]
         return assignment, float(np.mean([a for a in accs if a is not None]))
 
@@ -218,10 +337,7 @@ def run_grid(
         dict(zip(param_names, combo))
         for combo in itertools.product(values, repeat=len(param_names))
     ]
-    if len(points) == 1:
-        return [one_point(points[0])]
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        return list(pool.map(one_point, points))
+    return _parallel_map(one_point, points)
 
 
 def _numpy_to_json(value):

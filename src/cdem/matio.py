@@ -137,6 +137,35 @@ def write_labels(labels, path: str | Path) -> None:
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
 
 
+def check_task(source_x: np.ndarray, source_y, target_x: np.ndarray, n_classes: int) -> np.ndarray:
+    """Every check of a task's inputs but the per-matrix ones (2-d, not
+    empty, finite), which ``read_matrix`` or ``DomainPair`` make once per
+    matrix: one 1-d source label per source row, equal feature widths, at
+    least two classes, and every class in [0, n_classes) present in the
+    source.  Returns the source labels as int64."""
+    source_y = np.asarray(source_y, dtype=np.int64)
+    if source_y.ndim != 1:
+        raise DataError("source labels must be 1-d")
+    if source_x.shape[0] != source_y.shape[0]:
+        raise DataError(
+            f"source has {source_x.shape[0]} rows but {source_y.shape[0]} labels"
+        )
+    if source_x.shape[1] != target_x.shape[1]:
+        raise DataError(
+            f"feature width mismatch: source {source_x.shape[1]}, "
+            f"target {target_x.shape[1]}"
+        )
+    if n_classes < 2:
+        raise DataError("need at least two classes")
+    if source_y.min() < 0 or source_y.max() >= n_classes:
+        raise DataError("source labels outside [0, n_classes)")
+    counts = np.bincount(source_y, minlength=n_classes)
+    if (counts == 0).any():
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise DataError(f"class {missing} has no source samples")
+    return source_y
+
+
 class DomainPair:
     """Feature rows for one adaptation task.
 
@@ -147,32 +176,26 @@ class DomainPair:
     """
 
     def __init__(self, source_x, source_y, target_x, n_classes: int) -> None:
-        source_x = _as_matrix(source_x, "source features")
-        target_x = _as_matrix(target_x, "target features")
-        source_y = np.asarray(source_y, dtype=np.int64)
-        if source_y.ndim != 1:
-            raise DataError("source labels must be 1-d")
-        if source_x.shape[0] != source_y.shape[0]:
-            raise DataError(
-                f"source has {source_x.shape[0]} rows but {source_y.shape[0]} labels"
-            )
-        if source_x.shape[1] != target_x.shape[1]:
-            raise DataError(
-                f"feature width mismatch: source {source_x.shape[1]}, "
-                f"target {target_x.shape[1]}"
-            )
-        if n_classes < 2:
-            raise DataError("need at least two classes")
-        if source_y.min() < 0 or source_y.max() >= n_classes:
-            raise DataError("source labels outside [0, n_classes)")
-        counts = np.bincount(source_y, minlength=n_classes)
-        if (counts == 0).any():
-            missing = int(np.flatnonzero(counts == 0)[0])
-            raise DataError(f"class {missing} has no source samples")
+        self._stack(
+            _as_matrix(source_x, "source features"),
+            source_y,
+            _as_matrix(target_x, "target features"),
+            n_classes,
+        )
+
+    @classmethod
+    def _of_read_matrices(cls, source_x, source_y, target_x, n_classes: int) -> DomainPair:
+        """A pair of two matrices from ``read_matrix``, which has already
+        checked them, so they are not scanned a second time."""
+        pair = cls.__new__(cls)
+        pair._stack(source_x, source_y, target_x, n_classes)
+        return pair
+
+    def _stack(self, source_x, source_y, target_x, n_classes: int) -> None:
+        self.source_y = check_task(source_x, source_y, target_x, n_classes)
         self.x = np.concatenate([source_x, target_x])
         self.x.flags.writeable = False
         self.n_source = source_x.shape[0]
-        self.source_y = source_y
         self.n_classes = n_classes
 
     @property
@@ -188,17 +211,17 @@ class DomainPair:
         return self.x.shape[0] - self.n_source
 
 
-def validate_eval_labels(labels, pair: DomainPair, context: str) -> np.ndarray:
+def validate_eval_labels(labels, n_target: int, n_classes: int, context: str) -> np.ndarray:
     """Held-out target labels as int64: one per target row, each in
     [0, n_classes)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (pair.n_target,):
+    if labels.shape != (n_target,):
         raise DataError(
             f"{context}: shape {labels.shape}, expected one label per target row "
-            f"({pair.n_target},)"
+            f"({n_target},)"
         )
-    if labels.min() < 0 or labels.max() >= pair.n_classes:
-        raise DataError(f"{context}: label outside [0, {pair.n_classes})")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise DataError(f"{context}: label outside [0, {n_classes})")
     return labels
 
 
@@ -330,9 +353,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _resolve_task_paths(
+def resolve_task_paths(
     config: ExperimentConfig, task: str | None
 ) -> tuple[Path, Path, Path, Path | None]:
+    """(source features, source labels, target features, target labels or
+    None) of a registry task, or of the config's direct pair when task is
+    None."""
     if task is None:
         if config.source_features is None or config.source_labels is None:
             raise ConfigError("config does not define source_features/source_labels")
@@ -359,19 +385,21 @@ def _resolve_task_paths(
 
 def load_domain_pair(config: ExperimentConfig, task: str | None = None) -> DomainPair:
     """Assemble the training-visible portion of a task (never target labels)."""
-    src_x_path, src_y_path, tgt_x_path, _ = _resolve_task_paths(config, task)
+    src_x_path, src_y_path, tgt_x_path, _ = resolve_task_paths(config, task)
     source_x = read_matrix(src_x_path)
     source_y = read_labels(src_y_path)
     target_x = read_matrix(tgt_x_path)
     n_classes = int(source_y.max()) + 1
-    return DomainPair(source_x, source_y, target_x, n_classes)
+    return DomainPair._of_read_matrices(source_x, source_y, target_x, n_classes)
 
 
 def load_eval_labels(
     config: ExperimentConfig, pair: DomainPair, task: str | None = None
 ) -> np.ndarray | None:
     """Load held-out target labels for scoring, or None when unavailable."""
-    _, _, _, tgt_y_path = _resolve_task_paths(config, task)
+    _, _, _, tgt_y_path = resolve_task_paths(config, task)
     if tgt_y_path is None:
         return None
-    return validate_eval_labels(read_labels(tgt_y_path), pair, str(tgt_y_path))
+    return validate_eval_labels(
+        read_labels(tgt_y_path), pair.n_target, pair.n_classes, str(tgt_y_path)
+    )

@@ -17,8 +17,15 @@ With means mu_g = s_g / n_g:
 - same-label Laplacian: R' diag(n_{y_r}) R - sum_c s_c s_c', where R holds
   the source and the selected target rows and s_c sums class c over both
 
-So building T costs O(n m^2) time and O(m^2 + C m) memory.  Unselected
-target samples enter only the marginal distribution term.
+Everything that involves the source rows alone is fixed for a task: the
+source class counts and sums, the source Gram Xs'Xs, one Gram G_c per source
+class (so the source half of the Laplacian is sum_c n_c G_c for the current
+two-sided counts n_c) and the gap between the two domains' mean rows.
+``source_moments`` computes them once per task, and every step's
+``build_objective_matrices`` reads them and touches only the selected target
+rows.  A step thus costs O(n_t m^2 + C m^2) time; the moments hold
+O(C m^2) numbers.  Unselected target samples enter only the marginal
+distribution term.
 """
 
 from __future__ import annotations
@@ -88,6 +95,43 @@ class JointLabeling:
     @property
     def n_total(self) -> int:
         return self.n_source + self.n_target
+
+
+@dataclass(frozen=True)
+class SourceMoments:
+    """The source-side terms of every step's objective (see the module
+    docstring): per-class counts (C,) and row sums (C, m), the source Gram
+    (m, m), the per-class source Grams (C, m, m), and the mean source row
+    minus the mean target row (m,)."""
+
+    counts: np.ndarray
+    sums: np.ndarray
+    gram: np.ndarray
+    class_grams: np.ndarray
+    marginal_gap: np.ndarray
+
+
+def source_moments(features: np.ndarray, source_y: np.ndarray, n_classes: int) -> SourceMoments:
+    """Moments of the first len(source_y) rows of features, the source rows
+    labeled source_y; the remaining rows are the target.  A source with a
+    single class has no complement for the center push and is a
+    configuration error."""
+    xs = features[: source_y.shape[0]]
+    counts, sums = class_moments(xs, source_y, n_classes)
+    only = np.flatnonzero((counts > 0) & (counts == source_y.shape[0]))
+    if only.size:
+        raise ConfigError(f"source contains only class {only[0]}: empty complement")
+    class_grams = np.empty((n_classes, xs.shape[1], xs.shape[1]))
+    for cls in range(n_classes):
+        rows = xs[source_y == cls]
+        class_grams[cls] = rows.T @ rows
+    return SourceMoments(
+        counts=counts,
+        sums=sums,
+        gram=xs.T @ xs,
+        class_grams=class_grams,
+        marginal_gap=xs.mean(axis=0) - features[source_y.shape[0] :].mean(axis=0),
+    )
 
 
 @dataclass
@@ -165,18 +209,19 @@ def compose_objective(
 def build_objective_matrices(
     labeling: JointLabeling,
     features: np.ndarray,
+    source: SourceMoments,
     params: Hyperparams,
     components: tuple[str, ...] = KNOWN_COMPONENTS,
 ) -> ObjectiveMatrices:
     """Build every m×m term X'QX for the current labeling and compose them.
 
-    features stacks the source rows, then the target rows.  Source samples
-    use true labels, selected target samples pseudo labels.  The center push
-    weighs each class's squared distance to the rest of its domain by its
-    count; the cross push compares a class mean with the opposite domain's
-    other-class mean.  A single-class source has no complement and is a
-    configuration error; on the target side early curriculum stages can
-    leave a class empty or complement-less, so those blocks are skipped and
+    features stacks the source rows, then the target rows; source holds
+    their ``source_moments`` for labeling.source.  Source samples use true
+    labels, selected target samples pseudo labels.  The center push weighs
+    each class's squared distance to the rest of its domain by its count;
+    the cross push compares a class mean with the opposite domain's
+    other-class mean.  On the target side early curriculum stages can leave
+    a class empty or complement-less, so those blocks are skipped and
     reported in ``skipped``.
     """
     if not labeling.selected.any():
@@ -184,15 +229,15 @@ def build_objective_matrices(
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != labeling.n_total:
         raise ConfigError(f"features are {x.shape}, expected ({labeling.n_total}, m)")
-    xs = x[: labeling.n_source]
-    xt = x[labeling.n_source :]
-    xt_sel = xt[labeling.selected]
+    if source.sums.shape != (labeling.n_classes, x.shape[1]):
+        raise ConfigError(
+            f"source moments are for {source.sums.shape}, expected "
+            f"({labeling.n_classes}, {x.shape[1]})"
+        )
+    xt_sel = x[labeling.n_source :][labeling.selected]
     y_sel = labeling.target[labeling.selected]
-    n_src, s_src = class_moments(xs, labeling.source, labeling.n_classes)
+    n_src, s_src = source.counts, source.sums
     n_tgt, s_tgt = class_moments(xt_sel, y_sel, labeling.n_classes)
-    only = np.flatnonzero((n_src > 0) & (n_src == labeling.n_source))
-    if only.size:
-        raise ConfigError(f"source contains only class {only[0]}: empty complement")
 
     n_sel = n_tgt.sum()
     mean_src = _means(s_src, n_src)
@@ -202,17 +247,17 @@ def build_objective_matrices(
     both = ((n_src > 0) & (n_tgt > 0)).astype(float)
     tgt_has_rest = n_tgt < n_sel
 
-    within = xs.T @ xs + xt_sel.T @ xt_sel
+    within = source.gram + xt_sel.T @ xt_sel
     within -= _weighted_outer(mean_src, n_src) + _weighted_outer(mean_tgt, n_tgt)
     push = _weighted_outer(mean_src - rest_src, n_src)
     push += _weighted_outer(mean_tgt - rest_tgt, np.where(tgt_has_rest, n_tgt, 0))
-    marginal = xs.mean(axis=0) - xt.mean(axis=0)
-    mmd = np.outer(marginal, marginal) + _weighted_outer(mean_src - mean_tgt, both)
+    gap = source.marginal_gap
+    mmd = np.outer(gap, gap) + _weighted_outer(mean_src - mean_tgt, both)
     cross_st = _weighted_outer(mean_src - rest_tgt, both * tgt_has_rest)
     cross_ts = _weighted_outer(mean_tgt - rest_src, both)
     n_cls = n_src + n_tgt
     s_cls = s_src + s_tgt
-    laplacian = (xs * n_cls[labeling.source, None]).T @ xs
+    laplacian = np.tensordot(n_cls, source.class_grams, axes=1)
     laplacian += (xt_sel * n_cls[y_sel, None]).T @ xt_sel
     laplacian -= s_cls.T @ s_cls
 

@@ -223,6 +223,15 @@ def random_instance(
     )
 
 
+def _build(
+    labeling: JointLabeling, features: np.ndarray, params: Hyperparams
+) -> objectives.ObjectiveMatrices:
+    """The term matrices of one labeling, with the source moments taken from
+    the same features."""
+    moments = objectives.source_moments(features, labeling.source, labeling.n_classes)
+    return objectives.build_objective_matrices(labeling, features, moments, params)
+
+
 def _rel_err(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
@@ -266,7 +275,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
         sel = inst.selected
         xt_sel = inst.xt[sel]
         yt_sel = inst.yt[sel]
-        terms = objectives.build_objective_matrices(labeling, f, Hyperparams())
+        terms = _build(labeling, f, Hyperparams())
 
         expected = oracle_within_scatter(p, inst.xs, inst.ys)
         if sel.any():
@@ -317,9 +326,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
             bal = _balanced_subinstance(inst)
             n_sc = bal.xs.shape[0] // labeling.n_classes
             n_tc = bal.xt.shape[0] // labeling.n_classes
-            bal_terms = objectives.build_objective_matrices(
-                bal.labeling, bal.features, Hyperparams()
-            )
+            bal_terms = _build(bal.labeling, bal.features, Hyperparams())
             conditional = trace_form(bal_terms.mmd, p) - oracle_marginal_mmd(p, bal.xs, bal.xt)
             value = (1.0 - beta) * trace_form(bal_terms.within_class, p)
             value += (n_sc + n_tc) * conditional
@@ -335,7 +342,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
             eta=float(rng.uniform(0, 2)),
             delta=1.0,
         )
-        parts = objectives.build_objective_matrices(labeling, f, params)
+        parts = _build(labeling, f, params)
         manual = (
             parts.within_class
             - params.beta * parts.center_push
@@ -345,7 +352,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
         )
         record("composition", float(np.abs(parts.combined - manual).max()))
         # a shared translation of every row moves no distance
-        shifted = objectives.build_objective_matrices(labeling, f + 1.0, params)
+        shifted = _build(labeling, f + 1.0, params)
         for name in (
             "within_class",
             "center_push",

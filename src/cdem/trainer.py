@@ -1,15 +1,20 @@
 """Alternating optimization: solve for a projection, relabel, reselect.
 
 A run works on one feature matrix: the source rows followed by the target
-rows, as ``DomainPair.x`` stores them.  It replaces that matrix once by its
-PCA scores, fit on both domains together, and bootstraps pseudo labels from
-a source-only prototype classifier in that space.  It then alternates for a
-fixed number of steps between (a) solving the generalized eigenproblem for
-the current labeling and (b) refreshing pseudo labels and the curriculum
-selection in the new subspace.  Each domain's rows are row slices of the
-joint matrix, never separate copies.  True target labels never enter any of
-these steps; when provided they are used solely to score predictions per
-step."""
+rows, as ``DomainPair.x`` stores them.  ``prepare_task`` does everything
+that depends only on those rows, the source labels, ``pca_dim`` and
+``normalize``: it replaces the matrix by its PCA scores, fit on both
+domains together (unit-length rows when ``normalize`` is on), factors the
+label-free constraint B = X'HX once, and computes the source-side moments of
+the objective.  Methods, ablation stages and grid points that differ only in
+their weights or components share one ``PreparedTask``.  ``run_adaptation``
+then bootstraps pseudo labels from a source-only prototype classifier in
+that space and alternates for a fixed number of steps between (a) solving
+the generalized eigenproblem for the current labeling and (b) refreshing
+pseudo labels and the curriculum selection in the new subspace.  Each
+domain's rows are row slices of the joint matrix, never separate copies.
+True target labels never enter any of these steps; when provided they are
+used solely to score predictions per step."""
 
 from __future__ import annotations
 
@@ -20,10 +25,21 @@ import numpy as np
 
 from . import curriculum
 from .curriculum import combined_pseudo_labels
-from .eigsolve import TransformSolution, assemble_operands, solve_generalized
-from .errors import CdemError, NumericError
+from .eigsolve import (
+    FactoredConstraint,
+    TransformSolution,
+    assemble_operands,
+    solve_generalized,
+)
+from .errors import CdemError, ConfigError, NumericError
 from .matio import DomainPair, ExperimentConfig, validate_eval_labels, write_matrix
-from .objectives import JointLabeling, ObjectiveMatrices, build_objective_matrices
+from .objectives import (
+    JointLabeling,
+    ObjectiveMatrices,
+    SourceMoments,
+    build_objective_matrices,
+    source_moments,
+)
 from .preprocess import fit_pca, normalize_rows
 from .prototype import (
     class_moments,
@@ -75,11 +91,81 @@ class AdaptationResult:
     source_labels: np.ndarray
 
 
-def preprocess_pair(pair: DomainPair, config: ExperimentConfig) -> np.ndarray:
-    """PCA scores of pair.x, followed by optional unit-length row
-    normalization: (n_source + n_target) × pca_dim, source rows first."""
-    z = fit_pca(pair.x, config.pca_dim)
-    return normalize_rows(z) if config.normalize else z
+@dataclass(frozen=True)
+class PreparedTask:
+    """What every run on one task shares: the (n_source + n_target) × m
+    read-only features (PCA scores, source rows first), the source labels,
+    the factored constraint B = X'HX of the features and the source-side
+    moments of the objective.  ``normalize`` records whether the rows were
+    scaled to unit length; m is the ``pca_dim`` they were prepared with."""
+
+    features: np.ndarray
+    n_source: int
+    source_y: np.ndarray
+    n_classes: int
+    normalize: bool
+    constraint: FactoredConstraint
+    moments: SourceMoments
+
+    @property
+    def n_target(self) -> int:
+        return self.features.shape[0] - self.n_source
+
+
+def preprocess_rows(
+    x: np.ndarray, config: ExperimentConfig
+) -> tuple[np.ndarray, FactoredConstraint]:
+    """The label-free part of preparing a task: PCA scores of the stacked
+    rows x, unit-length when config.normalize is on, plus their factored
+    constraint B = X'HX.  A task and its reverse stack the same rows, so a
+    suite computes this once per unordered domain pair."""
+    features = fit_pca(x, config.pca_dim)
+    if config.normalize:
+        features = normalize_rows(features)
+    return features, assemble_operands(features)
+
+
+def label_task(
+    features: np.ndarray,
+    constraint: FactoredConstraint,
+    source_y: np.ndarray,
+    n_classes: int,
+    config: ExperimentConfig,
+) -> PreparedTask:
+    """The prepared task whose first len(source_y) rows of features (from
+    ``preprocess_rows`` on the same rows, in any row order) are the source,
+    labeled source_y."""
+    features.flags.writeable = False
+    return PreparedTask(
+        features=features,
+        n_source=source_y.shape[0],
+        source_y=source_y,
+        n_classes=n_classes,
+        normalize=config.normalize,
+        constraint=constraint,
+        moments=source_moments(features, source_y, n_classes),
+    )
+
+
+def prepare_task(pair: DomainPair, config: ExperimentConfig) -> PreparedTask:
+    """Prepare pair once for any number of runs that share its pca_dim and
+    normalize settings."""
+    features, constraint = preprocess_rows(pair.x, config)
+    return label_task(features, constraint, pair.source_y, pair.n_classes, config)
+
+
+def as_prepared(task: DomainPair | PreparedTask, config: ExperimentConfig) -> PreparedTask:
+    """task itself when already prepared (with config's pca_dim and
+    normalize), else ``prepare_task(task, config)``."""
+    if isinstance(task, DomainPair):
+        return prepare_task(task, config)
+    prepared_as = (task.features.shape[1], task.normalize)
+    if prepared_as != (config.pca_dim, config.normalize):
+        raise ConfigError(
+            f"task prepared with (pca_dim, normalize) = {prepared_as}, config asks for "
+            f"{(config.pca_dim, config.normalize)}"
+        )
+    return task
 
 
 def evaluate_cross_domain_errors(
@@ -133,26 +219,29 @@ def _dump_iteration(
 
 
 def run_adaptation(
-    pair: DomainPair,
+    pair: DomainPair | PreparedTask,
     config: ExperimentConfig,
     eval_labels: np.ndarray | None = None,
     dump_dir: str | Path | None = None,
 ) -> AdaptationResult:
-    """Full alternating run; returns exactly config.iterations records."""
+    """Full alternating run on a pair, prepared here, or on a task prepared
+    beforehand; returns exactly config.iterations records."""
+    task = as_prepared(pair, config)
     if eval_labels is not None:
-        eval_labels = validate_eval_labels(eval_labels, pair, "evaluation labels")
+        eval_labels = validate_eval_labels(
+            eval_labels, task.n_target, task.n_classes, "evaluation labels"
+        )
     params = config.hyperparams
     total = config.iterations
-    features = preprocess_pair(pair, config)
-    n_source = pair.n_source
-    constraint = assemble_operands(features)
+    features = task.features
+    n_source = task.n_source
     delta_identity = params.delta * np.eye(features.shape[1])
 
     # Bootstrap in the identity projection: source prototypes classify the
     # preprocessed targets, and that one distribution stands for both
     # classifiers.
     p_source = class_probabilities(
-        fit_prototypes(features[:n_source], pair.source_y, pair.n_classes),
+        fit_prototypes(features[:n_source], task.source_y, task.n_classes),
         features[n_source:],
     )
     table = combined_pseudo_labels(p_source, p_source, 1, total)
@@ -164,21 +253,21 @@ def run_adaptation(
     for step in range(1, total + 1):
         try:
             labeling = JointLabeling(
-                source=pair.source_y,
+                source=task.source_y,
                 target=table.label,
                 selected=state.selected,
-                n_classes=pair.n_classes,
+                n_classes=task.n_classes,
             )
             parts = build_objective_matrices(
-                labeling, features, params, components=config.components
+                labeling, features, task.moments, params, components=config.components
             )
             a = parts.combined + delta_identity
-            solution = solve_generalized(a, constraint, config.subspace_dim)
+            solution = solve_generalized(a, task.constraint, config.subspace_dim)
             projected = features @ solution.projection
             zs = projected[:n_source]
             zt = projected[n_source:]
 
-            source_centers = fit_prototypes(zs, pair.source_y, pair.n_classes)
+            source_centers = fit_prototypes(zs, task.source_y, task.n_classes)
             cluster_centers, _, _ = target_kmeans(zt, source_centers)
 
             p_source = class_probabilities(source_centers, zt)
@@ -191,7 +280,9 @@ def run_adaptation(
             if not np.isfinite(objective):
                 raise NumericError("objective value is not finite")
             if dump_dir is not None:
-                _dump_iteration(Path(dump_dir), step, parts, (a, constraint.shifted), solution)
+                _dump_iteration(
+                    Path(dump_dir), step, parts, (a, task.constraint.shifted), solution
+                )
 
             agreement = float(np.mean(table.label == prev_labels))
             prev_labels = table.label
@@ -199,7 +290,7 @@ def run_adaptation(
             if eval_labels is not None:
                 accuracy = float(np.mean(table.label == eval_labels) * 100.0)
             errors = evaluate_cross_domain_errors(
-                zs, pair.source_y, source_centers, zt, table.label, eval_labels
+                zs, task.source_y, source_centers, zt, table.label, eval_labels
             )
             records.append(
                 IterationRecord(
@@ -226,5 +317,5 @@ def run_adaptation(
         selected=state.selected,
         source_embedding=zs[:, :embed_cols].copy(),
         target_embedding=zt[:, :embed_cols].copy(),
-        source_labels=pair.source_y.copy(),
+        source_labels=task.source_y.copy(),
     )

@@ -22,11 +22,11 @@ import pytest
 from cdem import bench, curriculum, selftest
 from cdem.cli import main
 from cdem.curriculum import combined_pseudo_labels
-from cdem.eigsolve import assemble_operands, solve_generalized
+from cdem.eigsolve import solve_generalized
 from cdem.matio import ExperimentConfig, load_config
 from cdem.objectives import Hyperparams, JointLabeling, build_objective_matrices
 from cdem.synth import standard_shift_spec, generate, write_dataset
-from cdem.trainer import preprocess_pair
+from cdem.trainer import prepare_task
 
 OFFICE_ENV = "CDEM_OFFICE_CALTECH_CONFIG"
 # expected average accuracy over the 12 standard DeCaf6 tasks; externally
@@ -78,7 +78,8 @@ def test_eigensolver_matches_reference():
 def test_projection_satisfies_variance_constraint():
     pair, labels = generate(standard_shift_spec())
     config = _reference_config()
-    features = preprocess_pair(pair, config)
+    task = prepare_task(pair, config)
+    features = task.features
     labeling = JointLabeling(
         source=pair.source_y,
         target=labels,
@@ -86,9 +87,9 @@ def test_projection_satisfies_variance_constraint():
         n_classes=pair.n_classes,
     )
     params = Hyperparams(beta=0.1, lam=0.1, gamma=0.1, eta=0.1, delta=0.1)
-    parts = build_objective_matrices(labeling, features, params)
+    parts = build_objective_matrices(labeling, features, task.moments, params)
     a = parts.combined + params.delta * np.eye(features.shape[1])
-    solution = solve_generalized(a, assemble_operands(features), config.subspace_dim)
+    solution = solve_generalized(a, task.constraint, config.subspace_dim)
     centered = features - features.mean(axis=0)
     gram = solution.projection.T @ (centered.T @ centered) @ solution.projection
     worst = float(np.abs(gram - np.eye(config.subspace_dim)).max())

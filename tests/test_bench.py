@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cdem import bench
+from cdem.cli import main
 from cdem.errors import ConfigError
 from cdem.matio import (
     DatasetEntry,
@@ -16,8 +17,12 @@ from cdem.matio import (
     ExperimentConfig,
     load_config,
     read_labels,
+    read_matrix,
+    write_labels,
+    write_matrix,
 )
 from cdem.synth import ShiftSpec, generate, write_dataset
+from cdem.trainer import preprocess_rows
 
 
 def _separable_pair(seed=0, n=40, dims=4):
@@ -156,6 +161,9 @@ def test_grid_rejects_bad_params(tmp_path):
     config = load_config(paths["config"])
     with pytest.raises(ConfigError):
         bench.run_grid(config, ["iterations"], [None])
+    # a repeated name would sweep 6x the points with two always-equal columns
+    with pytest.raises(ConfigError, match=r"^cannot sweep \['beta'\] more than once$"):
+        bench.run_grid(config, ["beta", "lambda", "beta"], [None])
 
 
 def test_grid_requires_labels(tmp_path):
@@ -231,3 +239,85 @@ def test_safe_name_sanitizes():
     assert bench._safe_name("A-B") == "A-B"
     assert bench._safe_name("erm+da") == "erm+da"
     assert bench._safe_name("a/b c") == "a-b-c"
+
+
+def _registry(root, labeled=("A", "B", "C")):
+    """Three small domains of 40, 45 and 50 rows; a domain not in labeled
+    has no label file."""
+    lines = ["pca_dim=6", "subspace_dim=3", "iterations=3"]
+    for index, (name, rotation) in enumerate((("A", 0.0), ("B", 25.0), ("C", -30.0))):
+        spec = ShiftSpec(classes=3, n_per_domain=40 + 5 * index, dims=8, separation=6.0,
+                         rotation_deg=rotation, translation=(0.5 * index,), seed=index)
+        pair, labels = generate(spec)
+        write_matrix(pair.target_x, root / f"{name}_x.cdm")
+        lines.append(f"dataset.{name}.features={name}_x.cdm")
+        if name in labeled:
+            write_labels(labels, root / f"{name}_y.txt")
+            lines.append(f"dataset.{name}.labels={name}_y.txt")
+    (root / "config.txt").write_text("\n".join(lines) + "\n")
+    return root / "config.txt"
+
+
+@pytest.mark.parametrize(
+    "argv, prepared",
+    [
+        (["run", "--task", "all"], 3),  # six tasks, three unordered pairs
+        (["run", "--task", "A-B", "--ablation", "--with-baseline"], 1),  # five methods
+        (["grid", "--task", "A-B", "--task", "C-A", "--params", "beta"], 2),  # six points
+    ],
+    ids=["suite", "ablation", "grid"],
+)
+def test_pca_and_constraint_factored_once_per_domain_pair(tmp_path, monkeypatch, argv, prepared):
+    import cdem.trainer as trainer_mod
+
+    calls = []
+    fit_pca, cholesky = trainer_mod.fit_pca, np.linalg.cholesky
+
+    def counting_fit_pca(*args, **kwargs):
+        calls.append("fit_pca")
+        return fit_pca(*args, **kwargs)
+
+    def counting_cholesky(*args, **kwargs):
+        calls.append("cholesky")
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "fit_pca", counting_fit_pca)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    config = _registry(tmp_path)
+    command, *rest = argv
+    assert main([command, "--config", str(config), *rest, "--out", str(tmp_path / "out")]) == 0
+    assert calls.count("fit_pca") == calls.count("cholesky") == prepared
+
+
+def test_reverse_task_takes_the_pair_rows_swapped(tmp_path):
+    # A sorts first and has no label file, so A-B is no task; B-A still
+    # stacks A's rows first and swaps the two blocks afterwards.
+    config = load_config(_registry(tmp_path, labeled=("B", "C")))
+    alone = bench.load_tasks(config, ["B-A"])["B-A"].prepare(config)
+    a, b = (read_matrix(tmp_path / f"{name}_x.cdm") for name in "AB")
+    features, constraint = preprocess_rows(np.concatenate([a, b]), config)
+    n_a = a.shape[0]
+    assert alone.n_source == b.shape[0] and alone.n_target == n_a
+    assert np.array_equal(alone.features, np.concatenate([features[n_a:], features[:n_a]]))
+    assert np.array_equal(alone.constraint.whiten, constraint.whiten)
+    assert not alone.features.flags.writeable
+    in_suite = bench.load_tasks(config, bench.expand_tasks(config, ["all"]))["B-A"]
+    assert np.array_equal(in_suite.prepare(config).features, alone.features)
+
+
+def test_reverse_task_bytes_independent_of_suite_and_workers(tmp_path, monkeypatch):
+    config = _registry(tmp_path, labeled=("B", "C"))
+    seen = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv(bench.ENV_THREADS, workers)
+        for name, tasks in (("alone", ["--task", "B-A"]), ("all", ["--task", "all"])):
+            out = tmp_path / f"{name}{workers}"
+            assert main(["run", "--config", str(config), *tasks, "--out", str(out)]) == 0
+            results = json.loads((out / "report.json").read_text())["results"]
+            entry = next(r for r in results if r["task"] == "B-A")
+            seen[name, workers] = (
+                json.dumps(entry, sort_keys=True),
+                (out / "B-A_cdem_predictions.txt").read_bytes(),
+                (out / "B-A_cdem_embedding.csv").read_bytes(),
+            )
+    assert len(set(seen.values())) == 1

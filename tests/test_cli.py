@@ -266,6 +266,18 @@ def test_readme_synopsis_lists_every_long_option():
     assert documented == accepted
 
 
+def test_readme_python_api_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Python API\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "demo"]) == 0
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    result, pair = namespace["result"], namespace["pair"]
+    assert result.predictions.shape == (pair.n_target,)
+    assert namespace["task"].features.shape == (pair.x.shape[0], namespace["config"].pca_dim)
+
+
 def test_seed_override_changes_dataset(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -230,6 +230,8 @@ def test_domain_pair_validation():
         DomainPair(xs, [0, 1, 0, 1], np.zeros((2, 4)), 2)  # width mismatch
     with pytest.raises(DataError):
         DomainPair(xs, [0, 0, 0, 0], xt, 1)  # single class
+    with pytest.raises(DataError, match="^target features: matrix contains NaN"):
+        DomainPair(xs, [0, 1, 0, 1], np.array([[0.0, np.nan, 0.0]] * 2), 2)
 
 
 def test_domain_pair_rows_are_read_only_views_of_one_matrix():
@@ -283,6 +285,37 @@ def test_config_parse_and_load(tmp_path):
     assert pair.n_source == 6 and pair.n_target == 5 and pair.n_classes == 2
     labels = load_eval_labels(config, pair)
     assert labels is not None and labels.tolist() == [0, 1, 0, 1, 0]
+
+
+def test_each_loaded_matrix_scanned_for_finiteness_once(tmp_path, monkeypatch):
+    from cdem import bench
+
+    _write_task(tmp_path)
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(
+        "source_features=xs.cdm\nsource_labels=ys.txt\ntarget_features=xt.cdm\n"
+        "pca_dim=4\nsubspace_dim=2\n"
+    )
+    config = load_config(cfg_path)
+    scanned = []
+    isfinite = np.isfinite
+
+    def recording_isfinite(arr, *args, **kwargs):
+        scanned.append(np.shape(arr))
+        return isfinite(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recording_isfinite)
+    for load in (load_domain_pair, lambda config: bench.load_tasks(config, [None])):
+        scanned.clear()
+        load(config)
+        assert [s for s in scanned if s in ((6, 4), (5, 4))] == [(6, 4), (5, 4)]
+    # the one scan still rejects a NaN, on both paths
+    raw = bytearray((tmp_path / "xt.cdm").read_bytes())
+    raw[-8:] = np.array([np.nan]).tobytes()
+    (tmp_path / "xt.cdm").write_bytes(bytes(raw))
+    for load in (load_domain_pair, lambda config: bench.load_tasks(config, [None])):
+        with pytest.raises(DataError, match="xt.cdm: matrix contains NaN"):
+            load(config)
 
 
 def test_config_rejects_unknown_and_duplicate_keys(tmp_path):

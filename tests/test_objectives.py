@@ -13,6 +13,7 @@ from cdem.objectives import (
     JointLabeling,
     build_objective_matrices,
     compose_objective,
+    source_moments,
 )
 
 TERMS = ("within_class", "center_push", "mmd", "cross_st", "cross_ts", "laplacian", "combined")
@@ -25,10 +26,15 @@ def _labeling(source, target, selected=None, n_classes=2):
     return JointLabeling(np.asarray(source), target, selected, n_classes)
 
 
+def _build(lab, features, params):
+    moments = source_moments(features, lab.source, lab.n_classes)
+    return build_objective_matrices(lab, features, moments, params)
+
+
 def _terms(source, target, selected=None, n_classes=2):
     # identity features make every m×m term X'QX the coefficient matrix Q
     lab = _labeling(source, target, selected, n_classes)
-    return build_objective_matrices(lab, np.eye(lab.n_total), Hyperparams())
+    return _build(lab, np.eye(lab.n_total), Hyperparams())
 
 
 def test_within_class_two_samples_same_class():
@@ -125,7 +131,7 @@ def test_compose_zero_weights_gives_within_class():
     rng = np.random.default_rng(4)
     lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6), n_classes=2)
     params = Hyperparams(beta=0.0, lam=0.0, gamma=0.0, eta=0.0, delta=0.0)
-    parts = build_objective_matrices(lab, np.eye(lab.n_total), params)
+    parts = _build(lab, np.eye(lab.n_total), params)
     assert np.array_equal(parts.combined, parts.within_class)
 
 
@@ -133,7 +139,7 @@ def test_compose_distribution_only():
     rng = np.random.default_rng(5)
     lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6), n_classes=2)
     params = Hyperparams(beta=0.0, lam=1.0, gamma=0.0, eta=0.0, delta=0.0)
-    parts = build_objective_matrices(lab, np.eye(lab.n_total), params)
+    parts = _build(lab, np.eye(lab.n_total), params)
     assert np.allclose(parts.combined, parts.within_class + parts.mmd)
 
 
@@ -141,7 +147,7 @@ def test_compose_component_switches():
     rng = np.random.default_rng(6)
     lab = _labeling(rng.integers(0, 3, 10), rng.integers(0, 3, 9), n_classes=3)
     params = Hyperparams(beta=0.3, lam=0.7, gamma=0.2, eta=0.4, delta=1.0)
-    parts = build_objective_matrices(lab, np.eye(lab.n_total), params)
+    parts = _build(lab, np.eye(lab.n_total), params)
     erm_only = compose_objective(parts, params, components=("erm",))
     assert np.array_equal(erm_only, parts.within_class - 0.3 * parts.center_push)
     da = compose_objective(parts, params, components=("erm", "da"))
@@ -181,7 +187,7 @@ def _random_terms(seed, cases=10):
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         inst = selftest.random_instance(rng)
-        yield inst, build_objective_matrices(inst.labeling, inst.features, Hyperparams())
+        yield inst, _build(inst.labeling, inst.features, Hyperparams())
 
 
 def _assert_terms_close(parts, expected, tol, transform=lambda t: t):
@@ -207,7 +213,7 @@ def test_terms_invariant_under_row_permutation():
         pt = rng.permutation(inst.yt.shape[0])
         lab = JointLabeling(inst.ys[ps], inst.yt[pt], inst.selected[pt], inst.labeling.n_classes)
         features = np.vstack([inst.xs[ps], inst.xt[pt]])
-        permuted = build_objective_matrices(lab, features, Hyperparams())
+        permuted = _build(lab, features, Hyperparams())
         _assert_terms_close(permuted, parts, 1e-12)
 
 
@@ -217,7 +223,7 @@ def test_terms_invariant_under_class_relabeling():
         n_classes = inst.labeling.n_classes
         perm = rng.permutation(n_classes)
         lab = JointLabeling(perm[inst.ys], perm[inst.yt], inst.selected, n_classes)
-        relabeled = build_objective_matrices(lab, inst.features, Hyperparams())
+        relabeled = _build(lab, inst.features, Hyperparams())
         _assert_terms_close(relabeled, parts, 1e-10)
 
 
@@ -225,7 +231,7 @@ def test_terms_invariant_under_translation():
     rng = np.random.default_rng(80)
     for inst, parts in _random_terms(80):
         shift = rng.standard_normal(inst.features.shape[1])
-        moved = build_objective_matrices(inst.labeling, inst.features + shift, Hyperparams())
+        moved = _build(inst.labeling, inst.features + shift, Hyperparams())
         _assert_terms_close(moved, parts, 1e-10)
 
 
@@ -234,7 +240,7 @@ def test_terms_rotate_with_features():
     for inst, parts in _random_terms(81):
         m = inst.features.shape[1]
         rot, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        rotated = build_objective_matrices(inst.labeling, inst.features @ rot, Hyperparams())
+        rotated = _build(inst.labeling, inst.features @ rot, Hyperparams())
         _assert_terms_close(rotated, parts, 1e-10, transform=lambda t: rot.T @ t @ rot)
 
 
@@ -270,7 +276,7 @@ def test_two_gram_terms_match_per_class_grams():
     xs = rng.standard_normal((300, m)) + 2.0
     xt = rng.standard_normal((260, m)) - 1.0
     lab = JointLabeling(ys, yt, selected, n_classes)
-    parts = build_objective_matrices(lab, np.vstack([xs, xt]), Hyperparams())
+    parts = _build(lab, np.vstack([xs, xt]), Hyperparams())
     n_src = np.bincount(ys, minlength=n_classes)
     n_tgt = np.bincount(yt[selected], minlength=n_classes)
     assert (n_src[:5] == 0).all() and (n_tgt[5:10] == 0).all() and n_src[64] == n_tgt[64] == 0

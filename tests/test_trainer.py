@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cdem.preprocess import normalize_rows
 from cdem.prototype import fit_prototypes
 from cdem.selftest import oracle_marginal_mmd
 from cdem.synth import ShiftSpec, generate
-from cdem.trainer import evaluate_cross_domain_errors, preprocess_pair, run_adaptation
+from cdem.trainer import evaluate_cross_domain_errors, prepare_task, run_adaptation
 
 
 def _small_spec(seed=0, **over):
@@ -94,26 +95,26 @@ def test_identical_domains_align_exactly():
 
 
 def test_alignment_weight_reduces_domain_gap_term():
-    from cdem.eigsolve import assemble_operands, solve_generalized
+    from cdem.eigsolve import solve_generalized
     from cdem.objectives import Hyperparams, JointLabeling, build_objective_matrices
     from cdem.selftest import trace_form
 
     pair, labels = generate(_small_spec(translation=(1.5, -1.5)))
     config = _small_config()
-    features = preprocess_pair(pair, config)
+    task = prepare_task(pair, config)
+    features = task.features
     labeling = JointLabeling(
         source=pair.source_y,
         target=labels,
         selected=np.ones(pair.n_target, dtype=bool),
         n_classes=pair.n_classes,
     )
-    constraint = assemble_operands(features)
     gap_terms = []
     for lam in (0.0, 10.0):
         params = Hyperparams(beta=0.1, lam=lam, gamma=0.1, eta=0.1, delta=0.1)
-        parts = build_objective_matrices(labeling, features, params)
+        parts = build_objective_matrices(labeling, features, task.moments, params)
         a = parts.combined + params.delta * np.eye(features.shape[1])
-        solution = solve_generalized(a, constraint, 3)
+        solution = solve_generalized(a, task.constraint, 3)
         gap_terms.append(trace_form(parts.mmd, solution.projection))
     # both solves minimize over the same feasible frames, so the heavier
     # alignment weight cannot end up with a larger alignment term
@@ -193,6 +194,25 @@ def test_constraint_factored_once_per_run(monkeypatch):
     assert counts == {"cholesky": 1, "solve": 11}
 
 
+def test_prepared_task_runs_like_its_pair():
+    pair, labels = generate(_small_spec(seed=12))
+    config = _small_config()
+    task = prepare_task(pair, config)
+    assert not task.features.flags.writeable
+    assert (task.n_source, task.n_target) == (pair.n_source, pair.n_target)
+    direct = run_adaptation(pair, config, labels)
+    for run_config in (config, replace(config, beta=1.0, components=("erm", "da"))):
+        prepared = run_adaptation(task, run_config, labels)
+        fresh = run_adaptation(pair, run_config, labels)
+        assert np.array_equal(prepared.predictions, fresh.predictions)
+        assert np.array_equal(prepared.projection, fresh.projection)
+        assert [r.objective for r in prepared.records] == [r.objective for r in fresh.records]
+    assert np.array_equal(run_adaptation(task, config, labels).projection, direct.projection)
+    for other in (replace(config, pca_dim=5), replace(config, normalize=False)):
+        with pytest.raises(ConfigError, match="^task prepared with"):
+            run_adaptation(task, other)
+
+
 def test_residual_gate_carries_step_context(monkeypatch):
     import cdem.eigsolve as eigsolve_mod
     from cdem.errors import NumericError
@@ -231,13 +251,13 @@ def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
         parts = [(x - mean) @ basis for x in (pair.source_x, pair.target_x)]
         if normalize:
             parts = [normalize_rows(z) for z in parts]
-        assert np.array_equal(preprocess_pair(pair, config), np.vstack(parts))
+        assert np.array_equal(prepare_task(pair, config).features, np.vstack(parts))
         return
     u, singular, _ = np.linalg.svd(centered, full_matrices=False)
     ref = _positive_pivots(u[:, :m]) * singular[:m]
     if normalize:
         ref = normalize_rows(ref)
-    assert np.abs(preprocess_pair(pair, config) - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.abs(prepare_task(pair, config).features - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_preprocess_pair_peak_memory_below_one_and_a_half_pair_copies():
@@ -253,7 +273,7 @@ def test_preprocess_pair_peak_memory_below_one_and_a_half_pair_copies():
     tracemalloc.start()
     try:
         baseline, _ = tracemalloc.get_traced_memory()
-        preprocess_pair(pair, ExperimentConfig(pca_dim=128, subspace_dim=32))
+        prepare_task(pair, ExperimentConfig(pca_dim=128, subspace_dim=32))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
