@@ -9,7 +9,9 @@ stacked in sorted-name order, in a pool pass before any task runs.  A task
 whose source name sorts after its target's takes that pair's features with
 the two row blocks swapped and shares its factored constraint, so B-A gets
 the same bytes run alone as inside ``--task all``.  The raw feature matrices
-are dropped once every pair is prepared.
+are dropped once every pair is prepared.  A task's source-side moments are
+computed when it starts and released when it ends: a suite holds them for
+the tasks running on the pool, a grid for one task at a time.
 
 Reports are written as a compact CSV (one decimal accuracy, plus an average
 row per method) and a JSON file carrying full-precision accuracies and the
@@ -21,6 +23,7 @@ byte-identical report files under a fixed BLAS configuration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -39,11 +42,8 @@ from .matio import (
     WEIGHT_KEYS,
     DomainPair,
     ExperimentConfig,
-    check_task,
     load_domain_pair,  # noqa: F401 -- perfbench/run.py scores its reference through it
     load_eval_labels,  # noqa: F401 -- likewise
-    resolve_task_paths,
-    validate_eval_labels,
     write_labels,
 )
 from .prototype import class_probabilities, fit_prototypes
@@ -216,54 +216,42 @@ def _parallel_map(fn: Callable, items: list) -> list:
 def load_tasks(config: ExperimentConfig, tasks: list[str | None]) -> dict[str | None, LoadedTask]:
     """Read and check every task's inputs, then prepare each domain pair.
 
-    Each feature and label file is read once, however many tasks name it.
-    Every task runs the checks ``load_domain_pair`` and ``load_eval_labels``
-    run, in task order, with their messages, before any pair is prepared.
-    A registry task stacks its two domains in sorted-name order, so it and
-    its reverse share one ``preprocess_rows`` call; the config's direct pair
-    stacks source then target.  The read matrices are released on return.
+    Each task is read by ``matio.read_task``, with its checks and messages,
+    in task order and before any pair is prepared; each feature and label
+    file is read once, however many tasks name it.  A registry task stacks
+    its two domains in sorted-name order, so it and its reverse share one
+    ``preprocess_rows`` call, one pool item named by the pair in that order
+    ("A-B" for both A-B and B-A); the config's direct pair stacks source then
+    target.  The read matrices are released on return.
     """
-    matrices: dict[Path, np.ndarray] = {}
-    label_files: dict[Path, np.ndarray] = {}
-
-    # The readers are looked up on matio at call time, so a wrapper put on
-    # them there (perfbench's tracer) sees every read.
-    def matrix(path: Path) -> np.ndarray:
-        if path not in matrices:
-            matrices[path] = matio.read_matrix(path)
-        return matrices[path]
-
-    def labels(path: Path) -> np.ndarray:
-        if path not in label_files:
-            label_files[path] = matio.read_labels(path)
-        return label_files[path]
-
+    # matio's readers are looked up at call time, so a wrapper put on them
+    # there (perfbench's tracer) sees every read.
+    matrix = functools.cache(lambda path: matio.read_matrix(path))
+    labels = functools.cache(lambda path: matio.read_labels(path))
+    blocks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     checked = []
-    for task in tasks:
-        src_x, src_y, tgt_x, tgt_y = resolve_task_paths(config, task)
-        source_x, source_y, target_x = matrix(src_x), labels(src_y), matrix(tgt_x)
-        n_classes = int(source_y.max()) + 1
-        source_y = check_task(source_x, source_y, target_x, n_classes)
-        eval_labels = None
-        if tgt_y is not None:
-            eval_labels = validate_eval_labels(
-                labels(tgt_y), target_x.shape[0], n_classes, str(tgt_y)
-            )
-        src_name, _, tgt_name = (task or "").partition("-")
-        swapped = src_name > tgt_name
-        pair = (tgt_x, src_x) if swapped else (src_x, tgt_x)
-        checked.append((task, pair, swapped, source_y, n_classes, eval_labels))
+    for task in dict.fromkeys(tasks):
+        inputs = matio.read_task(config, task, matrix, labels)
+        eval_labels = matio.read_eval_labels(inputs.target_labels, inputs, labels)
+        source, _, target = (task or "").partition("-")
+        swapped = source > target
+        if swapped:
+            pair, first, second = f"{target}-{source}", inputs.target_x, inputs.source_x
+        else:
+            pair, first, second = task or "task", inputs.source_x, inputs.target_x
+        blocks.setdefault(pair, (first, second))
+        checked.append((task, pair, swapped, inputs.source_y, inputs.n_classes, eval_labels))
 
-    pairs = list(dict.fromkeys(pair for _, pair, *_ in checked))
+    pairs = list(blocks)
     prepared = _parallel_map(
-        lambda pair: preprocess_rows(np.concatenate([matrices[p] for p in pair]), config), pairs
+        lambda pair: preprocess_rows(np.concatenate(blocks[pair]), config), pairs
     )
     rows = dict(zip(pairs, prepared))
     return {
         task: LoadedTask(
-            name=task if task is not None else "task",
+            name=task or "task",
             rows=rows[pair],
-            n_first=matrices[pair[0]].shape[0],
+            n_first=blocks[pair][0].shape[0],
             swapped=swapped,
             source_y=source_y,
             n_classes=n_classes,
@@ -281,7 +269,8 @@ def run_task_suite(
 ) -> list[TaskResult]:
     """Run every method (see _run_method) on every task, in that order,
     parallelized across tasks (CDEM_THREADS caps workers).  Each task is
-    prepared once for all of its methods (see ``load_tasks``).
+    prepared once for all of its methods (see ``load_tasks``), on its
+    worker, and released when they are done.
 
     dump_dir, when given, receives each adaptation run's per-step matrices.
     Their file names carry neither task nor method, so pass it with a single
@@ -305,13 +294,16 @@ def run_grid(
     config: ExperimentConfig,
     param_names: list[str],
     tasks: list[str | None],
-    values: tuple[float, ...] = GRID_VALUES,
+    values: Sequence[float] = GRID_VALUES,
 ) -> list[tuple[dict[str, float], float]]:
     """Sweep the standard grid over the named weights; score by mean accuracy.
 
-    Requires evaluation labels for every task.  Every task is prepared once
-    and shared by all grid points.  Returns (assignment, mean accuracy) per
-    grid point, in deterministic sweep order.
+    Requires evaluation labels for every task.  The tasks are swept one
+    after another: each is prepared once, run at every grid point
+    (parallelized across points, CDEM_THREADS caps workers) and released
+    before the next, so one task's source moments are held at a time.
+    Returns (assignment, mean accuracy over the tasks) per grid point, in
+    deterministic sweep order.
     """
     bad = [p for p in param_names if p not in WEIGHT_KEYS]
     if bad:
@@ -319,25 +311,30 @@ def run_grid(
     repeated = sorted({p for p in param_names if param_names.count(p) > 1})
     if repeated:
         raise ConfigError(f"cannot sweep {repeated} more than once")
-    loaded = list(load_tasks(config, tasks).values())
-    if any(item.eval_labels is None for item in loaded):
+    loaded = load_tasks(config, tasks)
+    if any(item.eval_labels is None for item in loaded.values()):
         raise ConfigError("grid search needs target labels for every task")
-    prepared = [(item.name, item.prepare(config), item.eval_labels) for item in loaded]
-
-    def one_point(assignment: dict[str, float]) -> tuple[dict[str, float], float]:
-        fields = {WEIGHT_KEYS[k]: v for k, v in assignment.items()}
-        point_config = replace(config, **fields)
-        accs = [
-            run_adaptation_task(task, point_config, labels, task=name).accuracy
-            for name, task, labels in prepared
-        ]
-        return assignment, float(np.mean([a for a in accs if a is not None]))
-
     points = [
         dict(zip(param_names, combo))
         for combo in itertools.product(values, repeat=len(param_names))
     ]
-    return _parallel_map(one_point, points)
+
+    def sweep(item: LoadedTask) -> list[float | None]:
+        prepared = item.prepare(config)
+
+        def one_point(assignment: dict[str, float]) -> float | None:
+            fields = {WEIGHT_KEYS[k]: v for k, v in assignment.items()}
+            point_config = replace(config, **fields)
+            result = run_adaptation_task(prepared, point_config, item.eval_labels, task=item.name)
+            return result.accuracy
+
+        return _parallel_map(one_point, points)
+
+    per_task = [sweep(loaded[task]) for task in tasks]
+    return [
+        (assignment, float(np.mean([a for a in accs if a is not None])))
+        for assignment, accs in zip(points, zip(*per_task))
+    ]
 
 
 def _numpy_to_json(value):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
@@ -137,12 +137,12 @@ def write_labels(labels, path: str | Path) -> None:
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
 
 
-def check_task(source_x: np.ndarray, source_y, target_x: np.ndarray, n_classes: int) -> np.ndarray:
-    """Every check of a task's inputs but the per-matrix ones (2-d, not
-    empty, finite), which ``read_matrix`` or ``DomainPair`` make once per
-    matrix: one 1-d source label per source row, equal feature widths, at
-    least two classes, and every class in [0, n_classes) present in the
-    source.  Returns the source labels as int64."""
+def _check_task(source_x: np.ndarray, source_y, target_x: np.ndarray, n_classes: int) -> np.ndarray:
+    """The checks that tie a task's inputs together, for two matrices that
+    are already 2-d, non-empty and finite: one 1-d source label per source
+    row, equal feature widths, at least two classes, and every class in
+    [0, n_classes) present in the source.  Returns the source labels as
+    int64."""
     source_y = np.asarray(source_y, dtype=np.int64)
     if source_y.ndim != 1:
         raise DataError("source labels must be 1-d")
@@ -176,23 +176,9 @@ class DomainPair:
     """
 
     def __init__(self, source_x, source_y, target_x, n_classes: int) -> None:
-        self._stack(
-            _as_matrix(source_x, "source features"),
-            source_y,
-            _as_matrix(target_x, "target features"),
-            n_classes,
-        )
-
-    @classmethod
-    def _of_read_matrices(cls, source_x, source_y, target_x, n_classes: int) -> DomainPair:
-        """A pair of two matrices from ``read_matrix``, which has already
-        checked them, so they are not scanned a second time."""
-        pair = cls.__new__(cls)
-        pair._stack(source_x, source_y, target_x, n_classes)
-        return pair
-
-    def _stack(self, source_x, source_y, target_x, n_classes: int) -> None:
-        self.source_y = check_task(source_x, source_y, target_x, n_classes)
+        source_x = _as_matrix(source_x, "source features")
+        target_x = _as_matrix(target_x, "target features")
+        self.source_y = _check_task(source_x, source_y, target_x, n_classes)
         self.x = np.concatenate([source_x, target_x])
         self.x.flags.writeable = False
         self.n_source = source_x.shape[0]
@@ -211,17 +197,18 @@ class DomainPair:
         return self.x.shape[0] - self.n_source
 
 
-def validate_eval_labels(labels, n_target: int, n_classes: int, context: str) -> np.ndarray:
-    """Held-out target labels as int64: one per target row, each in
-    [0, n_classes)."""
+def validate_eval_labels(labels, pair, context: str) -> np.ndarray:
+    """Held-out target labels as int64: one per target row of pair, each in
+    [0, pair.n_classes).  pair is anything with ``n_target`` and
+    ``n_classes``, such as a ``DomainPair`` or a ``TaskInputs``."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n_target,):
+    if labels.shape != (pair.n_target,):
         raise DataError(
             f"{context}: shape {labels.shape}, expected one label per target row "
-            f"({n_target},)"
+            f"({pair.n_target},)"
         )
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise DataError(f"{context}: label outside [0, {n_classes})")
+    if labels.min() < 0 or labels.max() >= pair.n_classes:
+        raise DataError(f"{context}: label outside [0, {pair.n_classes})")
     return labels
 
 
@@ -353,12 +340,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def resolve_task_paths(
+def _resolve_task_paths(
     config: ExperimentConfig, task: str | None
 ) -> tuple[Path, Path, Path, Path | None]:
-    """(source features, source labels, target features, target labels or
-    None) of a registry task, or of the config's direct pair when task is
-    None."""
     if task is None:
         if config.source_features is None or config.source_labels is None:
             raise ConfigError("config does not define source_features/source_labels")
@@ -383,23 +367,62 @@ def resolve_task_paths(
     return src.features, src.labels, tgt.features, tgt.labels
 
 
+@dataclass(frozen=True)
+class TaskInputs:
+    """One task's training inputs as read and checked, unstacked: the two
+    feature matrices, the int64 source labels and n_classes, the largest
+    source label plus one.  target_labels is the task's target label file,
+    None when it has none; nothing here has read it."""
+
+    source_x: np.ndarray
+    source_y: np.ndarray
+    target_x: np.ndarray
+    n_classes: int
+    target_labels: Path | None
+
+    @property
+    def n_target(self) -> int:
+        return self.target_x.shape[0]
+
+
+def read_task(
+    config: ExperimentConfig,
+    task: str | None,
+    matrix_reader: Callable[[Path], np.ndarray],
+    label_reader: Callable[[Path], np.ndarray],
+) -> TaskInputs:
+    """Read registry task ``task`` (the config's direct pair when None) and
+    run every check ``DomainPair`` makes that ``read_matrix`` has not made.
+    The readers behave as ``read_matrix`` and ``read_labels``; a caller
+    that loads many tasks passes memoized ones, so a file named by several
+    tasks is read once."""
+    src_x_path, src_y_path, tgt_x_path, tgt_y_path = _resolve_task_paths(config, task)
+    source_x = matrix_reader(src_x_path)
+    source_y = label_reader(src_y_path)
+    target_x = matrix_reader(tgt_x_path)
+    n_classes = int(source_y.max()) + 1
+    source_y = _check_task(source_x, source_y, target_x, n_classes)
+    return TaskInputs(source_x, source_y, target_x, n_classes, tgt_y_path)
+
+
+def read_eval_labels(
+    path: Path | None, pair, label_reader: Callable[[Path], np.ndarray]
+) -> np.ndarray | None:
+    """The checked target labels at path for pair (see
+    ``validate_eval_labels``), or None when there is no label file."""
+    if path is None:
+        return None
+    return validate_eval_labels(label_reader(path), pair, str(path))
+
+
 def load_domain_pair(config: ExperimentConfig, task: str | None = None) -> DomainPair:
     """Assemble the training-visible portion of a task (never target labels)."""
-    src_x_path, src_y_path, tgt_x_path, _ = resolve_task_paths(config, task)
-    source_x = read_matrix(src_x_path)
-    source_y = read_labels(src_y_path)
-    target_x = read_matrix(tgt_x_path)
-    n_classes = int(source_y.max()) + 1
-    return DomainPair._of_read_matrices(source_x, source_y, target_x, n_classes)
+    inputs = read_task(config, task, read_matrix, read_labels)
+    return DomainPair(inputs.source_x, inputs.source_y, inputs.target_x, inputs.n_classes)
 
 
 def load_eval_labels(
     config: ExperimentConfig, pair: DomainPair, task: str | None = None
 ) -> np.ndarray | None:
     """Load held-out target labels for scoring, or None when unavailable."""
-    _, _, _, tgt_y_path = resolve_task_paths(config, task)
-    if tgt_y_path is None:
-        return None
-    return validate_eval_labels(
-        read_labels(tgt_y_path), pair.n_target, pair.n_classes, str(tgt_y_path)
-    )
+    return read_eval_labels(_resolve_task_paths(config, task)[3], pair, read_labels)

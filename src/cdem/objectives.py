@@ -24,8 +24,9 @@ two-sided counts n_c) and the gap between the two domains' mean rows.
 ``source_moments`` computes them once per task, and every step's
 ``build_objective_matrices`` reads them and touches only the selected target
 rows.  A step thus costs O(n_t m^2 + C m^2) time; the moments hold
-O(C m^2) numbers.  Unselected target samples enter only the marginal
-distribution term.
+O(C m^2) numbers, 8.5 MB for 65 classes at m = 128 and 2.2 GB at m = 2048,
+so callers keep them only while a task runs.  Unselected target samples
+enter only the marginal distribution term.
 """
 
 from __future__ import annotations

@@ -228,9 +228,7 @@ def run_adaptation(
     beforehand; returns exactly config.iterations records."""
     task = as_prepared(pair, config)
     if eval_labels is not None:
-        eval_labels = validate_eval_labels(
-            eval_labels, task.n_target, task.n_classes, "evaluation labels"
-        )
+        eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")
     params = config.hyperparams
     total = config.iterations
     features = task.features

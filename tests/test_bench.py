@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -241,13 +242,14 @@ def test_safe_name_sanitizes():
     assert bench._safe_name("a/b c") == "a-b-c"
 
 
-def _registry(root, labeled=("A", "B", "C")):
+def _registry(root, labeled=("A", "B", "C"), classes=3, dims=8, pca_dim=6):
     """Three small domains of 40, 45 and 50 rows; a domain not in labeled
     has no label file."""
-    lines = ["pca_dim=6", "subspace_dim=3", "iterations=3"]
+    lines = [f"pca_dim={pca_dim}", "subspace_dim=3", "iterations=3"]
     for index, (name, rotation) in enumerate((("A", 0.0), ("B", 25.0), ("C", -30.0))):
-        spec = ShiftSpec(classes=3, n_per_domain=40 + 5 * index, dims=8, separation=6.0,
-                         rotation_deg=rotation, translation=(0.5 * index,), seed=index)
+        spec = ShiftSpec(classes=classes, n_per_domain=40 + 5 * index, dims=dims,
+                         separation=6.0, rotation_deg=rotation, translation=(0.5 * index,),
+                         seed=index)
         pair, labels = generate(spec)
         write_matrix(pair.target_x, root / f"{name}_x.cdm")
         lines.append(f"dataset.{name}.features={name}_x.cdm")
@@ -321,3 +323,37 @@ def test_reverse_task_bytes_independent_of_suite_and_workers(tmp_path, monkeypat
                 (out / "B-A_cdem_embedding.csv").read_bytes(),
             )
     assert len(set(seen.values())) == 1
+
+
+def test_grid_counts_a_repeated_task_each_time(tmp_path):
+    config = load_config(_registry(tmp_path, classes=6))
+
+    def mean_accuracy(tasks):
+        (point, accuracy), = bench.run_grid(config, ["beta"], tasks, values=(0.1,))
+        return accuracy
+
+    ab, ca = mean_accuracy(["A-B"]), mean_accuracy(["C-A"])
+    assert ab != ca
+    assert mean_accuracy(["A-B", "A-B", "C-A"]) == float(np.mean([ab, ab, ca]))
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_commands_hold_one_task_moments_at_a_time(tmp_path, monkeypatch, command):
+    # 12 classes at pca_dim 60: each task's per-class source Grams take
+    # 12 * 60 * 60 * 8 bytes, several times the rest of what a task holds.
+    monkeypatch.setenv(bench.ENV_THREADS, "1")
+    config = load_config(_registry(tmp_path, classes=12, dims=80, pca_dim=60))
+    grams = 12 * 60 * 60 * 8
+
+    def peak(tasks):
+        tracemalloc.start()
+        try:
+            if command == "run":
+                bench.run_task_suite(config, tasks)
+            else:
+                bench.run_grid(config, ["beta"], tasks, values=(0.1,))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(["A-B", "B-C", "C-A"]) - peak(["A-B"]) < grams
