@@ -46,7 +46,7 @@ from .matio import (
     load_eval_labels,  # noqa: F401 -- likewise
     write_labels,
 )
-from .prototype import class_probabilities, fit_prototypes
+from .prototype import class_probabilities, fit_prototypes, squared_distances
 from .trainer import (
     AdaptationResult,
     PreparedTask,
@@ -112,7 +112,7 @@ def run_source_only(
     prepared = as_prepared(pair, config)
     z, n_source = prepared.features, prepared.n_source
     centers = fit_prototypes(z[:n_source], prepared.source_y, prepared.n_classes)
-    predictions = np.argmax(class_probabilities(centers, z[n_source:]), axis=1)
+    predictions = np.argmax(class_probabilities(squared_distances(z[n_source:], centers)), axis=1)
     return TaskResult(
         task=task,
         method="source-only",
@@ -410,14 +410,14 @@ def emit_report(results: list[TaskResult], out_dir: str | Path) -> dict[str, Pat
 
 
 def _write_embedding(trace: AdaptationResult, path: Path) -> None:
+    """Each float by its repr, a missing second column as 0.0."""
     lines = ["dim0,dim1,domain,label"]
-    src = trace.source_embedding
-    tgt = trace.target_embedding
-    pad = lambda row: [float(v) for v in (list(row) + [0.0, 0.0])[:2]]
-    for row, label in zip(src, trace.source_labels):
-        d0, d1 = pad(row)
-        lines.append(f"{d0!r},{d1!r},source,{int(label)}")
-    for row, label in zip(tgt, trace.predictions):
-        d0, d1 = pad(row)
-        lines.append(f"{d0!r},{d1!r},target,{int(label)}")
+    for domain, emb, labels in (
+        ("source", trace.source_embedding, trace.source_labels),
+        ("target", trace.target_embedding, trace.predictions),
+    ):
+        padded = np.zeros((emb.shape[0], 2))
+        padded[:, : min(2, emb.shape[1])] = emb[:, :2]
+        rows = zip(padded.tolist(), labels.tolist())
+        lines += [f"{d0!r},{d1!r},{domain},{label}" for (d0, d1), label in rows]
     path.write_text("\n".join(lines) + "\n")

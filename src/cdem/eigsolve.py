@@ -12,7 +12,11 @@ constraint the adaptation objective imposes.
 Every routine is numpy's own LAPACK: ``np.linalg.cholesky`` for L,
 ``np.linalg.inv`` for L^-1 and ``np.linalg.eigh`` per step.  The solver
 therefore never imports scipy, whose linalg module alone costs about 0.37 s
-of start-up, more than a small task's whole solve.
+of start-up, more than a small task's whole solve.  The full ``eigh`` stays
+although a step keeps only the smallest pairs: at the default side 128 with
+32 pairs kept it took 1.7-2.4 ms single-threaded, against 2.6-3.1 ms for
+LAPACK's dsyevr or dsyevx over that index range, 1.9-2.1 ms for
+dsytrd+dstemr+dormtr and 2.9-3.2 ms for scipy's ``eigh(subset_by_index=...)``.
 """
 
 from __future__ import annotations

@@ -1,32 +1,32 @@
-"""Objective terms in moment form: m×m operands, never n×n coefficient matrices.
+"""The objective operand in moment form: m×m, never n×n coefficient matrices.
 
-Each term is a quadratic form tr(P' T P) over the stacked features X (n
-samples in rows, m columns; source rows first, then target rows) that equals
-a sum of squared distances in the projected space.  Every such sum depends on
-the samples only through the count n_g and the sum s_g (m) of each source
-class and each selected-target class (both from ``prototype.class_moments``,
-the one place class counts and sums are computed), and through two Gram
-matrices per domain side: the plain X'X of its rows and the count-weighted
-X' diag(n_{y_r}) X, where n_{y_r} counts row r's class over both sides.
-With means mu_g = s_g / n_g:
+The objective is tr(P' A P) over the stacked features X (n samples in rows, m
+columns; source rows first, then target rows).  A weighs the six ``TERMS``,
+each a quadratic form X'QX equal to a sum of squared distances in the
+projected space.  These sums depend on the samples only through the count
+n_g and row sum s_g of each source and selected-target class (from
+``prototype.class_moments``), the Gram G_c of each source class and the
+selected target rows Xsel.  With means mu_g = s_g / n_g:
 
-- within-class scatter: Xs'Xs + Xsel'Xsel - sum_g n_g mu_g mu_g'
-- center push, marginal and conditional MMD, cross push: weighted
+- within-class scatter: sum_c G_c + Xsel'Xsel - sum_g n_g mu_g mu_g'
+- center push, marginal and conditional MMD, cross pushes: weighted
   (mu_a - mu_b)(mu_a - mu_b)', complement means taken from totals minus
   the group
-- same-label Laplacian: R' diag(n_{y_r}) R - sum_c s_c s_c', where R holds
-  the source and the selected target rows and s_c sums class c over both
+- same-label Laplacian: sum_c n_c G_c + Xsel' diag(n_{y_r}) Xsel
+  - sum_c s_c s_c', n_c and s_c counting both sides together
 
-Everything that involves the source rows alone is fixed for a task: the
-source class counts and sums, the source Gram Xs'Xs, one Gram G_c per source
-class (so the source half of the Laplacian is sum_c n_c G_c for the current
-two-sided counts n_c) and the gap between the two domains' mean rows.
-``source_moments`` computes them once per task, and every step's
-``build_objective_matrices`` reads them and touches only the selected target
-rows.  A step thus costs O(n_t m^2 + C m^2) time; the moments hold
-O(C m^2) numbers, 8.5 MB for 65 classes at m = 128 and 2.2 GB at m = 2048,
-so callers keep them only while a task runs.  Unselected target samples
-enter only the marginal distribution term.
+A is linear in the term weights w, so ``build_objective_matrices`` forms it
+from three products, never term by term: sum_c (w_within + w_lap n_c) G_c,
+Xsel' diag(w_within + w_lap n_{y_r}) Xsel, and D' diag(u) D for every
+rank-one part, D stacking the class means, mean differences, class sums and
+the marginal gap (at most 8C + 1 rows).  A term alone is the same call with
+a unit weight on it (``objective_terms``), for dumps and checks.
+
+``source_moments`` computes the source-only parts once per task: the class
+counts, sums and Grams and the gap between the domains' mean rows.  A step
+costs O(n_t m^2 + C m^2) time; the moments hold C m^2 numbers (8.5 MB for 65
+classes at m = 128, 2.2 GB at m = 2048), so callers keep them only while a
+task runs.  Unselected target samples enter only the marginal MMD term.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .prototype import class_moments
 
-# The objective blocks compose_objective switches on and off.
+# The objective blocks a config's ``components`` switch on and off (``term_weights``).
 KNOWN_COMPONENTS = ("erm", "da", "cde", "dfl")
+# The terms A is a weighted sum of, in the order ``term_weights`` lists them.
+TERMS = ("within_class", "center_push", "mmd", "cross_st", "cross_ts", "laplacian")
 
 
 @dataclass(frozen=True)
@@ -101,13 +103,12 @@ class JointLabeling:
 @dataclass(frozen=True)
 class SourceMoments:
     """The source-side terms of every step's objective (see the module
-    docstring): per-class counts (C,) and row sums (C, m), the source Gram
-    (m, m), the per-class source Grams (C, m, m), and the mean source row
-    minus the mean target row (m,)."""
+    docstring): per-class counts (C,) and row sums (C, m), the per-class
+    source Grams (C, m, m), whose sum is the source Gram, and the mean
+    source row minus the mean target row (m,)."""
 
     counts: np.ndarray
     sums: np.ndarray
-    gram: np.ndarray
     class_grams: np.ndarray
     marginal_gap: np.ndarray
 
@@ -129,7 +130,6 @@ def source_moments(features: np.ndarray, source_y: np.ndarray, n_classes: int) -
     return SourceMoments(
         counts=counts,
         sums=sums,
-        gram=xs.T @ xs,
         class_grams=class_grams,
         marginal_gap=xs.mean(axis=0) - features[source_y.shape[0] :].mean(axis=0),
     )
@@ -137,16 +137,26 @@ def source_moments(features: np.ndarray, source_y: np.ndarray, n_classes: int) -
 
 @dataclass
 class ObjectiveMatrices:
-    """All m×m term operands for one iteration plus their composition."""
+    """One step's m×m objective operand and the terms left out of it."""
 
-    within_class: np.ndarray
-    center_push: np.ndarray
-    mmd: np.ndarray
-    cross_st: np.ndarray
-    cross_ts: np.ndarray
-    laplacian: np.ndarray
     combined: np.ndarray
     skipped: list[str] = field(default_factory=list)
+
+
+def term_weights(
+    params: Hyperparams, components: tuple[str, ...] = KNOWN_COMPONENTS
+) -> dict[str, float]:
+    """Each term's weight in the objective.
+
+    The empirical block (erm) is within_class - beta * center_push;
+    distribution alignment (da) adds lam * mmd, the cross-domain push (cde)
+    -gamma * (cross_st + cross_ts) and the affinity Laplacian (dfl)
+    eta * laplacian.  A component left out weighs its terms by 0.
+    """
+    erm, da, cde, dfl = (float(name in components) for name in KNOWN_COMPONENTS)
+    cross = -params.gamma * cde
+    weights = (erm, -params.beta * erm, params.lam * da, cross, cross, params.eta * dfl)
+    return dict(zip(TERMS, weights))
 
 
 def _means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -154,14 +164,9 @@ def _means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums / np.maximum(counts, 1)[:, None]
 
 
-def _weighted_outer(diffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_c weights[c] * diffs[c] diffs[c]'."""
-    return (diffs * weights[:, None]).T @ diffs
-
-
 def _skipped_terms(n_src: np.ndarray, n_tgt: np.ndarray) -> list[str]:
     """Terms left out because a class is empty or has an empty complement,
-    in the order the terms are built."""
+    in the order the terms are listed."""
     classes = range(n_src.shape[0])
     tgt_total = int(n_tgt.sum())
     skipped: list[str] = []
@@ -183,38 +188,14 @@ def _skipped_terms(n_src: np.ndarray, n_tgt: np.ndarray) -> list[str]:
     return skipped
 
 
-def compose_objective(
-    parts: "ObjectiveMatrices",
-    params: Hyperparams,
-    components: tuple[str, ...] = KNOWN_COMPONENTS,
-) -> np.ndarray:
-    """Weighted combination of the term matrices.
-
-    The empirical block is within_class - beta * center_push.  Distribution
-    alignment (da), cross-domain push (cde) and the affinity Laplacian (dfl)
-    toggle with the component switches used by the ablation suite.
-    """
-    erm = parts.within_class - params.beta * parts.center_push
-    out = np.zeros_like(parts.within_class)
-    if "erm" in components:
-        out = out + erm
-    if "da" in components:
-        out = out + params.lam * parts.mmd
-    if "dfl" in components:
-        out = out + params.eta * parts.laplacian
-    if "cde" in components:
-        out = out - params.gamma * (parts.cross_st + parts.cross_ts)
-    return out
-
-
 def build_objective_matrices(
     labeling: JointLabeling,
     features: np.ndarray,
     source: SourceMoments,
-    params: Hyperparams,
-    components: tuple[str, ...] = KNOWN_COMPONENTS,
+    weights: dict[str, float],
 ) -> ObjectiveMatrices:
-    """Build every m×m term X'QX for the current labeling and compose them.
+    """The operand sum_t weights[t] X'Q_tX over ``TERMS`` for the current
+    labeling, from the three products of the module docstring.
 
     features stacks the source rows, then the target rows; source holds
     their ``source_moments`` for labeling.source.  Source samples use true
@@ -239,6 +220,13 @@ def build_objective_matrices(
     y_sel = labeling.target[labeling.selected]
     n_src, s_src = source.counts, source.sums
     n_tgt, s_tgt = class_moments(xt_sel, y_sel, labeling.n_classes)
+    n_cls = n_src + n_tgt
+
+    # Each row's Gram enters the within-class scatter once and the
+    # Laplacian n times, n counting the row's class over both sides.
+    gram_weight = weights["within_class"] + weights["laplacian"] * n_cls
+    combined = np.tensordot(gram_weight, source.class_grams, axes=1)
+    combined += (xt_sel * gram_weight[y_sel, None]).T @ xt_sel
 
     n_sel = n_tgt.sum()
     mean_src = _means(s_src, n_src)
@@ -247,30 +235,29 @@ def build_objective_matrices(
     rest_tgt = _means(s_tgt.sum(axis=0) - s_tgt, n_sel - n_tgt)
     both = ((n_src > 0) & (n_tgt > 0)).astype(float)
     tgt_has_rest = n_tgt < n_sel
-
-    within = source.gram + xt_sel.T @ xt_sel
-    within -= _weighted_outer(mean_src, n_src) + _weighted_outer(mean_tgt, n_tgt)
-    push = _weighted_outer(mean_src - rest_src, n_src)
-    push += _weighted_outer(mean_tgt - rest_tgt, np.where(tgt_has_rest, n_tgt, 0))
-    gap = source.marginal_gap
-    mmd = np.outer(gap, gap) + _weighted_outer(mean_src - mean_tgt, both)
-    cross_st = _weighted_outer(mean_src - rest_tgt, both * tgt_has_rest)
-    cross_ts = _weighted_outer(mean_tgt - rest_src, both)
-    n_cls = n_src + n_tgt
-    s_cls = s_src + s_tgt
-    laplacian = np.tensordot(n_cls, source.class_grams, axes=1)
-    laplacian += (xt_sel * n_cls[y_sel, None]).T @ xt_sel
-    laplacian -= s_cls.T @ s_cls
-
-    parts = ObjectiveMatrices(
-        within_class=within,
-        center_push=push,
-        mmd=mmd,
-        cross_st=cross_st,
-        cross_ts=cross_ts,
-        laplacian=laplacian,
-        combined=np.zeros_like(within),
-        skipped=_skipped_terms(n_src, n_tgt),
+    # (term, rows of D, their factors): row d with factor f adds f d d'
+    rank_one = (
+        ("within_class", mean_src, -n_src),
+        ("within_class", mean_tgt, -n_tgt),
+        ("center_push", mean_src - rest_src, n_src),
+        ("center_push", mean_tgt - rest_tgt, np.where(tgt_has_rest, n_tgt, 0)),
+        ("mmd", source.marginal_gap[None, :], np.ones(1)),
+        ("mmd", mean_src - mean_tgt, both),
+        ("cross_st", mean_src - rest_tgt, both * tgt_has_rest),
+        ("cross_ts", mean_tgt - rest_src, both),
+        ("laplacian", s_src + s_tgt, -np.ones(labeling.n_classes)),
     )
-    parts.combined = compose_objective(parts, params, components)
-    return parts
+    d = np.concatenate([rows for _, rows, _ in rank_one])
+    u = np.concatenate([weights[term] * factor for term, _, factor in rank_one])
+    combined += (d * u[:, None]).T @ d
+    return ObjectiveMatrices(combined=combined, skipped=_skipped_terms(n_src, n_tgt))
+
+
+def objective_terms(
+    labeling: JointLabeling, features: np.ndarray, source: SourceMoments
+) -> dict[str, np.ndarray]:
+    """Each of ``TERMS`` alone: ``build_objective_matrices`` with a unit
+    weight on that term and 0 on the others."""
+    unit = lambda term: {t: float(t == term) for t in TERMS}
+    build = lambda term: build_objective_matrices(labeling, features, source, unit(term))
+    return {term: build(term).combined for term in TERMS}

@@ -65,9 +65,10 @@ def squared_distances(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(dist, 0.0, out=dist)
 
 
-def class_probabilities(centers: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Row-stochastic softmax over negative Euclidean distances to centers."""
-    logits = -np.sqrt(squared_distances(features, centers))
+def class_probabilities(distances: np.ndarray) -> np.ndarray:
+    """Row-stochastic softmax over negative Euclidean distances, from the
+    (n, C) ``squared_distances`` of n rows to C centers."""
+    logits = -np.sqrt(distances)
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)
@@ -80,15 +81,16 @@ def nearest_center_labels(centers: np.ndarray, features: np.ndarray) -> np.ndarr
 
 
 def target_kmeans(
-    features: np.ndarray, init_centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Lloyd iterations from the given centers.
+    features: np.ndarray, init_centers: np.ndarray, init_distances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
+    """Lloyd iterations from the given centers, whose ``squared_distances``
+    from the features the caller passes as init_distances.
 
     The initialization from projected source class centers is what ties
     cluster index c to class c, so no matching step is needed afterwards.
     Empty clusters keep their previous center.  Returns the final (C, k)
-    centers, the assignment vector, and the per-iteration sum of squared
-    errors (non-increasing).
+    centers, the assignment vector, the per-iteration sum of squared errors
+    (non-increasing) and the (n, C) squared distances to the final centers.
     """
     z = np.asarray(features, dtype=np.float64)
     centers = np.asarray(init_centers, dtype=np.float64).copy()
@@ -97,10 +99,12 @@ def target_kmeans(
     n_clusters = centers.shape[0]
     if n_clusters < 1 or n_clusters > z.shape[0]:
         raise DataError(f"cannot place {n_clusters} clusters on {z.shape[0]} samples")
+    dist = np.asarray(init_distances, dtype=np.float64)
+    if dist.shape != (z.shape[0], n_clusters):
+        raise ConfigError(f"init_distances are {dist.shape}, expected {(z.shape[0], n_clusters)}")
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     for _ in range(KMEANS_MAX_ITERS):
-        dist = squared_distances(z, centers)
         assign = np.argmin(dist, axis=1).astype(np.int64)
         sse = float(dist[np.arange(z.shape[0]), assign].sum())
         history.append(sse)
@@ -112,5 +116,6 @@ def target_kmeans(
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
         prev_assign = assign
-    return centers, assign, history
+        dist = squared_distances(z, centers)
+    return centers, assign, history, dist
 

@@ -225,11 +225,17 @@ def random_instance(
 
 def _build(
     labeling: JointLabeling, features: np.ndarray, params: Hyperparams
-) -> objectives.ObjectiveMatrices:
-    """The term matrices of one labeling, with the source moments taken from
-    the same features."""
+) -> dict[str, np.ndarray]:
+    """Every term of one labeling alone and, as "combined", the operand params
+    weigh them into; the source moments come from the same features."""
     moments = objectives.source_moments(features, labeling.source, labeling.n_classes)
-    return objectives.build_objective_matrices(labeling, features, moments, params)
+    weights = objectives.term_weights(params)
+    built = objectives.build_objective_matrices(labeling, features, moments, weights)
+    return {**objectives.objective_terms(labeling, features, moments), "combined": built.combined}
+
+
+# The check name of each term whose check is not named after the term.
+_TERM_CHECKS = {"mmd": "mmd_all", "cross_st": "cross_push_st", "cross_ts": "cross_push_ts"}
 
 
 def _rel_err(lhs: float, rhs: float) -> float:
@@ -276,46 +282,46 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
         xt_sel = inst.xt[sel]
         yt_sel = inst.yt[sel]
         terms = _build(labeling, f, Hyperparams())
+        oracle: dict[str, float] = {}
 
-        expected = oracle_within_scatter(p, inst.xs, inst.ys)
+        oracle["within_class"] = oracle_within_scatter(p, inst.xs, inst.ys)
         if sel.any():
-            expected += oracle_within_scatter(p, xt_sel, yt_sel)
-        record("within_class", _rel_err(trace_form(terms.within_class, p), expected))
+            oracle["within_class"] += oracle_within_scatter(p, xt_sel, yt_sel)
 
-        expected = sum(
+        oracle["center_push"] = sum(
             oracle_center_push(p, inst.xs, inst.ys, cls)
             + oracle_center_push(p, xt_sel, yt_sel, cls)
             for cls in classes
         )
-        record("center_push", _rel_err(trace_form(terms.center_push, p), expected))
 
         conditional = sum(
             oracle_conditional_mmd(p, inst.xs, inst.ys, xt_sel, yt_sel, cls)
             for cls in classes
         )
-        expected = oracle_marginal_mmd(p, inst.xs, inst.xt) + conditional
-        record("mmd_all", _rel_err(trace_form(terms.mmd, p), expected))
+        oracle["mmd"] = oracle_marginal_mmd(p, inst.xs, inst.xt) + conditional
 
         # the pull/push pair only exists for classes present on both
         # sides, so the term oracles are gated the same way
         present = [cls for cls in classes if (yt_sel == cls).any()]
-        expected = sum(
+        oracle["cross_st"] = sum(
             oracle_cross_push_st(p, inst.xs, inst.ys, xt_sel, yt_sel, cls) for cls in present
         )
-        record("cross_push_st", _rel_err(trace_form(terms.cross_st, p), expected))
-        expected = sum(
+        oracle["cross_ts"] = sum(
             oracle_cross_push_ts(p, inst.xs, inst.ys, xt_sel, yt_sel, cls) for cls in present
         )
-        record("cross_push_ts", _rel_err(trace_form(terms.cross_ts, p), expected))
 
         x_labeled = np.vstack([inst.xs, xt_sel]) if sel.any() else inst.xs
         y_labeled = np.concatenate([inst.ys, yt_sel])
-        expected = oracle_pairwise_same_label(p, x_labeled, y_labeled)
-        record("laplacian", _rel_err(trace_form(terms.laplacian, p), expected))
+        oracle["laplacian"] = oracle_pairwise_same_label(p, x_labeled, y_labeled)
+
+        for term in objectives.TERMS:
+            check = _TERM_CHECKS.get(term, term)
+            record(check, _rel_err(trace_form(terms[term], p), oracle[term]))
 
         if sel.all():
             beta = float(rng.uniform(0.0, 0.9))
-            value = trace_form(terms.within_class, p) - beta * trace_form(terms.center_push, p)
+            within, push = trace_form(terms["within_class"], p), trace_form(terms["center_push"], p)
+            value = within - beta * push
             expected = oracle_empirical_errors(p, inst.xs, inst.ys, inst.xt, inst.yt, beta)
             record("empirical_total", _rel_err(value, expected))
 
@@ -327,11 +333,11 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
             n_sc = bal.xs.shape[0] // labeling.n_classes
             n_tc = bal.xt.shape[0] // labeling.n_classes
             bal_terms = _build(bal.labeling, bal.features, Hyperparams())
-            conditional = trace_form(bal_terms.mmd, p) - oracle_marginal_mmd(p, bal.xs, bal.xt)
-            value = (1.0 - beta) * trace_form(bal_terms.within_class, p)
+            conditional = trace_form(bal_terms["mmd"], p) - oracle_marginal_mmd(p, bal.xs, bal.xt)
+            value = (1.0 - beta) * trace_form(bal_terms["within_class"], p)
             value += (n_sc + n_tc) * conditional
-            value -= beta * n_sc * trace_form(bal_terms.cross_st, p)
-            value -= beta * n_tc * trace_form(bal_terms.cross_ts, p)
+            value -= beta * n_sc * trace_form(bal_terms["cross_st"], p)
+            value -= beta * n_tc * trace_form(bal_terms["cross_ts"], p)
             expected = oracle_cross_domain_errors(p, bal.xs, bal.ys, bal.xt, bal.yt, beta)
             record("cross_domain_total", _rel_err(value, expected))
 
@@ -344,31 +350,27 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
         )
         parts = _build(labeling, f, params)
         manual = (
-            parts.within_class
-            - params.beta * parts.center_push
-            + params.lam * parts.mmd
-            + params.eta * parts.laplacian
-            - params.gamma * (parts.cross_st + parts.cross_ts)
+            parts["within_class"]
+            - params.beta * parts["center_push"]
+            + params.lam * parts["mmd"]
+            + params.eta * parts["laplacian"]
+            - params.gamma * (parts["cross_st"] + parts["cross_ts"])
         )
-        record("composition", float(np.abs(parts.combined - manual).max()))
+        record("composition", float(np.abs(parts["combined"] - manual).max()))
+        # the operand, built in one pass, against the same weighted sum of
+        # the distance-sum oracles
+        weights = objectives.term_weights(params)
+        expected = sum(weights[name] * oracle[name] for name in objectives.TERMS)
+        record("combined", _rel_err(trace_form(parts["combined"], p), expected))
         # a shared translation of every row moves no distance
         shifted = _build(labeling, f + 1.0, params)
-        for name in (
-            "within_class",
-            "center_push",
-            "mmd",
-            "cross_st",
-            "cross_ts",
-            "laplacian",
-            "combined",
-        ):
-            mat = getattr(parts, name)
+        for name, mat in parts.items():
             scale = max(1.0, float(np.abs(mat).max()))
             record(f"symmetry:{name}", float(np.abs(mat - mat.T).max()))
-            moved = float(np.abs(getattr(shifted, name) - mat).max())
+            moved = float(np.abs(shifted[name] - mat).max())
             record(f"translation:{name}", moved / scale)
         for name in ("within_class", "laplacian"):
-            eigs = np.linalg.eigvalsh(getattr(parts, name))
+            eigs = np.linalg.eigvalsh(parts[name])
             record(f"psd:{name}", max(0.0, float(-eigs.min())))
 
     results = []

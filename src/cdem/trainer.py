@@ -35,10 +35,11 @@ from .errors import CdemError, ConfigError, NumericError
 from .matio import DomainPair, ExperimentConfig, validate_eval_labels, write_matrix
 from .objectives import (
     JointLabeling,
-    ObjectiveMatrices,
     SourceMoments,
     build_objective_matrices,
+    objective_terms,
     source_moments,
+    term_weights,
 )
 from .preprocess import fit_pca, normalize_rows
 from .prototype import (
@@ -46,6 +47,7 @@ from .prototype import (
     class_probabilities,
     fit_prototypes,
     nearest_center_labels,
+    squared_distances,
     target_kmeans,
 )
 
@@ -173,44 +175,44 @@ def evaluate_cross_domain_errors(
     y_source: np.ndarray,
     source_centers: np.ndarray,
     z_target: np.ndarray,
+    target_to_source: np.ndarray,
     pseudo_labels: np.ndarray,
     eval_labels: np.ndarray | None = None,
 ) -> CrossDomainErrors:
     """Cross-score the source prototype classifier (source_centers, one row
-    per class) and a target one fit on the pseudo labels of the classes they
-    cover."""
+    per class, at squared distances target_to_source from z_target) and a
+    target one fit on the pseudo labels of the classes they cover."""
     counts, sums = class_moments(z_target, pseudo_labels, source_centers.shape[0])
     classes_t = np.flatnonzero(counts)
     centers_t = sums[classes_t] / counts[classes_t, None]
     y_target_ref = pseudo_labels if eval_labels is None else eval_labels
-    source_model = lambda z: nearest_center_labels(source_centers, z)
+    source_on_source = nearest_center_labels(source_centers, z_source)
+    source_on_target = np.argmin(target_to_source, axis=1)
     target_model = lambda z: classes_t[nearest_center_labels(centers_t, z)]
     return CrossDomainErrors(
-        source_model_on_source=float(np.mean(source_model(z_source) != y_source)),
+        source_model_on_source=float(np.mean(source_on_source != y_source)),
         target_model_on_target=float(np.mean(target_model(z_target) != y_target_ref)),
         target_model_on_source=float(np.mean(target_model(z_source) != y_source)),
-        source_model_on_target=float(np.mean(source_model(z_target) != y_target_ref)),
+        source_model_on_target=float(np.mean(source_on_target != y_target_ref)),
     )
 
 
 def _dump_iteration(
     dump_dir: Path,
     step: int,
-    parts: ObjectiveMatrices,
-    operands: tuple[np.ndarray, np.ndarray],
+    task: PreparedTask,
+    labeling: JointLabeling,
+    combined: np.ndarray,
+    a: np.ndarray,
     solution: TransformSolution,
 ) -> None:
+    """Write one step's matrices; only a dump builds the terms alone."""
     dump_dir.mkdir(parents=True, exist_ok=True)
     named = {
-        "within_class": parts.within_class,
-        "center_push": parts.center_push,
-        "mmd": parts.mmd,
-        "cross_st": parts.cross_st,
-        "cross_ts": parts.cross_ts,
-        "laplacian": parts.laplacian,
-        "combined": parts.combined,
-        "operand_a": operands[0],
-        "operand_b": operands[1],
+        **objective_terms(labeling, task.features, task.moments),
+        "combined": combined,
+        "operand_a": a,
+        "operand_b": task.constraint.shifted,
         "projection": solution.projection,
         "eigenvalues": solution.eigenvalues.reshape(1, -1),
     }
@@ -230,6 +232,7 @@ def run_adaptation(
     if eval_labels is not None:
         eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")
     params = config.hyperparams
+    weights = term_weights(params, config.components)
     total = config.iterations
     features = task.features
     n_source = task.n_source
@@ -238,10 +241,8 @@ def run_adaptation(
     # Bootstrap in the identity projection: source prototypes classify the
     # preprocessed targets, and that one distribution stands for both
     # classifiers.
-    p_source = class_probabilities(
-        fit_prototypes(features[:n_source], task.source_y, task.n_classes),
-        features[n_source:],
-    )
+    centers = fit_prototypes(features[:n_source], task.source_y, task.n_classes)
+    p_source = class_probabilities(squared_distances(features[n_source:], centers))
     table = combined_pseudo_labels(p_source, p_source, 1, total)
     state = curriculum.select(table, 1, total)
     prev_labels = table.label
@@ -256,20 +257,21 @@ def run_adaptation(
                 selected=state.selected,
                 n_classes=task.n_classes,
             )
-            parts = build_objective_matrices(
-                labeling, features, task.moments, params, components=config.components
-            )
+            parts = build_objective_matrices(labeling, features, task.moments, weights)
             a = parts.combined + delta_identity
             solution = solve_generalized(a, task.constraint, config.subspace_dim)
             projected = features @ solution.projection
             zs = projected[:n_source]
             zt = projected[n_source:]
 
+            # One table to the source centers serves p_source, the first Lloyd
+            # iteration and the diagnostics; k-means returns its final one.
             source_centers = fit_prototypes(zs, task.source_y, task.n_classes)
-            cluster_centers, _, _ = target_kmeans(zt, source_centers)
+            to_source = squared_distances(zt, source_centers)
+            _, _, _, to_clusters = target_kmeans(zt, source_centers, to_source)
 
-            p_source = class_probabilities(source_centers, zt)
-            p_target = class_probabilities(cluster_centers, zt)
+            p_source = class_probabilities(to_source)
+            p_target = class_probabilities(to_clusters)
             table = combined_pseudo_labels(p_source, p_target, step, total)
             state = curriculum.select(table, step, total)
 
@@ -279,7 +281,7 @@ def run_adaptation(
                 raise NumericError("objective value is not finite")
             if dump_dir is not None:
                 _dump_iteration(
-                    Path(dump_dir), step, parts, (a, task.constraint.shifted), solution
+                    Path(dump_dir), step, task, labeling, parts.combined, a, solution
                 )
 
             agreement = float(np.mean(table.label == prev_labels))
@@ -288,7 +290,7 @@ def run_adaptation(
             if eval_labels is not None:
                 accuracy = float(np.mean(table.label == eval_labels) * 100.0)
             errors = evaluate_cross_domain_errors(
-                zs, task.source_y, source_centers, zt, table.label, eval_labels
+                zs, task.source_y, source_centers, zt, to_source, table.label, eval_labels
             )
             records.append(
                 IterationRecord(

@@ -23,7 +23,7 @@ from cdem.matio import (
     write_matrix,
 )
 from cdem.synth import ShiftSpec, generate, write_dataset
-from cdem.trainer import preprocess_rows
+from cdem.trainer import AdaptationResult, preprocess_rows
 
 
 def _separable_pair(seed=0, n=40, dims=4):
@@ -207,6 +207,43 @@ def test_emit_report_contents(tmp_path):
     first = emb_lines[1].split(",")
     assert first[2] == "source"
     assert float(first[0]) == results[1].trace.source_embedding[0, 0]
+
+
+def _per_value_embedding(trace):
+    """The embedding file as formatted value by value: each row padded with
+    0.0 to two columns, each value by the repr of its Python float."""
+    lines = ["dim0,dim1,domain,label"]
+    pad = lambda row: [float(v) for v in (list(row) + [0.0, 0.0])[:2]]
+    sides = (
+        ("source", trace.source_embedding, trace.source_labels),
+        ("target", trace.target_embedding, trace.predictions),
+    )
+    for domain, emb, labels in sides:
+        for row, label in zip(emb, labels):
+            d0, d1 = pad(row)
+            lines.append(f"{d0!r},{d1!r},{domain},{int(label)}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("cols", [1, 2])
+def test_embedding_bytes_match_per_value_repr(tmp_path, cols):
+    rng = np.random.default_rng(12)
+    emb = rng.standard_normal((7, cols)) * np.logspace(-300, 300, 7)[:, None]
+    emb[0, 0] = -0.0
+    emb[1, 0] = 0.1
+    trace = AdaptationResult(
+        projection=np.eye(cols),
+        eigenvalues=np.zeros(cols),
+        records=[],
+        predictions=np.array([2, 0, 1], dtype=np.int64),
+        selected=np.ones(3, dtype=bool),
+        source_embedding=emb[:4],
+        target_embedding=emb[4:],
+        source_labels=np.array([0, 1, 2, 10], dtype=np.int64),
+    )
+    path = tmp_path / "embedding.csv"
+    bench._write_embedding(trace, path)
+    assert path.read_bytes() == _per_value_embedding(trace)
 
 
 def test_emit_report_handles_missing_accuracy(tmp_path):

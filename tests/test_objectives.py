@@ -3,20 +3,26 @@ and oracle agreement."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cdem import selftest
+from cdem.bench import ABLATION_STAGES
 from cdem.errors import ConfigError, DataError
 from cdem.objectives import (
+    KNOWN_COMPONENTS,
     Hyperparams,
     JointLabeling,
     build_objective_matrices,
-    compose_objective,
+    objective_terms,
     source_moments,
+    term_weights,
 )
+from cdem.objectives import TERMS as UNIT_TERMS
 
-TERMS = ("within_class", "center_push", "mmd", "cross_st", "cross_ts", "laplacian", "combined")
+TERMS = UNIT_TERMS + ("combined",)
 
 
 def _labeling(source, target, selected=None, n_classes=2):
@@ -26,9 +32,13 @@ def _labeling(source, target, selected=None, n_classes=2):
     return JointLabeling(np.asarray(source), target, selected, n_classes)
 
 
-def _build(lab, features, params):
+def _build(lab, features, params, components=KNOWN_COMPONENTS):
+    """Each term alone (unit weight), the operand for params and components
+    as ``combined``, and the skipped terms."""
     moments = source_moments(features, lab.source, lab.n_classes)
-    return build_objective_matrices(lab, features, moments, params)
+    built = build_objective_matrices(lab, features, moments, term_weights(params, components))
+    terms = objective_terms(lab, features, moments)
+    return SimpleNamespace(**terms, combined=built.combined, skipped=built.skipped)
 
 
 def _terms(source, target, selected=None, n_classes=2):
@@ -147,11 +157,61 @@ def test_compose_component_switches():
     rng = np.random.default_rng(6)
     lab = _labeling(rng.integers(0, 3, 10), rng.integers(0, 3, 9), n_classes=3)
     params = Hyperparams(beta=0.3, lam=0.7, gamma=0.2, eta=0.4, delta=1.0)
-    parts = _build(lab, np.eye(lab.n_total), params)
-    erm_only = compose_objective(parts, params, components=("erm",))
-    assert np.array_equal(erm_only, parts.within_class - 0.3 * parts.center_push)
-    da = compose_objective(parts, params, components=("erm", "da"))
+    features = np.eye(lab.n_total)
+    parts = _build(lab, features, params)
+    erm_only = _build(lab, features, params, components=("erm",)).combined
+    expected = parts.within_class - 0.3 * parts.center_push
+    assert np.abs(erm_only - expected).max() <= 1e-12 * np.abs(expected).max()
+    da = _build(lab, features, params, components=("erm", "da")).combined
     assert np.allclose(da, erm_only + 0.7 * parts.mmd)
+
+
+def _deselect_one_class(inst, rng):
+    """The instance with one class's target rows left out of the selection,
+    so the target-side blocks of that class are skipped."""
+    selected = inst.selected & (inst.yt != rng.integers(0, inst.labeling.n_classes))
+    if not selected.any():
+        return inst
+    return selftest.Instance(inst.xs, inst.ys, inst.xt, inst.yt, selected, inst.projection)
+
+
+@pytest.mark.parametrize("stage", [name for name, _ in ABLATION_STAGES])
+def test_operand_is_weighted_sum_of_unit_terms(stage):
+    # A is linear in the weights: the one-pass operand equals the sum of the
+    # unit-weight terms times their weights, every weight zero or not.
+    components = dict(ABLATION_STAGES)[stage]
+    rng = np.random.default_rng(84)
+    skipped = 0
+    for case in range(12):
+        inst = selftest.random_instance(rng)
+        if case % 2:
+            inst = _deselect_one_class(inst, rng)
+        raw = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.7)
+        params = Hyperparams(beta=raw[0], lam=raw[1], gamma=raw[2], eta=raw[3])
+        lab, features = inst.labeling, inst.features
+        moments = source_moments(features, lab.source, lab.n_classes)
+        weights = term_weights(params, components)
+        built = build_objective_matrices(lab, features, moments, weights)
+        terms = objective_terms(lab, features, moments)
+        weighted = [weights[name] * terms[name] for name in UNIT_TERMS]
+        scale = max(float(np.abs(t).max()) for t in weighted)
+        assert np.abs(built.combined - sum(weighted)).max() <= 1e-12 * scale
+        skipped += bool(built.skipped)
+    assert skipped
+
+
+def test_term_weights_follow_components():
+    params = Hyperparams(beta=0.2, lam=0.3, gamma=0.4, eta=0.5)
+    assert term_weights(params) == {
+        "within_class": 1.0,
+        "center_push": -0.2,
+        "mmd": 0.3,
+        "cross_st": -0.4,
+        "cross_ts": -0.4,
+        "laplacian": 0.5,
+    }
+    off = term_weights(params, components=("da",))
+    assert [name for name in UNIT_TERMS if off[name]] == ["mmd"]
 
 
 def test_hyperparams_reject_negative():

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cdem import prototype
 from cdem.curriculum import combined_pseudo_labels
 from cdem.errors import ConfigError, DataError
 from cdem.prototype import (
@@ -50,7 +51,7 @@ def test_probabilities_row_stochastic_and_ordered():
     rng = np.random.default_rng(21)
     centers = rng.standard_normal((4, 3))
     z = rng.standard_normal((50, 3))
-    p = class_probabilities(centers, z)
+    p = class_probabilities(squared_distances(z, centers))
     assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
     assert (p > 0).all()
     # softmax over negative distance is monotone: argmax == nearest center
@@ -59,7 +60,7 @@ def test_probabilities_row_stochastic_and_ordered():
 
 def test_probabilities_equidistant_uniform():
     centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    p = class_probabilities(centers, np.array([[0.0, 5.0]]))
+    p = class_probabilities(squared_distances(np.array([[0.0, 5.0]]), centers))
     assert np.allclose(p, [[0.5, 0.5]], atol=1e-12)
 
 
@@ -68,7 +69,7 @@ def test_probabilities_match_high_precision_reference():
     rng = np.random.default_rng(22)
     centers = rng.standard_normal((3, 4))
     z = rng.standard_normal((6, 4))
-    p = class_probabilities(centers, z)
+    p = class_probabilities(squared_distances(z, centers))
     mpmath.mp.dps = 50
     for i in range(z.shape[0]):
         dists = [mpmath.mpf(float(np.linalg.norm(z[i] - c))) for c in centers]
@@ -81,9 +82,13 @@ def test_probabilities_match_high_precision_reference():
 
 def test_probabilities_overflow_safe():
     centers = np.array([[1e6, 0.0], [-1e6, 0.0]])
-    p = class_probabilities(centers, np.array([[1e6, 1.0]]))
+    p = class_probabilities(squared_distances(np.array([[1e6, 1.0]]), centers))
     assert np.isfinite(p).all()
     assert p[0, 0] > 0.999999
+
+
+def _kmeans(z, init):
+    return target_kmeans(z, init, squared_distances(z, init))
 
 
 def test_kmeans_converges_immediately_on_true_centers():
@@ -93,7 +98,7 @@ def test_kmeans_converges_immediately_on_true_centers():
         [centers[0] + 0.1 * rng.standard_normal((20, 2)),
          centers[1] + 0.1 * rng.standard_normal((20, 2))]
     )
-    found, assign, history = target_kmeans(z, centers)
+    found, assign, history, _ = _kmeans(z, centers)
     assert assign[:20].tolist() == [0] * 20 and assign[20:].tolist() == [1] * 20
     assert len(history) <= 3
     assert np.allclose(found[0], z[:20].mean(axis=0))
@@ -103,14 +108,14 @@ def test_kmeans_sse_non_increasing():
     rng = np.random.default_rng(24)
     z = rng.standard_normal((80, 3))
     init = rng.standard_normal((4, 3))
-    _, _, history = target_kmeans(z, init)
+    _, _, history, _ = _kmeans(z, init)
     assert (np.diff(history) <= 1e-9).all()
 
 
 def test_kmeans_empty_cluster_keeps_previous_center():
     z = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
     far = np.array([100.0, 100.0])
-    centers, assign, _ = target_kmeans(z, np.vstack([[0.0, 0.0], far]))
+    centers, assign, _, _ = _kmeans(z, np.vstack([[0.0, 0.0], far]))
     assert assign.tolist() == [0, 0, 0]
     assert np.allclose(centers[1], far)
     assert np.bincount(assign, minlength=2).tolist() == [3, 0]
@@ -119,7 +124,7 @@ def test_kmeans_empty_cluster_keeps_previous_center():
 def test_kmeans_single_cluster_is_global_mean():
     rng = np.random.default_rng(25)
     z = rng.standard_normal((12, 2))
-    centers, assign, _ = target_kmeans(z, z[:1])
+    centers, assign, _, _ = _kmeans(z, z[:1])
     assert np.allclose(centers[0], z.mean(axis=0))
     assert (assign == 0).all()
 
@@ -127,9 +132,28 @@ def test_kmeans_single_cluster_is_global_mean():
 def test_kmeans_validation():
     z = np.zeros((3, 2))
     with pytest.raises(ConfigError):
-        target_kmeans(z, np.zeros((2, 3)))
+        target_kmeans(z, np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(DataError):
-        target_kmeans(z, np.zeros((4, 2)))
+        target_kmeans(z, np.zeros((4, 2)), np.zeros((3, 4)))
+    with pytest.raises(ConfigError, match=r"^init_distances are \(3, 3\), expected \(3, 2\)$"):
+        target_kmeans(z, np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("cap", [1, 2, None])
+def test_kmeans_returns_final_centers_distances(monkeypatch, cap):
+    # The returned table is the one of the returned centers, whether the
+    # iterations converged or stopped at the cap after moving the centers.
+    if cap is not None:
+        monkeypatch.setattr(prototype, "KMEANS_MAX_ITERS", cap)
+    rng = np.random.default_rng(26)
+    z = np.vstack([c + rng.standard_normal((25, 3)) for c in 3.0 * rng.standard_normal((4, 3))])
+    init = rng.standard_normal((4, 3))
+    centers, _, history, dist = _kmeans(z, init)
+    if cap is None:
+        assert len(history) < prototype.KMEANS_MAX_ITERS  # converged
+    else:
+        assert len(history) == cap
+    assert np.array_equal(dist, squared_distances(z, centers))
 
 
 def test_combined_fixed_example():
@@ -206,7 +230,7 @@ def test_kmeans_matches_per_cluster_loop(seed):
     z = np.vstack([c + rng.standard_normal((30, 5)) for c in truth])
     # a far center never wins a sample, so its cluster stays empty throughout
     init = np.vstack([truth + rng.standard_normal(truth.shape), np.full(5, 1e3)])
-    centers, assign, history = target_kmeans(z, init)
+    centers, assign, history, _ = _kmeans(z, init)
     ref_centers, ref_assign, ref_history = _loop_kmeans(z, init)
     assert np.array_equal(assign, ref_assign)
     assert len(history) == len(ref_history)

@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from cdem.matio import ExperimentConfig
-from cdem.prototype import target_kmeans
+from cdem.prototype import squared_distances, target_kmeans
 from cdem.synth import ShiftSpec, generate
 from cdem.trainer import run_adaptation
 
@@ -44,7 +44,9 @@ def test_observers_read_the_shapes_they_expect():
     finally:
         tracer.uninstall()
     # len(target_kmeans(...)[2]): one history entry per Lloyd iteration
-    assert isinstance(target_kmeans(pair.target_x, pair.target_x[:3])[2], list)
+    init = pair.target_x[:3]
+    to_init = squared_distances(pair.target_x, init)
+    assert isinstance(target_kmeans(pair.target_x, init, to_init)[2], list)
     assert tracer.counts["prototype.kmeans_iters"] >= config.iterations
     # curriculum.select(table, ...) takes the table first, returns .selected_ids
     assert tracer.last_admit["main"] == (int(result.selected.sum()), pair.n_target)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from cdem.errors import ConfigError, DataError
-from cdem.matio import DomainPair, ExperimentConfig
+from cdem.matio import DomainPair, ExperimentConfig, read_matrix
 from cdem.preprocess import normalize_rows
-from cdem.prototype import fit_prototypes
+from cdem.prototype import fit_prototypes, squared_distances
 from cdem.selftest import oracle_marginal_mmd
 from cdem.synth import ShiftSpec, generate
 from cdem.trainer import evaluate_cross_domain_errors, prepare_task, run_adaptation
@@ -96,7 +96,13 @@ def test_identical_domains_align_exactly():
 
 def test_alignment_weight_reduces_domain_gap_term():
     from cdem.eigsolve import solve_generalized
-    from cdem.objectives import Hyperparams, JointLabeling, build_objective_matrices
+    from cdem.objectives import (
+        Hyperparams,
+        JointLabeling,
+        build_objective_matrices,
+        objective_terms,
+        term_weights,
+    )
     from cdem.selftest import trace_form
 
     pair, labels = generate(_small_spec(translation=(1.5, -1.5)))
@@ -109,13 +115,15 @@ def test_alignment_weight_reduces_domain_gap_term():
         selected=np.ones(pair.n_target, dtype=bool),
         n_classes=pair.n_classes,
     )
+    mmd = objective_terms(labeling, features, task.moments)["mmd"]
     gap_terms = []
     for lam in (0.0, 10.0):
         params = Hyperparams(beta=0.1, lam=lam, gamma=0.1, eta=0.1, delta=0.1)
-        parts = build_objective_matrices(labeling, features, task.moments, params)
+        weights = term_weights(params)
+        parts = build_objective_matrices(labeling, features, task.moments, weights)
         a = parts.combined + params.delta * np.eye(features.shape[1])
         solution = solve_generalized(a, task.constraint, 3)
-        gap_terms.append(trace_form(parts.mmd, solution.projection))
+        gap_terms.append(trace_form(mmd, solution.projection))
     # both solves minimize over the same feasible frames, so the heavier
     # alignment weight cannot end up with a larger alignment term
     assert gap_terms[1] <= gap_terms[0] + 1e-9 * (1.0 + abs(gap_terms[0]))
@@ -149,12 +157,27 @@ def test_component_subset_runs():
 
 
 def test_dump_writes_term_matrices(tmp_path):
+    from cdem.objectives import TERMS, term_weights
+
     pair, labels = generate(_small_spec(seed=8))
     config = _small_config(iterations=2)
-    run_adaptation(pair, config, labels, dump_dir=tmp_path)
+    dumped = run_adaptation(pair, config, labels, dump_dir=tmp_path)
+    names = TERMS + ("combined", "operand_a", "operand_b", "projection", "eigenvalues")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"step{step:02d}_{name}.cdm" for step in (1, 2) for name in names
+    )
+    weights = term_weights(config.hyperparams, config.components)
     for step in (1, 2):
-        for name in ("combined", "within_class", "operand_a", "operand_b", "projection"):
-            assert (tmp_path / f"step{step:02d}_{name}.cdm").exists()
+        read = lambda name: read_matrix(tmp_path / f"step{step:02d}_{name}.cdm")
+        weighted = [weights[name] * read(name) for name in TERMS]
+        scale = max(float(np.abs(t).max()) for t in weighted)
+        assert np.abs(read("combined") - sum(weighted)).max() <= 1e-12 * scale
+        delta = config.hyperparams.delta * np.eye(config.pca_dim)
+        assert np.array_equal(read("operand_a"), read("combined") + delta)
+    # building the terms for the dump leaves the run itself unchanged
+    plain = run_adaptation(pair, config, labels)
+    assert np.array_equal(dumped.predictions, plain.predictions)
+    assert np.array_equal(dumped.projection, plain.projection)
 
 
 def test_error_carries_step_context(monkeypatch):
@@ -286,7 +309,7 @@ def test_cross_domain_errors_perfect_separation():
     zt = zs + 0.01
     yt = ys.copy()
     centers = fit_prototypes(zs, ys, 2)
-    errors = evaluate_cross_domain_errors(zs, ys, centers, zt, yt)
+    errors = evaluate_cross_domain_errors(zs, ys, centers, zt, squared_distances(zt, centers), yt)
     assert errors.source_model_on_source == 0.0
     assert errors.target_model_on_target == 0.0
     assert errors.target_model_on_source == 0.0
@@ -300,7 +323,8 @@ def test_cross_domain_errors_against_truth():
     pseudo = np.array([0, 0])  # second pseudo label is wrong
     truth = np.array([0, 1])
     centers = fit_prototypes(zs, ys, 2)
-    errors = evaluate_cross_domain_errors(zs, ys, centers, zt, pseudo, truth)
+    to_source = squared_distances(zt, centers)
+    errors = evaluate_cross_domain_errors(zs, ys, centers, zt, to_source, pseudo, truth)
     # target model has a single class and mislabels the class-1 sample
     assert errors.target_model_on_target == 0.5
     assert errors.source_model_on_target == 0.0
