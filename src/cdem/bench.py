@@ -220,26 +220,24 @@ def load_tasks(config: ExperimentConfig, tasks: list[str | None]) -> dict[str | 
     in task order and before any pair is prepared; each feature and label
     file is read once, however many tasks name it.  A registry task stacks
     its two domains in sorted-name order, so it and its reverse share one
-    ``preprocess_rows`` call, one pool item named by the pair in that order
-    ("A-B" for both A-B and B-A); the config's direct pair stacks source then
-    target.  The read matrices are released on return.
+    ``preprocess_rows`` call, one pool item keyed by the two names in that
+    order (("A", "B") for both A-B and B-A); the config's direct pair stacks
+    source then target.  The read matrices are released on return.
     """
     # matio's readers are looked up at call time, so a wrapper put on them
     # there (perfbench's tracer) sees every read.
     matrix = functools.cache(lambda path: matio.read_matrix(path))
     labels = functools.cache(lambda path: matio.read_labels(path))
-    blocks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    blocks: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
     checked = []
     for task in dict.fromkeys(tasks):
         inputs = matio.read_task(config, task, matrix, labels)
         eval_labels = matio.read_eval_labels(inputs.target_labels, inputs, labels)
-        source, _, target = (task or "").partition("-")
-        swapped = source > target
-        if swapped:
-            pair, first, second = f"{target}-{source}", inputs.target_x, inputs.source_x
-        else:
-            pair, first, second = task or "task", inputs.source_x, inputs.target_x
-        blocks.setdefault(pair, (first, second))
+        names = matio.split_task(config, task) if task else ("", "")
+        swapped = names[0] > names[1]
+        pair = tuple(sorted(names))
+        domains = (inputs.source_x, inputs.target_x)
+        blocks.setdefault(pair, domains[::-1] if swapped else domains)
         checked.append((task, pair, swapped, inputs.source_y, inputs.n_classes, eval_labels))
 
     pairs = list(blocks)

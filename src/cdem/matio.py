@@ -11,6 +11,7 @@ directory containing the file.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -109,16 +110,17 @@ def write_matrix(matrix, path: str | Path) -> None:
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    """Load a label vector: one non-negative decimal integer per line."""
+    """Load a label vector: one non-negative decimal integer per line, ASCII
+    digits only (a leading ``-`` parses, then fails as a negative label)."""
     path = Path(path)
     values: list[int] = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
+        token = line.strip()
+        if not token:
             continue
-        try:
-            values.append(int(line.strip()))
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: not an integer label") from exc
+        if not re.fullmatch(r"-?[0-9]+", token):
+            raise FormatError(f"{path}: line {lineno}: not an integer label")
+        values.append(int(token))
     if not values:
         raise FormatError(f"{path}: no labels")
     try:
@@ -340,6 +342,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def split_task(config: ExperimentConfig, task: str) -> tuple[str, str]:
+    """The source and target dataset names of registry task ``task``: the two
+    sides of the one ``-`` that has a registry name on each side, so names
+    may themselves contain ``-``.  A name with no such ``-`` is reported by
+    its split at the first ``-``; a name with two is ambiguous."""
+    splits = [(task[:i], task[i + 1 :]) for i, char in enumerate(task) if char == "-"]
+    if not splits:
+        raise ConfigError(f"task {task!r}: expected SOURCE-TARGET")
+    found = [names for names in splits if all(n in config.datasets for n in names)]
+    if len(found) > 1:
+        options = ", ".join(f"{src!r} to {tgt!r}" for src, tgt in found)
+        raise ConfigError(f"task {task!r}: ambiguous, could be {options}")
+    if not found:
+        missing = next(n for n in splits[0] if n not in config.datasets)
+        raise ConfigError(f"task {task!r}: dataset {missing!r} not in registry")
+    return found[0]
+
+
 def _resolve_task_paths(
     config: ExperimentConfig, task: str | None
 ) -> tuple[Path, Path, Path, Path | None]:
@@ -354,12 +374,7 @@ def _resolve_task_paths(
             config.target_features,
             config.target_labels,
         )
-    if "-" not in task:
-        raise ConfigError(f"task {task!r}: expected SOURCE-TARGET")
-    src_name, _, tgt_name = task.partition("-")
-    for name in (src_name, tgt_name):
-        if name not in config.datasets:
-            raise ConfigError(f"task {task!r}: dataset {name!r} not in registry")
+    src_name, tgt_name = split_task(config, task)
     src = config.datasets[src_name]
     tgt = config.datasets[tgt_name]
     if src.labels is None:

@@ -6,7 +6,9 @@ each a quadratic form X'QX equal to a sum of squared distances in the
 projected space.  These sums depend on the samples only through the count
 n_g and row sum s_g of each source and selected-target class (from
 ``prototype.class_moments``), the Gram G_c of each source class and the
-selected target rows Xsel.  With means mu_g = s_g / n_g:
+selected target rows Xsel.  A step therefore passes the builder the task's
+``SourceMoments``, Xsel and Xsel's pseudo labels, never X or a mask.  With
+means mu_g = s_g / n_g:
 
 - within-class scatter: sum_c G_c + Xsel'Xsel - sum_g n_g mu_g mu_g'
 - center push, marginal and conditional MMD, cross pushes: weighted
@@ -58,46 +60,6 @@ class Hyperparams:
         for name in ("beta", "lam", "gamma", "eta", "delta"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class JointLabeling:
-    """Source labels plus current target pseudo labels and the selection mask.
-
-    Rows of the stacked features follow the same order: source sample i sits
-    at row i, target sample j at row n_source + j.
-    """
-
-    source: np.ndarray
-    target: np.ndarray
-    selected: np.ndarray
-    n_classes: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source", np.asarray(self.source, dtype=np.int64))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=np.int64))
-        object.__setattr__(self, "selected", np.asarray(self.selected, dtype=bool))
-        if self.source.ndim != 1 or self.target.ndim != 1:
-            raise DataError("labels must be 1-d")
-        if self.selected.shape != self.target.shape:
-            raise DataError("selection mask must match target labels")
-        if self.n_classes < 2:
-            raise DataError("need at least two classes")
-        for name, arr in (("source", self.source), ("target", self.target)):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n_classes):
-                raise DataError(f"{name} labels outside [0, {self.n_classes})")
-
-    @property
-    def n_source(self) -> int:
-        return self.source.shape[0]
-
-    @property
-    def n_target(self) -> int:
-        return self.target.shape[0]
-
-    @property
-    def n_total(self) -> int:
-        return self.n_source + self.n_target
 
 
 @dataclass(frozen=True)
@@ -189,37 +151,36 @@ def _skipped_terms(n_src: np.ndarray, n_tgt: np.ndarray) -> list[str]:
 
 
 def build_objective_matrices(
-    labeling: JointLabeling,
-    features: np.ndarray,
     source: SourceMoments,
+    xt_sel: np.ndarray,
+    y_sel: np.ndarray,
     weights: dict[str, float],
 ) -> ObjectiveMatrices:
-    """The operand sum_t weights[t] X'Q_tX over ``TERMS`` for the current
-    labeling, from the three products of the module docstring.
+    """The operand sum_t weights[t] X'Q_tX over ``TERMS``, from the three
+    products of the module docstring.
 
-    features stacks the source rows, then the target rows; source holds
-    their ``source_moments`` for labeling.source.  Source samples use true
-    labels, selected target samples pseudo labels.  The center push weighs
-    each class's squared distance to the rest of its domain by its count;
-    the cross push compares a class mean with the opposite domain's
-    other-class mean.  On the target side early curriculum stages can leave
-    a class empty or complement-less, so those blocks are skipped and
-    reported in ``skipped``.
+    source holds the ``source_moments`` of the task; xt_sel are the selected
+    target rows and y_sel their pseudo labels.  The class count C and the
+    source row count come from source.counts.  The center push weighs each
+    class's squared distance to the rest of its domain by its count; the
+    cross push compares a class mean with the opposite domain's other-class
+    mean.  On the target side early curriculum stages can leave a class
+    empty or complement-less, so those blocks are skipped and reported in
+    ``skipped``.
     """
-    if not labeling.selected.any():
+    n_classes, m = source.sums.shape
+    xt_sel = np.asarray(xt_sel, dtype=np.float64)
+    y_sel = np.asarray(y_sel, dtype=np.int64)
+    if xt_sel.ndim != 2 or xt_sel.shape[1] != m:
+        raise ConfigError(f"selected target rows are {xt_sel.shape}, source moments are {m} wide")
+    if not xt_sel.shape[0]:
         raise DataError("no selected target samples: cannot build objective")
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != labeling.n_total:
-        raise ConfigError(f"features are {x.shape}, expected ({labeling.n_total}, m)")
-    if source.sums.shape != (labeling.n_classes, x.shape[1]):
-        raise ConfigError(
-            f"source moments are for {source.sums.shape}, expected "
-            f"({labeling.n_classes}, {x.shape[1]})"
-        )
-    xt_sel = x[labeling.n_source :][labeling.selected]
-    y_sel = labeling.target[labeling.selected]
+    if y_sel.shape != xt_sel.shape[:1]:
+        raise DataError(f"pseudo labels are {y_sel.shape}, expected one per selected row")
+    if y_sel.min() < 0 or y_sel.max() >= n_classes:
+        raise DataError(f"pseudo labels outside [0, {n_classes})")
     n_src, s_src = source.counts, source.sums
-    n_tgt, s_tgt = class_moments(xt_sel, y_sel, labeling.n_classes)
+    n_tgt, s_tgt = class_moments(xt_sel, y_sel, n_classes)
     n_cls = n_src + n_tgt
 
     # Each row's Gram enters the within-class scatter once and the
@@ -231,7 +192,7 @@ def build_objective_matrices(
     n_sel = n_tgt.sum()
     mean_src = _means(s_src, n_src)
     mean_tgt = _means(s_tgt, n_tgt)
-    rest_src = _means(s_src.sum(axis=0) - s_src, labeling.n_source - n_src)
+    rest_src = _means(s_src.sum(axis=0) - s_src, n_src.sum() - n_src)
     rest_tgt = _means(s_tgt.sum(axis=0) - s_tgt, n_sel - n_tgt)
     both = ((n_src > 0) & (n_tgt > 0)).astype(float)
     tgt_has_rest = n_tgt < n_sel
@@ -245,7 +206,7 @@ def build_objective_matrices(
         ("mmd", mean_src - mean_tgt, both),
         ("cross_st", mean_src - rest_tgt, both * tgt_has_rest),
         ("cross_ts", mean_tgt - rest_src, both),
-        ("laplacian", s_src + s_tgt, -np.ones(labeling.n_classes)),
+        ("laplacian", s_src + s_tgt, -np.ones(n_classes)),
     )
     d = np.concatenate([rows for _, rows, _ in rank_one])
     u = np.concatenate([weights[term] * factor for term, _, factor in rank_one])
@@ -254,10 +215,10 @@ def build_objective_matrices(
 
 
 def objective_terms(
-    labeling: JointLabeling, features: np.ndarray, source: SourceMoments
+    source: SourceMoments, xt_sel: np.ndarray, y_sel: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Each of ``TERMS`` alone: ``build_objective_matrices`` with a unit
     weight on that term and 0 on the others."""
     unit = lambda term: {t: float(t == term) for t in TERMS}
-    build = lambda term: build_objective_matrices(labeling, features, source, unit(term))
+    build = lambda term: build_objective_matrices(source, xt_sel, y_sel, unit(term))
     return {term: build(term).combined for term in TERMS}

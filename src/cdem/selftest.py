@@ -16,7 +16,7 @@ import numpy as np
 
 from . import objectives
 from .eigsolve import factor_constraint, solve_generalized
-from .objectives import Hyperparams, JointLabeling
+from .objectives import Hyperparams
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,8 @@ class Instance:
     projection: np.ndarray
 
     @property
-    def labeling(self) -> JointLabeling:
-        return JointLabeling(
-            source=self.ys,
-            target=self.yt,
-            selected=self.selected,
-            n_classes=int(max(self.ys.max(), self.yt.max())) + 1,
-        )
+    def n_classes(self) -> int:
+        return int(max(self.ys.max(), self.yt.max())) + 1
 
     @property
     def features(self) -> np.ndarray:
@@ -223,15 +218,16 @@ def random_instance(
     )
 
 
-def _build(
-    labeling: JointLabeling, features: np.ndarray, params: Hyperparams
-) -> dict[str, np.ndarray]:
-    """Every term of one labeling alone and, as "combined", the operand params
-    weigh them into; the source moments come from the same features."""
-    moments = objectives.source_moments(features, labeling.source, labeling.n_classes)
+def _build(inst: Instance, features: np.ndarray, params: Hyperparams) -> dict[str, np.ndarray]:
+    """Every term of inst's labeling alone and, as "combined", the operand
+    params weigh them into.  features stand for inst's stacked rows (source
+    first); the source moments and the selected target rows come from them."""
+    moments = objectives.source_moments(features, inst.ys, inst.n_classes)
+    xt_sel = features[inst.ys.shape[0] :][inst.selected]
+    y_sel = inst.yt[inst.selected]
     weights = objectives.term_weights(params)
-    built = objectives.build_objective_matrices(labeling, features, moments, weights)
-    return {**objectives.objective_terms(labeling, features, moments), "combined": built.combined}
+    built = objectives.build_objective_matrices(moments, xt_sel, y_sel, weights)
+    return {**objectives.objective_terms(moments, xt_sel, y_sel), "combined": built.combined}
 
 
 # The check name of each term whose check is not named after the term.
@@ -274,14 +270,13 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
 
     for case in range(cases):
         inst = random_instance(rng, full_selection=(case % 2 == 0))
-        labeling = inst.labeling
         f = inst.features
         p = inst.projection
-        classes = range(labeling.n_classes)
+        classes = range(inst.n_classes)
         sel = inst.selected
         xt_sel = inst.xt[sel]
         yt_sel = inst.yt[sel]
-        terms = _build(labeling, f, Hyperparams())
+        terms = _build(inst, f, Hyperparams())
         oracle: dict[str, float] = {}
 
         oracle["within_class"] = oracle_within_scatter(p, inst.xs, inst.ys)
@@ -330,9 +325,9 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
             # the per-class weights are constant, so the term totals carry
             # it, and the marginal part of the mmd term is taken back out
             bal = _balanced_subinstance(inst)
-            n_sc = bal.xs.shape[0] // labeling.n_classes
-            n_tc = bal.xt.shape[0] // labeling.n_classes
-            bal_terms = _build(bal.labeling, bal.features, Hyperparams())
+            n_sc = bal.xs.shape[0] // inst.n_classes
+            n_tc = bal.xt.shape[0] // inst.n_classes
+            bal_terms = _build(bal, bal.features, Hyperparams())
             conditional = trace_form(bal_terms["mmd"], p) - oracle_marginal_mmd(p, bal.xs, bal.xt)
             value = (1.0 - beta) * trace_form(bal_terms["within_class"], p)
             value += (n_sc + n_tc) * conditional
@@ -348,7 +343,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
             eta=float(rng.uniform(0, 2)),
             delta=1.0,
         )
-        parts = _build(labeling, f, params)
+        parts = _build(inst, f, params)
         manual = (
             parts["within_class"]
             - params.beta * parts["center_push"]
@@ -363,7 +358,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
         expected = sum(weights[name] * oracle[name] for name in objectives.TERMS)
         record("combined", _rel_err(trace_form(parts["combined"], p), expected))
         # a shared translation of every row moves no distance
-        shifted = _build(labeling, f + 1.0, params)
+        shifted = _build(inst, f + 1.0, params)
         for name, mat in parts.items():
             scale = max(1.0, float(np.abs(mat).max()))
             record(f"symmetry:{name}", float(np.abs(mat - mat.T).max()))

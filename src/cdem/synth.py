@@ -67,16 +67,6 @@ def _class_means(spec: ShiftSpec) -> np.ndarray:
     return centered * (spec.separation / np.sqrt(2.0))
 
 
-def _rotation(spec: ShiftSpec) -> np.ndarray:
-    angle = np.deg2rad(spec.rotation_deg)
-    rot = np.eye(spec.dims)
-    rot[0, 0] = np.cos(angle)
-    rot[0, 1] = -np.sin(angle)
-    rot[1, 0] = np.sin(angle)
-    rot[1, 1] = np.cos(angle)
-    return rot
-
-
 def _sample_blobs(
     rng: np.random.Generator, means: np.ndarray, counts: np.ndarray, dims: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +87,11 @@ def generate(spec: ShiftSpec) -> tuple[DomainPair, np.ndarray]:
     target_x, target_y = _sample_blobs(rng, means, counts, spec.dims)
     shift = np.zeros(spec.dims)
     shift[: len(spec.translation)] = spec.translation
-    target_x = target_x @ _rotation(spec).T + shift
+    # Only the first two dimensions rotate: a 2×2 product, never a d×d one.
+    angle = np.deg2rad(spec.rotation_deg)
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    target_x[:, :2] = target_x[:, :2] @ rotation.T
+    target_x += shift
     if spec.noise_scale > 0:
         target_x = target_x + spec.noise_scale * rng.standard_normal(target_x.shape)
     pair = DomainPair(source_x, source_y, target_x, spec.classes)

@@ -10,11 +10,12 @@ the objective.  Methods, ablation stages and grid points that differ only in
 their weights or components share one ``PreparedTask``.  ``run_adaptation``
 then bootstraps pseudo labels from a source-only prototype classifier in
 that space and alternates for a fixed number of steps between (a) solving
-the generalized eigenproblem for the current labeling and (b) refreshing
-pseudo labels and the curriculum selection in the new subspace.  Each
-domain's rows are row slices of the joint matrix, never separate copies.
-True target labels never enter any of these steps; when provided they are
-used solely to score predictions per step."""
+the generalized eigenproblem whose objective is built from the source
+moments, the selected target rows and their pseudo labels, and (b)
+refreshing pseudo labels and the curriculum selection in the new subspace.
+Each domain's rows are row slices of the joint matrix, never separate
+copies.  True target labels never enter any of these steps; when provided
+they are used solely to score predictions per step."""
 
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .eigsolve import (
 from .errors import CdemError, ConfigError, NumericError
 from .matio import DomainPair, ExperimentConfig, validate_eval_labels, write_matrix
 from .objectives import (
-    JointLabeling,
     SourceMoments,
     build_objective_matrices,
     objective_terms,
@@ -201,7 +201,8 @@ def _dump_iteration(
     dump_dir: Path,
     step: int,
     task: PreparedTask,
-    labeling: JointLabeling,
+    xt_sel: np.ndarray,
+    y_sel: np.ndarray,
     combined: np.ndarray,
     a: np.ndarray,
     solution: TransformSolution,
@@ -209,7 +210,7 @@ def _dump_iteration(
     """Write one step's matrices; only a dump builds the terms alone."""
     dump_dir.mkdir(parents=True, exist_ok=True)
     named = {
-        **objective_terms(labeling, task.features, task.moments),
+        **objective_terms(task.moments, xt_sel, y_sel),
         "combined": combined,
         "operand_a": a,
         "operand_b": task.constraint.shifted,
@@ -251,13 +252,9 @@ def run_adaptation(
 
     for step in range(1, total + 1):
         try:
-            labeling = JointLabeling(
-                source=task.source_y,
-                target=table.label,
-                selected=state.selected,
-                n_classes=task.n_classes,
-            )
-            parts = build_objective_matrices(labeling, features, task.moments, weights)
+            xt_sel = features[n_source:][state.selected]
+            y_sel = table.label[state.selected]
+            parts = build_objective_matrices(task.moments, xt_sel, y_sel, weights)
             a = parts.combined + delta_identity
             solution = solve_generalized(a, task.constraint, config.subspace_dim)
             projected = features @ solution.projection
@@ -281,7 +278,7 @@ def run_adaptation(
                 raise NumericError("objective value is not finite")
             if dump_dir is not None:
                 _dump_iteration(
-                    Path(dump_dir), step, task, labeling, parts.combined, a, solution
+                    Path(dump_dir), step, task, xt_sel, y_sel, parts.combined, a, solution
                 )
 
             agreement = float(np.mean(table.label == prev_labels))

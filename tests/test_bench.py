@@ -279,11 +279,11 @@ def test_safe_name_sanitizes():
     assert bench._safe_name("a/b c") == "a-b-c"
 
 
-def _registry(root, labeled=("A", "B", "C"), classes=3, dims=8, pca_dim=6):
-    """Three small domains of 40, 45 and 50 rows; a domain not in labeled
-    has no label file."""
+def _registry(root, labeled=("A", "B", "C"), classes=3, dims=8, pca_dim=6, names=("A", "B", "C")):
+    """Small domains of 40, 45, 50 and 55 rows, one per name; a domain not in
+    labeled has no label file."""
     lines = [f"pca_dim={pca_dim}", "subspace_dim=3", "iterations=3"]
-    for index, (name, rotation) in enumerate((("A", 0.0), ("B", 25.0), ("C", -30.0))):
+    for index, (name, rotation) in enumerate(zip(names, (0.0, 25.0, -30.0, 40.0))):
         spec = ShiftSpec(classes=classes, n_per_domain=40 + 5 * index, dims=dims,
                          separation=6.0, rotation_deg=rotation, translation=(0.5 * index,),
                          seed=index)
@@ -360,6 +360,38 @@ def test_reverse_task_bytes_independent_of_suite_and_workers(tmp_path, monkeypat
                 (out / "B-A_cdem_embedding.csv").read_bytes(),
             )
     assert len(set(seen.values())) == 1
+
+
+def test_task_all_over_hyphenated_names(tmp_path):
+    # "art" is a prefix of "art-1": each task name has exactly one "-" with a
+    # registry name on both sides.
+    names = ("art", "art-1", "clip-2")
+    config = _registry(tmp_path, labeled=names, names=names)
+    out = tmp_path / "all"
+    assert main(["run", "--config", str(config), "--task", "all", "--out", str(out)]) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert [r["task"] for r in results] == [
+        "art-art-1", "art-clip-2", "art-1-art", "art-1-clip-2", "clip-2-art", "clip-2-art-1"
+    ]
+    alone = tmp_path / "alone"
+    argv = ["run", "--config", str(config), "--task", "clip-2-art-1", "--out", str(alone)]
+    assert main(argv) == 0
+    name = "clip-2-art-1_cdem_predictions.txt"
+    assert (out / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_pairs_whose_joined_names_coincide_stay_apart(tmp_path):
+    # ("a", "b-c") and ("a-b", "c") both join to "a-b-c"; the two tasks must
+    # still get their own domains.
+    names = ("a", "b-c", "a-b", "c")
+    config = load_config(_registry(tmp_path, labeled=names, names=names))
+    together = bench.load_tasks(config, ["b-c-a", "c-a-b"])
+    for task, source, target in (("b-c-a", "b-c", "a"), ("c-a-b", "c", "a-b")):
+        prepared = together[task].prepare(config)
+        alone = bench.load_tasks(config, [task])[task].prepare(config)
+        assert prepared.n_source == read_matrix(tmp_path / f"{source}_x.cdm").shape[0]
+        assert prepared.n_target == read_matrix(tmp_path / f"{target}_x.cdm").shape[0]
+        assert np.array_equal(prepared.features, alone.features)
 
 
 def test_grid_counts_a_repeated_task_each_time(tmp_path):

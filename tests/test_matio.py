@@ -16,6 +16,7 @@ from cdem.matio import (
     _PATH_KEYS,
     MAGIC,
     WEIGHT_KEYS,
+    DatasetEntry,
     DomainPair,
     ExperimentConfig,
     load_config,
@@ -23,6 +24,7 @@ from cdem.matio import (
     load_eval_labels,
     read_labels,
     read_matrix,
+    split_task,
     write_labels,
     write_matrix,
 )
@@ -145,6 +147,23 @@ def test_labels_validation(tmp_path):
         read_labels(path)
     path.write_text("1\n99999999999999999999\n")
     with pytest.raises(FormatError, match="int64 range"):
+        read_labels(path)
+
+
+@pytest.mark.parametrize("line", ["1_0", "+1", "\u0661", "\uff11", "1.0", "0x1", "- 1"])
+def test_labels_accept_only_ascii_decimal_digits(tmp_path, line):
+    path = tmp_path / "y.txt"
+    path.write_text(f"0\n{line}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"y\.txt: line 2: not an integer label$"):
+        read_labels(path)
+
+
+def test_labels_keep_surrounding_whitespace_and_negative_label(tmp_path):
+    path = tmp_path / "y.txt"
+    path.write_text(" 3 \n\n007\n")
+    assert read_labels(path).tolist() == [3, 7]
+    path.write_text("1\n-0\n-4\n")
+    with pytest.raises(DataError, match=r"y\.txt: negative label$"):
         read_labels(path)
 
 
@@ -393,6 +412,28 @@ def test_config_registry_tasks(tmp_path):
         load_domain_pair(config, "S-X")
     with pytest.raises(ConfigError):
         load_domain_pair(config)  # no explicit paths in this file
+
+
+def _registry_config(*names):
+    return ExperimentConfig(datasets={n: DatasetEntry(features=Path(f"{n}.cdm")) for n in names})
+
+
+def test_split_task_at_the_one_dash_between_registry_names():
+    config = _registry_config("art", "art-1", "clip-2")
+    assert split_task(config, "art-1-clip-2") == ("art-1", "clip-2")
+    assert split_task(config, "art-art-1") == ("art", "art-1")
+    assert split_task(config, "clip-2-art") == ("clip-2", "art")
+    with pytest.raises(ConfigError, match=r"^task 'art': expected SOURCE-TARGET$"):
+        split_task(config, "art")
+    # no split into two registry names: reported at the first "-"
+    missing = r"^task 'art-1-clip': dataset '1-clip' not in registry$"
+    with pytest.raises(ConfigError, match=missing):
+        split_task(config, "art-1-clip")
+    with pytest.raises(ConfigError, match=r"^task 'x-art': dataset 'x' not in registry$"):
+        split_task(config, "x-art")
+    ambiguous = _registry_config("a", "a-b", "b-c", "c")
+    with pytest.raises(ConfigError, match=r"^task 'a-b-c': ambiguous, could be 'a' to 'b-c', "):
+        split_task(ambiguous, "a-b-c")
 
 
 def _task_with_eval_labels(tmp_path, labels):

@@ -14,7 +14,6 @@ from cdem.errors import ConfigError, DataError
 from cdem.objectives import (
     KNOWN_COMPONENTS,
     Hyperparams,
-    JointLabeling,
     build_objective_matrices,
     objective_terms,
     source_moments,
@@ -25,26 +24,35 @@ from cdem.objectives import TERMS as UNIT_TERMS
 TERMS = UNIT_TERMS + ("combined",)
 
 
-def _labeling(source, target, selected=None, n_classes=2):
+def _labeling(source, target, selected=None):
+    """(source labels, target pseudo labels, selection mask) as arrays; every
+    target row is selected by default."""
     target = np.asarray(target)
     if selected is None:
         selected = np.ones(target.shape[0], dtype=bool)
-    return JointLabeling(np.asarray(source), target, selected, n_classes)
+    return np.asarray(source), target, np.asarray(selected, dtype=bool)
 
 
-def _build(lab, features, params, components=KNOWN_COMPONENTS):
+def _build(lab, features, n_classes, params, components=KNOWN_COMPONENTS):
     """Each term alone (unit weight), the operand for params and components
-    as ``combined``, and the skipped terms."""
-    moments = source_moments(features, lab.source, lab.n_classes)
-    built = build_objective_matrices(lab, features, moments, term_weights(params, components))
-    terms = objective_terms(lab, features, moments)
+    as ``combined``, and the skipped terms, for features whose first rows
+    are the source rows of lab and the rest its target rows."""
+    ys, yt, selected = lab
+    moments = source_moments(features, ys, n_classes)
+    xt_sel, y_sel = features[ys.shape[0] :][selected], yt[selected]
+    built = build_objective_matrices(moments, xt_sel, y_sel, term_weights(params, components))
+    terms = objective_terms(moments, xt_sel, y_sel)
     return SimpleNamespace(**terms, combined=built.combined, skipped=built.skipped)
+
+
+def _build_instance(inst, features):
+    return _build((inst.ys, inst.yt, inst.selected), features, inst.n_classes, Hyperparams())
 
 
 def _terms(source, target, selected=None, n_classes=2):
     # identity features make every m×m term X'QX the coefficient matrix Q
-    lab = _labeling(source, target, selected, n_classes)
-    return _build(lab, np.eye(lab.n_total), Hyperparams())
+    lab = _labeling(source, target, selected)
+    return _build(lab, np.eye(len(source) + len(target)), n_classes, Hyperparams())
 
 
 def test_within_class_two_samples_same_class():
@@ -139,37 +147,37 @@ def test_laplacian_ignores_unselected():
 
 def test_compose_zero_weights_gives_within_class():
     rng = np.random.default_rng(4)
-    lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6), n_classes=2)
+    lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6))
     params = Hyperparams(beta=0.0, lam=0.0, gamma=0.0, eta=0.0, delta=0.0)
-    parts = _build(lab, np.eye(lab.n_total), params)
+    parts = _build(lab, np.eye(14), 2, params)
     assert np.array_equal(parts.combined, parts.within_class)
 
 
 def test_compose_distribution_only():
     rng = np.random.default_rng(5)
-    lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6), n_classes=2)
+    lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6))
     params = Hyperparams(beta=0.0, lam=1.0, gamma=0.0, eta=0.0, delta=0.0)
-    parts = _build(lab, np.eye(lab.n_total), params)
+    parts = _build(lab, np.eye(14), 2, params)
     assert np.allclose(parts.combined, parts.within_class + parts.mmd)
 
 
 def test_compose_component_switches():
     rng = np.random.default_rng(6)
-    lab = _labeling(rng.integers(0, 3, 10), rng.integers(0, 3, 9), n_classes=3)
+    lab = _labeling(rng.integers(0, 3, 10), rng.integers(0, 3, 9))
     params = Hyperparams(beta=0.3, lam=0.7, gamma=0.2, eta=0.4, delta=1.0)
-    features = np.eye(lab.n_total)
-    parts = _build(lab, features, params)
-    erm_only = _build(lab, features, params, components=("erm",)).combined
+    features = np.eye(19)
+    parts = _build(lab, features, 3, params)
+    erm_only = _build(lab, features, 3, params, components=("erm",)).combined
     expected = parts.within_class - 0.3 * parts.center_push
     assert np.abs(erm_only - expected).max() <= 1e-12 * np.abs(expected).max()
-    da = _build(lab, features, params, components=("erm", "da")).combined
+    da = _build(lab, features, 3, params, components=("erm", "da")).combined
     assert np.allclose(da, erm_only + 0.7 * parts.mmd)
 
 
 def _deselect_one_class(inst, rng):
     """The instance with one class's target rows left out of the selection,
     so the target-side blocks of that class are skipped."""
-    selected = inst.selected & (inst.yt != rng.integers(0, inst.labeling.n_classes))
+    selected = inst.selected & (inst.yt != rng.integers(0, inst.n_classes))
     if not selected.any():
         return inst
     return selftest.Instance(inst.xs, inst.ys, inst.xt, inst.yt, selected, inst.projection)
@@ -188,11 +196,11 @@ def test_operand_is_weighted_sum_of_unit_terms(stage):
             inst = _deselect_one_class(inst, rng)
         raw = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.7)
         params = Hyperparams(beta=raw[0], lam=raw[1], gamma=raw[2], eta=raw[3])
-        lab, features = inst.labeling, inst.features
-        moments = source_moments(features, lab.source, lab.n_classes)
+        moments = source_moments(inst.features, inst.ys, inst.n_classes)
+        xt_sel, y_sel = inst.xt[inst.selected], inst.yt[inst.selected]
         weights = term_weights(params, components)
-        built = build_objective_matrices(lab, features, moments, weights)
-        terms = objective_terms(lab, features, moments)
+        built = build_objective_matrices(moments, xt_sel, y_sel, weights)
+        terms = objective_terms(moments, xt_sel, y_sel)
         weighted = [weights[name] * terms[name] for name in UNIT_TERMS]
         scale = max(float(np.abs(t).max()) for t in weighted)
         assert np.abs(built.combined - sum(weighted)).max() <= 1e-12 * scale
@@ -224,6 +232,39 @@ def test_build_requires_selected_targets():
         _terms([0, 1], [0, 1], selected=[False, False])
 
 
+def _moments_and_rows():
+    """Two-class source moments of width 3 and four selected target rows."""
+    rng = np.random.default_rng(9)
+    features = rng.standard_normal((10, 3))
+    return source_moments(features, np.array([0, 1, 0, 1, 1, 0]), 2), features[6:]
+
+
+@pytest.mark.parametrize(
+    "y_sel, message",
+    [
+        ([0, 1, 2, 1], r"^pseudo labels outside \[0, 2\)$"),
+        ([0, 1, -1, 1], r"^pseudo labels outside \[0, 2\)$"),
+        ([0, 1, 1], r"^pseudo labels are \(3,\), expected one per selected row$"),
+        ([[0, 1, 1, 0]], r"^pseudo labels are \(1, 4\), expected one per selected row$"),
+    ],
+    ids=["label-equals-C", "negative", "one-short", "2-d"],
+)
+def test_build_rejects_bad_pseudo_labels(y_sel, message):
+    moments, xt_sel = _moments_and_rows()
+    with pytest.raises(DataError, match=message):
+        build_objective_matrices(moments, xt_sel, np.array(y_sel), term_weights(Hyperparams()))
+
+
+def test_build_rejects_rows_of_another_width():
+    moments, xt_sel = _moments_and_rows()
+    y_sel = np.array([0, 1, 1, 0])
+    message = r"^selected target rows are \(4, 2\), source moments are 3 wide$"
+    with pytest.raises(ConfigError, match=message):
+        build_objective_matrices(moments, xt_sel[:, :2], y_sel, term_weights(Hyperparams()))
+    with pytest.raises(ConfigError, match=r"^selected target rows are \(3,\)"):
+        objective_terms(moments, xt_sel[0], y_sel)
+
+
 def test_skipped_terms_reported():
     parts = _terms([0, 1, 1], [0, 0])
     assert parts.skipped == [
@@ -247,7 +288,7 @@ def _random_terms(seed, cases=10):
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         inst = selftest.random_instance(rng)
-        yield inst, _build(inst.labeling, inst.features, Hyperparams())
+        yield inst, _build_instance(inst, inst.features)
 
 
 def _assert_terms_close(parts, expected, tol, transform=lambda t: t):
@@ -271,19 +312,19 @@ def test_terms_invariant_under_row_permutation():
     for inst, parts in _random_terms(78):
         ps = rng.permutation(inst.ys.shape[0])
         pt = rng.permutation(inst.yt.shape[0])
-        lab = JointLabeling(inst.ys[ps], inst.yt[pt], inst.selected[pt], inst.labeling.n_classes)
+        lab = (inst.ys[ps], inst.yt[pt], inst.selected[pt])
         features = np.vstack([inst.xs[ps], inst.xt[pt]])
-        permuted = _build(lab, features, Hyperparams())
+        permuted = _build(lab, features, inst.n_classes, Hyperparams())
         _assert_terms_close(permuted, parts, 1e-12)
 
 
 def test_terms_invariant_under_class_relabeling():
     rng = np.random.default_rng(79)
     for inst, parts in _random_terms(79):
-        n_classes = inst.labeling.n_classes
+        n_classes = inst.n_classes
         perm = rng.permutation(n_classes)
-        lab = JointLabeling(perm[inst.ys], perm[inst.yt], inst.selected, n_classes)
-        relabeled = _build(lab, inst.features, Hyperparams())
+        lab = (perm[inst.ys], perm[inst.yt], inst.selected)
+        relabeled = _build(lab, inst.features, n_classes, Hyperparams())
         _assert_terms_close(relabeled, parts, 1e-10)
 
 
@@ -291,7 +332,7 @@ def test_terms_invariant_under_translation():
     rng = np.random.default_rng(80)
     for inst, parts in _random_terms(80):
         shift = rng.standard_normal(inst.features.shape[1])
-        moved = _build(inst.labeling, inst.features + shift, Hyperparams())
+        moved = _build_instance(inst, inst.features + shift)
         _assert_terms_close(moved, parts, 1e-10)
 
 
@@ -300,7 +341,7 @@ def test_terms_rotate_with_features():
     for inst, parts in _random_terms(81):
         m = inst.features.shape[1]
         rot, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        rotated = _build(inst.labeling, inst.features @ rot, Hyperparams())
+        rotated = _build_instance(inst, inst.features @ rot)
         _assert_terms_close(rotated, parts, 1e-10, transform=lambda t: rot.T @ t @ rot)
 
 
@@ -335,8 +376,7 @@ def test_two_gram_terms_match_per_class_grams():
     selected = rng.random(260) < 0.6
     xs = rng.standard_normal((300, m)) + 2.0
     xt = rng.standard_normal((260, m)) - 1.0
-    lab = JointLabeling(ys, yt, selected, n_classes)
-    parts = _build(lab, np.vstack([xs, xt]), Hyperparams())
+    parts = _build((ys, yt, selected), np.vstack([xs, xt]), n_classes, Hyperparams())
     n_src = np.bincount(ys, minlength=n_classes)
     n_tgt = np.bincount(yt[selected], minlength=n_classes)
     assert (n_src[:5] == 0).all() and (n_tgt[5:10] == 0).all() and n_src[64] == n_tgt[64] == 0

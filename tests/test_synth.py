@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,37 @@ def test_rotation_preserves_norm_of_centered_target():
         atol=1e-10,
     )
     assert not np.allclose(pair0.target_x, pair1.target_x)
+
+
+def test_rotation_touches_only_the_first_two_columns():
+    spec = lambda deg: ShiftSpec(classes=3, n_per_domain=40, dims=6, rotation_deg=deg, seed=8)
+    unrotated, _ = generate(spec(0.0))
+    pair, _ = generate(spec(35.0))
+    x = unrotated.target_x
+    assert np.array_equal(pair.target_x[:, 2:], x[:, 2:])
+    angle = np.deg2rad(35.0)
+    full_rotation = np.eye(6)
+    full_rotation[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    expected = (x @ full_rotation.T)[:, :2]
+    assert np.abs(pair.target_x[:, :2] - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def test_generate_peak_memory_stays_near_the_pair():
+    # Rotating two of 4096 columns must not cost a d×d matrix (134 MB here):
+    # what generate holds at once is the two domains, their stacked copy and
+    # the noise draw.
+    spec = ShiftSpec(
+        classes=10, n_per_domain=400, dims=4096, separation=12.0, rotation_deg=45.0,
+        translation=(3.0, -1.0), noise_scale=0.5, seed=1,
+    )
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        pair, _ = generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 3 * pair.x.nbytes
 
 
 def test_noise_scale_adds_spread():

@@ -98,7 +98,6 @@ def test_alignment_weight_reduces_domain_gap_term():
     from cdem.eigsolve import solve_generalized
     from cdem.objectives import (
         Hyperparams,
-        JointLabeling,
         build_objective_matrices,
         objective_terms,
         term_weights,
@@ -109,18 +108,14 @@ def test_alignment_weight_reduces_domain_gap_term():
     config = _small_config()
     task = prepare_task(pair, config)
     features = task.features
-    labeling = JointLabeling(
-        source=pair.source_y,
-        target=labels,
-        selected=np.ones(pair.n_target, dtype=bool),
-        n_classes=pair.n_classes,
-    )
-    mmd = objective_terms(labeling, features, task.moments)["mmd"]
+    # every target row selected, with its true label
+    xt_sel = features[task.n_source :]
+    mmd = objective_terms(task.moments, xt_sel, labels)["mmd"]
     gap_terms = []
     for lam in (0.0, 10.0):
         params = Hyperparams(beta=0.1, lam=lam, gamma=0.1, eta=0.1, delta=0.1)
         weights = term_weights(params)
-        parts = build_objective_matrices(labeling, features, task.moments, weights)
+        parts = build_objective_matrices(task.moments, xt_sel, labels, weights)
         a = parts.combined + params.delta * np.eye(features.shape[1])
         solution = solve_generalized(a, task.constraint, 3)
         gap_terms.append(trace_form(mmd, solution.projection))
