@@ -1,17 +1,19 @@
 """Task running, baselines, ablation, grid search, and report emission.
 
-Every command prepares each task once (``trainer.PreparedTask``: PCA
-scores, factored constraint, source-side objective moments) and runs all of
-its methods, ablation stages and grid points on it.  Tasks are loaded
+Tasks travel as ``matio.Task`` name pairs and report as ``S-T`` (or
+``task``).  Every command prepares each task once (``trainer.PreparedTask``:
+PCA scores, factored constraint, source-side objective moments) and runs all
+of its methods, ablation stages and grid points on it.  Tasks are loaded
 together: each feature and label file is read and checked once, however many
 tasks name it, and each unordered pair of registry domains is prepared once,
 stacked in sorted-name order, in a pool pass before any task runs.  A task
 whose source name sorts after its target's takes that pair's features with
 the two row blocks swapped and shares its factored constraint, so B-A gets
-the same bytes run alone as inside ``--task all``.  The raw feature matrices
-are dropped once every pair is prepared.  A task's source-side moments are
-computed when it starts and released when it ends: a suite holds them for
-the tasks running on the pool, a grid for one task at a time.
+the same bytes run alone as inside ``--task all``.  Each pair's two read
+matrices are dropped as the pool pass stacks them into the buffer that its
+PCA centers in place.  A task's source-side moments are computed when it
+starts and released when it ends: a suite holds them for the tasks running
+on the pool, a grid for one task at a time.
 
 Reports are written as a compact CSV (one decimal accuracy, plus an average
 row per method) and a JSON file carrying full-precision accuracies and the
@@ -42,8 +44,10 @@ from .matio import (
     WEIGHT_KEYS,
     DomainPair,
     ExperimentConfig,
-    load_domain_pair,  # noqa: F401 -- perfbench/run.py scores its reference through it
-    load_eval_labels,  # noqa: F401 -- likewise
+    Task,
+    load_domain_pair,
+    load_eval_labels,
+    task_name,
     write_labels,
 )
 from .prototype import class_probabilities, fit_prototypes, squared_distances
@@ -162,22 +166,27 @@ def _run_method(
     return run_adaptation_task(pair, config, eval_labels, task, method, dump_dir)
 
 
-def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[str | None]:
-    """Resolve CLI task names; 'all' expands to every ordered registry pair."""
+def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[Task]:
+    """The tasks that command-line names ask for: [None] without names, each
+    ordered registry pair with a labeled source for ["all"], else each name
+    split by ``matio.split_task``.  Pairs of "all" that would report under
+    one name, such as ("a", "b-c") and ("a-b", "c"), raise ConfigError."""
     if not names:
         return [None]
-    if names == ["all"]:
-        sources = [n for n in config.datasets if config.datasets[n].labels is not None]
-        expanded = [
-            f"{src}-{tgt}"
-            for src in sorted(sources)
-            for tgt in sorted(config.datasets)
-            if src != tgt
-        ]
-        if not expanded:
-            raise ConfigError("no labeled datasets in the registry to expand 'all'")
-        return list(expanded)
-    return list(names)
+    if names != ["all"]:
+        return [matio.split_task(config, name) for name in names]
+    sources = [n for n in config.datasets if config.datasets[n].labels is not None]
+    expanded = [
+        (src, tgt) for src in sorted(sources) for tgt in sorted(config.datasets) if src != tgt
+    ]
+    if not expanded:
+        raise ConfigError("no labeled datasets in the registry to expand 'all'")
+    named: dict[str, tuple[str, str]] = {}
+    for task in expanded:
+        other = named.setdefault(task_name(task), task)
+        if other != task:
+            raise ConfigError(f"tasks {other} and {task} would both report as {task_name(task)!r}")
+    return expanded
 
 
 @dataclass(frozen=True)
@@ -185,13 +194,11 @@ class LoadedTask:
     """One checked task whose domain pair is prepared; ``prepare`` labels it.
 
     rows : the pair's ``preprocess_rows`` result, first domain's rows first
-    n_first : row count of the first domain
     swapped : whether the source is the second domain
     """
 
     name: str
     rows: tuple[np.ndarray, FactoredConstraint]
-    n_first: int
     swapped: bool
     source_y: np.ndarray
     n_classes: int
@@ -200,7 +207,8 @@ class LoadedTask:
     def prepare(self, config: ExperimentConfig) -> PreparedTask:
         features, constraint = self.rows
         if self.swapped:
-            features = np.concatenate([features[self.n_first :], features[: self.n_first]])
+            # the source rows are the last ones: move them to the front
+            features = np.roll(features, self.source_y.shape[0], axis=0)
         return label_task(features, constraint, self.source_y, self.n_classes, config)
 
 
@@ -213,55 +221,47 @@ def _parallel_map(fn: Callable, items: list) -> list:
         return list(pool.map(fn, items))
 
 
-def load_tasks(config: ExperimentConfig, tasks: list[str | None]) -> dict[str | None, LoadedTask]:
+def load_tasks(config: ExperimentConfig, tasks: list[Task]) -> dict[Task, LoadedTask]:
     """Read and check every task's inputs, then prepare each domain pair.
 
-    Each task is read by ``matio.read_task``, with its checks and messages,
-    in task order and before any pair is prepared; each feature and label
-    file is read once, however many tasks name it.  A registry task stacks
-    its two domains in sorted-name order, so it and its reverse share one
-    ``preprocess_rows`` call, one pool item keyed by the two names in that
-    order (("A", "B") for both A-B and B-A); the config's direct pair stacks
-    source then target.  The read matrices are released on return.
+    Each task is read by ``load_domain_pair`` and ``load_eval_labels``,
+    with their checks and messages, in task order and before any pair is
+    prepared; each feature and label file is read once, however many tasks
+    name it.  A registry task stacks its two domains in sorted-name order,
+    so it and its reverse share one ``preprocess_rows`` call, one pool item
+    keyed by the two names in that order; the config's direct pair stacks
+    source then target.  A pool item drops its pair's read matrices as it
+    stacks them, so a pair is held twice only while it is being stacked.
     """
     # matio's readers are looked up at call time, so a wrapper put on them
     # there (perfbench's tracer) sees every read.
     matrix = functools.cache(lambda path: matio.read_matrix(path))
     labels = functools.cache(lambda path: matio.read_labels(path))
-    blocks: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    checked = []
-    for task in dict.fromkeys(tasks):
-        inputs = matio.read_task(config, task, matrix, labels)
-        eval_labels = matio.read_eval_labels(inputs.target_labels, inputs, labels)
-        names = matio.split_task(config, task) if task else ("", "")
-        swapped = names[0] > names[1]
-        pair = tuple(sorted(names))
-        domains = (inputs.source_x, inputs.target_x)
-        blocks.setdefault(pair, domains[::-1] if swapped else domains)
-        checked.append((task, pair, swapped, inputs.source_y, inputs.n_classes, eval_labels))
+    blocks: dict[Task, list[np.ndarray]] = {}
 
-    pairs = list(blocks)
-    prepared = _parallel_map(
-        lambda pair: preprocess_rows(np.concatenate(blocks[pair]), config), pairs
-    )
-    rows = dict(zip(pairs, prepared))
+    def check(task: Task) -> tuple[Task, bool, np.ndarray, int, np.ndarray | None]:
+        pair = load_domain_pair(config, task, matrix, labels)
+        eval_labels = load_eval_labels(config, pair, task, labels)
+        swapped = task is not None and task[0] > task[1]
+        key = None if task is None else tuple(sorted(task))
+        domains = [pair.source_x, pair.target_x]
+        blocks.setdefault(key, domains[::-1] if swapped else domains)
+        return key, swapped, pair.source_y, pair.n_classes, eval_labels
+
+    checked = {task: check(task) for task in dict.fromkeys(tasks)}
+    matrix.cache_clear()
+    keys = list(blocks)
+    stack_and_prepare = lambda key: preprocess_rows(np.concatenate(blocks.pop(key)), config)
+    rows = dict(zip(keys, _parallel_map(stack_and_prepare, keys)))
     return {
-        task: LoadedTask(
-            name=task or "task",
-            rows=rows[pair],
-            n_first=blocks[pair][0].shape[0],
-            swapped=swapped,
-            source_y=source_y,
-            n_classes=n_classes,
-            eval_labels=eval_labels,
-        )
-        for task, pair, swapped, source_y, n_classes, eval_labels in checked
+        task: LoadedTask(task_name(task), rows[key], swapped, source_y, n_classes, eval_labels)
+        for task, (key, swapped, source_y, n_classes, eval_labels) in checked.items()
     }
 
 
 def run_task_suite(
     config: ExperimentConfig,
-    tasks: list[str | None],
+    tasks: list[Task],
     methods: Sequence[str] = ("cdem",),
     dump_dir: Path | None = None,
 ) -> list[TaskResult]:
@@ -276,7 +276,7 @@ def run_task_suite(
     """
     loaded = load_tasks(config, tasks)
 
-    def one_task(task: str | None) -> list[TaskResult]:
+    def one_task(task: Task) -> list[TaskResult]:
         item = loaded[task]
         prepared = item.prepare(config)
         return [
@@ -291,7 +291,7 @@ def run_task_suite(
 def run_grid(
     config: ExperimentConfig,
     param_names: list[str],
-    tasks: list[str | None],
+    tasks: list[Task],
     values: Sequence[float] = GRID_VALUES,
 ) -> list[tuple[dict[str, float], float]]:
     """Sweep the standard grid over the named weights; score by mean accuracy.

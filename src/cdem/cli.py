@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bench, selftest, synth
 from .errors import CdemError
-from .matio import ExperimentConfig, load_config
+from .matio import ExperimentConfig, Task, load_config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -28,7 +28,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="cdem-report", help="report directory")
 
 
-def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str | None]]:
+def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, list[Task]]:
     config = load_config(args.config)
     return config, bench.expand_tasks(config, args.task)
 

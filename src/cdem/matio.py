@@ -6,6 +6,10 @@ The binary container is magic ``CDM1``, two little-endian uint32 fields
 hold one decimal integer per line.  Experiment configuration is a flat
 ``key=value`` text file; relative paths inside it resolve against the
 directory containing the file.
+
+A ``Task`` is the config's direct pair (None) or a (source, target) pair of
+registry names; ``load_domain_pair`` reads one into a ``DomainPair`` and
+``load_eval_labels`` reads its held-out target labels.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import os
 import re
 import struct
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
@@ -33,6 +37,11 @@ def _as_matrix(values, context: str) -> np.ndarray:
         raise FormatError(f"{context}: expected a 2-d matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FormatError(f"{context}: empty matrix of shape {arr.shape}")
+    return arr
+
+
+def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
+    """arr itself, once one scan has found no NaN or infinite entry in it."""
     if not np.isfinite(arr).all():
         raise DataError(f"{context}: matrix contains NaN or infinite entries")
     return arr
@@ -53,7 +62,7 @@ def _read_binary_matrix(f: BinaryIO, header: bytes, context: str) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise FormatError(f"{context}: empty matrix of shape ({rows}, {cols})")
     data = np.fromfile(f, dtype="<f8", count=rows * cols)
-    return _as_matrix(data.reshape(rows, cols), context)
+    return check_finite(_as_matrix(data.reshape(rows, cols), context), context)
 
 
 def read_text(path: str | Path) -> str:
@@ -82,7 +91,7 @@ def _read_csv_matrix(raw: bytes, context: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise FormatError(f"{context}: ragged rows (first row has {width} columns)")
-    return _as_matrix(rows, context)
+    return check_finite(_as_matrix(rows, context), context)
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -99,7 +108,7 @@ def read_matrix(path: str | Path) -> np.ndarray:
 def write_matrix(matrix, path: str | Path) -> None:
     """Write a matrix; ``.csv`` paths get text, everything else the binary container."""
     path = Path(path)
-    arr = _as_matrix(matrix, str(path))
+    arr = check_finite(_as_matrix(matrix, str(path)), str(path))
     if path.suffix.lower() == ".csv":
         lines = [",".join(repr(v) for v in row) for row in arr.tolist()]
         path.write_text("\n".join(lines) + "\n")
@@ -139,70 +148,51 @@ def write_labels(labels, path: str | Path) -> None:
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
 
 
-def _check_task(source_x: np.ndarray, source_y, target_x: np.ndarray, n_classes: int) -> np.ndarray:
-    """The checks that tie a task's inputs together, for two matrices that
-    are already 2-d, non-empty and finite: one 1-d source label per source
-    row, equal feature widths, at least two classes, and every class in
-    [0, n_classes) present in the source.  Returns the source labels as
-    int64."""
-    source_y = np.asarray(source_y, dtype=np.int64)
-    if source_y.ndim != 1:
-        raise DataError("source labels must be 1-d")
-    if source_x.shape[0] != source_y.shape[0]:
-        raise DataError(
-            f"source has {source_x.shape[0]} rows but {source_y.shape[0]} labels"
-        )
-    if source_x.shape[1] != target_x.shape[1]:
-        raise DataError(
-            f"feature width mismatch: source {source_x.shape[1]}, "
-            f"target {target_x.shape[1]}"
-        )
-    if n_classes < 2:
-        raise DataError("need at least two classes")
-    if source_y.min() < 0 or source_y.max() >= n_classes:
-        raise DataError("source labels outside [0, n_classes)")
-    counts = np.bincount(source_y, minlength=n_classes)
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise DataError(f"class {missing} has no source samples")
-    return source_y
-
-
 class DomainPair:
-    """Feature rows for one adaptation task.
-
-    x is one C-contiguous (n_source + n_target) × d float64 matrix, source
-    rows first, then target rows; source_x and target_x are read-only views
-    of it.  Target labels are deliberately not part of this type: training
-    code only ever sees the pair, evaluation labels travel separately.
+    """One task as training sees it: two 2-d float64 feature matrices of
+    equal width, one int64 label per source row, and n_classes ≥ 2 classes,
+    each present in the source.  Finiteness is checked where the matrices
+    are read (``read_matrix``) or prepared (``trainer.prepare_task``).
+    Target labels are deliberately not part of this type: training code only
+    ever sees the pair, evaluation labels travel separately.
     """
 
     def __init__(self, source_x, source_y, target_x, n_classes: int) -> None:
         source_x = _as_matrix(source_x, "source features")
         target_x = _as_matrix(target_x, "target features")
-        self.source_y = _check_task(source_x, source_y, target_x, n_classes)
-        self.x = np.concatenate([source_x, target_x])
-        self.x.flags.writeable = False
-        self.n_source = source_x.shape[0]
+        source_y = np.asarray(source_y, dtype=np.int64)
+        if source_y.ndim != 1:
+            raise DataError("source labels must be 1-d")
+        if source_x.shape[0] != source_y.shape[0]:
+            raise DataError(f"source has {source_x.shape[0]} rows but {source_y.shape[0]} labels")
+        if source_x.shape[1] != target_x.shape[1]:
+            raise DataError(
+                f"feature width mismatch: source {source_x.shape[1]}, target {target_x.shape[1]}"
+            )
+        if n_classes < 2:
+            raise DataError("need at least two classes")
+        if source_y.min() < 0 or source_y.max() >= n_classes:
+            raise DataError("source labels outside [0, n_classes)")
+        counts = np.bincount(source_y, minlength=n_classes)
+        if (counts == 0).any():
+            missing = int(np.flatnonzero(counts == 0)[0])
+            raise DataError(f"class {missing} has no source samples")
+        self.source_x, self.source_y, self.target_x = source_x, source_y, target_x
         self.n_classes = n_classes
 
     @property
-    def source_x(self) -> np.ndarray:
-        return self.x[: self.n_source]
-
-    @property
-    def target_x(self) -> np.ndarray:
-        return self.x[self.n_source :]
+    def n_source(self) -> int:
+        return self.source_x.shape[0]
 
     @property
     def n_target(self) -> int:
-        return self.x.shape[0] - self.n_source
+        return self.target_x.shape[0]
 
 
 def validate_eval_labels(labels, pair, context: str) -> np.ndarray:
     """Held-out target labels as int64: one per target row of pair, each in
     [0, pair.n_classes).  pair is anything with ``n_target`` and
-    ``n_classes``, such as a ``DomainPair`` or a ``TaskInputs``."""
+    ``n_classes``, such as a ``DomainPair`` or a ``PreparedTask``."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (pair.n_target,):
         raise DataError(
@@ -342,8 +332,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+Task = tuple[str, str] | None
+
+
 def split_task(config: ExperimentConfig, task: str) -> tuple[str, str]:
-    """The source and target dataset names of registry task ``task``: the two
+    """The (source, target) dataset names of a typed task name: the two
     sides of the one ``-`` that has a registry name on each side, so names
     may themselves contain ``-``.  A name with no such ``-`` is reported by
     its split at the first ``-``; a name with two is ambiguous."""
@@ -360,8 +353,14 @@ def split_task(config: ExperimentConfig, task: str) -> tuple[str, str]:
     return found[0]
 
 
+def task_name(task: Task) -> str:
+    """The name a task reports under: ``S-T`` for the registry pair (S, T),
+    ``task`` for the config's direct pair (None)."""
+    return "task" if task is None else "-".join(task)
+
+
 def _resolve_task_paths(
-    config: ExperimentConfig, task: str | None
+    config: ExperimentConfig, task: Task
 ) -> tuple[Path, Path, Path, Path | None]:
     if task is None:
         if config.source_features is None or config.source_labels is None:
@@ -374,70 +373,38 @@ def _resolve_task_paths(
             config.target_features,
             config.target_labels,
         )
-    src_name, tgt_name = split_task(config, task)
-    src = config.datasets[src_name]
-    tgt = config.datasets[tgt_name]
+    missing = [name for name in task if name not in config.datasets]
+    if missing:
+        raise ConfigError(f"task {task_name(task)!r}: dataset {missing[0]!r} not in registry")
+    src, tgt = (config.datasets[name] for name in task)
     if src.labels is None:
-        raise ConfigError(f"dataset {src_name!r} has no label file, cannot be a source")
+        raise ConfigError(f"dataset {task[0]!r} has no label file, cannot be a source")
     return src.features, src.labels, tgt.features, tgt.labels
 
 
-@dataclass(frozen=True)
-class TaskInputs:
-    """One task's training inputs as read and checked, unstacked: the two
-    feature matrices, the int64 source labels and n_classes, the largest
-    source label plus one.  target_labels is the task's target label file,
-    None when it has none; nothing here has read it."""
-
-    source_x: np.ndarray
-    source_y: np.ndarray
-    target_x: np.ndarray
-    n_classes: int
-    target_labels: Path | None
-
-    @property
-    def n_target(self) -> int:
-        return self.target_x.shape[0]
-
-
-def read_task(
+def load_domain_pair(
     config: ExperimentConfig,
-    task: str | None,
-    matrix_reader: Callable[[Path], np.ndarray],
-    label_reader: Callable[[Path], np.ndarray],
-) -> TaskInputs:
-    """Read registry task ``task`` (the config's direct pair when None) and
-    run every check ``DomainPair`` makes that ``read_matrix`` has not made.
-    The readers behave as ``read_matrix`` and ``read_labels``; a caller
-    that loads many tasks passes memoized ones, so a file named by several
-    tasks is read once."""
-    src_x_path, src_y_path, tgt_x_path, tgt_y_path = _resolve_task_paths(config, task)
+    task: Task = None,
+    matrix_reader=read_matrix,
+    label_reader=read_labels,
+) -> DomainPair:
+    """The training-visible part of task (never target labels), with
+    n_classes the largest source label plus one.  The readers behave as
+    ``read_matrix`` and ``read_labels``; a caller that loads many tasks
+    passes memoized ones, so a file named by several tasks is read once."""
+    src_x_path, src_y_path, tgt_x_path, _ = _resolve_task_paths(config, task)
     source_x = matrix_reader(src_x_path)
     source_y = label_reader(src_y_path)
     target_x = matrix_reader(tgt_x_path)
-    n_classes = int(source_y.max()) + 1
-    source_y = _check_task(source_x, source_y, target_x, n_classes)
-    return TaskInputs(source_x, source_y, target_x, n_classes, tgt_y_path)
-
-
-def read_eval_labels(
-    path: Path | None, pair, label_reader: Callable[[Path], np.ndarray]
-) -> np.ndarray | None:
-    """The checked target labels at path for pair (see
-    ``validate_eval_labels``), or None when there is no label file."""
-    if path is None:
-        return None
-    return validate_eval_labels(label_reader(path), pair, str(path))
-
-
-def load_domain_pair(config: ExperimentConfig, task: str | None = None) -> DomainPair:
-    """Assemble the training-visible portion of a task (never target labels)."""
-    inputs = read_task(config, task, read_matrix, read_labels)
-    return DomainPair(inputs.source_x, inputs.source_y, inputs.target_x, inputs.n_classes)
+    return DomainPair(source_x, source_y, target_x, int(source_y.max()) + 1)
 
 
 def load_eval_labels(
-    config: ExperimentConfig, pair: DomainPair, task: str | None = None
+    config: ExperimentConfig, pair: DomainPair, task: Task = None, label_reader=read_labels
 ) -> np.ndarray | None:
-    """Load held-out target labels for scoring, or None when unavailable."""
-    return read_eval_labels(_resolve_task_paths(config, task)[3], pair, read_labels)
+    """The task's held-out target labels for scoring, checked against pair
+    (see ``validate_eval_labels``), or None when it has no label file."""
+    path = _resolve_task_paths(config, task)[3]
+    if path is None:
+        return None
+    return validate_eval_labels(label_reader(path), pair, str(path))

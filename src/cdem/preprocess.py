@@ -1,7 +1,8 @@
 """PCA scores and row normalization applied before adaptation.
 
 The PCA is transductive: it scores exactly the rows it is fit on, so it
-returns those scores and keeps no mean or basis to apply elsewhere."""
+returns those scores and keeps no mean or basis to apply elsewhere.  It
+takes rows already centered (``trainer.preprocess_rows`` centers in place)."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from .errors import ConfigError, DegenerateDataError
 
 
 def fit_pca(features: np.ndarray, n_components: int) -> np.ndarray:
-    """PCA scores of the rows of features: n × n_components, column j along
-    the j-th largest principal direction.
+    """PCA scores of the rows of features, which are already centered (every
+    column mean zero): n × n_components, column j along the j-th largest
+    principal direction.
 
     The top eigenpairs come from one full ``np.linalg.eigh`` of the Gram on
     the smaller side of the centered data C, so the cost follows min(n, d).
@@ -33,9 +35,8 @@ def fit_pca(features: np.ndarray, n_components: int) -> np.ndarray:
         raise ConfigError(
             f"n_components={n_components} not in [1, min(n={n}, d={d})]"
         )
-    centered = x - x.mean(axis=0)
     wide = n < d
-    gram = centered @ centered.T if wide else centered.T @ centered
+    gram = x @ x.T if wide else x.T @ x
     evals, evecs = np.linalg.eigh(gram)
     evals = evals[::-1][:n_components]
     evecs = evecs[:, ::-1][:, :n_components]
@@ -45,7 +46,7 @@ def fit_pca(features: np.ndarray, n_components: int) -> np.ndarray:
     evecs = evecs * np.where(pivots < 0, -1.0, 1.0)
     if wide:
         return evecs * np.sqrt(np.maximum(evals, 0.0))
-    return centered @ evecs
+    return x @ evecs
 
 
 def normalize_rows(features: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Alternating optimization: solve for a projection, relabel, reselect.
 
 A run works on one feature matrix: the source rows followed by the target
-rows, as ``DomainPair.x`` stores them.  ``prepare_task`` does everything
-that depends only on those rows, the source labels, ``pca_dim`` and
-``normalize``: it replaces the matrix by its PCA scores, fit on both
-domains together (unit-length rows when ``normalize`` is on), factors the
+rows.  ``prepare_task`` does everything that depends only on those rows, the
+source labels, ``pca_dim`` and ``normalize``: it checks that a
+``DomainPair``'s two matrices are finite, stacks them into one fresh buffer,
+centers it in place and replaces it by its PCA scores, fit on both domains
+together (unit-length rows when ``normalize`` is on), factors the
 label-free constraint B = X'HX once, and computes the source-side moments of
 the objective.  Methods, ablation stages and grid points that differ only in
 their weights or components share one ``PreparedTask``.  ``run_adaptation``
@@ -33,7 +34,7 @@ from .eigsolve import (
     solve_generalized,
 )
 from .errors import CdemError, ConfigError, NumericError
-from .matio import DomainPair, ExperimentConfig, validate_eval_labels, write_matrix
+from .matio import DomainPair, ExperimentConfig, check_finite, validate_eval_labels, write_matrix
 from .objectives import (
     SourceMoments,
     build_objective_matrices,
@@ -118,9 +119,11 @@ def preprocess_rows(
     x: np.ndarray, config: ExperimentConfig
 ) -> tuple[np.ndarray, FactoredConstraint]:
     """The label-free part of preparing a task: PCA scores of the stacked
-    rows x, unit-length when config.normalize is on, plus their factored
-    constraint B = X'HX.  A task and its reverse stack the same rows, so a
-    suite computes this once per unordered domain pair."""
+    rows x, a fresh buffer the caller hands over and this centers in place,
+    unit-length when config.normalize is on, plus their factored constraint
+    B = X'HX.  A task and its reverse stack the same rows, so a suite
+    computes this once per unordered domain pair."""
+    x -= x.mean(axis=0)
     features = fit_pca(x, config.pca_dim)
     if config.normalize:
         features = normalize_rows(features)
@@ -150,9 +153,11 @@ def label_task(
 
 
 def prepare_task(pair: DomainPair, config: ExperimentConfig) -> PreparedTask:
-    """Prepare pair once for any number of runs that share its pca_dim and
-    normalize settings."""
-    features, constraint = preprocess_rows(pair.x, config)
+    """Prepare pair, whose own matrices are left unchanged, once for any
+    number of runs that share its pca_dim and normalize settings."""
+    check_finite(pair.source_x, "source features")
+    check_finite(pair.target_x, "target features")
+    features, constraint = preprocess_rows(np.concatenate([pair.source_x, pair.target_x]), config)
     return label_task(features, constraint, pair.source_y, pair.n_classes, config)
 
 

@@ -81,10 +81,12 @@ def test_expand_tasks():
         }
     )
     assert bench.expand_tasks(config, None) == [None]
-    assert bench.expand_tasks(config, ["A-B"]) == ["A-B"]
+    assert bench.expand_tasks(config, ["A-B", "C-A"]) == [("A", "B"), ("C", "A")]
     expanded = bench.expand_tasks(config, ["all"])
     # C has no labels so it never appears as a source, only as a target
-    assert expanded == ["A-B", "A-C", "B-A", "B-C"]
+    assert expanded == [("A", "B"), ("A", "C"), ("B", "A"), ("B", "C")]
+    with pytest.raises(ConfigError, match=r"^task 'A-X': dataset 'X' not in registry$"):
+        bench.expand_tasks(config, ["A-X"])
     empty = _fast_config(datasets={"C": DatasetEntry(features="c.cdm", labels=None)})
     with pytest.raises(ConfigError):
         bench.expand_tasks(empty, ["all"])
@@ -135,7 +137,7 @@ def test_run_task_suite_parallel_registry(tmp_path, monkeypatch):
         "pca_dim=4\nsubspace_dim=2\niterations=2\ndelta=0.1\n"
     )
     config = load_config(cfg)
-    results = bench.run_task_suite(config, ["A-B", "B-A"])
+    results = bench.run_task_suite(config, [("A", "B"), ("B", "A")])
     assert [(r.task, r.method) for r in results] == [("A-B", "cdem"), ("B-A", "cdem")]
     assert all(r.accuracy is not None for r in results)
 
@@ -332,7 +334,7 @@ def test_reverse_task_takes_the_pair_rows_swapped(tmp_path):
     # A sorts first and has no label file, so A-B is no task; B-A still
     # stacks A's rows first and swaps the two blocks afterwards.
     config = load_config(_registry(tmp_path, labeled=("B", "C")))
-    alone = bench.load_tasks(config, ["B-A"])["B-A"].prepare(config)
+    alone = bench.load_tasks(config, [("B", "A")])[("B", "A")].prepare(config)
     a, b = (read_matrix(tmp_path / f"{name}_x.cdm") for name in "AB")
     features, constraint = preprocess_rows(np.concatenate([a, b]), config)
     n_a = a.shape[0]
@@ -340,7 +342,7 @@ def test_reverse_task_takes_the_pair_rows_swapped(tmp_path):
     assert np.array_equal(alone.features, np.concatenate([features[n_a:], features[:n_a]]))
     assert np.array_equal(alone.constraint.whiten, constraint.whiten)
     assert not alone.features.flags.writeable
-    in_suite = bench.load_tasks(config, bench.expand_tasks(config, ["all"]))["B-A"]
+    in_suite = bench.load_tasks(config, bench.expand_tasks(config, ["all"]))[("B", "A")]
     assert np.array_equal(in_suite.prepare(config).features, alone.features)
 
 
@@ -381,17 +383,84 @@ def test_task_all_over_hyphenated_names(tmp_path):
 
 
 def test_pairs_whose_joined_names_coincide_stay_apart(tmp_path):
-    # ("a", "b-c") and ("a-b", "c") both join to "a-b-c"; the two tasks must
-    # still get their own domains.
+    # The two tasks' pool keys, ("a", "b-c") and ("a-b", "c"), both join to
+    # "a-b-c"; each task must still get its own domains.
     names = ("a", "b-c", "a-b", "c")
     config = load_config(_registry(tmp_path, labeled=names, names=names))
-    together = bench.load_tasks(config, ["b-c-a", "c-a-b"])
-    for task, source, target in (("b-c-a", "b-c", "a"), ("c-a-b", "c", "a-b")):
+    tasks = [("b-c", "a"), ("c", "a-b")]
+    together = bench.load_tasks(config, tasks)
+    for task in tasks:
+        source, target = task
+        assert together[task].name == f"{source}-{target}"
         prepared = together[task].prepare(config)
         alone = bench.load_tasks(config, [task])[task].prepare(config)
         assert prepared.n_source == read_matrix(tmp_path / f"{source}_x.cdm").shape[0]
         assert prepared.n_target == read_matrix(tmp_path / f"{target}_x.cdm").shape[0]
         assert np.array_equal(prepared.features, alone.features)
+
+
+def test_task_all_rejects_pairs_that_would_share_a_report_name(tmp_path, capsys):
+    # ("a", "b-c") and ("a-b", "c") would both write a-b-c_* report files.
+    # No feature file exists: the clash is found before anything is read.
+    names = ("a", "a-b", "b-c", "c")
+    lines = [f"dataset.{n}.features={n}_x.cdm\ndataset.{n}.labels={n}_y.txt" for n in names]
+    (tmp_path / "config.txt").write_text("\n".join(lines) + "\n")
+    config = load_config(tmp_path / "config.txt")
+    clash = r"^tasks \('a', 'b-c'\) and \('a-b', 'c'\) would both report as 'a-b-c'$"
+    with pytest.raises(ConfigError, match=clash):
+        bench.expand_tasks(config, ["all"])
+    argv = ["run", "--config", str(tmp_path / "config.txt"), "--task", "all"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tasks ('a', 'b-c') and ('a-b', 'c')")
+    assert not (tmp_path / "out").exists()
+
+
+def _source_only_accuracies(config, names):
+    """The source-only accuracies of the benchmark's reference run, which
+    composes the public loaders exactly so."""
+    accs = []
+    for task in bench.expand_tasks(config, names):
+        pair = bench.load_domain_pair(config, task)
+        labels = bench.load_eval_labels(config, pair, task)
+        accs.append(bench.run_source_only(pair, config, labels).accuracy)
+    return accs
+
+
+@pytest.mark.parametrize("names", [["all"], None], ids=["registry", "direct"])
+def test_reference_source_only_path_matches_the_suite(tmp_path, names):
+    if names is None:
+        spec = ShiftSpec(classes=3, n_per_domain=40, dims=8, separation=6.0, seed=14)
+        config = load_config(write_dataset(spec, tmp_path)["config"])
+    else:
+        config = load_config(_registry(tmp_path))
+    tasks = bench.expand_tasks(config, names)
+    suite = bench.run_task_suite(config, tasks, ["source-only"])
+    assert all(r.accuracy is not None for r in suite)
+    assert _source_only_accuracies(config, names) == [r.accuracy for r in suite]
+
+
+def test_load_tasks_holds_a_direct_pair_at_most_twice(tmp_path):
+    # n >= d: each domain's read matrix is dropped as the pool pass stacks
+    # it, so only the stacking holds the pair twice.
+    rng = np.random.default_rng(15)
+    source_x, target_x = rng.standard_normal((2, 1500, 400))
+    write_matrix(source_x, tmp_path / "xs.cdm")
+    write_matrix(target_x, tmp_path / "xt.cdm")
+    write_labels(np.arange(1500) % 3, tmp_path / "ys.txt")
+    (tmp_path / "config.txt").write_text(
+        "source_features=xs.cdm\nsource_labels=ys.txt\ntarget_features=xt.cdm\n"
+        "pca_dim=8\nsubspace_dim=2\n"
+    )
+    config = load_config(tmp_path / "config.txt")
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        bench.load_tasks(config, [None])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 2.5 * (source_x.nbytes + target_x.nbytes)
 
 
 def test_grid_counts_a_repeated_task_each_time(tmp_path):
@@ -401,9 +470,9 @@ def test_grid_counts_a_repeated_task_each_time(tmp_path):
         (point, accuracy), = bench.run_grid(config, ["beta"], tasks, values=(0.1,))
         return accuracy
 
-    ab, ca = mean_accuracy(["A-B"]), mean_accuracy(["C-A"])
+    ab, ca = mean_accuracy([("A", "B")]), mean_accuracy([("C", "A")])
     assert ab != ca
-    assert mean_accuracy(["A-B", "A-B", "C-A"]) == float(np.mean([ab, ab, ca]))
+    assert mean_accuracy([("A", "B"), ("A", "B"), ("C", "A")]) == float(np.mean([ab, ab, ca]))
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
@@ -425,4 +494,4 @@ def test_commands_hold_one_task_moments_at_a_time(tmp_path, monkeypatch, command
         finally:
             tracemalloc.stop()
 
-    assert peak(["A-B", "B-C", "C-A"]) - peak(["A-B"]) < grams
+    assert peak([("A", "B"), ("B", "C"), ("C", "A")]) - peak([("A", "B")]) < grams

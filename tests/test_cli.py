@@ -275,7 +275,8 @@ def test_readme_python_api_block_runs(tmp_path, monkeypatch):
     exec(compile(block, "README.md", "exec"), namespace)
     result, pair = namespace["result"], namespace["pair"]
     assert result.predictions.shape == (pair.n_target,)
-    assert namespace["task"].features.shape == (pair.x.shape[0], namespace["config"].pca_dim)
+    n_rows = pair.n_source + pair.n_target
+    assert namespace["task"].features.shape == (n_rows, namespace["config"].pca_dim)
 
 
 def test_seed_override_changes_dataset(tmp_path):

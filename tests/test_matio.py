@@ -238,7 +238,9 @@ def test_domain_pair_validation():
     xs = np.zeros((4, 3))
     xt = np.zeros((2, 3))
     pair = DomainPair(xs, [0, 1, 0, 1], xt, 2)
-    assert pair.n_source == 4 and pair.n_target == 2 and pair.x.shape == (6, 3)
+    assert pair.n_source == 4 and pair.n_target == 2
+    assert pair.source_x.shape == (4, 3) and pair.target_x.shape == (2, 3)
+    assert pair.source_y.dtype == np.int64
     with pytest.raises(DataError):
         DomainPair(xs, [0, 0, 0, 0], xt, 2)  # class 1 missing
     with pytest.raises(DataError):
@@ -249,23 +251,10 @@ def test_domain_pair_validation():
         DomainPair(xs, [0, 1, 0, 1], np.zeros((2, 4)), 2)  # width mismatch
     with pytest.raises(DataError):
         DomainPair(xs, [0, 0, 0, 0], xt, 1)  # single class
-    with pytest.raises(DataError, match="^target features: matrix contains NaN"):
-        DomainPair(xs, [0, 1, 0, 1], np.array([[0.0, np.nan, 0.0]] * 2), 2)
-
-
-def test_domain_pair_rows_are_read_only_views_of_one_matrix():
-    rng = np.random.default_rng(4)
-    xs = rng.standard_normal((4, 3))
-    xt = rng.standard_normal((2, 3))
-    pair = DomainPair(xs, [0, 1, 0, 1], xt, 2)
-    assert pair.x.flags.c_contiguous and pair.x.dtype == np.float64
-    assert np.array_equal(pair.x, np.vstack([xs, xt]))
-    for view, rows in ((pair.source_x, xs), (pair.target_x, xt)):
-        assert np.shares_memory(view, pair.x) and np.array_equal(view, rows)
-        assert not view.flags.writeable
-    # the pair copies its input: writing to the caller's array leaves it be
-    xs[0, 0] = 99.0
-    assert pair.source_x[0, 0] != 99.0
+    with pytest.raises(FormatError, match="^target features: expected a 2-d matrix"):
+        DomainPair(xs, [0, 1, 0, 1], np.zeros(3), 2)
+    with pytest.raises(FormatError, match="^source features: empty matrix"):
+        DomainPair(np.zeros((0, 3)), [], xt, 2)
 
 
 def _write_task(tmp_path, n_classes=2):
@@ -404,12 +393,12 @@ def test_config_registry_tasks(tmp_path):
         "pca_dim=4\nsubspace_dim=2\n"
     )
     config = load_config(cfg_path)
-    pair = load_domain_pair(config, "S-T")
+    pair = load_domain_pair(config, ("S", "T"))
     assert pair.n_source == 6 and pair.n_target == 5
-    labels = load_eval_labels(config, pair, "S-T")
+    labels = load_eval_labels(config, pair, ("S", "T"))
     assert labels is not None
-    with pytest.raises(ConfigError):
-        load_domain_pair(config, "S-X")
+    with pytest.raises(ConfigError, match=r"^task 'S-X': dataset 'X' not in registry$"):
+        load_domain_pair(config, ("S", "X"))
     with pytest.raises(ConfigError):
         load_domain_pair(config)  # no explicit paths in this file
 

@@ -9,6 +9,11 @@ from cdem.errors import ConfigError, DegenerateDataError
 from cdem.preprocess import fit_pca, normalize_rows
 
 
+def _pca(x, m):
+    """fit_pca's scores of x's rows once they are centered."""
+    return fit_pca(x - x.mean(axis=0), m)
+
+
 def _gram_eigenvectors(x, z):
     """The kept eigenvectors of the Gram on x's smaller centered side,
     recovered from the scores z up to positive column scales: C = U S V'
@@ -29,12 +34,12 @@ def test_line_data_gives_diagonal_direction():
     # tall: the scores are signed distances along (1, 1)/sqrt(2)
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     expected = (np.arange(4.0) - 1.5)[:, None] * np.sqrt(2.0)
-    assert np.allclose(fit_pca(x, 1), expected, atol=1e-12)
+    assert np.allclose(_pca(x, 1), expected, atol=1e-12)
     # wide: three points on a line in five dimensions
     direction = np.array([1.0, -2.0, 0.0, 2.0, 4.0])
     t = np.array([0.0, 1.0, 3.0])
     expected = (t - t.mean())[:, None] * np.linalg.norm(direction)
-    assert np.allclose(fit_pca(t[:, None] * direction, 1), expected, atol=1e-12)
+    assert np.allclose(_pca(t[:, None] * direction, 1), expected, atol=1e-12)
 
 
 def test_sign_convention_deterministic():
@@ -42,7 +47,7 @@ def test_sign_convention_deterministic():
     for shape in ((40, 6), (6, 40)):
         x = rng.standard_normal(shape)
         m = min(shape) - 1
-        z, z_negated = fit_pca(x, m), fit_pca(-x, m)
+        z, z_negated = _pca(x, m), _pca(-x, m)
         for source, scores in ((x, z), (-x, z_negated)):
             vecs = _gram_eigenvectors(source, scores)
             assert (vecs[np.abs(vecs).argmax(axis=0), np.arange(m)] > 0).all()
@@ -59,7 +64,7 @@ def test_basis_orthonormal_and_variance_sorted():
         d = int(rng.integers(2, 16))
         m = int(rng.integers(1, min(n, d) + 1))
         x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
-        z = fit_pca(x, m)
+        z = _pca(x, m)
         gram = z.T @ z
         variance = np.diag(gram) / (n - 1)
         assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-8 * gram[0, 0]
@@ -73,7 +78,7 @@ def test_projection_preserves_subspace_inner_products():
     for _ in range(5):
         n, d, m = 30, 8, 4
         x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
-        z = fit_pca(x, m)
+        z = _pca(x, m)
         centered = x - x.mean(axis=0)
         evals, evecs = np.linalg.eigh(centered.T @ centered / (n - 1))
         top = evecs[:, ::-1][:, :m]
@@ -84,7 +89,7 @@ def test_projection_preserves_subspace_inner_products():
 def test_explained_variance_matches_covariance_eigenvalues():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((50, 7)) * np.array([5, 3, 2, 1, 1, 0.5, 0.1])
-    z = fit_pca(x, 7)
+    z = _pca(x, 7)
     centered = x - x.mean(axis=0)
     evals = np.linalg.eigvalsh(centered.T @ centered / 49)[::-1]
     assert np.allclose(z.var(axis=0, ddof=1), evals, atol=1e-10)
@@ -123,7 +128,7 @@ def _svd_reference_cases():
 def test_matches_svd_reference_on_both_gram_sides(case):
     x, m, short = _svd_reference_cases()[case]
     n = x.shape[0]
-    z = fit_pca(x, m)
+    z = _pca(x, m)
     assert z.shape == (n, m)
     ref = _svd_scores(x, m)
     ref_gram = ref @ ref.T
@@ -156,16 +161,16 @@ def test_wide_scores_match_svd_near_rank_tolerance():
     evals = np.linalg.eigvalsh(centered @ centered.T)[::-1]
     m = int(np.count_nonzero(evals > 1.5e-8 * evals[0]))
     assert evals[m - 1] < 1e-7 * evals[0]
-    z = fit_pca(x, m)
+    z = _pca(x, m)
     assert np.abs(z - _svd_scores(x, m)).max() <= 1e-12
     assert np.abs(z.T @ z - np.diag(evals[:m])).max() <= 1e-12
 
 
 def test_zero_variance_rejected():
     with pytest.raises(DegenerateDataError):
-        fit_pca(np.ones((6, 3)), 1)
+        _pca(np.ones((6, 3)), 1)
     with pytest.raises(DegenerateDataError):
-        fit_pca(np.ones((3, 6)), 1)
+        _pca(np.ones((3, 6)), 1)
 
 
 def test_normalize_rows_fixed_example():

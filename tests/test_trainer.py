@@ -298,6 +298,33 @@ def test_preprocess_pair_peak_memory_below_one_and_a_half_pair_copies():
     assert peak - baseline <= 1.5 * pair_bytes
 
 
+def test_preparing_leaves_the_pair_matrices_unchanged():
+    # prepare_task stacks the two domains into a buffer of its own and
+    # centers that one in place
+    pair, labels = generate(_small_spec(seed=12))
+    before = (pair.source_x.copy(), pair.target_x.copy())
+    config = _small_config()
+    prepare_task(pair, config)
+    run_adaptation(pair, config, labels)
+    assert np.array_equal(pair.source_x, before[0])
+    assert np.array_equal(pair.target_x, before[1])
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_non_finite_pair_rejected_before_any_numerics(side):
+    from cdem.bench import run_source_only
+
+    pair, _ = generate(_small_spec(seed=13))
+    bad = getattr(pair, f"{side}_x").copy()
+    bad[1, 2] = np.nan if side == "target" else np.inf
+    source_x, target_x = (bad, pair.target_x) if side == "source" else (pair.source_x, bad)
+    pair = DomainPair(source_x, pair.source_y, target_x, pair.n_classes)
+    config = _small_config()
+    for run in (prepare_task, run_adaptation, run_source_only):
+        with pytest.raises(DataError, match=f"^{side} features: matrix contains NaN or infinite"):
+            run(pair, config)
+
+
 def test_cross_domain_errors_perfect_separation():
     zs = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0]])
     ys = np.array([0, 0, 1, 1])
@@ -367,7 +394,7 @@ def test_rotating_and_translating_features_keeps_predictions(seed, dims):
     # rotated run may flip axes; distances, and so labels, cannot change
     pair, config, predictions = _metamorphic_task(seed, dims)
     rng = np.random.default_rng(seed)
-    d = pair.x.shape[1]
+    d = pair.source_x.shape[1]
     rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
     shift = 5.0 * rng.standard_normal(d)
     moved = DomainPair(
@@ -382,16 +409,16 @@ def _with_target(pair, target_x):
 
 
 def _constant_first_column(pair):
-    x = pair.x.copy()
-    x[:, 0] = 1.5
-    return DomainPair(x[: pair.n_source], pair.source_y, x[pair.n_source :], pair.n_classes)
+    source_x, target_x = pair.source_x.copy(), pair.target_x.copy()
+    source_x[:, 0] = target_x[:, 0] = 1.5
+    return DomainPair(source_x, pair.source_y, target_x, pair.n_classes)
 
 
 def _wide_pair(pair):
     # 88 low-noise columns more than the 80 rows, so pca_dim=80 keeps one
     # component past the centered rank of 79
-    noise = 0.1 * np.random.default_rng(0).standard_normal((pair.x.shape[0], 88))
-    x = np.hstack([pair.x, noise])
+    noise = 0.1 * np.random.default_rng(0).standard_normal((pair.n_source + pair.n_target, 88))
+    x = np.hstack([np.vstack([pair.source_x, pair.target_x]), noise])
     return DomainPair(x[: pair.n_source], pair.source_y, x[pair.n_source :], pair.n_classes)
 
 
