@@ -2,18 +2,13 @@
 
 Tasks travel as ``matio.Task`` name pairs and report as ``S-T`` (or
 ``task``).  Every command prepares each task once (``trainer.PreparedTask``:
-PCA scores, factored constraint, source-side objective moments) and runs all
-of its methods, ablation stages and grid points on it.  Tasks are loaded
-together: each feature and label file is read and checked once, however many
-tasks name it, and each unordered pair of registry domains is prepared once,
-stacked in sorted-name order, in a pool pass before any task runs.  A task
-whose source name sorts after its target's takes that pair's features with
-the two row blocks swapped and shares its factored constraint, so B-A gets
-the same bytes run alone as inside ``--task all``.  Each pair's two read
-matrices are dropped as the pool pass stacks them into the buffer that its
-PCA centers in place.  A task's source-side moments are computed when it
-starts and released when it ends: a suite holds them for the tasks running
-on the pool, a grid for one task at a time.
+PCA scores and factored constraint) and runs all of its methods, ablation
+stages and grid points on it.  Tasks are loaded together: each feature and
+label file is read and checked once, however many tasks name it, and each
+unordered pair of registry domains is prepared once, stacked in sorted-name
+order, in a pool pass before any task runs; a task and its reverse are two
+views of that one prepared pair.  Each pair's two read matrices are dropped
+as the pool pass stacks them into the buffer that its PCA centers in place.
 
 Reports are written as a compact CSV (one decimal accuracy, plus an average
 row per method) and a JSON file carrying full-precision accuracies and the
@@ -38,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .eigsolve import FactoredConstraint
 from .errors import ConfigError
 from .matio import (
     WEIGHT_KEYS,
@@ -48,6 +42,7 @@ from .matio import (
     load_domain_pair,
     load_eval_labels,
     task_name,
+    validate_eval_labels,
     write_labels,
 )
 from .prototype import class_probabilities, fit_prototypes, squared_distances
@@ -55,9 +50,9 @@ from .trainer import (
     AdaptationResult,
     PreparedTask,
     as_prepared,
-    label_task,
     preprocess_rows,
     run_adaptation,
+    task_view,
 )
 
 GRID_VALUES = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
@@ -114,9 +109,12 @@ def run_source_only(
     """No adaptation: prototype classifier on the prepared source features."""
     start = time.perf_counter()
     prepared = as_prepared(pair, config)
-    z, n_source = prepared.features, prepared.n_source
-    centers = fit_prototypes(z[:n_source], prepared.source_y, prepared.n_classes)
-    predictions = np.argmax(class_probabilities(squared_distances(z[n_source:], centers)), axis=1)
+    if eval_labels is not None:
+        eval_labels = validate_eval_labels(eval_labels, prepared, "evaluation labels")
+    centers = fit_prototypes(prepared.source, prepared.source_y, prepared.n_classes)
+    predictions = np.argmax(
+        class_probabilities(squared_distances(prepared.target, centers)), axis=1
+    )
     return TaskResult(
         task=task,
         method="source-only",
@@ -189,29 +187,6 @@ def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[Task
     return expanded
 
 
-@dataclass(frozen=True)
-class LoadedTask:
-    """One checked task whose domain pair is prepared; ``prepare`` labels it.
-
-    rows : the pair's ``preprocess_rows`` result, first domain's rows first
-    swapped : whether the source is the second domain
-    """
-
-    name: str
-    rows: tuple[np.ndarray, FactoredConstraint]
-    swapped: bool
-    source_y: np.ndarray
-    n_classes: int
-    eval_labels: np.ndarray | None
-
-    def prepare(self, config: ExperimentConfig) -> PreparedTask:
-        features, constraint = self.rows
-        if self.swapped:
-            # the source rows are the last ones: move them to the front
-            features = np.roll(features, self.source_y.shape[0], axis=0)
-        return label_task(features, constraint, self.source_y, self.n_classes, config)
-
-
 def _parallel_map(fn: Callable, items: list) -> list:
     """fn over items, on a thread pool when there is more than one
     (CDEM_THREADS caps workers); results in input order."""
@@ -221,16 +196,20 @@ def _parallel_map(fn: Callable, items: list) -> list:
         return list(pool.map(fn, items))
 
 
-def load_tasks(config: ExperimentConfig, tasks: list[Task]) -> dict[Task, LoadedTask]:
-    """Read and check every task's inputs, then prepare each domain pair.
+def load_tasks(
+    config: ExperimentConfig, tasks: list[Task]
+) -> dict[Task, tuple[PreparedTask, np.ndarray | None]]:
+    """Every task prepared, with its evaluation labels (None without a label
+    file).
 
     Each task is read by ``load_domain_pair`` and ``load_eval_labels``,
     with their checks and messages, in task order and before any pair is
     prepared; each feature and label file is read once, however many tasks
     name it.  A registry task stacks its two domains in sorted-name order,
-    so it and its reverse share one ``preprocess_rows`` call, one pool item
-    keyed by the two names in that order; the config's direct pair stacks
-    source then target.  A pool item drops its pair's read matrices as it
+    so it and its reverse are two views of one ``preprocess_rows`` result,
+    one pool item keyed by the two names in that order, sharing its
+    features and constraint; the config's direct pair stacks source then
+    target.  A pool item drops its pair's read matrices as it
     stacks them, so a pair is held twice only while it is being stacked.
     """
     # matio's readers are looked up at call time, so a wrapper put on them
@@ -254,7 +233,7 @@ def load_tasks(config: ExperimentConfig, tasks: list[Task]) -> dict[Task, Loaded
     stack_and_prepare = lambda key: preprocess_rows(np.concatenate(blocks.pop(key)), config)
     rows = dict(zip(keys, _parallel_map(stack_and_prepare, keys)))
     return {
-        task: LoadedTask(task_name(task), rows[key], swapped, source_y, n_classes, eval_labels)
+        task: (task_view(rows[key], source_y, n_classes, config, not swapped), eval_labels)
         for task, (key, swapped, source_y, n_classes, eval_labels) in checked.items()
     }
 
@@ -267,8 +246,7 @@ def run_task_suite(
 ) -> list[TaskResult]:
     """Run every method (see _run_method) on every task, in that order,
     parallelized across tasks (CDEM_THREADS caps workers).  Each task is
-    prepared once for all of its methods (see ``load_tasks``), on its
-    worker, and released when they are done.
+    prepared once for all of its methods (see ``load_tasks``).
 
     dump_dir, when given, receives each adaptation run's per-step matrices.
     Their file names carry neither task nor method, so pass it with a single
@@ -277,12 +255,9 @@ def run_task_suite(
     loaded = load_tasks(config, tasks)
 
     def one_task(task: Task) -> list[TaskResult]:
-        item = loaded[task]
-        prepared = item.prepare(config)
-        return [
-            _run_method(prepared, config, item.eval_labels, item.name, m, dump_dir)
-            for m in methods
-        ]
+        prepared, eval_labels = loaded[task]
+        name = task_name(task)
+        return [_run_method(prepared, config, eval_labels, name, m, dump_dir) for m in methods]
 
     chunks = _parallel_map(one_task, tasks)
     return [result for chunk in chunks for result in chunk]
@@ -297,9 +272,8 @@ def run_grid(
     """Sweep the standard grid over the named weights; score by mean accuracy.
 
     Requires evaluation labels for every task.  The tasks are swept one
-    after another: each is prepared once, run at every grid point
-    (parallelized across points, CDEM_THREADS caps workers) and released
-    before the next, so one task's source moments are held at a time.
+    after another, each prepared once and run at every grid point
+    (parallelized across points, CDEM_THREADS caps workers).
     Returns (assignment, mean accuracy over the tasks) per grid point, in
     deterministic sweep order.
     """
@@ -310,25 +284,25 @@ def run_grid(
     if repeated:
         raise ConfigError(f"cannot sweep {repeated} more than once")
     loaded = load_tasks(config, tasks)
-    if any(item.eval_labels is None for item in loaded.values()):
+    if any(eval_labels is None for _, eval_labels in loaded.values()):
         raise ConfigError("grid search needs target labels for every task")
     points = [
         dict(zip(param_names, combo))
         for combo in itertools.product(values, repeat=len(param_names))
     ]
 
-    def sweep(item: LoadedTask) -> list[float | None]:
-        prepared = item.prepare(config)
+    def sweep(task: Task) -> list[float | None]:
+        prepared, eval_labels = loaded[task]
 
         def one_point(assignment: dict[str, float]) -> float | None:
             fields = {WEIGHT_KEYS[k]: v for k, v in assignment.items()}
             point_config = replace(config, **fields)
-            result = run_adaptation_task(prepared, point_config, item.eval_labels, task=item.name)
+            result = run_adaptation_task(prepared, point_config, eval_labels, task_name(task))
             return result.accuracy
 
         return _parallel_map(one_point, points)
 
-    per_task = [sweep(loaded[task]) for task in tasks]
+    per_task = [sweep(task) for task in tasks]
     return [
         (assignment, float(np.mean([a for a in accs if a is not None])))
         for assignment, accs in zip(points, zip(*per_task))

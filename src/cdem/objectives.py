@@ -6,7 +6,7 @@ each a quadratic form X'QX equal to a sum of squared distances in the
 projected space.  These sums depend on the samples only through the count
 n_g and row sum s_g of each source and selected-target class (from
 ``prototype.class_moments``), the Gram G_c of each source class and the
-selected target rows Xsel.  A step therefore passes the builder the task's
+selected target rows Xsel.  A step therefore passes the builder the run's
 ``SourceMoments``, Xsel and Xsel's pseudo labels, never X or a mask.  With
 means mu_g = s_g / n_g:
 
@@ -24,11 +24,11 @@ rank-one part, D stacking the class means, mean differences, class sums and
 the marginal gap (at most 8C + 1 rows).  A term alone is the same call with
 a unit weight on it (``objective_terms``), for dumps and checks.
 
-``source_moments`` computes the source-only parts once per task: the class
+``source_moments`` computes the source-only parts once per run: the class
 counts, sums and Grams and the gap between the domains' mean rows.  A step
 costs O(n_t m^2 + C m^2) time; the moments hold C m^2 numbers (8.5 MB for 65
-classes at m = 128, 2.2 GB at m = 2048), so callers keep them only while a
-task runs.  Unselected target samples enter only the marginal MMD term.
+classes at m = 128, 2.2 GB at m = 2048), so a run keeps them only while it
+runs.  Unselected target samples enter only the marginal MMD term.
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ class SourceMoments:
     marginal_gap: np.ndarray
 
 
-def source_moments(features: np.ndarray, source_y: np.ndarray, n_classes: int) -> SourceMoments:
-    """Moments of the first len(source_y) rows of features, the source rows
-    labeled source_y; the remaining rows are the target.  A source with a
-    single class has no complement for the center push and is a
-    configuration error."""
-    xs = features[: source_y.shape[0]]
+def source_moments(
+    xs: np.ndarray, xt: np.ndarray, source_y: np.ndarray, n_classes: int
+) -> SourceMoments:
+    """Moments of the source rows xs, labeled source_y, against the target
+    rows xt.  A source with a single class has no complement for the center
+    push and is a configuration error."""
     counts, sums = class_moments(xs, source_y, n_classes)
     only = np.flatnonzero((counts > 0) & (counts == source_y.shape[0]))
     if only.size:
@@ -93,7 +93,7 @@ def source_moments(features: np.ndarray, source_y: np.ndarray, n_classes: int) -
         counts=counts,
         sums=sums,
         class_grams=class_grams,
-        marginal_gap=xs.mean(axis=0) - features[source_y.shape[0] :].mean(axis=0),
+        marginal_gap=xs.mean(axis=0) - xt.mean(axis=0),
     )
 
 
@@ -159,7 +159,7 @@ def build_objective_matrices(
     """The operand sum_t weights[t] X'Q_tX over ``TERMS``, from the three
     products of the module docstring.
 
-    source holds the ``source_moments`` of the task; xt_sel are the selected
+    source holds the ``source_moments`` of the run; xt_sel are the selected
     target rows and y_sel their pseudo labels.  The class count C and the
     source row count come from source.counts.  The center push weighs each
     class's squared distance to the rest of its domain by its count; the

@@ -222,8 +222,9 @@ def _build(inst: Instance, features: np.ndarray, params: Hyperparams) -> dict[st
     """Every term of inst's labeling alone and, as "combined", the operand
     params weigh them into.  features stand for inst's stacked rows (source
     first); the source moments and the selected target rows come from them."""
-    moments = objectives.source_moments(features, inst.ys, inst.n_classes)
-    xt_sel = features[inst.ys.shape[0] :][inst.selected]
+    xs, xt = features[: inst.ys.shape[0]], features[inst.ys.shape[0] :]
+    moments = objectives.source_moments(xs, xt, inst.ys, inst.n_classes)
+    xt_sel = xt[inst.selected]
     y_sel = inst.yt[inst.selected]
     weights = objectives.term_weights(params)
     built = objectives.build_objective_matrices(moments, xt_sel, y_sel, weights)

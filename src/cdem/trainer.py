@@ -1,22 +1,22 @@
 """Alternating optimization: solve for a projection, relabel, reselect.
 
-A run works on one feature matrix: the source rows followed by the target
-rows.  ``prepare_task`` does everything that depends only on those rows, the
-source labels, ``pca_dim`` and ``normalize``: it checks that a
-``DomainPair``'s two matrices are finite, stacks them into one fresh buffer,
-centers it in place and replaces it by its PCA scores, fit on both domains
-together (unit-length rows when ``normalize`` is on), factors the
-label-free constraint B = X'HX once, and computes the source-side moments of
-the objective.  Methods, ablation stages and grid points that differ only in
-their weights or components share one ``PreparedTask``.  ``run_adaptation``
-then bootstraps pseudo labels from a source-only prototype classifier in
-that space and alternates for a fixed number of steps between (a) solving
-the generalized eigenproblem whose objective is built from the source
-moments, the selected target rows and their pseudo labels, and (b)
-refreshing pseudo labels and the curriculum selection in the new subspace.
-Each domain's rows are row slices of the joint matrix, never separate
-copies.  True target labels never enter any of these steps; when provided
-they are used solely to score predictions per step."""
+A run works on one feature matrix holding both domains' rows.
+``preprocess_rows`` does everything that depends only on those rows,
+``pca_dim`` and ``normalize``: it centers a fresh stacked buffer in place,
+replaces it by its PCA scores, fit on both domains together (unit-length rows
+when ``normalize`` is on), and factors the label-free constraint B = X'HX
+once.  A ``PreparedTask`` is a view of that prepared pair: its ``source`` and
+``target`` are row slices of the read-only scores, in whichever order the two
+blocks were stacked, so a task and its reverse share one pair.  Methods,
+ablation stages and grid points that differ only in their weights or
+components share one ``PreparedTask``.  ``run_adaptation`` computes the
+source-side moments of the objective once per run, bootstraps pseudo labels
+from a source-only prototype classifier in that space and alternates for a
+fixed number of steps between (a) solving the generalized eigenproblem whose
+objective is built from the source moments, the selected target rows and
+their pseudo labels, and (b) refreshing pseudo labels and the curriculum
+selection in the new subspace.  True target labels never enter any of these
+steps; when provided they are used solely to score predictions per step."""
 
 from __future__ import annotations
 
@@ -96,59 +96,66 @@ class AdaptationResult:
 
 @dataclass(frozen=True)
 class PreparedTask:
-    """What every run on one task shares: the (n_source + n_target) × m
-    read-only features (PCA scores, source rows first), the source labels,
-    the factored constraint B = X'HX of the features and the source-side
-    moments of the objective.  ``normalize`` records whether the rows were
-    scaled to unit length; m is the ``pca_dim`` they were prepared with."""
+    """What every run on one task shares: the read-only PCA scores of both
+    domains (``features``, m columns, the two blocks in their stacked
+    order), ``source`` and ``target`` as row slices of them, the source
+    labels and the factored constraint B = X'HX of the features.
+    ``normalize`` records whether the rows were scaled to unit length; m is
+    the ``pca_dim`` they were prepared with."""
 
     features: np.ndarray
-    n_source: int
+    source: np.ndarray
+    target: np.ndarray
     source_y: np.ndarray
     n_classes: int
     normalize: bool
     constraint: FactoredConstraint
-    moments: SourceMoments
+
+    @property
+    def n_source(self) -> int:
+        return self.source.shape[0]
 
     @property
     def n_target(self) -> int:
-        return self.features.shape[0] - self.n_source
+        return self.target.shape[0]
 
 
 def preprocess_rows(
     x: np.ndarray, config: ExperimentConfig
 ) -> tuple[np.ndarray, FactoredConstraint]:
-    """The label-free part of preparing a task: PCA scores of the stacked
-    rows x, a fresh buffer the caller hands over and this centers in place,
-    unit-length when config.normalize is on, plus their factored constraint
-    B = X'HX.  A task and its reverse stack the same rows, so a suite
-    computes this once per unordered domain pair."""
+    """The label-free part of preparing a task: read-only PCA scores of the
+    stacked rows x, a fresh buffer the caller hands over and this centers in
+    place, unit-length when config.normalize is on, plus their factored
+    constraint B = X'HX.  A task and its reverse stack the same rows, so a
+    suite computes this once per unordered domain pair."""
     x -= x.mean(axis=0)
     features = fit_pca(x, config.pca_dim)
     if config.normalize:
         features = normalize_rows(features)
+    features.flags.writeable = False
     return features, assemble_operands(features)
 
 
-def label_task(
-    features: np.ndarray,
-    constraint: FactoredConstraint,
+def task_view(
+    rows: tuple[np.ndarray, FactoredConstraint],
     source_y: np.ndarray,
     n_classes: int,
     config: ExperimentConfig,
+    source_first: bool,
 ) -> PreparedTask:
-    """The prepared task whose first len(source_y) rows of features (from
-    ``preprocess_rows`` on the same rows, in any row order) are the source,
-    labeled source_y."""
-    features.flags.writeable = False
+    """The task on a ``preprocess_rows`` result whose source, labeled
+    source_y, is its first row block when source_first, else its last."""
+    features, constraint = rows
+    split = source_y.shape[0] if source_first else features.shape[0] - source_y.shape[0]
+    head, tail = features[:split], features[split:]
     return PreparedTask(
         features=features,
-        n_source=source_y.shape[0],
+        source=head if source_first else tail,
+        target=tail if source_first else head,
         source_y=source_y,
         n_classes=n_classes,
         normalize=config.normalize,
         constraint=constraint,
-        moments=source_moments(features, source_y, n_classes),
     )
 
 
@@ -157,8 +164,8 @@ def prepare_task(pair: DomainPair, config: ExperimentConfig) -> PreparedTask:
     number of runs that share its pca_dim and normalize settings."""
     check_finite(pair.source_x, "source features")
     check_finite(pair.target_x, "target features")
-    features, constraint = preprocess_rows(np.concatenate([pair.source_x, pair.target_x]), config)
-    return label_task(features, constraint, pair.source_y, pair.n_classes, config)
+    rows = preprocess_rows(np.concatenate([pair.source_x, pair.target_x]), config)
+    return task_view(rows, pair.source_y, pair.n_classes, config, source_first=True)
 
 
 def as_prepared(task: DomainPair | PreparedTask, config: ExperimentConfig) -> PreparedTask:
@@ -206,6 +213,7 @@ def _dump_iteration(
     dump_dir: Path,
     step: int,
     task: PreparedTask,
+    moments: SourceMoments,
     xt_sel: np.ndarray,
     y_sel: np.ndarray,
     combined: np.ndarray,
@@ -215,7 +223,7 @@ def _dump_iteration(
     """Write one step's matrices; only a dump builds the terms alone."""
     dump_dir.mkdir(parents=True, exist_ok=True)
     named = {
-        **objective_terms(task.moments, xt_sel, y_sel),
+        **objective_terms(moments, xt_sel, y_sel),
         "combined": combined,
         "operand_a": a,
         "operand_b": task.constraint.shifted,
@@ -240,15 +248,14 @@ def run_adaptation(
     params = config.hyperparams
     weights = term_weights(params, config.components)
     total = config.iterations
-    features = task.features
-    n_source = task.n_source
-    delta_identity = params.delta * np.eye(features.shape[1])
+    moments = source_moments(task.source, task.target, task.source_y, task.n_classes)
+    delta_identity = params.delta * np.eye(task.features.shape[1])
 
     # Bootstrap in the identity projection: source prototypes classify the
     # preprocessed targets, and that one distribution stands for both
     # classifiers.
-    centers = fit_prototypes(features[:n_source], task.source_y, task.n_classes)
-    p_source = class_probabilities(squared_distances(features[n_source:], centers))
+    centers = fit_prototypes(task.source, task.source_y, task.n_classes)
+    p_source = class_probabilities(squared_distances(task.target, centers))
     table = combined_pseudo_labels(p_source, p_source, 1, total)
     state = curriculum.select(table, 1, total)
     prev_labels = table.label
@@ -257,14 +264,13 @@ def run_adaptation(
 
     for step in range(1, total + 1):
         try:
-            xt_sel = features[n_source:][state.selected]
+            xt_sel = task.target[state.selected]
             y_sel = table.label[state.selected]
-            parts = build_objective_matrices(task.moments, xt_sel, y_sel, weights)
+            parts = build_objective_matrices(moments, xt_sel, y_sel, weights)
             a = parts.combined + delta_identity
             solution = solve_generalized(a, task.constraint, config.subspace_dim)
-            projected = features @ solution.projection
-            zs = projected[:n_source]
-            zt = projected[n_source:]
+            zs = task.source @ solution.projection
+            zt = task.target @ solution.projection
 
             # One table to the source centers serves p_source, the first Lloyd
             # iteration and the diagnostics; k-means returns its final one.
@@ -283,7 +289,7 @@ def run_adaptation(
                 raise NumericError("objective value is not finite")
             if dump_dir is not None:
                 _dump_iteration(
-                    Path(dump_dir), step, task, xt_sel, y_sel, parts.combined, a, solution
+                    Path(dump_dir), step, task, moments, xt_sel, y_sel, parts.combined, a, solution
                 )
 
             agreement = float(np.mean(table.label == prev_labels))

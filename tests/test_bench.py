@@ -11,7 +11,7 @@ import pytest
 
 from cdem import bench
 from cdem.cli import main
-from cdem.errors import ConfigError
+from cdem.errors import ConfigError, DataError
 from cdem.matio import (
     DatasetEntry,
     DomainPair,
@@ -50,6 +50,25 @@ def test_source_only_result():
     assert result.trace is None
     unlabeled = bench.run_source_only(pair, _fast_config())
     assert unlabeled.accuracy is None
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (
+            np.array([0]),
+            r"^evaluation labels: shape \(1,\), expected one label per target row \(60,\)$",
+        ),
+        (np.full(60, 7), r"^evaluation labels: label outside \[0, 3\)$"),
+    ],
+    ids=["one-label", "label-out-of-range"],
+)
+def test_source_only_checks_eval_labels_as_adaptation_does(labels, message):
+    pair, _ = generate(ShiftSpec(classes=3, n_per_domain=60, dims=6, separation=6.0, seed=3))
+    config = _fast_config()
+    for run in (bench.run_source_only, bench.run_adaptation_task):
+        with pytest.raises(DataError, match=message):
+            run(pair, config, labels)
 
 
 def test_task_result_accuracy_range():
@@ -332,18 +351,28 @@ def test_pca_and_constraint_factored_once_per_domain_pair(tmp_path, monkeypatch,
 
 def test_reverse_task_takes_the_pair_rows_swapped(tmp_path):
     # A sorts first and has no label file, so A-B is no task; B-A still
-    # stacks A's rows first and swaps the two blocks afterwards.
+    # stacks A's rows first and views them swapped.
     config = load_config(_registry(tmp_path, labeled=("B", "C")))
-    alone = bench.load_tasks(config, [("B", "A")])[("B", "A")].prepare(config)
+    alone, _ = bench.load_tasks(config, [("B", "A")])[("B", "A")]
     a, b = (read_matrix(tmp_path / f"{name}_x.cdm") for name in "AB")
     features, constraint = preprocess_rows(np.concatenate([a, b]), config)
     n_a = a.shape[0]
     assert alone.n_source == b.shape[0] and alone.n_target == n_a
-    assert np.array_equal(alone.features, np.concatenate([features[n_a:], features[:n_a]]))
+    assert np.array_equal(alone.features, features)
+    assert np.array_equal(alone.source, features[n_a:])
+    assert np.array_equal(alone.target, features[:n_a])
     assert np.array_equal(alone.constraint.whiten, constraint.whiten)
     assert not alone.features.flags.writeable
-    in_suite = bench.load_tasks(config, bench.expand_tasks(config, ["all"]))[("B", "A")]
-    assert np.array_equal(in_suite.prepare(config).features, alone.features)
+    in_suite = bench.load_tasks(config, bench.expand_tasks(config, ["all"]))
+    assert np.array_equal(in_suite[("B", "A")][0].features, alone.features)
+    # B-C and C-B are two views of one prepared pair, not copies.
+    (bc, _), (cb, _) = in_suite[("B", "C")], in_suite[("C", "B")]
+    assert bc.features is cb.features and bc.constraint is cb.constraint
+    assert bc.n_source == read_matrix(tmp_path / "B_x.cdm").shape[0]
+    assert np.array_equal(bc.source, cb.target) and np.shares_memory(bc.source, cb.target)
+    assert np.array_equal(bc.target, cb.source) and np.shares_memory(bc.target, cb.source)
+    assert not np.shares_memory(bc.source, bc.target)
+    assert not bc.features.flags.writeable
 
 
 def test_reverse_task_bytes_independent_of_suite_and_workers(tmp_path, monkeypatch):
@@ -391,9 +420,9 @@ def test_pairs_whose_joined_names_coincide_stay_apart(tmp_path):
     together = bench.load_tasks(config, tasks)
     for task in tasks:
         source, target = task
-        assert together[task].name == f"{source}-{target}"
-        prepared = together[task].prepare(config)
-        alone = bench.load_tasks(config, [task])[task].prepare(config)
+        assert bench.task_name(task) == f"{source}-{target}"
+        prepared, _ = together[task]
+        alone, _ = bench.load_tasks(config, [task])[task]
         assert prepared.n_source == read_matrix(tmp_path / f"{source}_x.cdm").shape[0]
         assert prepared.n_target == read_matrix(tmp_path / f"{target}_x.cdm").shape[0]
         assert np.array_equal(prepared.features, alone.features)
@@ -495,3 +524,28 @@ def test_commands_hold_one_task_moments_at_a_time(tmp_path, monkeypatch, command
             tracemalloc.stop()
 
     assert peak([("A", "B"), ("B", "C"), ("C", "A")]) - peak([("A", "B")]) < grams
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["run", "--task", "A-B", "--ablation", "--with-baseline"], 4),  # four adaptation runs
+        (["baseline", "--task", "A-B"], 0),
+    ],
+    ids=["ablation", "baseline"],
+)
+def test_source_moments_built_once_per_adaptation_run(tmp_path, monkeypatch, argv, built):
+    import cdem.trainer as trainer_mod
+
+    calls = []
+    source_moments = trainer_mod.source_moments
+
+    def counting_source_moments(*args, **kwargs):
+        calls.append(1)
+        return source_moments(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "source_moments", counting_source_moments)
+    config = _registry(tmp_path)
+    command, *rest = argv
+    assert main([command, "--config", str(config), *rest, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == built

@@ -38,8 +38,9 @@ def _build(lab, features, n_classes, params, components=KNOWN_COMPONENTS):
     as ``combined``, and the skipped terms, for features whose first rows
     are the source rows of lab and the rest its target rows."""
     ys, yt, selected = lab
-    moments = source_moments(features, ys, n_classes)
-    xt_sel, y_sel = features[ys.shape[0] :][selected], yt[selected]
+    xs, xt = features[: ys.shape[0]], features[ys.shape[0] :]
+    moments = source_moments(xs, xt, ys, n_classes)
+    xt_sel, y_sel = xt[selected], yt[selected]
     built = build_objective_matrices(moments, xt_sel, y_sel, term_weights(params, components))
     terms = objective_terms(moments, xt_sel, y_sel)
     return SimpleNamespace(**terms, combined=built.combined, skipped=built.skipped)
@@ -196,7 +197,7 @@ def test_operand_is_weighted_sum_of_unit_terms(stage):
             inst = _deselect_one_class(inst, rng)
         raw = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.7)
         params = Hyperparams(beta=raw[0], lam=raw[1], gamma=raw[2], eta=raw[3])
-        moments = source_moments(inst.features, inst.ys, inst.n_classes)
+        moments = source_moments(inst.xs, inst.xt, inst.ys, inst.n_classes)
         xt_sel, y_sel = inst.xt[inst.selected], inst.yt[inst.selected]
         weights = term_weights(params, components)
         built = build_objective_matrices(moments, xt_sel, y_sel, weights)
@@ -236,7 +237,8 @@ def _moments_and_rows():
     """Two-class source moments of width 3 and four selected target rows."""
     rng = np.random.default_rng(9)
     features = rng.standard_normal((10, 3))
-    return source_moments(features, np.array([0, 1, 0, 1, 1, 0]), 2), features[6:]
+    xs, xt_sel = features[:6], features[6:]
+    return source_moments(xs, xt_sel, np.array([0, 1, 0, 1, 1, 0]), 2), xt_sel
 
 
 @pytest.mark.parametrize(

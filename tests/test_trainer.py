@@ -100,6 +100,7 @@ def test_alignment_weight_reduces_domain_gap_term():
         Hyperparams,
         build_objective_matrices,
         objective_terms,
+        source_moments,
         term_weights,
     )
     from cdem.selftest import trace_form
@@ -109,13 +110,14 @@ def test_alignment_weight_reduces_domain_gap_term():
     task = prepare_task(pair, config)
     features = task.features
     # every target row selected, with its true label
-    xt_sel = features[task.n_source :]
-    mmd = objective_terms(task.moments, xt_sel, labels)["mmd"]
+    xt_sel = task.target
+    moments = source_moments(task.source, task.target, task.source_y, task.n_classes)
+    mmd = objective_terms(moments, xt_sel, labels)["mmd"]
     gap_terms = []
     for lam in (0.0, 10.0):
         params = Hyperparams(beta=0.1, lam=lam, gamma=0.1, eta=0.1, delta=0.1)
         weights = term_weights(params)
-        parts = build_objective_matrices(task.moments, xt_sel, labels, weights)
+        parts = build_objective_matrices(moments, xt_sel, labels, weights)
         a = parts.combined + params.delta * np.eye(features.shape[1])
         solution = solve_generalized(a, task.constraint, 3)
         gap_terms.append(trace_form(mmd, solution.projection))
