@@ -118,11 +118,11 @@ def test_predictions_identical_across_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _three_domain_registry(root):
-    """Three small labeled domains, so `--task all` runs six tasks."""
-    lines = ["pca_dim=8", "subspace_dim=4"]
+def _three_domain_registry(root, rows=60, dims=10, settings=("pca_dim=8", "subspace_dim=4")):
+    """Three labeled domains, so `--task all` runs six tasks."""
+    lines = list(settings)
     for index, (name, rotation) in enumerate((("A", 0.0), ("B", 25.0), ("C", -30.0))):
-        spec = ShiftSpec(classes=3, n_per_domain=60, dims=10, separation=6.0,
+        spec = ShiftSpec(classes=3, n_per_domain=rows, dims=dims, separation=6.0,
                          rotation_deg=rotation, translation=(0.5 * index,), seed=index)
         pair, labels = generate(spec)
         write_matrix(pair.target_x, root / f"{name}_x.cdm")
@@ -133,35 +133,50 @@ def _three_domain_registry(root):
 
 
 def test_reports_identical_across_task_workers(tmp_path):
-    config = _three_domain_registry(tmp_path)
-    for command in ("run", "baseline"):
-        reports = []
-        for workers in ("1", "3"):
-            out = tmp_path / f"{command}{workers}"
-            env = _child_env(OPENBLAS_NUM_THREADS="1", CDEM_THREADS=workers)
-            subprocess.run(
-                [sys.executable, "-m", "cdem.cli", command, "--config", str(config),
-                 "--task", "all", "--out", str(out)],
-                check=True, env=env, stdout=subprocess.DEVNULL, timeout=120,
-            )
-            reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(reports[0]) > 2
-        assert reports[0] == reports[1]
+    # "wide": each pair stacks 640 rows of 700 features, so every pair's PCA
+    # takes LAPACK's subset solve (default pca_dim=128), and at 3 workers
+    # the pair pool makes concurrent calls into it.
+    for registry, shape in (("small", {}), ("wide", {"rows": 320, "dims": 700, "settings": ()})):
+        (tmp_path / registry).mkdir()
+        config = _three_domain_registry(tmp_path / registry, **shape)
+        for command in ("run", "baseline"):
+            reports = []
+            for workers in ("1", "3"):
+                out = tmp_path / registry / f"{command}{workers}"
+                env = _child_env(OPENBLAS_NUM_THREADS="1", CDEM_THREADS=workers)
+                subprocess.run(
+                    [sys.executable, "-m", "cdem.cli", command, "--config", str(config),
+                     "--task", "all", "--out", str(out)],
+                    check=True, env=env, stdout=subprocess.DEVNULL, timeout=120,
+                )
+                reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert len(reports[0]) > 2
+            assert reports[0] == reports[1]
 
 
 _SCIPY_PROBE = """
 import sys
+from cdem import eigsolve
 from cdem.cli import main
+from cdem.synth import ShiftSpec, write_dataset
 
 out = sys.argv[1]
 config = out + "/data/config.txt"
+# A wide pair whose 640-row Gram takes the subset PCA solve at pca_dim=128.
+wide = write_dataset(ShiftSpec(n_per_domain=320, dims=700), out + "/wide")["config"]
+wide.write_text("".join(
+    "pca_dim=128\\n" if line.startswith("pca_dim=") else line + "\\n"
+    for line in wide.read_text().splitlines()
+))
 for argv in (
     ["synth", "--out", out + "/data", "--seed", "1"],
     ["run", "--config", config, "--out", out + "/run"],
     ["baseline", "--config", config, "--out", out + "/baseline"],
     ["grid", "--config", config, "--out", out + "/grid", "--params", "lambda"],
+    ["run", "--config", str(wide), "--out", out + "/wide-run"],
 ):
     assert main(argv) == 0, argv
+assert eigsolve._dsyevr.cache_info().misses == 1
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 

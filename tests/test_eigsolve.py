@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cdem import selftest
+from cdem import eigsolve, selftest
 from cdem.eigsolve import (
+    SUBSET_MIN_SIDE,
     assemble_operands,
     factor_constraint,
     relative_ridge,
     solve_generalized,
+    top_eigenpairs,
 )
 from cdem.errors import ConfigError, NumericError
 
@@ -109,6 +111,7 @@ def test_assemble_operands_structure():
     shifted = b + relative_ridge(b) * np.eye(6)
     assert np.allclose(constraint.shifted, shifted, atol=1e-10)
     assert np.abs(constraint.shifted - constraint.shifted.T).max() == 0.0
+    assert constraint.shifted_norm == np.linalg.norm(constraint.shifted)
     w = constraint.whiten
     assert np.abs(w.T @ shifted @ w - np.eye(6)).max() <= 1e-10
     assert np.abs(np.tril(w, -1)).max() == 0.0  # W = L^-T is upper triangular
@@ -215,3 +218,70 @@ def test_residual_gate(monkeypatch):
     a = rng.standard_normal((6, 6))
     with pytest.raises(NumericError, match=r"^eigensolver residual .* exceeds 1e-06$"):
         solve_generalized(a + a.T, factor_constraint(np.eye(6)), 3)
+
+
+needs_dsyevr = pytest.mark.skipif(
+    eigsolve._dsyevr() is None,
+    reason="numpy's bundled OpenBLAS exports no scipy_LAPACKE_dsyevr64_",
+)
+
+
+def _random_gram(side, seed):
+    x = np.random.default_rng(seed).standard_normal((side, side + 100))
+    return x @ x.T
+
+
+@pytest.fixture
+def dsyevr_calls(monkeypatch):
+    """Counts top_eigenpairs' lookups of the subset solver."""
+    calls = []
+    resolve = eigsolve._dsyevr
+    monkeypatch.setattr(eigsolve, "_dsyevr", lambda: calls.append(1) or resolve())
+    return calls
+
+
+@needs_dsyevr
+@pytest.mark.parametrize("k", [1, 128])
+@pytest.mark.parametrize("side", [640, 800, 1024])
+def test_top_eigenpairs_subset_solve_matches_eigh(side, k, dsyevr_calls):
+    gram = _random_gram(side, seed=side + k)
+    full_values, full_vectors = np.linalg.eigh(gram)
+    values, vectors = top_eigenpairs(gram.copy(), k)
+    assert dsyevr_calls == [1]
+    assert values.shape == (k,) and vectors.shape == (side, k)
+    assert np.abs(values - full_values[::-1][:k]).max() <= 1e-12 * full_values[-1]
+    cosines = np.abs(np.einsum("ij,ij->j", vectors, full_vectors[:, ::-1][:, :k]))
+    assert cosines.min() >= 1 - 1e-10
+
+
+def test_top_eigenpairs_full_solve_below_the_crossover(dsyevr_calls):
+    # Below the side, or above a fifth of it kept, the full eigh runs as is.
+    for side, k in ((SUBSET_MIN_SIDE - 1, 1), (SUBSET_MIN_SIDE, 129)):
+        gram = _random_gram(side, seed=side)
+        full_values, full_vectors = np.linalg.eigh(gram)
+        values, vectors = top_eigenpairs(gram, k)
+        assert np.array_equal(values, full_values[::-1][:k])
+        assert np.array_equal(vectors, full_vectors[:, ::-1][:, :k])
+    assert dsyevr_calls == []
+
+
+@needs_dsyevr
+def test_top_eigenpairs_nan_gram_trips_lapacke_check():
+    gram = _random_gram(SUBSET_MIN_SIDE, seed=1)
+    gram[3, 5] = gram[5, 3] = np.nan
+    with pytest.raises(NumericError, match=r"^LAPACK dsyevr failed with info=-6$"):
+        top_eigenpairs(gram, 1)
+
+
+@pytest.mark.parametrize(
+    "stub, message",
+    [
+        (lambda *args: 3, r"^LAPACK dsyevr failed with info=3$"),
+        (lambda *args: args[12].fill(1) or 0, r"^LAPACK dsyevr returned 1 of 2 eigenpairs$"),
+    ],
+    ids=["info", "count"],
+)
+def test_top_eigenpairs_checks_info_and_count(monkeypatch, stub, message):
+    monkeypatch.setattr(eigsolve, "_dsyevr", lambda: stub)
+    with pytest.raises(NumericError, match=message):
+        top_eigenpairs(_random_gram(SUBSET_MIN_SIDE, seed=2), 2)

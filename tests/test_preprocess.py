@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cdem import eigsolve
 from cdem.errors import ConfigError, DegenerateDataError
 from cdem.preprocess import fit_pca, normalize_rows
 
@@ -164,6 +165,57 @@ def test_wide_scores_match_svd_near_rank_tolerance():
     z = _pca(x, m)
     assert np.abs(z - _svd_scores(x, m)).max() <= 1e-12
     assert np.abs(z.T @ z - np.diag(evals[:m])).max() <= 1e-12
+
+
+def _full_eigh_scores(x, m):
+    """fit_pca's scores from one full np.linalg.eigh of the Gram on x's
+    smaller centered side, with its sign rule."""
+    centered = x - x.mean(axis=0)
+    wide = x.shape[0] < x.shape[1]
+    values, vectors = np.linalg.eigh(centered @ centered.T if wide else centered.T @ centered)
+    values, vectors = values[::-1][:m], vectors[:, ::-1][:, :m]
+    pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(m)]
+    vectors = vectors * np.where(pivots < 0, -1.0, 1.0)
+    return vectors * np.sqrt(np.maximum(values, 0.0)) if wide else centered @ vectors
+
+
+def _above_crossover(shape):
+    """Features whose Gram side is SUBSET_MIN_SIDE, with singular values
+    spaced evenly from 2 to 1 so the kept eigenvectors are well separated."""
+    n, d = shape
+    rng = np.random.default_rng(n + d)
+    rank = min(n, d)
+    u = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+    return (u * np.linspace(2.0, 1.0, rank)) @ v.T
+
+
+CROSSOVER_SHAPES = {
+    "wide": (eigsolve.SUBSET_MIN_SIDE, 900),
+    "tall": (900, eigsolve.SUBSET_MIN_SIDE),
+}
+
+
+@pytest.mark.skipif(
+    eigsolve._dsyevr() is None,
+    reason="numpy's bundled OpenBLAS exports no scipy_LAPACKE_dsyevr64_",
+)
+@pytest.mark.parametrize("shape", sorted(CROSSOVER_SHAPES))
+def test_subset_solve_scores_match_full_eigh(shape, monkeypatch):
+    calls = []
+    resolve = eigsolve._dsyevr
+    monkeypatch.setattr(eigsolve, "_dsyevr", lambda: calls.append(1) or resolve())
+    x = _above_crossover(CROSSOVER_SHAPES[shape])
+    z, ref = _pca(x, 128), _full_eigh_scores(x, 128)
+    assert calls == [1]
+    assert np.abs(z - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", sorted(CROSSOVER_SHAPES))
+def test_without_subset_solver_scores_are_full_eigh_bytes(shape, monkeypatch):
+    monkeypatch.setattr(eigsolve, "_dsyevr", lambda: None)
+    x = _above_crossover(CROSSOVER_SHAPES[shape])
+    assert np.array_equal(_pca(x, 128), _full_eigh_scores(x, 128))
 
 
 def test_zero_variance_rejected():
