@@ -167,24 +167,26 @@ def _run_method(
 def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[Task]:
     """The tasks that command-line names ask for: [None] without names, each
     ordered registry pair with a labeled source for ["all"], else each name
-    split by ``matio.split_task``.  Pairs of "all" that would report under
-    one name, such as ("a", "b-c") and ("a-b", "c"), raise ConfigError."""
+    split by ``matio.split_task``.  Two distinct tasks whose report files
+    would share a name (``emit_report`` writes ``_safe_name(task_name(task))``),
+    such as ("a", "b-c") and ("a-b", "c") or ("x y", "z") and ("x-y", "z"),
+    raise ConfigError; a task named twice is kept twice."""
     if not names:
         return [None]
-    if names != ["all"]:
-        return [matio.split_task(config, name) for name in names]
-    sources = [n for n in config.datasets if config.datasets[n].labels is not None]
-    expanded = [
-        (src, tgt) for src in sorted(sources) for tgt in sorted(config.datasets) if src != tgt
-    ]
-    if not expanded:
-        raise ConfigError("no labeled datasets in the registry to expand 'all'")
-    named: dict[str, tuple[str, str]] = {}
-    for task in expanded:
-        other = named.setdefault(task_name(task), task)
+    if names == ["all"]:
+        sources = sorted(n for n, entry in config.datasets.items() if entry.labels is not None)
+        tasks = [(src, tgt) for src in sources for tgt in sorted(config.datasets) if src != tgt]
+        if not tasks:
+            raise ConfigError("no labeled datasets in the registry to expand 'all'")
+    else:
+        tasks = [matio.split_task(config, name) for name in names]
+    stems: dict[str, Task] = {}
+    for task in dict.fromkeys(tasks):
+        stem = _safe_name(task_name(task))
+        other = stems.setdefault(stem, task)
         if other != task:
-            raise ConfigError(f"tasks {other} and {task} would both report as {task_name(task)!r}")
-    return expanded
+            raise ConfigError(f"tasks {other} and {task} would both write files named {stem!r}")
+    return tasks
 
 
 def _parallel_map(fn: Callable, items: list) -> list:

@@ -14,9 +14,10 @@ Every routine is numpy's own LAPACK: ``np.linalg.cholesky`` for L,
 therefore never imports scipy, whose linalg module alone costs about 0.37 s
 of start-up, more than a small task's whole solve.  The full ``eigh`` stays
 although a step keeps only the smallest pairs: at the default side 128 with
-32 pairs kept it took 1.7-2.4 ms single-threaded, against 2.6-3.1 ms for
-LAPACK's dsyevr or dsyevx over that index range, 1.9-2.1 ms for
-dsytrd+dstemr+dormtr and 2.9-3.2 ms for scipy's ``eigh(subset_by_index=...)``.
+32 pairs kept it took 1.7-2.4 ms single-threaded, against 1.4-3.2 ms for the
+subset routes (dsyevr, dsyevx, dsytrd+dstemr or dstedc+dormtr, scipy's
+``eigh(subset_by_index=...)``); the fastest, dsytrd+dstedc+dormtr, left the
+benchmark's ``suite-12`` run time unchanged (median 0.861 against 0.855 s).
 
 PCA needs the other end of a spectrum: the k largest eigenpairs of a Gram
 whose side can reach the feature width.  ``top_eigenpairs`` calls LAPACK's
@@ -26,7 +27,8 @@ through ctypes, when the side n is at least SUBSET_MIN_SIDE and k is at most
 SUBSET_MAX_SHARE of it.  Below that, or when numpy's library does not export
 ``scipy_LAPACKE_dsyevr64_``, it runs the full ``np.linalg.eigh`` and keeps k
 pairs.  Subset time over full ``eigh`` time on random Grams, one BLAS
-thread, median of 3-5 runs:
+thread, median of 3-5 runs (about half of a subset solve is the tridiagonal
+reduction: on the 800-side Gram of ``wide-d``, 52 of 98-107 ms at k=128):
 
     n      k=1    k=32   k=128   k=256   k=410   k=512
     256    0.30   0.79   2.20
@@ -41,6 +43,18 @@ thread, median of 3-5 runs:
 Every pair the rule admits is below 1.  At two BLAS threads the full
 ``eigh`` gains more from the second thread, and k=128 at n = 640 and 800
 took 1.07-1.08 times the full solve (0.69 at n = 1024, 0.47 at 2048).
+Below SUBSET_MIN_SIDE the subset solve still wins at k = n/10, but at the
+rule's k = n/5 it loses at n = 128 and breaks about even up to 400 (range
+over two passes of interleaved medians):
+
+    n      k=n/10      k=n/5
+    128    0.71-0.72   1.11-1.16
+    200    0.66-0.68   1.00-1.03
+    256    0.67-0.73   1.01-1.14
+    320    0.63-0.71   0.96-1.11
+    400    0.62        0.93-0.94
+    512    0.55-0.57   0.81-0.84
+    576    0.57-0.58   0.84-0.88
 """
 
 from __future__ import annotations

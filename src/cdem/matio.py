@@ -25,7 +25,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .objectives import KNOWN_COMPONENTS, Hyperparams
+from .objectives import KNOWN_COMPONENTS
 
 MAGIC = b"CDM1"
 _HEADER = struct.Struct("<4sII")
@@ -216,7 +216,8 @@ WEIGHT_KEYS = {"beta": "beta", "lambda": "lam", "gamma": "gamma", "eta": "eta", 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment settings (defaults match the benchmark setup)."""
+    """Fully resolved experiment settings (defaults match the benchmark setup).
+    The term weights beta, lam, gamma, eta and the ridge delta are non-negative."""
 
     source_features: Path | None = None
     source_labels: Path | None = None
@@ -243,16 +244,14 @@ class ExperimentConfig:
             )
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
-        self.hyperparams  # checks the weight signs
+        for name in WEIGHT_KEYS.values():
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
         if not self.components:
             raise ConfigError(f"components is empty; choose from {list(KNOWN_COMPONENTS)}")
         bad = [c for c in self.components if c not in KNOWN_COMPONENTS]
         if bad:
             raise ConfigError(f"unknown components: {bad}")
-
-    @property
-    def hyperparams(self) -> Hyperparams:
-        return Hyperparams(**{name: getattr(self, name) for name in WEIGHT_KEYS.values()})
 
 
 _BOOL_KEYS = {"normalize"}

@@ -34,32 +34,20 @@ runs.  Unselected target samples enter only the marginal MMD term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .prototype import class_moments
 
+if TYPE_CHECKING:
+    from .matio import ExperimentConfig
+
 # The objective blocks a config's ``components`` switch on and off (``term_weights``).
 KNOWN_COMPONENTS = ("erm", "da", "cde", "dfl")
 # The terms A is a weighted sum of, in the order ``term_weights`` lists them.
 TERMS = ("within_class", "center_push", "mmd", "cross_st", "cross_ts", "laplacian")
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """Non-negative weights for the objective terms plus the ridge delta."""
-
-    beta: float = 0.1
-    lam: float = 0.1
-    gamma: float = 0.1
-    eta: float = 0.1
-    delta: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("beta", "lam", "gamma", "eta", "delta"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -105,19 +93,17 @@ class ObjectiveMatrices:
     skipped: list[str] = field(default_factory=list)
 
 
-def term_weights(
-    params: Hyperparams, components: tuple[str, ...] = KNOWN_COMPONENTS
-) -> dict[str, float]:
-    """Each term's weight in the objective.
+def term_weights(config: ExperimentConfig) -> dict[str, float]:
+    """Each term's weight in the objective of config.
 
     The empirical block (erm) is within_class - beta * center_push;
     distribution alignment (da) adds lam * mmd, the cross-domain push (cde)
     -gamma * (cross_st + cross_ts) and the affinity Laplacian (dfl)
-    eta * laplacian.  A component left out weighs its terms by 0.
+    eta * laplacian.  A component config leaves out weighs its terms by 0.
     """
-    erm, da, cde, dfl = (float(name in components) for name in KNOWN_COMPONENTS)
-    cross = -params.gamma * cde
-    weights = (erm, -params.beta * erm, params.lam * da, cross, cross, params.eta * dfl)
+    erm, da, cde, dfl = (float(name in config.components) for name in KNOWN_COMPONENTS)
+    cross = -config.gamma * cde
+    weights = (erm, -config.beta * erm, config.lam * da, cross, cross, config.eta * dfl)
     return dict(zip(TERMS, weights))
 
 

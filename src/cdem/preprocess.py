@@ -26,17 +26,13 @@ def fit_pca(features: np.ndarray, n_components: int) -> np.ndarray:
     has a rounding-noise eigenvalue, clamped at zero, and a score column
     that is zero or of order √(eps λ₁).
 
-    The eigensolve is ``eigsolve.top_eigenpairs``: LAPACK's subset driver
-    dsyevr from numpy's bundled OpenBLAS when the Gram side is at least 640
-    and n_components at most a fifth of it, else one full
-    ``np.linalg.eigh``, which also runs at every side where numpy's library
-    lacks that symbol.  Subset over full time at n_components=128, one BLAS
-    thread: 1.07 at side 576, 0.94 at 640, 0.81 at 800, 0.63 at 1024 and
-    0.49 at 2048 (the full table is in the ``eigsolve`` docstring).
+    The eigensolve is ``eigsolve.top_eigenpairs``, whose docstring gives
+    its rule for LAPACK's subset driver dsyevr and the timings behind it.
 
-    Each kept Gram eigenvector is flipped so that its largest-magnitude
-    entry is positive, which makes the result a pure function of the input
-    bytes.  The input is never modified.
+    A Gram that overflows float64 (features near 1e160 and up) raises
+    DegenerateDataError.  Each kept Gram eigenvector is flipped so that its
+    largest-magnitude entry is positive, which makes the result a pure
+    function of the input bytes.  The input is never modified.
     """
     x = np.asarray(features, dtype=np.float64)
     n, d = x.shape
@@ -45,7 +41,10 @@ def fit_pca(features: np.ndarray, n_components: int) -> np.ndarray:
             f"n_components={n_components} not in [1, min(n={n}, d={d})]"
         )
     wide = n < d
-    gram = x @ x.T if wide else x.T @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.T if wide else x.T @ x
+    if not np.isfinite(gram).all():
+        raise DegenerateDataError("feature magnitudes overflow float64 in the PCA Gram")
     evals, evecs = top_eigenpairs(gram, n_components)
     if evals[0] <= 0.0:
         raise DegenerateDataError("all samples identical: no variance to project")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import objectives
 from .eigsolve import factor_constraint, solve_generalized
-from .objectives import Hyperparams
+from .matio import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -218,15 +218,15 @@ def random_instance(
     )
 
 
-def _build(inst: Instance, features: np.ndarray, params: Hyperparams) -> dict[str, np.ndarray]:
-    """Every term of inst's labeling alone and, as "combined", the operand
-    params weigh them into.  features stand for inst's stacked rows (source
+def _build(inst: Instance, features: np.ndarray, config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Every term of inst's labeling alone and, as "combined", their sum
+    under config's weights.  features stand for inst's stacked rows (source
     first); the source moments and the selected target rows come from them."""
     xs, xt = features[: inst.ys.shape[0]], features[inst.ys.shape[0] :]
     moments = objectives.source_moments(xs, xt, inst.ys, inst.n_classes)
     xt_sel = xt[inst.selected]
     y_sel = inst.yt[inst.selected]
-    weights = objectives.term_weights(params)
+    weights = objectives.term_weights(config)
     built = objectives.build_objective_matrices(moments, xt_sel, y_sel, weights)
     return {**objectives.objective_terms(moments, xt_sel, y_sel), "combined": built.combined}
 
@@ -277,7 +277,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
         sel = inst.selected
         xt_sel = inst.xt[sel]
         yt_sel = inst.yt[sel]
-        terms = _build(inst, f, Hyperparams())
+        terms = _build(inst, f, ExperimentConfig())
         oracle: dict[str, float] = {}
 
         oracle["within_class"] = oracle_within_scatter(p, inst.xs, inst.ys)
@@ -328,7 +328,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
             bal = _balanced_subinstance(inst)
             n_sc = bal.xs.shape[0] // inst.n_classes
             n_tc = bal.xt.shape[0] // inst.n_classes
-            bal_terms = _build(bal, bal.features, Hyperparams())
+            bal_terms = _build(bal, bal.features, ExperimentConfig())
             conditional = trace_form(bal_terms["mmd"], p) - oracle_marginal_mmd(p, bal.xs, bal.xt)
             value = (1.0 - beta) * trace_form(bal_terms["within_class"], p)
             value += (n_sc + n_tc) * conditional
@@ -337,7 +337,7 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
             expected = oracle_cross_domain_errors(p, bal.xs, bal.ys, bal.xt, bal.yt, beta)
             record("cross_domain_total", _rel_err(value, expected))
 
-        params = Hyperparams(
+        params = ExperimentConfig(
             beta=float(rng.uniform(0, 1)),
             lam=float(rng.uniform(0, 2)),
             gamma=float(rng.uniform(0, 2)),

@@ -245,11 +245,10 @@ def run_adaptation(
     task = as_prepared(pair, config)
     if eval_labels is not None:
         eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")
-    params = config.hyperparams
-    weights = term_weights(params, config.components)
+    weights = term_weights(config)
     total = config.iterations
     moments = source_moments(task.source, task.target, task.source_y, task.n_classes)
-    delta_identity = params.delta * np.eye(task.features.shape[1])
+    delta_identity = config.delta * np.eye(task.features.shape[1])
 
     # Bootstrap in the identity projection: source prototypes classify the
     # preprocessed targets, and that one distribution stands for both

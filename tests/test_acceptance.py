@@ -24,7 +24,7 @@ from cdem.cli import main
 from cdem.curriculum import combined_pseudo_labels
 from cdem.eigsolve import solve_generalized
 from cdem.matio import ExperimentConfig, load_config
-from cdem.objectives import Hyperparams, build_objective_matrices, source_moments, term_weights
+from cdem.objectives import build_objective_matrices, source_moments, term_weights
 from cdem.synth import standard_shift_spec, generate, write_dataset
 from cdem.trainer import prepare_task
 
@@ -83,7 +83,7 @@ def test_projection_satisfies_variance_constraint():
     # every target row selected, with its true label
     xt_sel = task.target
     moments = source_moments(task.source, task.target, task.source_y, task.n_classes)
-    params = Hyperparams(beta=0.1, lam=0.1, gamma=0.1, eta=0.1, delta=0.1)
+    params = ExperimentConfig(beta=0.1, lam=0.1, gamma=0.1, eta=0.1, delta=0.1)
     parts = build_objective_matrices(moments, xt_sel, labels, term_weights(params))
     a = parts.combined + params.delta * np.eye(features.shape[1])
     solution = solve_generalized(a, task.constraint, config.subspace_dim)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -430,19 +431,34 @@ def test_pairs_whose_joined_names_coincide_stay_apart(tmp_path):
 
 def test_task_all_rejects_pairs_that_would_share_a_report_name(tmp_path, capsys):
     # ("a", "b-c") and ("a-b", "c") would both write a-b-c_* report files.
-    # No feature file exists: the clash is found before anything is read.
-    names = ("a", "a-b", "b-c", "c")
-    lines = [f"dataset.{n}.features={n}_x.cdm\ndataset.{n}.labels={n}_y.txt" for n in names]
-    (tmp_path / "config.txt").write_text("\n".join(lines) + "\n")
-    config = load_config(tmp_path / "config.txt")
-    clash = r"^tasks \('a', 'b-c'\) and \('a-b', 'c'\) would both report as 'a-b-c'$"
+    # A space in a file name becomes "-", so ("x y", "x-y") and ("x-y", "x y")
+    # would both write x-y-x-y_* files, and ("x y", "z") and ("x-y", "z")
+    # x-y-z_* ones.  No feature file exists: the clash is found before
+    # anything is read.
+    registries = {
+        ("a", "a-b", "b-c", "c"): (("a", "b-c"), ("a-b", "c"), "a-b-c"),
+        ("x y", "x-y", "z"): (("x y", "x-y"), ("x-y", "x y"), "x-y-x-y"),
+    }
+    for index, (names, (first, second, stem)) in enumerate(registries.items()):
+        root = tmp_path / str(index)
+        root.mkdir()
+        lines = [f"dataset.{n}.features={n}_x.cdm\ndataset.{n}.labels={n}_y.txt" for n in names]
+        (root / "config.txt").write_text("\n".join(lines) + "\n")
+        config = load_config(root / "config.txt")
+        message = f"tasks {first} and {second} would both write files named {stem!r}"
+        clash = "^" + re.escape(message) + "$"
+        with pytest.raises(ConfigError, match=clash):
+            bench.expand_tasks(config, ["all"])
+        argv = ["run", "--config", str(root / "config.txt"), "--task", "all"]
+        assert main([*argv, "--out", str(root / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (root / "out").exists()
+    # Typed tasks clash alike ("a-b-c" alone is ambiguous), but a task typed
+    # twice is no clash: grid counts it twice.
+    clash = r"^tasks \('x y', 'z'\) and \('x-y', 'z'\) would both write files named 'x-y-z'$"
     with pytest.raises(ConfigError, match=clash):
-        bench.expand_tasks(config, ["all"])
-    argv = ["run", "--config", str(tmp_path / "config.txt"), "--task", "all"]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: tasks ('a', 'b-c') and ('a-b', 'c')")
-    assert not (tmp_path / "out").exists()
+        bench.expand_tasks(config, ["x y-z", "x-y-z"])
+    assert bench.expand_tasks(config, ["x y-z", "x y-z"]) == [("x y", "z")] * 2
 
 
 def _source_only_accuracies(config, names):

@@ -3,6 +3,7 @@ and oracle agreement."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,9 +12,8 @@ import pytest
 from cdem import selftest
 from cdem.bench import ABLATION_STAGES
 from cdem.errors import ConfigError, DataError
+from cdem.matio import ExperimentConfig
 from cdem.objectives import (
-    KNOWN_COMPONENTS,
-    Hyperparams,
     build_objective_matrices,
     objective_terms,
     source_moments,
@@ -33,27 +33,27 @@ def _labeling(source, target, selected=None):
     return np.asarray(source), target, np.asarray(selected, dtype=bool)
 
 
-def _build(lab, features, n_classes, params, components=KNOWN_COMPONENTS):
-    """Each term alone (unit weight), the operand for params and components
-    as ``combined``, and the skipped terms, for features whose first rows
-    are the source rows of lab and the rest its target rows."""
+def _build(lab, features, n_classes, config):
+    """Each term alone (unit weight), the operand for config's weights and
+    components as ``combined``, and the skipped terms, for features whose
+    first rows are the source rows of lab and the rest its target rows."""
     ys, yt, selected = lab
     xs, xt = features[: ys.shape[0]], features[ys.shape[0] :]
     moments = source_moments(xs, xt, ys, n_classes)
     xt_sel, y_sel = xt[selected], yt[selected]
-    built = build_objective_matrices(moments, xt_sel, y_sel, term_weights(params, components))
+    built = build_objective_matrices(moments, xt_sel, y_sel, term_weights(config))
     terms = objective_terms(moments, xt_sel, y_sel)
     return SimpleNamespace(**terms, combined=built.combined, skipped=built.skipped)
 
 
 def _build_instance(inst, features):
-    return _build((inst.ys, inst.yt, inst.selected), features, inst.n_classes, Hyperparams())
+    return _build((inst.ys, inst.yt, inst.selected), features, inst.n_classes, ExperimentConfig())
 
 
 def _terms(source, target, selected=None, n_classes=2):
     # identity features make every m×m term X'QX the coefficient matrix Q
     lab = _labeling(source, target, selected)
-    return _build(lab, np.eye(len(source) + len(target)), n_classes, Hyperparams())
+    return _build(lab, np.eye(len(source) + len(target)), n_classes, ExperimentConfig())
 
 
 def test_within_class_two_samples_same_class():
@@ -149,7 +149,7 @@ def test_laplacian_ignores_unselected():
 def test_compose_zero_weights_gives_within_class():
     rng = np.random.default_rng(4)
     lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6))
-    params = Hyperparams(beta=0.0, lam=0.0, gamma=0.0, eta=0.0, delta=0.0)
+    params = ExperimentConfig(beta=0.0, lam=0.0, gamma=0.0, eta=0.0, delta=0.0)
     parts = _build(lab, np.eye(14), 2, params)
     assert np.array_equal(parts.combined, parts.within_class)
 
@@ -157,7 +157,7 @@ def test_compose_zero_weights_gives_within_class():
 def test_compose_distribution_only():
     rng = np.random.default_rng(5)
     lab = _labeling(rng.integers(0, 2, 8), rng.integers(0, 2, 6))
-    params = Hyperparams(beta=0.0, lam=1.0, gamma=0.0, eta=0.0, delta=0.0)
+    params = ExperimentConfig(beta=0.0, lam=1.0, gamma=0.0, eta=0.0, delta=0.0)
     parts = _build(lab, np.eye(14), 2, params)
     assert np.allclose(parts.combined, parts.within_class + parts.mmd)
 
@@ -165,13 +165,13 @@ def test_compose_distribution_only():
 def test_compose_component_switches():
     rng = np.random.default_rng(6)
     lab = _labeling(rng.integers(0, 3, 10), rng.integers(0, 3, 9))
-    params = Hyperparams(beta=0.3, lam=0.7, gamma=0.2, eta=0.4, delta=1.0)
+    params = ExperimentConfig(beta=0.3, lam=0.7, gamma=0.2, eta=0.4, delta=1.0)
     features = np.eye(19)
     parts = _build(lab, features, 3, params)
-    erm_only = _build(lab, features, 3, params, components=("erm",)).combined
+    erm_only = _build(lab, features, 3, replace(params, components=("erm",))).combined
     expected = parts.within_class - 0.3 * parts.center_push
     assert np.abs(erm_only - expected).max() <= 1e-12 * np.abs(expected).max()
-    da = _build(lab, features, 3, params, components=("erm", "da")).combined
+    da = _build(lab, features, 3, replace(params, components=("erm", "da"))).combined
     assert np.allclose(da, erm_only + 0.7 * parts.mmd)
 
 
@@ -196,10 +196,12 @@ def test_operand_is_weighted_sum_of_unit_terms(stage):
         if case % 2:
             inst = _deselect_one_class(inst, rng)
         raw = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.7)
-        params = Hyperparams(beta=raw[0], lam=raw[1], gamma=raw[2], eta=raw[3])
+        params = ExperimentConfig(
+            beta=raw[0], lam=raw[1], gamma=raw[2], eta=raw[3], components=components
+        )
         moments = source_moments(inst.xs, inst.xt, inst.ys, inst.n_classes)
         xt_sel, y_sel = inst.xt[inst.selected], inst.yt[inst.selected]
-        weights = term_weights(params, components)
+        weights = term_weights(params)
         built = build_objective_matrices(moments, xt_sel, y_sel, weights)
         terms = objective_terms(moments, xt_sel, y_sel)
         weighted = [weights[name] * terms[name] for name in UNIT_TERMS]
@@ -210,7 +212,7 @@ def test_operand_is_weighted_sum_of_unit_terms(stage):
 
 
 def test_term_weights_follow_components():
-    params = Hyperparams(beta=0.2, lam=0.3, gamma=0.4, eta=0.5)
+    params = ExperimentConfig(beta=0.2, lam=0.3, gamma=0.4, eta=0.5)
     assert term_weights(params) == {
         "within_class": 1.0,
         "center_push": -0.2,
@@ -219,13 +221,14 @@ def test_term_weights_follow_components():
         "cross_ts": -0.4,
         "laplacian": 0.5,
     }
-    off = term_weights(params, components=("da",))
+    off = term_weights(replace(params, components=("da",)))
     assert [name for name in UNIT_TERMS if off[name]] == ["mmd"]
 
 
-def test_hyperparams_reject_negative():
-    with pytest.raises(ConfigError):
-        Hyperparams(beta=-0.1)
+@pytest.mark.parametrize("name", ["beta", "lam", "gamma", "eta", "delta"])
+def test_config_rejects_a_negative_weight(name):
+    with pytest.raises(ConfigError, match=rf"^{name} must be non-negative$"):
+        ExperimentConfig(**{name: -0.1})
 
 
 def test_build_requires_selected_targets():
@@ -254,7 +257,7 @@ def _moments_and_rows():
 def test_build_rejects_bad_pseudo_labels(y_sel, message):
     moments, xt_sel = _moments_and_rows()
     with pytest.raises(DataError, match=message):
-        build_objective_matrices(moments, xt_sel, np.array(y_sel), term_weights(Hyperparams()))
+        build_objective_matrices(moments, xt_sel, np.array(y_sel), term_weights(ExperimentConfig()))
 
 
 def test_build_rejects_rows_of_another_width():
@@ -262,7 +265,7 @@ def test_build_rejects_rows_of_another_width():
     y_sel = np.array([0, 1, 1, 0])
     message = r"^selected target rows are \(4, 2\), source moments are 3 wide$"
     with pytest.raises(ConfigError, match=message):
-        build_objective_matrices(moments, xt_sel[:, :2], y_sel, term_weights(Hyperparams()))
+        build_objective_matrices(moments, xt_sel[:, :2], y_sel, term_weights(ExperimentConfig()))
     with pytest.raises(ConfigError, match=r"^selected target rows are \(3,\)"):
         objective_terms(moments, xt_sel[0], y_sel)
 
@@ -316,7 +319,7 @@ def test_terms_invariant_under_row_permutation():
         pt = rng.permutation(inst.yt.shape[0])
         lab = (inst.ys[ps], inst.yt[pt], inst.selected[pt])
         features = np.vstack([inst.xs[ps], inst.xt[pt]])
-        permuted = _build(lab, features, inst.n_classes, Hyperparams())
+        permuted = _build(lab, features, inst.n_classes, ExperimentConfig())
         _assert_terms_close(permuted, parts, 1e-12)
 
 
@@ -326,7 +329,7 @@ def test_terms_invariant_under_class_relabeling():
         n_classes = inst.n_classes
         perm = rng.permutation(n_classes)
         lab = (perm[inst.ys], perm[inst.yt], inst.selected)
-        relabeled = _build(lab, inst.features, n_classes, Hyperparams())
+        relabeled = _build(lab, inst.features, n_classes, ExperimentConfig())
         _assert_terms_close(relabeled, parts, 1e-10)
 
 
@@ -378,7 +381,7 @@ def test_two_gram_terms_match_per_class_grams():
     selected = rng.random(260) < 0.6
     xs = rng.standard_normal((300, m)) + 2.0
     xt = rng.standard_normal((260, m)) - 1.0
-    parts = _build((ys, yt, selected), np.vstack([xs, xt]), n_classes, Hyperparams())
+    parts = _build((ys, yt, selected), np.vstack([xs, xt]), n_classes, ExperimentConfig())
     n_src = np.bincount(ys, minlength=n_classes)
     n_tgt = np.bincount(yt[selected], minlength=n_classes)
     assert (n_src[:5] == 0).all() and (n_tgt[5:10] == 0).all() and n_src[64] == n_tgt[64] == 0

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdem.errors import ConfigError, DataError
+from cdem.errors import ConfigError, DataError, DegenerateDataError
 from cdem.matio import DomainPair, ExperimentConfig, read_matrix
 from cdem.preprocess import normalize_rows
 from cdem.prototype import fit_prototypes, squared_distances
@@ -97,7 +97,6 @@ def test_identical_domains_align_exactly():
 def test_alignment_weight_reduces_domain_gap_term():
     from cdem.eigsolve import solve_generalized
     from cdem.objectives import (
-        Hyperparams,
         build_objective_matrices,
         objective_terms,
         source_moments,
@@ -115,7 +114,7 @@ def test_alignment_weight_reduces_domain_gap_term():
     mmd = objective_terms(moments, xt_sel, labels)["mmd"]
     gap_terms = []
     for lam in (0.0, 10.0):
-        params = Hyperparams(beta=0.1, lam=lam, gamma=0.1, eta=0.1, delta=0.1)
+        params = ExperimentConfig(beta=0.1, lam=lam, gamma=0.1, eta=0.1, delta=0.1)
         weights = term_weights(params)
         parts = build_objective_matrices(moments, xt_sel, labels, weights)
         a = parts.combined + params.delta * np.eye(features.shape[1])
@@ -163,13 +162,13 @@ def test_dump_writes_term_matrices(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"step{step:02d}_{name}.cdm" for step in (1, 2) for name in names
     )
-    weights = term_weights(config.hyperparams, config.components)
+    weights = term_weights(config)
     for step in (1, 2):
         read = lambda name: read_matrix(tmp_path / f"step{step:02d}_{name}.cdm")
         weighted = [weights[name] * read(name) for name in TERMS]
         scale = max(float(np.abs(t).max()) for t in weighted)
         assert np.abs(read("combined") - sum(weighted)).max() <= 1e-12 * scale
-        delta = config.hyperparams.delta * np.eye(config.pca_dim)
+        delta = config.delta * np.eye(config.pca_dim)
         assert np.array_equal(read("operand_a"), read("combined") + delta)
     # building the terms for the dump leaves the run itself unchanged
     plain = run_adaptation(pair, config, labels)
@@ -424,6 +423,20 @@ def _wide_pair(pair):
     return DomainPair(x[: pair.n_source], pair.source_y, x[pair.n_source :], pair.n_classes)
 
 
+def _overflowing(pair, copies=1, noise_columns=0):
+    # Features near 1e160, whose squares overflow float64.  copies repeats
+    # each domain's rows and noise_columns widens them, so that the PCA Gram
+    # side, min(n, d), can reach the subset solve's SUBSET_MIN_SIDE.
+    noise = np.random.default_rng(0).standard_normal
+    grow = lambda x: 1e160 * np.hstack(
+        [np.tile(x, (copies, 1)), noise((copies * x.shape[0], noise_columns))]
+    )
+    source_y = np.tile(pair.source_y, copies)
+    return DomainPair(grow(pair.source_x), source_y, grow(pair.target_x), pair.n_classes)
+
+
+_OVERFLOW = (DegenerateDataError, "^feature magnitudes overflow float64 in the PCA Gram$")
+
 # case -> (input from the 4-class task, config overrides, outcome): an outcome
 # is the named error and its message, or the predicted classes and the number
 # of objective terms skipped at the last step.
@@ -433,6 +446,11 @@ DEGENERATE_CASES = {
         (DataError, "step 1: cannot place 4 clusters on 3 samples"),
     ),
     "pca-dim-above-width": (lambda pair: pair, {"pca_dim": 13}, (ConfigError, "n_components=13")),
+    "overflowing-features": (_overflowing, {}, _OVERFLOW),
+    # 640 rows of 712 columns: a 640-side Gram, which dsyevr solves at pca_dim=128
+    "overflowing-features-subset-solve": (
+        lambda pair: _overflowing(pair, copies=8, noise_columns=700), {"pca_dim": 128}, _OVERFLOW
+    ),
     "constant-feature-column": (_constant_first_column, {}, ([0, 1, 2, 3], 0)),
     "identical-domains": (lambda pair: _with_target(pair, pair.source_x), {}, ([0, 1, 2, 3], 0)),
     "subspace-below-classes": (lambda pair: pair, {"subspace_dim": 3}, ([0, 1, 2, 3], 0)),
