@@ -5,10 +5,11 @@ Tasks travel as ``matio.Task`` name pairs and report as ``S-T`` (or
 PCA scores and factored constraint) and runs all of its methods, ablation
 stages and grid points on it.  Tasks are loaded together: each feature and
 label file is read and checked once, however many tasks name it, and each
-unordered pair of registry domains is prepared once, stacked in sorted-name
-order, in a pool pass before any task runs; a task and its reverse are two
-views of that one prepared pair.  Each pair's two read matrices are dropped
-as the pool pass stacks them into the buffer that its PCA centers in place.
+unordered pair of registry domains is prepared once, its two domains taken
+in sorted-name order, in a pool pass before any task runs; a task and its
+reverse are two views of that one prepared pair.  The pool pass hands each
+pair's two read matrices to its PCA as they are, with no stacked copy, and
+drops them once the pair is prepared.
 
 Reports are written as a compact CSV (one decimal accuracy, plus an average
 row per method) and a JSON file carrying full-precision accuracies and the
@@ -207,12 +208,13 @@ def load_tasks(
     Each task is read by ``load_domain_pair`` and ``load_eval_labels``,
     with their checks and messages, in task order and before any pair is
     prepared; each feature and label file is read once, however many tasks
-    name it.  A registry task stacks its two domains in sorted-name order,
+    name it.  A registry task takes its two domains in sorted-name order,
     so it and its reverse are two views of one ``preprocess_rows`` result,
     one pool item keyed by the two names in that order, sharing its
-    features and constraint; the config's direct pair stacks source then
-    target.  A pool item drops its pair's read matrices as it
-    stacks them, so a pair is held twice only while it is being stacked.
+    features and constraint; the config's direct pair takes source then
+    target.  A pool item passes its pair's two read matrices to
+    ``preprocess_rows`` as they are and then drops them; no stacked copy of
+    a pair is made.
     """
     # matio's readers are looked up at call time, so a wrapper put on them
     # there (perfbench's tracer) sees every read.
@@ -232,8 +234,8 @@ def load_tasks(
     checked = {task: check(task) for task in dict.fromkeys(tasks)}
     matrix.cache_clear()
     keys = list(blocks)
-    stack_and_prepare = lambda key: preprocess_rows(np.concatenate(blocks.pop(key)), config)
-    rows = dict(zip(keys, _parallel_map(stack_and_prepare, keys)))
+    prepare = lambda key: preprocess_rows(*blocks.pop(key), config)
+    rows = dict(zip(keys, _parallel_map(prepare, keys)))
     return {
         task: (task_view(rows[key], source_y, n_classes, config, not swapped), eval_labels)
         for task, (key, swapped, source_y, n_classes, eval_labels) in checked.items()

@@ -173,7 +173,11 @@ class DomainPair:
             raise DataError("need at least two classes")
         if source_y.min() < 0 or source_y.max() >= n_classes:
             raise DataError("source labels outside [0, n_classes)")
-        counts = np.bincount(source_y, minlength=n_classes)
+        # n labels leave one of the classes 0..n empty when n_classes > n, so
+        # counting the first min(n_classes, n + 1) classes finds the first
+        # empty one without sizing anything by n_classes.
+        counted = min(n_classes, source_y.shape[0] + 1)
+        counts = np.bincount(source_y[source_y < counted], minlength=counted)
         if (counts == 0).any():
             missing = int(np.flatnonzero(counts == 0)[0])
             raise DataError(f"class {missing} has no source samples")
@@ -217,7 +221,8 @@ WEIGHT_KEYS = {"beta": "beta", "lambda": "lam", "gamma": "gamma", "eta": "eta", 
 @dataclass
 class ExperimentConfig:
     """Fully resolved experiment settings (defaults match the benchmark setup).
-    The term weights beta, lam, gamma, eta and the ridge delta are non-negative."""
+    The term weights beta, lam, gamma, eta and the ridge delta are finite and
+    non-negative."""
 
     source_features: Path | None = None
     source_labels: Path | None = None
@@ -245,7 +250,10 @@ class ExperimentConfig:
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
         for name in WEIGHT_KEYS.values():
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if value < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not self.components:
             raise ConfigError(f"components is empty; choose from {list(KNOWN_COMPONENTS)}")

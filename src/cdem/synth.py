@@ -43,6 +43,12 @@ class ShiftSpec:
             raise ConfigError("class means need classes <= dims")
         if self.n_per_domain < self.classes:
             raise ConfigError("need at least one sample per class and domain")
+        for name in sorted(_SPEC_FLOAT_KEYS):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not np.isfinite(self.translation).all():
+            raise ConfigError(f"translation entries must be finite, got {self.translation}")
         if self.separation <= 0:
             raise ConfigError("separation must be positive")
         if self.noise_scale < 0:

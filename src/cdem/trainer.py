@@ -2,20 +2,21 @@
 
 A run works on one feature matrix holding both domains' rows.
 ``preprocess_rows`` does everything that depends only on those rows,
-``pca_dim`` and ``normalize``: it centers a fresh stacked buffer in place,
-replaces it by its PCA scores, fit on both domains together (unit-length rows
-when ``normalize`` is on), and factors the label-free constraint B = X'HX
-once.  A ``PreparedTask`` is a view of that prepared pair: its ``source`` and
-``target`` are row slices of the read-only scores, in whichever order the two
-blocks were stacked, so a task and its reverse share one pair.  Methods,
-ablation stages and grid points that differ only in their weights or
-components share one ``PreparedTask``.  ``run_adaptation`` computes the
-source-side moments of the objective once per run, bootstraps pseudo labels
-from a source-only prototype classifier in that space and alternates for a
-fixed number of steps between (a) solving the generalized eigenproblem whose
-objective is built from the source moments, the selected target rows and
-their pseudo labels, and (b) refreshing pseudo labels and the curriculum
-selection in the new subspace.  True target labels never enter any of these
+``pca_dim`` and ``normalize``: it takes the two domains' matrices as they
+are, fits one PCA on both together (``preprocess.fit_pca`` centers them piece
+by piece, so no stacked copy is made), keeps the read-only scores of their
+rows in that order (unit-length rows when ``normalize`` is on), and factors
+the label-free constraint B = X'HX once.  A ``PreparedTask`` is a view of that
+prepared pair: its ``source`` and ``target`` are row slices of the scores, in
+whichever order the two blocks were passed, so a task and its reverse share
+one pair.  Methods, ablation stages and grid points that differ only in
+their weights or components share one ``PreparedTask``.  ``run_adaptation``
+computes the source-side moments of the objective once per run, bootstraps
+pseudo labels from a source-only prototype classifier in that space and
+alternates for a fixed number of steps between (a) solving the generalized
+eigenproblem whose objective is built from the source moments, the selected
+target rows and their pseudo labels, and (b) refreshing pseudo labels and
+the curriculum selection in the new subspace.  True target labels never enter any of these
 steps; when provided they are used solely to score predictions per step."""
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class AdaptationResult:
 @dataclass(frozen=True)
 class PreparedTask:
     """What every run on one task shares: the read-only PCA scores of both
-    domains (``features``, m columns, the two blocks in their stacked
-    order), ``source`` and ``target`` as row slices of them, the source
+    domains (``features``, m columns, the two blocks in the order they were
+    prepared), ``source`` and ``target`` as row slices of them, the source
     labels and the factored constraint B = X'HX of the features.
     ``normalize`` records whether the rows were scaled to unit length; m is
     the ``pca_dim`` they were prepared with."""
@@ -121,15 +122,14 @@ class PreparedTask:
 
 
 def preprocess_rows(
-    x: np.ndarray, config: ExperimentConfig
+    head: np.ndarray, tail: np.ndarray, config: ExperimentConfig
 ) -> tuple[np.ndarray, FactoredConstraint]:
     """The label-free part of preparing a task: read-only PCA scores of the
-    stacked rows x, a fresh buffer the caller hands over and this centers in
-    place, unit-length when config.normalize is on, plus their factored
-    constraint B = X'HX.  A task and its reverse stack the same rows, so a
-    suite computes this once per unordered domain pair."""
-    x -= x.mean(axis=0)
-    features = fit_pca(x, config.pca_dim)
+    rows of head followed by those of tail, which are left unchanged,
+    unit-length when config.normalize is on, plus their factored constraint
+    B = X'HX.  A task and its reverse take the same two blocks, so a suite
+    computes this once per unordered domain pair."""
+    features = fit_pca(head, tail, n_components=config.pca_dim)
     if config.normalize:
         features = normalize_rows(features)
     features.flags.writeable = False
@@ -164,7 +164,7 @@ def prepare_task(pair: DomainPair, config: ExperimentConfig) -> PreparedTask:
     number of runs that share its pca_dim and normalize settings."""
     check_finite(pair.source_x, "source features")
     check_finite(pair.target_x, "target features")
-    rows = preprocess_rows(np.concatenate([pair.source_x, pair.target_x]), config)
+    rows = preprocess_rows(pair.source_x, pair.target_x, config)
     return task_view(rows, pair.source_y, pair.n_classes, config, source_first=True)
 
 

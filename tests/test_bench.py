@@ -356,7 +356,7 @@ def test_reverse_task_takes_the_pair_rows_swapped(tmp_path):
     config = load_config(_registry(tmp_path, labeled=("B", "C")))
     alone, _ = bench.load_tasks(config, [("B", "A")])[("B", "A")]
     a, b = (read_matrix(tmp_path / f"{name}_x.cdm") for name in "AB")
-    features, constraint = preprocess_rows(np.concatenate([a, b]), config)
+    features, constraint = preprocess_rows(a, b, config)
     n_a = a.shape[0]
     assert alone.n_source == b.shape[0] and alone.n_target == n_a
     assert np.array_equal(alone.features, features)
@@ -486,8 +486,9 @@ def test_reference_source_only_path_matches_the_suite(tmp_path, names):
 
 
 def test_load_tasks_holds_a_direct_pair_at_most_twice(tmp_path):
-    # n >= d: each domain's read matrix is dropped as the pool pass stacks
-    # it, so only the stacking holds the pair twice.
+    # n >= d: the pool pass hands the two read matrices to the PCA as they
+    # are, so beside them it holds only pieces no larger than the 400² Gram
+    # and the pair's scores; no stacked copy is made.
     rng = np.random.default_rng(15)
     source_x, target_x = rng.standard_normal((2, 1500, 400))
     write_matrix(source_x, tmp_path / "xs.cdm")
@@ -505,7 +506,28 @@ def test_load_tasks_holds_a_direct_pair_at_most_twice(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - baseline <= 2.5 * (source_x.nbytes + target_x.nbytes)
+    assert peak - baseline <= 1.75 * (source_x.nbytes + target_x.nbytes)
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "suite"])
+def test_each_feature_file_read_once_per_command(tmp_path, monkeypatch, direct):
+    # The direct pair reads its two feature files; --task all over three
+    # registry domains reads each domain's file once for its six tasks.
+    import cdem.matio as matio_mod
+
+    reads = []
+    real_read = matio_mod.read_matrix
+    monkeypatch.setattr(
+        matio_mod, "read_matrix", lambda path: reads.append(path) or real_read(path)
+    )
+    if direct:
+        spec = ShiftSpec(classes=3, n_per_domain=30, dims=8, seed=4)
+        argv = ["--config", str(write_dataset(spec, tmp_path)["config"])]
+    else:
+        argv = ["--config", str(_registry(tmp_path)), "--task", "all"]
+    assert main(["run", *argv, "--with-baseline", "--out", str(tmp_path / "out")]) == 0
+    assert len(reads) == (2 if direct else 3)
+    assert len(set(reads)) == len(reads)
 
 
 def test_grid_counts_a_repeated_task_each_time(tmp_path):

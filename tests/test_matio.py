@@ -257,6 +257,35 @@ def test_domain_pair_validation():
         DomainPair(np.zeros((0, 3)), [], xt, 2)
 
 
+def test_source_label_above_row_count_rejected_before_counting(tmp_path, capsys):
+    # n_classes is the largest source label plus one: 10**13 + 1 classes over
+    # 20 rows would size np.bincount at 80 TB, but 20 labels leave one of
+    # the first 21 classes empty, and the first empty one is class 2.
+    labels = np.arange(20) % 2
+    labels[-1] = 10**13
+    rng = np.random.default_rng(0)
+    write_matrix(rng.standard_normal((20, 3)), tmp_path / "xs.cdm")
+    write_matrix(rng.standard_normal((8, 3)), tmp_path / "xt.cdm")
+    write_labels(labels, tmp_path / "ys.txt")
+    (tmp_path / "config.txt").write_text(
+        "source_features=xs.cdm\nsource_labels=ys.txt\ntarget_features=xt.cdm\n"
+    )
+    config = load_config(tmp_path / "config.txt")
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        with pytest.raises(DataError, match="^class 2 has no source samples$"):
+            load_domain_pair(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 1 << 20
+    from cdem.cli import main
+
+    assert main(["run", "--config", str(tmp_path / "config.txt"), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: class 2 has no source samples\n"
+
+
 def _write_task(tmp_path, n_classes=2):
     rng = np.random.default_rng(0)
     xs = rng.standard_normal((6, 4))
@@ -354,6 +383,18 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
         path.write_text(f"{removed}=true\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(WEIGHT_KEYS))
+def test_config_rejects_non_finite_weights(tmp_path, key, value):
+    message = f"^{WEIGHT_KEYS[key]} must be finite, got {re.escape(value)}$"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{WEIGHT_KEYS[key]: float(value)})
+    path = tmp_path / "config.txt"
+    path.write_text(f"{key}={value}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_readme_lists_every_config_key():

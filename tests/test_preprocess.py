@@ -10,9 +10,14 @@ from cdem.errors import ConfigError, DegenerateDataError
 from cdem.preprocess import fit_pca, normalize_rows
 
 
+def _blocks(x):
+    """x's rows as two blocks, split a third of the way down."""
+    return x[: x.shape[0] // 3], x[x.shape[0] // 3 :]
+
+
 def _pca(x, m):
-    """fit_pca's scores of x's rows once they are centered."""
-    return fit_pca(x - x.mean(axis=0), m)
+    """fit_pca's scores of x's rows, passed as the two ``_blocks``."""
+    return fit_pca(*_blocks(x), n_components=m)
 
 
 def _gram_eigenvectors(x, z):
@@ -96,12 +101,27 @@ def test_explained_variance_matches_covariance_eigenvalues():
     assert np.allclose(z.var(axis=0, ddof=1), evals, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(90, 7), (9, 70)], ids=["tall", "wide"])
+def test_scores_independent_of_how_the_rows_are_split(shape):
+    # Read-only blocks raise on any write; a split moves only the order in
+    # which the pooled mean and the Gram pieces are summed.
+    x = np.random.default_rng(5).standard_normal(shape) + 3.0
+    x.flags.writeable = False
+    m = min(shape) - 2
+    whole = fit_pca(x, n_components=m)
+    n = shape[0]
+    for cuts in ((1,), (n // 2,), (n - 1,), (2, n // 2)):
+        blocks = np.split(x, cuts)
+        split = fit_pca(*blocks, n_components=m)
+        assert np.abs(split - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
 def test_component_bounds():
     x = np.random.default_rng(1).standard_normal((5, 3))
     with pytest.raises(ConfigError):
-        fit_pca(x, 4)
+        fit_pca(x, n_components=4)
     with pytest.raises(ConfigError):
-        fit_pca(x, 0)
+        fit_pca(x, n_components=0)
 
 
 def _svd_reference_cases():
@@ -168,15 +188,28 @@ def test_wide_scores_match_svd_near_rank_tolerance():
 
 
 def _full_eigh_scores(x, m):
-    """fit_pca's scores from one full np.linalg.eigh of the Gram on x's
-    smaller centered side, with its sign rule."""
-    centered = x - x.mean(axis=0)
-    wide = x.shape[0] < x.shape[1]
-    values, vectors = np.linalg.eigh(centered @ centered.T if wide else centered.T @ centered)
+    """fit_pca's scores of x's ``_blocks`` from one full np.linalg.eigh of
+    the Gram on the smaller side of their centered rows C, with its sign rule
+    and its summation order: the pooled mean is the blocks' column sums over
+    n, and the Gram and the tall scores C V_k are summed and formed piece by
+    piece, each piece at most d rows of one block for C'C and all rows of at
+    most n columns for CC'."""
+    blocks = _blocks(x)
+    (n, d), wide = x.shape, x.shape[0] < x.shape[1]
+    mean = sum(block.sum(axis=0) for block in blocks) / n
+    if wide:
+        centered = np.vstack(blocks) - mean
+        pieces = [np.ascontiguousarray(centered[:, j : j + n]) for j in range(0, d, n)]
+    else:
+        pieces = [block[i : i + d] - mean for block in blocks for i in range(0, len(block), d)]
+    gram = sum(p @ p.T if wide else p.T @ p for p in pieces)
+    values, vectors = np.linalg.eigh(gram)
     values, vectors = values[::-1][:m], vectors[:, ::-1][:, :m]
     pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(m)]
     vectors = vectors * np.where(pivots < 0, -1.0, 1.0)
-    return vectors * np.sqrt(np.maximum(values, 0.0)) if wide else centered @ vectors
+    if wide:
+        return vectors * np.sqrt(np.maximum(values, 0.0))
+    return np.vstack([p @ vectors for p in pieces])
 
 
 def _above_crossover(shape):

@@ -148,6 +148,16 @@ def test_spec_validation():
         ShiftSpec(dims=2, translation=(1.0, 2.0, 3.0))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["separation", "rotation_deg", "noise_scale", "translation"])
+def test_spec_rejects_non_finite_numbers(field, value):
+    # Unchecked, nan noise_scale adds no noise, nan separation gives NaN
+    # features and an infinite rotation NaN targets.
+    given = (1.0, value) if field == "translation" else value
+    with pytest.raises(ConfigError, match=f"^{field}( entries)? must be finite"):
+        ShiftSpec(**{field: given})
+
+
 def test_parse_shift_spec_roundtrip(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text(
@@ -212,8 +222,7 @@ def test_write_dataset_pca_dim_within_centered_rank(tmp_path):
     config = load_config(write_dataset(spec, tmp_path)["config"])
     assert config.pca_dim == 399
     pair = load_domain_pair(config)
-    x = np.vstack([pair.source_x, pair.target_x])
-    scores = fit_pca(x - x.mean(axis=0), config.pca_dim + 1)
+    scores = fit_pca(pair.source_x, pair.target_x, n_components=config.pca_dim + 1)
     variance = np.square(scores).sum(axis=0)
     assert variance[-2] > 1e-8 * variance[0]
     assert variance[-1] <= 1e-10 * variance[0]

@@ -263,11 +263,19 @@ def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
     config = _small_config(pca_dim=6, normalize=normalize)
     m = config.pca_dim
     stacked = np.vstack([pair.source_x, pair.target_x])
-    mean = stacked.mean(axis=0)
+    mean = (pair.source_x.sum(axis=0) + pair.target_x.sum(axis=0)) / stacked.shape[0]
     centered = stacked - mean
     if dims < stacked.shape[0]:
-        basis = _positive_pivots(np.linalg.eigh(centered.T @ centered)[1][:, ::-1][:, :m])
-        parts = [(x - mean) @ basis for x in (pair.source_x, pair.target_x)]
+        # fit_pca's order of summation: the Gram of the centered rows is a sum
+        # over pieces of at most d rows of one domain, each projected alone
+        pieces = [
+            x[i : i + dims] - mean
+            for x in (pair.source_x, pair.target_x)
+            for i in range(0, x.shape[0], dims)
+        ]
+        gram = sum(piece.T @ piece for piece in pieces)
+        basis = _positive_pivots(np.linalg.eigh(gram)[1][:, ::-1][:, :m])
+        parts = [piece @ basis for piece in pieces]
         if normalize:
             parts = [normalize_rows(z) for z in parts]
         assert np.array_equal(prepare_task(pair, config).features, np.vstack(parts))
@@ -279,12 +287,15 @@ def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
     assert np.abs(prepare_task(pair, config).features - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_preprocess_pair_peak_memory_below_one_and_a_half_pair_copies():
-    # wide-d's shape.  The only n×d temporary is fit_pca's centered copy of
-    # the pair's rows: the wide scores come from the n×n Gram's
-    # eigenvectors, with no n×d projection.
+@pytest.mark.parametrize(
+    "n, d, pca_dim", [(400, 4096, 128), (1500, 400, 8)], ids=["wide", "tall"]
+)
+def test_prepare_task_peak_memory_below_four_fifths_of_the_pair(n, d, pca_dim):
+    # wide-d's shape, then a tall pair.  No n×d temporary is made: fit_pca
+    # takes the two domains as they are and centers them piece by piece into
+    # one buffer no larger than its Gram (800² on the wide side, 400² on
+    # the tall one), beside the Gram and one product.
     rng = np.random.default_rng(0)
-    n, d = 400, 4096
     pair = DomainPair(
         rng.standard_normal((n, d)), np.arange(n) % 2, rng.standard_normal((n, d)), 2
     )
@@ -292,16 +303,16 @@ def test_preprocess_pair_peak_memory_below_one_and_a_half_pair_copies():
     tracemalloc.start()
     try:
         baseline, _ = tracemalloc.get_traced_memory()
-        prepare_task(pair, ExperimentConfig(pca_dim=128, subspace_dim=32))
+        prepare_task(pair, ExperimentConfig(pca_dim=pca_dim, subspace_dim=2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - baseline <= 1.5 * pair_bytes
+    assert peak - baseline <= 0.8 * pair_bytes
 
 
 def test_preparing_leaves_the_pair_matrices_unchanged():
-    # prepare_task stacks the two domains into a buffer of its own and
-    # centers that one in place
+    # prepare_task hands the pair's own matrices to fit_pca, which only
+    # reads them
     pair, labels = generate(_small_spec(seed=12))
     before = (pair.source_x.copy(), pair.target_x.copy())
     config = _small_config()
@@ -435,6 +446,13 @@ def _overflowing(pair, copies=1, noise_columns=0):
     return DomainPair(grow(pair.source_x), source_y, grow(pair.target_x), pair.n_classes)
 
 
+def _last_source_label_huge(pair):
+    # A label file whose largest label is 10**13 sets n_classes to 10**13 + 1.
+    source_y = pair.source_y.copy()
+    source_y[-1] = 10**13
+    return DomainPair(pair.source_x, source_y, pair.target_x, 10**13 + 1)
+
+
 _OVERFLOW = (DegenerateDataError, "^feature magnitudes overflow float64 in the PCA Gram$")
 
 # case -> (input from the 4-class task, config overrides, outcome): an outcome
@@ -446,6 +464,12 @@ DEGENERATE_CASES = {
         (DataError, "step 1: cannot place 4 clusters on 3 samples"),
     ),
     "pca-dim-above-width": (lambda pair: pair, {"pca_dim": 13}, (ConfigError, "n_components=13")),
+    "non-finite-weight": (
+        lambda pair: pair, {"beta": float("nan")}, (ConfigError, "^beta must be finite, got nan$")
+    ),
+    "source-label-above-row-count": (
+        _last_source_label_huge, {}, (DataError, "^class 4 has no source samples$")
+    ),
     "overflowing-features": (_overflowing, {}, _OVERFLOW),
     # 640 rows of 712 columns: a 640-side Gram, which dsyevr solves at pca_dim=128
     "overflowing-features-subset-solve": (
@@ -468,13 +492,14 @@ DEGENERATE_CASES = {
 def test_degenerate_inputs_run_or_raise_named_errors(case):
     build, overrides, outcome = DEGENERATE_CASES[case]
     pair, _ = generate(ShiftSpec(classes=4, n_per_domain=40, dims=12, seed=3))
-    pair = build(pair)
-    config = ExperimentConfig(**dict(pca_dim=10, subspace_dim=6, iterations=5) | overrides)
+    settings = dict(pca_dim=10, subspace_dim=6, iterations=5) | overrides
     expected, detail = outcome
     if isinstance(expected, type):
+        # the error may come from building the pair or the config
         with pytest.raises(expected, match=detail):
-            run_adaptation(pair, config)
+            run_adaptation(build(pair), ExperimentConfig(**settings))
         return
+    pair, config = build(pair), ExperimentConfig(**settings)
     result = run_adaptation(pair, config)
     assert len(result.records) == config.iterations
     assert all(np.isfinite(rec.objective) for rec in result.records)
