@@ -195,13 +195,22 @@ def assemble_operands(features: np.ndarray) -> FactoredConstraint:
 
 
 @functools.cache
-def _dsyevr():
-    """LAPACKE_dsyevr (ILP64) from the OpenBLAS that numpy's linalg module
-    is linked against, or None where that library does not export it under
-    this name.  Looked up on first use, so importing cdem pays nothing."""
+def _openblas():
+    """A handle on the OpenBLAS that numpy's linalg module is linked against,
+    or None where it cannot be opened.  Opened on first use, so importing
+    cdem pays nothing; every ctypes binding in cdem looks its symbol up here."""
     try:
-        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
-    except (AttributeError, OSError):
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+
+
+@functools.cache
+def _dsyevr():
+    """LAPACKE_dsyevr (ILP64) from ``_openblas``, or None where that library
+    does not export it under this name."""
+    fn = getattr(_openblas(), "scipy_LAPACKE_dsyevr64_", None)
+    if fn is None:
         return None
     from numpy.ctypeslib import ndpointer
 
@@ -225,6 +234,8 @@ def top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     their eigenvectors as columns, from LAPACK's subset solve or the full
     ``np.linalg.eigh`` by the rule in the module docstring.  gram is the
     caller's C-contiguous float64 temporary: the subset solve overwrites it.
+    Both solves read only its lower triangle, so a caller need fill only
+    that one.
     """
     n = gram.shape[0]
     dsyevr = _dsyevr() if n >= SUBSET_MIN_SIDE and k <= SUBSET_MAX_SHARE * n else None
@@ -236,7 +247,7 @@ def top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     evecs = np.empty((n, k), order="F")
     support = np.empty(2 * k, dtype=np.int64)
     # gram.T is gram's own buffer read column-major; its upper triangle is
-    # the lower one of gram, the triangle np.linalg.eigh reads.
+    # the lower one of gram, the triangle np.linalg.eigh (UPLO='L') reads.
     info = dsyevr(
         _LAPACK_COL_MAJOR, b"V", b"I", b"U", n, gram.T, n, 0.0, 0.0, n - k + 1, n, 0.0,
         count, evals, evecs, n, support,

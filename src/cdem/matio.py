@@ -106,7 +106,9 @@ def read_matrix(path: str | Path) -> np.ndarray:
 
 
 def write_matrix(matrix, path: str | Path) -> None:
-    """Write a matrix; ``.csv`` paths get text, everything else the binary container."""
+    """Write a matrix; ``.csv`` paths get text, everything else the binary
+    container, whose payload streams from the array after the header: a
+    C-ordered float64 array is written without a copy."""
     path = Path(path)
     arr = check_finite(_as_matrix(matrix, str(path)), str(path))
     if path.suffix.lower() == ".csv":
@@ -114,8 +116,9 @@ def write_matrix(matrix, path: str | Path) -> None:
         path.write_text("\n".join(lines) + "\n")
         return
     rows, cols = arr.shape
-    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    path.write_bytes(_HEADER.pack(MAGIC, rows, cols) + payload)
+    with path.open("wb") as f:
+        f.write(_HEADER.pack(MAGIC, rows, cols))
+        np.ascontiguousarray(arr, dtype="<f8").tofile(f)
 
 
 def read_labels(path: str | Path) -> np.ndarray:

@@ -4,16 +4,44 @@ The PCA is transductive: it scores exactly the rows it is fit on, so it
 returns those scores and keeps no mean or basis to apply elsewhere.  It
 takes those rows as separate blocks, a pair's two domains as they were read,
 and centers them piece by piece, so no stacked or centered copy of the pair
-is ever formed."""
+is ever formed.  Each piece is added into the Gram in place by BLAS dsyrk
+(``_dsyrk``), so no product of Gram size is formed either."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from collections.abc import Iterator
 
 import numpy as np
 
-from .eigsolve import top_eigenpairs
+from .eigsolve import _openblas, top_eigenpairs
 from .errors import ConfigError, DegenerateDataError
+
+# CBLAS enum codes: row-major storage, lower triangle, C = AA' or C = A'A.
+_CBLAS_ROW_MAJOR, _CBLAS_LOWER = 101, 122
+_CBLAS_NO_TRANS, _CBLAS_TRANS = 111, 112
+
+
+@functools.cache
+def _dsyrk():
+    """cblas_dsyrk (ILP64) from ``eigsolve._openblas``, or None where that
+    library does not export it under this name."""
+    fn = getattr(_openblas(), "scipy_cblas_dsyrk64_", None)
+    if fn is None:
+        return None
+    from numpy.ctypeslib import ndpointer
+
+    int64 = ctypes.c_int64
+    matrix = ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    # order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc
+    fn.argtypes = [
+        ctypes.c_int, ctypes.c_int, ctypes.c_int, int64, int64,
+        ctypes.c_double, matrix, int64, ctypes.c_double,
+        ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"), int64,
+    ]
+    fn.restype = None
+    return fn
 
 
 def _centered_pieces(blocks: list[np.ndarray], mean: np.ndarray) -> Iterator[np.ndarray]:
@@ -62,7 +90,12 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
     (Chan, Golub & LeVeque, 1979): pieces of at most d rows of one block
     for C'C, of all rows and at most n columns for CC', each centered into
     one reused buffer (``_centered_pieces``), so no temporary is larger than
-    the Gram.  The tall scores C V_k are formed piece by piece the same way.
+    the Gram.  BLAS dsyrk (Dongarra, Du Croz, Hammarling & Duff, 1990) adds
+    each piece's product into the Gram's lower triangle in place, the only
+    triangle ``top_eigenpairs`` reads; where numpy's OpenBLAS does not export
+    it, the product goes through one reused array and an add.  The two
+    paths' sums differ in the last bits, where dsyrk blocks a long piece.
+    The tall scores C V_k are formed piece by piece the same way.
 
     The eigensolve is ``eigsolve.top_eigenpairs``, whose docstring gives
     its rule for LAPACK's subset driver dsyevr and the timings behind it.
@@ -80,11 +113,20 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
         )
     mean = sum(block.sum(axis=0) for block in blocks) / n
     wide = n < d
-    gram = np.zeros((min(n, d), min(n, d)))
-    product = np.empty_like(gram)
+    side = min(n, d)
+    gram = np.zeros((side, side))
+    dsyrk = _dsyrk()
+    product = np.empty_like(gram) if dsyrk is None else None
     with np.errstate(over="ignore", invalid="ignore"):
         for piece in _centered_pieces(blocks, mean):
-            gram += np.matmul(*((piece, piece.T) if wide else (piece.T, piece)), out=product)
+            if dsyrk is None:
+                gram += np.matmul(*((piece, piece.T) if wide else (piece.T, piece)), out=product)
+            else:
+                rows, cols = piece.shape
+                dsyrk(
+                    _CBLAS_ROW_MAJOR, _CBLAS_LOWER, _CBLAS_NO_TRANS if wide else _CBLAS_TRANS,
+                    side, cols if wide else rows, 1.0, piece, cols, 1.0, gram, side,
+                )
     del product  # not held through the eigensolve's workspace
     if not np.isfinite(gram).all():
         raise DegenerateDataError("feature magnitudes overflow float64 in the PCA Gram")

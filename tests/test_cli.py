@@ -100,11 +100,16 @@ def _child_env(**overrides) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=pythonpath, **overrides)
 
 
-def test_predictions_identical_across_blas_threads(tmp_path):
-    # A wide task (n < d) at one and two OpenBLAS threads.  report.json floats
-    # may differ in the last digits between the two; predictions and
-    # report.csv may not.
-    config = write_dataset(ShiftSpec(n_per_domain=200, dims=1024), tmp_path / "data")["config"]
+@pytest.mark.parametrize(
+    "n_per_domain, dims", [(200, 1024), (600, 512)], ids=["wide", "tall"]
+)
+def test_predictions_identical_across_blas_threads(tmp_path, n_per_domain, dims):
+    # A wide task (n < d) and a tall one, whose PCA Gram sums its pieces with
+    # dsyrk's transposed branch, at one and two OpenBLAS threads.
+    # report.json floats may differ in the last digits between the two;
+    # predictions and report.csv may not.
+    spec = ShiftSpec(n_per_domain=n_per_domain, dims=dims)
+    config = write_dataset(spec, tmp_path / "data")["config"]
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"

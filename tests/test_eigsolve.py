@@ -226,6 +226,25 @@ needs_dsyevr = pytest.mark.skipif(
 )
 
 
+def _numpy_blas_name():
+    config = np.show_config(mode="dicts")
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name")
+
+
+@pytest.mark.skipif(
+    _numpy_blas_name() != "scipy-openblas",
+    reason="numpy is built against a BLAS other than its bundled OpenBLAS",
+)
+def test_bundled_openblas_exports_every_symbol_cdem_binds():
+    # A numpy upgrade that renames either symbol fails here, instead of
+    # sending the PCA quietly down its slower numpy-only paths.
+    from cdem import preprocess
+
+    for name in ("scipy_LAPACKE_dsyevr64_", "scipy_cblas_dsyrk64_"):
+        assert hasattr(eigsolve._openblas(), name), name
+    assert eigsolve._dsyevr() is not None and preprocess._dsyrk() is not None
+
+
 def _random_gram(side, seed):
     x = np.random.default_rng(seed).standard_normal((side, side + 100))
     return x @ x.T

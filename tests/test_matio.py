@@ -234,6 +234,23 @@ def test_read_matrix_peak_memory_near_one_matrix(tmp_path):
     assert peak - baseline <= 1.25 * x.nbytes
 
 
+def test_write_matrix_peak_memory_below_a_quarter_matrix(tmp_path):
+    # The payload streams from the array to the file: what the write
+    # allocates is the n×d/8 finiteness mask, not a bytes copy.
+    x = np.random.default_rng(6).standard_normal((800, 4096))
+    path = tmp_path / "x.cdm"
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        write_matrix(x, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 0.25 * x.nbytes
+    header = MAGIC + (800).to_bytes(4, "little") + (4096).to_bytes(4, "little")
+    assert path.read_bytes() == header + x.astype("<f8").tobytes()
+
+
 def test_domain_pair_validation():
     xs = np.zeros((4, 3))
     xt = np.zeros((2, 3))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cdem import eigsolve
+from cdem import eigsolve, preprocess
 from cdem.errors import ConfigError, DegenerateDataError
 from cdem.preprocess import fit_pca, normalize_rows
 
@@ -246,9 +246,29 @@ def test_subset_solve_scores_match_full_eigh(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", sorted(CROSSOVER_SHAPES))
 def test_without_subset_solver_scores_are_full_eigh_bytes(shape, monkeypatch):
+    # numpy alone: dsyrk's blocked sums differ from matmul plus add in the
+    # last bits, so the byte pin holds on the fallback Gram only.
     monkeypatch.setattr(eigsolve, "_dsyevr", lambda: None)
+    monkeypatch.setattr(preprocess, "_dsyrk", lambda: None)
     x = _above_crossover(CROSSOVER_SHAPES[shape])
     assert np.array_equal(_pca(x, 128), _full_eigh_scores(x, 128))
+
+
+@pytest.mark.skipif(
+    preprocess._dsyrk() is None,
+    reason="numpy's bundled OpenBLAS exports no scipy_cblas_dsyrk64_",
+)
+@pytest.mark.parametrize("shape", sorted(CROSSOVER_SHAPES))
+def test_dsyrk_gram_scores_match_the_matmul_fallback(shape, monkeypatch):
+    calls = []
+    resolve = preprocess._dsyrk
+    monkeypatch.setattr(preprocess, "_dsyrk", lambda: calls.append(1) or resolve())
+    x = _above_crossover(CROSSOVER_SHAPES[shape])
+    z = _pca(x, 128)
+    assert calls == [1]
+    monkeypatch.setattr(preprocess, "_dsyrk", lambda: None)
+    ref = _pca(x, 128)
+    assert np.abs(z - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_zero_variance_rejected():

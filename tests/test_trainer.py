@@ -288,13 +288,13 @@ def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
 
 
 @pytest.mark.parametrize(
-    "n, d, pca_dim", [(400, 4096, 128), (1500, 400, 8)], ids=["wide", "tall"]
+    "n, d, pca_dim, bound", [(400, 4096, 128, 0.5), (1500, 400, 8, 0.8)], ids=["wide", "tall"]
 )
-def test_prepare_task_peak_memory_below_four_fifths_of_the_pair(n, d, pca_dim):
+def test_prepare_task_peak_memory_below_four_fifths_of_the_pair(n, d, pca_dim, bound):
     # wide-d's shape, then a tall pair.  No n×d temporary is made: fit_pca
     # takes the two domains as they are and centers them piece by piece into
     # one buffer no larger than its Gram (800² on the wide side, 400² on
-    # the tall one), beside the Gram and one product.
+    # the tall one), and BLAS dsyrk adds each piece into the Gram in place.
     rng = np.random.default_rng(0)
     pair = DomainPair(
         rng.standard_normal((n, d)), np.arange(n) % 2, rng.standard_normal((n, d)), 2
@@ -307,7 +307,7 @@ def test_prepare_task_peak_memory_below_four_fifths_of_the_pair(n, d, pca_dim):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - baseline <= 0.8 * pair_bytes
+    assert peak - baseline <= bound * pair_bytes
 
 
 def test_preparing_leaves_the_pair_matrices_unchanged():
