@@ -4,10 +4,15 @@ Solves A p = theta (B + sI) p for the k smallest eigenvalues, where
 B = X'HX is the centered Gram matrix of the features and s a small relative
 ridge.  B depends only on the features, so a run builds, checks and
 Cholesky-factors it once (``assemble_operands``): with B + sI = L L' the
-constraint keeps W = L^-T.  Each step is then the ordinary symmetric problem
-(W'AW) u = theta u with p = W u, one matrix product and one ``eigh``.  The
+constraint keeps W = L^-T, and the pencil reduces to the standard symmetric
+problem M u = theta u with M = W'AW and p = W u (Golub & Van Loan, *Matrix
+Computations*, section 8.7).  ``solve_generalized`` takes M itself: the
+trainer builds it directly in whitened coordinates Y = XW, from moments of
+Y, so a step forms no W'AW sandwich.  A caller holding A in the coordinates
+of B gets M from ``FactoredConstraint.reduce``, which checks A first.  The
 returned columns are orthonormal under B + sI, which is exactly the
-constraint the adaptation objective imposes.
+constraint the adaptation objective imposes, and the residual is measured
+in the whitened coordinates the solve works in.
 
 Every routine is numpy's own LAPACK: ``np.linalg.cholesky`` for L,
 ``np.linalg.inv`` for L^-1 and ``np.linalg.eigh`` per step.  The solver
@@ -16,8 +21,10 @@ of start-up, more than a small task's whole solve.  The full ``eigh`` stays
 although a step keeps only the smallest pairs: at the default side 128 with
 32 pairs kept it took 1.7-2.4 ms single-threaded, against 1.4-3.2 ms for the
 subset routes (dsyevr, dsyevx, dsytrd+dstemr or dstedc+dormtr, scipy's
-``eigh(subset_by_index=...)``); the fastest, dsytrd+dstedc+dormtr, left the
-benchmark's ``suite-12`` run time unchanged (median 0.861 against 0.855 s).
+``eigh(subset_by_index=...)``).  Once the step solved in whitened
+coordinates, replacing its ``eigh`` by dsytrd+dstedc+dormtr, the fastest
+of those routes, bought only about 3% more of the benchmark's ``suite-12``
+run time.
 
 PCA needs the other end of a spectrum: the k largest eigenpairs of a Gram
 whose side can reach the feature width.  ``top_eigenpairs`` calls LAPACK's
@@ -83,28 +90,44 @@ _LAPACK_COL_MAJOR = 102
 
 @dataclass(frozen=True)
 class TransformSolution:
-    """k smallest generalized eigenpairs.
+    """k smallest generalized eigenpairs of A p = theta (B + sI) p, solved
+    as M u = theta u with M = W'AW.
 
-    projection : (m, k), columns B-orthonormal, sign-fixed so the
+    projection : (m, k) P = WU, columns B-orthonormal, sign-fixed so the
         largest-magnitude entry of each column is positive
+    basis : (m, k) U, the same columns in whitened coordinates, orthonormal
+        and with the same signs
     eigenvalues : (k,), ascending
-    residual : max over columns of ||A p - theta B p|| relative to
-        ||A||_F + |theta| ||B||_F, with B including the applied shift
+    eigengap : theta_{k+1} - theta_k, or None when k = m
+    objective : tr(U'MU) = tr(P'AP), summed from the residual's product
+    residual : max over columns of ||M u - theta u|| relative to
+        ||M||_F + |theta| sqrt(m), measured in whitened coordinates; the
+        numerator is ||W'(A p - theta (B + sI) p)||
     """
 
     projection: np.ndarray
+    basis: np.ndarray
     eigenvalues: np.ndarray
+    eigengap: float | None
+    objective: float
     residual: float
 
 
 @dataclass(frozen=True)
 class FactoredConstraint:
-    """The constraint matrix B + sI, its Frobenius norm and W = L^-T for its
-    Cholesky factor L, so that W'(B + sI)W = I."""
+    """The constraint matrix B + sI and W = L^-T for its Cholesky factor L,
+    so that W'(B + sI)W = I."""
 
     shifted: np.ndarray
-    shifted_norm: float
     whiten: np.ndarray
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        """W'AW, the operand ``solve_generalized`` takes, for a symmetric A
+        given in the coordinates of B."""
+        a = _check_symmetric(a, "A")
+        if a.shape != self.shifted.shape:
+            raise ConfigError(f"A is {a.shape}, B is {self.shifted.shape}")
+        return self.whiten.T @ a @ self.whiten
 
 
 def _check_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
@@ -136,32 +159,30 @@ def factor_constraint(b: np.ndarray, b_shift: float = 0.0) -> FactoredConstraint
     # inv() runs a pivoted LU, which can leave rounding-size entries above
     # the diagonal of L^-T; triu keeps W upper triangular by construction.
     whiten = np.triu(np.linalg.inv(chol).T)
-    return FactoredConstraint(
-        shifted=shifted, shifted_norm=float(np.linalg.norm(shifted)), whiten=whiten
-    )
+    return FactoredConstraint(shifted=shifted, whiten=whiten)
 
 
 def solve_generalized(
-    a: np.ndarray, constraint: FactoredConstraint, n_components: int
+    reduced: np.ndarray, constraint: FactoredConstraint, n_components: int
 ) -> TransformSolution:
-    """Smallest n_components eigenpairs of A p = theta (B + sI) p, with
-    B + sI given by its factored constraint."""
-    a = _check_symmetric(a, "A")
-    m = a.shape[0]
-    if constraint.shifted.shape[0] != m:
-        raise ConfigError(f"A is {a.shape}, B is {constraint.shifted.shape}")
+    """Smallest n_components eigenpairs of A p = theta (B + sI) p, from
+    reduced = W'AW for the W of B + sI's factored constraint."""
+    m = constraint.whiten.shape[0]
+    if reduced.shape != (m, m):
+        raise ConfigError(f"W'AW is {reduced.shape}, B is {constraint.shifted.shape}")
     if n_components < 1 or n_components > m:
         raise ConfigError(f"n_components={n_components} not in [1, {m}]")
-    w = constraint.whiten
-    reduced = w.T @ a @ w
     reduced = 0.5 * (reduced + reduced.T)
     eigenvalues, vectors = np.linalg.eigh(reduced)
     theta = eigenvalues[:n_components].copy()
-    projection = w @ vectors[:, :n_components]
+    projection = constraint.whiten @ vectors[:, :n_components]
     pivots = np.abs(projection).argmax(axis=0)
-    projection *= np.where(projection[pivots, np.arange(n_components)] < 0, -1.0, 1.0)
-    resid = a @ projection - (constraint.shifted @ projection) * theta[None, :]
-    denom = np.linalg.norm(a) + np.abs(theta) * constraint.shifted_norm
+    signs = np.where(projection[pivots, np.arange(n_components)] < 0, -1.0, 1.0)
+    projection *= signs
+    basis = vectors[:, :n_components] * signs
+    product = reduced @ basis
+    resid = product - basis * theta[None, :]
+    denom = np.linalg.norm(reduced) + np.abs(theta) * np.sqrt(m)
     rel = np.linalg.norm(resid, axis=0) / denom
     if not np.isfinite(rel).all():
         raise NumericError("eigensolver produced non-finite residuals")
@@ -170,7 +191,12 @@ def solve_generalized(
             f"eigensolver residual {rel.max():.3e} exceeds {RESIDUAL_BOUND:g}"
         )
     return TransformSolution(
-        projection=projection, eigenvalues=theta, residual=float(rel.max())
+        projection=projection,
+        basis=basis,
+        eigenvalues=theta,
+        eigengap=float(eigenvalues[n_components] - theta[-1]) if n_components < m else None,
+        objective=float(np.sum(basis * product)),
+        residual=float(rel.max()),
     )
 
 

@@ -24,6 +24,12 @@ rank-one part, D stacking the class means, mean differences, class sums and
 the marginal gap (at most 8C + 1 rows).  A term alone is the same call with
 a unit weight on it (``objective_terms``), for dumps and checks.
 
+Every term is linear in the moments' coordinates: the moments of the rows
+of XT give T'AT.  The trainer computes them on the whitened rows Y = XW,
+with W = L^-T from the factored constraint B + sI = LL', so the operand it
+builds is W'AW, the standard-form matrix the eigensolver takes, and no step
+forms W'AW from A.  A dump builds the same operand from the moments of X.
+
 ``source_moments`` computes the source-only parts once per run: the class
 counts, sums and Grams and the gap between the domains' mean rows.  A step
 costs O(n_t m^2 + C m^2) time; the moments hold C m^2 numbers (8.5 MB for 65

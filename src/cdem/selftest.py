@@ -392,7 +392,8 @@ def check_eigensolver(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> list
         a = 0.5 * (a + a.T)
         root = rng.standard_normal((m, m))
         b = root @ root.T + 0.5 * np.eye(m)
-        sol = solve_generalized(a, factor_constraint(b), k)
+        constraint = factor_constraint(b)
+        sol = solve_generalized(constraint.reduce(a), constraint, k)
         reference = scipy.linalg.eigh(a, b, eigvals_only=True)
         scale = max(1.0, float(np.abs(reference).max()))
         worst_theta = max(

@@ -19,6 +19,8 @@ from .matio import DomainPair, read_key_values, write_labels, write_matrix
 
 _SPEC_INT_KEYS = {"classes", "n_per_domain", "dims", "seed"}
 _SPEC_FLOAT_KEYS = {"separation", "rotation_deg", "noise_scale"}
+# The target's extra noise is drawn in row chunks of at most this many bytes.
+_NOISE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,26 @@ def _class_means(spec: ShiftSpec) -> np.ndarray:
 def _sample_blobs(
     rng: np.random.Generator, means: np.ndarray, counts: np.ndarray, dims: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    xs = []
-    ys = []
-    for cls, count in enumerate(counts):
-        xs.append(means[cls] + rng.standard_normal((count, dims)))
-        ys.append(np.full(count, cls, dtype=np.int64))
-    return np.vstack(xs), np.concatenate(ys)
+    # Each class's draw goes straight into its rows of the one output array.
+    x = np.empty((int(counts.sum()), dims))
+    stops = np.cumsum(counts)
+    for cls, (start, stop) in enumerate(zip(stops - counts, stops)):
+        rows = x[start:stop]
+        rng.standard_normal(out=rows)
+        rows += means[cls]
+    return x, np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+
+
+def _add_noise(rng: np.random.Generator, x: np.ndarray, scale: float) -> None:
+    """x += scale * rng.standard_normal(x.shape), drawn in row chunks: the
+    chunks, drawn in order, are that one draw row by row."""
+    chunk = np.empty((max(1, _NOISE_CHUNK_BYTES // (8 * x.shape[1])), x.shape[1]))
+    for start in range(0, x.shape[0], chunk.shape[0]):
+        rows = x[start : start + chunk.shape[0]]
+        noise = chunk[: rows.shape[0]]
+        rng.standard_normal(out=noise)
+        noise *= scale
+        rows += noise
 
 
 def generate(spec: ShiftSpec) -> tuple[DomainPair, np.ndarray]:
@@ -99,7 +115,7 @@ def generate(spec: ShiftSpec) -> tuple[DomainPair, np.ndarray]:
     target_x[:, :2] = target_x[:, :2] @ rotation.T
     target_x += shift
     if spec.noise_scale > 0:
-        target_x = target_x + spec.noise_scale * rng.standard_normal(target_x.shape)
+        _add_noise(rng, target_x, spec.noise_scale)
     pair = DomainPair(source_x, source_y, target_x, spec.classes)
     return pair, target_y
 

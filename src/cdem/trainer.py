@@ -11,13 +11,16 @@ prepared pair: its ``source`` and ``target`` are row slices of the scores, in
 whichever order the two blocks were passed, so a task and its reverse share
 one pair.  Methods, ablation stages and grid points that differ only in
 their weights or components share one ``PreparedTask``.  ``run_adaptation``
-computes the source-side moments of the objective once per run, bootstraps
-pseudo labels from a source-only prototype classifier in that space and
-alternates for a fixed number of steps between (a) solving the generalized
-eigenproblem whose objective is built from the source moments, the selected
-target rows and their pseudo labels, and (b) refreshing pseudo labels and
-the curriculum selection in the new subspace.  True target labels never enter any of these
-steps; when provided they are used solely to score predictions per step."""
+bootstraps pseudo labels from a source-only prototype classifier on the
+scores X, then works in whitened coordinates Y = XW, W = L^-T from the
+constraint's Cholesky factor: it forms Y once per run, computes the
+source-side moments of the objective on Y, and alternates for a fixed
+number of steps between (a) solving the eigenproblem whose operand W'AW is
+built from those moments, the selected target rows of Y and their pseudo
+labels, and (b) refreshing pseudo labels and the curriculum selection in
+the new subspace, whose embedding YU equals XP.  True target labels never
+enter any of these steps; when provided they are used solely to score
+predictions per step."""
 
 from __future__ import annotations
 
@@ -78,6 +81,8 @@ class IterationRecord:
     agreement: float
     accuracy: float | None
     errors: CrossDomainErrors
+    residual: float
+    eigengap: float | None
     skipped: list[str] = field(default_factory=list)
 
 
@@ -99,26 +104,43 @@ class AdaptationResult:
 class PreparedTask:
     """What every run on one task shares: the read-only PCA scores of both
     domains (``features``, m columns, the two blocks in the order they were
-    prepared), ``source`` and ``target`` as row slices of them, the source
+    prepared, the source block first when ``source_first``), the source
     labels and the factored constraint B = X'HX of the features.
     ``normalize`` records whether the rows were scaled to unit length; m is
     the ``pca_dim`` they were prepared with."""
 
     features: np.ndarray
-    source: np.ndarray
-    target: np.ndarray
     source_y: np.ndarray
     n_classes: int
     normalize: bool
     constraint: FactoredConstraint
+    source_first: bool
 
     @property
     def n_source(self) -> int:
-        return self.source.shape[0]
+        return self.source_y.shape[0]
 
     @property
     def n_target(self) -> int:
-        return self.target.shape[0]
+        return self.features.shape[0] - self.n_source
+
+    @property
+    def source_rows(self) -> slice:
+        """The source block's rows of ``features``, or of any array that
+        lists the same rows in the same order."""
+        return slice(0, self.n_source) if self.source_first else slice(self.n_target, None)
+
+    @property
+    def target_rows(self) -> slice:
+        return slice(self.n_source, None) if self.source_first else slice(0, self.n_target)
+
+    @property
+    def source(self) -> np.ndarray:
+        return self.features[self.source_rows]
+
+    @property
+    def target(self) -> np.ndarray:
+        return self.features[self.target_rows]
 
 
 def preprocess_rows(
@@ -146,16 +168,13 @@ def task_view(
     """The task on a ``preprocess_rows`` result whose source, labeled
     source_y, is its first row block when source_first, else its last."""
     features, constraint = rows
-    split = source_y.shape[0] if source_first else features.shape[0] - source_y.shape[0]
-    head, tail = features[:split], features[split:]
     return PreparedTask(
         features=features,
-        source=head if source_first else tail,
-        target=tail if source_first else head,
         source_y=source_y,
         n_classes=n_classes,
         normalize=config.normalize,
         constraint=constraint,
+        source_first=source_first,
     )
 
 
@@ -183,29 +202,28 @@ def as_prepared(task: DomainPair | PreparedTask, config: ExperimentConfig) -> Pr
 
 
 def evaluate_cross_domain_errors(
-    z_source: np.ndarray,
-    y_source: np.ndarray,
-    source_centers: np.ndarray,
-    z_target: np.ndarray,
-    target_to_source: np.ndarray,
+    task: PreparedTask,
+    z: np.ndarray,
+    to_source: np.ndarray,
     pseudo_labels: np.ndarray,
     eval_labels: np.ndarray | None = None,
 ) -> CrossDomainErrors:
-    """Cross-score the source prototype classifier (source_centers, one row
-    per class, at squared distances target_to_source from z_target) and a
-    target one fit on the pseudo labels of the classes they cover."""
-    counts, sums = class_moments(z_target, pseudo_labels, source_centers.shape[0])
+    """Cross-score the source prototype classifier and a target one fit on
+    the pseudo labels of the classes they cover.  z embeds every row of
+    task's features, in their order, and to_source holds its squared
+    distances to the source class centers: one distance table per
+    classifier scores both domains."""
+    source, target = task.source_rows, task.target_rows
+    counts, sums = class_moments(z[target], pseudo_labels, task.n_classes)
     classes_t = np.flatnonzero(counts)
-    centers_t = sums[classes_t] / counts[classes_t, None]
+    target_model = classes_t[nearest_center_labels(sums[classes_t] / counts[classes_t, None], z)]
+    source_model = np.argmin(to_source, axis=1)
     y_target_ref = pseudo_labels if eval_labels is None else eval_labels
-    source_on_source = nearest_center_labels(source_centers, z_source)
-    source_on_target = np.argmin(target_to_source, axis=1)
-    target_model = lambda z: classes_t[nearest_center_labels(centers_t, z)]
     return CrossDomainErrors(
-        source_model_on_source=float(np.mean(source_on_source != y_source)),
-        target_model_on_target=float(np.mean(target_model(z_target) != y_target_ref)),
-        target_model_on_source=float(np.mean(target_model(z_source) != y_source)),
-        source_model_on_target=float(np.mean(source_on_target != y_target_ref)),
+        source_model_on_source=float(np.mean(source_model[source] != task.source_y)),
+        target_model_on_target=float(np.mean(target_model[target] != y_target_ref)),
+        target_model_on_source=float(np.mean(target_model[source] != task.source_y)),
+        source_model_on_target=float(np.mean(source_model[target] != y_target_ref)),
     )
 
 
@@ -214,18 +232,20 @@ def _dump_iteration(
     step: int,
     task: PreparedTask,
     moments: SourceMoments,
-    xt_sel: np.ndarray,
-    y_sel: np.ndarray,
-    combined: np.ndarray,
-    a: np.ndarray,
+    selected: np.ndarray,
+    labels: np.ndarray,
+    config: ExperimentConfig,
     solution: TransformSolution,
 ) -> None:
-    """Write one step's matrices; only a dump builds the terms alone."""
+    """Write one step's matrices in the coordinates of the scores X, from
+    their own source moments; only a dump builds these, and the terms alone."""
     dump_dir.mkdir(parents=True, exist_ok=True)
+    xt_sel = task.target[selected]
+    combined = build_objective_matrices(moments, xt_sel, labels, term_weights(config)).combined
     named = {
-        **objective_terms(moments, xt_sel, y_sel),
+        **objective_terms(moments, xt_sel, labels),
         "combined": combined,
-        "operand_a": a,
+        "operand_a": combined + config.delta * np.eye(combined.shape[0]),
         "operand_b": task.constraint.shifted,
         "projection": solution.projection,
         "eigenvalues": solution.eigenvalues.reshape(1, -1),
@@ -247,8 +267,7 @@ def run_adaptation(
         eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")
     weights = term_weights(config)
     total = config.iterations
-    moments = source_moments(task.source, task.target, task.source_y, task.n_classes)
-    delta_identity = config.delta * np.eye(task.features.shape[1])
+    source, target = task.source_rows, task.target_rows
 
     # Bootstrap in the identity projection: source prototypes classify the
     # preprocessed targets, and that one distribution stands for both
@@ -261,34 +280,47 @@ def run_adaptation(
     records: list[IterationRecord] = []
     solution: TransformSolution | None = None
 
+    # Every step works in whitened coordinates Y = XW, where the operand is
+    # W'AW: the moments of Y give W'(combined)W, and delta W'W is W'(delta I)W.
+    whiten = task.constraint.whiten
+    whitened = task.features @ whiten
+    target_whitened = whitened[target]
+    moments = source_moments(whitened[source], target_whitened, task.source_y, task.n_classes)
+    delta_gram = config.delta * (whiten.T @ whiten)
+    dump_moments = None
+    if dump_dir is not None:
+        dump_moments = source_moments(task.source, task.target, task.source_y, task.n_classes)
+
     for step in range(1, total + 1):
         try:
-            xt_sel = task.target[state.selected]
-            y_sel = table.label[state.selected]
-            parts = build_objective_matrices(moments, xt_sel, y_sel, weights)
-            a = parts.combined + delta_identity
-            solution = solve_generalized(a, task.constraint, config.subspace_dim)
-            zs = task.source @ solution.projection
-            zt = task.target @ solution.projection
+            selected = state.selected
+            y_sel = table.label[selected]
+            parts = build_objective_matrices(moments, target_whitened[selected], y_sel, weights)
+            solution = solve_generalized(
+                parts.combined + delta_gram, task.constraint, config.subspace_dim
+            )
+            # YU = XP embeds both domains; the source class means of Y map to
+            # the source centers in it.
+            z = whitened @ solution.basis
+            zt = z[target]
+            source_centers = (moments.sums @ solution.basis) / moments.counts[:, None]
 
             # One table to the source centers serves p_source, the first Lloyd
             # iteration and the diagnostics; k-means returns its final one.
-            source_centers = fit_prototypes(zs, task.source_y, task.n_classes)
-            to_source = squared_distances(zt, source_centers)
-            _, _, _, to_clusters = target_kmeans(zt, source_centers, to_source)
+            to_source = squared_distances(z, source_centers)
+            _, _, _, to_clusters = target_kmeans(zt, source_centers, to_source[target])
 
-            p_source = class_probabilities(to_source)
+            p_source = class_probabilities(to_source[target])
             p_target = class_probabilities(to_clusters)
             table = combined_pseudo_labels(p_source, p_target, step, total)
             state = curriculum.select(table, step, total)
 
             # tr(P'AP); with B-orthonormal P this is the eigenvalue sum
-            objective = float(np.sum(solution.projection * (a @ solution.projection)))
-            if not np.isfinite(objective):
+            if not np.isfinite(solution.objective):
                 raise NumericError("objective value is not finite")
             if dump_dir is not None:
                 _dump_iteration(
-                    Path(dump_dir), step, task, moments, xt_sel, y_sel, parts.combined, a, solution
+                    Path(dump_dir), step, task, dump_moments, selected, y_sel, config, solution
                 )
 
             agreement = float(np.mean(table.label == prev_labels))
@@ -296,18 +328,18 @@ def run_adaptation(
             accuracy = None
             if eval_labels is not None:
                 accuracy = float(np.mean(table.label == eval_labels) * 100.0)
-            errors = evaluate_cross_domain_errors(
-                zs, task.source_y, source_centers, zt, to_source, table.label, eval_labels
-            )
+            errors = evaluate_cross_domain_errors(task, z, to_source, table.label, eval_labels)
             records.append(
                 IterationRecord(
                     step=step,
-                    objective=objective,
+                    objective=solution.objective,
                     selected_per_class=state.quotas,
                     n_selected=int(state.selected.sum()),
                     agreement=agreement,
                     accuracy=accuracy,
                     errors=errors,
+                    residual=solution.residual,
+                    eigengap=solution.eigengap,
                     skipped=list(parts.skipped),
                 )
             )
@@ -322,7 +354,7 @@ def run_adaptation(
         records=records,
         predictions=table.label,
         selected=state.selected,
-        source_embedding=zs[:, :embed_cols].copy(),
-        target_embedding=zt[:, :embed_cols].copy(),
+        source_embedding=z[source, :embed_cols].copy(),
+        target_embedding=z[target, :embed_cols].copy(),
         source_labels=task.source_y.copy(),
     )

@@ -86,7 +86,7 @@ def test_projection_satisfies_variance_constraint():
     params = ExperimentConfig(beta=0.1, lam=0.1, gamma=0.1, eta=0.1, delta=0.1)
     parts = build_objective_matrices(moments, xt_sel, labels, term_weights(params))
     a = parts.combined + params.delta * np.eye(features.shape[1])
-    solution = solve_generalized(a, task.constraint, config.subspace_dim)
+    solution = solve_generalized(task.constraint.reduce(a), task.constraint, config.subspace_dim)
     centered = features - features.mean(axis=0)
     gram = solution.projection.T @ (centered.T @ centered) @ solution.projection
     worst = float(np.abs(gram - np.eye(config.subspace_dim)).max())

@@ -18,9 +18,14 @@ from cdem.eigsolve import (
 from cdem.errors import ConfigError, NumericError
 
 
+def _solve(a, constraint, k):
+    """solve_generalized on an A given in the coordinates of B."""
+    return solve_generalized(constraint.reduce(a), constraint, k)
+
+
 def test_diagonal_case():
     a = np.diag([3.0, 1.0, 2.0])
-    sol = solve_generalized(a, factor_constraint(np.eye(3)), 2)
+    sol = _solve(a, factor_constraint(np.eye(3)), 2)
     assert np.allclose(sol.eigenvalues, [1.0, 2.0], atol=1e-12)
     expected = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(np.abs(sol.projection), expected, atol=1e-12)
@@ -32,7 +37,7 @@ def test_identical_operands_give_unit_eigenvalues():
     rng = np.random.default_rng(8)
     root = rng.standard_normal((6, 6))
     b = root @ root.T + np.eye(6)
-    sol = solve_generalized(b, factor_constraint(b), 4)
+    sol = _solve(b, factor_constraint(b), 4)
     assert np.allclose(sol.eigenvalues, np.ones(4), atol=1e-10)
 
 
@@ -45,7 +50,7 @@ def test_eigenvalues_ascending_and_b_orthonormal():
         a = 0.5 * (a + a.T)
         root = rng.standard_normal((m, m))
         b = root @ root.T + 0.25 * np.eye(m)
-        sol = solve_generalized(a, factor_constraint(b), k)
+        sol = _solve(a, factor_constraint(b), k)
         assert (np.diff(sol.eigenvalues) >= -1e-12).all()
         gram = sol.projection.T @ b @ sol.projection
         assert np.abs(gram - np.eye(k)).max() <= 1e-6
@@ -67,20 +72,61 @@ def test_reference_agreement_with_shift():
     b = root @ root.T + 0.5 * np.eye(m)
     shift = relative_ridge(b)
     assert shift == 1e-9 * np.trace(b) / m
-    sol = solve_generalized(a, factor_constraint(b, shift), 5)
+    sol = _solve(a, factor_constraint(b, shift), 5)
     reference = scipy.linalg.eigh(a, b + shift * np.eye(m), eigvals_only=True)
     assert np.abs(sol.eigenvalues - reference[:5]).max() <= 1e-8
+
+
+def test_solution_reports_whitened_residual_gap_and_objective(monkeypatch):
+    # Each field against its definition on A p = theta (B + sI) p.  The
+    # eigenvectors are perturbed by 1e-9, so the residual sits well above
+    # rounding and below RESIDUAL_BOUND, and its two forms can be compared.
+    exact = np.linalg.eigh
+    monkeypatch.setattr(
+        eigsolve.np.linalg, "eigh", lambda mat: (exact(mat)[0], exact(mat)[1] + 1e-9)
+    )
+    rng = np.random.default_rng(17)
+    m = 9
+    a = rng.standard_normal((m, m))
+    a = 0.5 * (a + a.T)
+    root = rng.standard_normal((m, m))
+    b = root @ root.T + 0.5 * np.eye(m)
+    constraint = factor_constraint(b, relative_ridge(b))
+    reduced = constraint.reduce(a)
+    w = constraint.whiten
+    assert np.abs(reduced - w.T @ a @ w).max() <= 1e-12 * np.abs(reduced).max()
+    everything = scipy.linalg.eigh(a, constraint.shifted, eigvals_only=True)
+    for k in (1, 4, m):
+        sol = solve_generalized(reduced, constraint, k)
+        p, theta = sol.projection, sol.eigenvalues
+        assert np.array_equal(p, w @ sol.basis)
+        assert np.abs(sol.basis.T @ sol.basis - np.eye(k)).max() <= 1e-8
+        resid = w.T @ (a @ p - constraint.shifted @ p * theta)
+        denom = np.linalg.norm(0.5 * (reduced + reduced.T)) + np.abs(theta) * np.sqrt(m)
+        expected = float((np.linalg.norm(resid, axis=0) / denom).max())
+        assert 1e-11 < expected <= eigsolve.RESIDUAL_BOUND
+        assert abs(sol.residual - expected) <= 1e-5 * expected
+        objective = np.trace(sol.basis.T @ reduced @ sol.basis)
+        assert abs(sol.objective - objective) <= 1e-12 * np.abs(everything).sum()
+        assert abs(objective - np.trace(p.T @ a @ p)) <= 1e-12 * np.abs(everything).sum()
+        if k == m:
+            assert sol.eigengap is None
+        else:
+            gap = everything[k] - everything[k - 1]
+            assert abs(sol.eigengap - gap) <= 1e-10 * np.abs(everything).max()
 
 
 def test_invalid_inputs():
     a = np.eye(3)
     with pytest.raises(ConfigError):
-        solve_generalized(a, factor_constraint(np.eye(3)), 4)
+        _solve(a, factor_constraint(np.eye(3)), 4)
     with pytest.raises(ConfigError):
-        solve_generalized(a, factor_constraint(np.eye(4)), 1)
+        _solve(a, factor_constraint(np.eye(4)), 1)
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ConfigError):
-        solve_generalized(skew, factor_constraint(np.eye(2)), 1)
+        _solve(skew, factor_constraint(np.eye(2)), 1)
+    with pytest.raises(ConfigError, match=r"^W'AW is \(3, 3\), B is \(4, 4\)$"):
+        solve_generalized(a, factor_constraint(np.eye(4)), 1)
     with pytest.raises(ConfigError):
         factor_constraint(skew)
     with pytest.raises(ConfigError):
@@ -99,7 +145,7 @@ def test_non_finite_operands_raise_numeric_error():
         factor_constraint(bad)
     bad[0, 0] = np.inf
     with pytest.raises(NumericError, match="^A has NaN or infinite entries$"):
-        solve_generalized(bad, factor_constraint(np.eye(3)), 1)
+        _solve(bad, factor_constraint(np.eye(3)), 1)
 
 
 def test_assemble_operands_structure():
@@ -111,7 +157,6 @@ def test_assemble_operands_structure():
     shifted = b + relative_ridge(b) * np.eye(6)
     assert np.allclose(constraint.shifted, shifted, atol=1e-10)
     assert np.abs(constraint.shifted - constraint.shifted.T).max() == 0.0
-    assert constraint.shifted_norm == np.linalg.norm(constraint.shifted)
     w = constraint.whiten
     assert np.abs(w.T @ shifted @ w - np.eye(6)).max() <= 1e-10
     assert np.abs(np.tril(w, -1)).max() == 0.0  # W = L^-T is upper triangular
@@ -139,7 +184,7 @@ def test_assemble_and_solve_centering_constraint():
     q = rng.standard_normal((25, 25))
     q = 0.5 * (q + q.T)
     a = f.T @ q @ f + 0.1 * np.eye(8)
-    sol = solve_generalized(a, assemble_operands(f), 3)
+    sol = _solve(a, assemble_operands(f), 3)
     centered = f - f.mean(axis=0)
     gram = sol.projection.T @ (centered.T @ centered) @ sol.projection
     assert np.abs(gram - np.eye(3)).max() <= 1e-6
@@ -150,7 +195,7 @@ def test_rank_deficient_b_survives_via_ridge():
     rng = np.random.default_rng(14)
     base = rng.standard_normal((20, 3))
     f = np.hstack([base, base])
-    sol = solve_generalized(f.T @ f, assemble_operands(f), 2)
+    sol = _solve(f.T @ f, assemble_operands(f), 2)
     assert np.isfinite(sol.eigenvalues).all()
 
 
@@ -173,7 +218,7 @@ def test_factored_constraint_reused_across_objectives():
     for _ in range(5):
         q = rng.standard_normal((m, m))
         a = q @ q.T + rng.uniform(0.0, 1.0) * np.eye(m)
-        sol = solve_generalized(a, constraint, k)
+        sol = _solve(a, constraint, k)
         theta, p = _per_a_cholesky_reference(a, constraint.shifted, k)
         assert np.abs(sol.eigenvalues - theta).max() <= 1e-10 * np.abs(theta).max()
         assert np.abs(sol.projection - p).max() <= 1e-10 * np.abs(p).max()
@@ -198,7 +243,7 @@ def test_factored_rank_deficient_constraint_reused_across_objectives():
         q = rng.standard_normal((40, 40))
         q = centering @ q @ q.T @ centering
         a = f.T @ q @ f + delta * np.eye(m)
-        sol = solve_generalized(a, constraint, k)
+        sol = _solve(a, constraint, k)
         theta, p = _per_a_cholesky_reference(a, constraint.shifted, k)
         assert np.abs(sol.eigenvalues - theta).max() <= 1e-10 * np.abs(theta).max()
         assert np.abs(root @ (sol.projection - p)).max() <= 1e-10
@@ -217,7 +262,7 @@ def test_residual_gate(monkeypatch):
     rng = np.random.default_rng(16)
     a = rng.standard_normal((6, 6))
     with pytest.raises(NumericError, match=r"^eigensolver residual .* exceeds 1e-06$"):
-        solve_generalized(a + a.T, factor_constraint(np.eye(6)), 3)
+        _solve(a + a.T, factor_constraint(np.eye(6)), 3)
 
 
 needs_dsyevr = pytest.mark.skipif(

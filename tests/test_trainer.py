@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from cdem.eigsolve import RESIDUAL_BOUND, FactoredConstraint
 from cdem.errors import ConfigError, DataError, DegenerateDataError
 from cdem.matio import DomainPair, ExperimentConfig, read_matrix
 from cdem.preprocess import normalize_rows
 from cdem.prototype import fit_prototypes, squared_distances
 from cdem.selftest import oracle_marginal_mmd
-from cdem.synth import ShiftSpec, generate
+from cdem.synth import ShiftSpec, generate, standard_shift_spec
 from cdem.trainer import evaluate_cross_domain_errors, prepare_task, run_adaptation
 
 
@@ -118,7 +119,7 @@ def test_alignment_weight_reduces_domain_gap_term():
         weights = term_weights(params)
         parts = build_objective_matrices(moments, xt_sel, labels, weights)
         a = parts.combined + params.delta * np.eye(features.shape[1])
-        solution = solve_generalized(a, task.constraint, 3)
+        solution = solve_generalized(task.constraint.reduce(a), task.constraint, 3)
         gap_terms.append(trace_form(mmd, solution.projection))
     # both solves minimize over the same feasible frames, so the heavier
     # alignment weight cannot end up with a larger alignment term
@@ -176,6 +177,78 @@ def test_dump_writes_term_matrices(tmp_path):
     assert np.array_equal(dumped.projection, plain.projection)
 
 
+# case -> (ShiftSpec overrides, config overrides): normalize on (the
+# default) and off, one ablation stage, and a wide task, 80 rows of 300
+# columns, whose PCA takes its n < d side
+WHITENED_LOOP_CASES = {
+    "normalized": ({}, {}),
+    "unnormalized": ({}, {"normalize": False}),
+    "erm+da": ({}, {"components": ("erm", "da")}),
+    "wide": ({"dims": 300}, {"pca_dim": 20, "subspace_dim": 4}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHITENED_LOOP_CASES))
+def test_dumped_steps_match_an_independent_generalized_solve(case, tmp_path):
+    # The run solves in whitened coordinates; scipy solves the dumped
+    # X-space pencil (A, B + sI) directly.
+    import scipy.linalg
+
+    spec_over, config_over = WHITENED_LOOP_CASES[case]
+    pair, labels = generate(_small_spec(seed=14, **spec_over))
+    config = _small_config(iterations=4, **config_over)
+    result = run_adaptation(pair, config, labels, dump_dir=tmp_path)
+    k = config.subspace_dim
+    for record in result.records:
+        read = lambda name: read_matrix(tmp_path / f"step{record.step:02d}_{name}.cdm")
+        a, b, projection = read("operand_a"), read("operand_b"), read("projection")
+        values, vectors = scipy.linalg.eigh(a, b, subset_by_index=[0, k - 1])
+        theta = read("eigenvalues")[0]
+        assert np.abs(theta - values).max() <= 1e-10 * np.abs(values).max()
+        gap = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[k, k])[0] - values[-1]
+        assert abs(record.eigengap - gap) <= 1e-10 * np.abs(values).max()
+        if gap > 1e-6 * abs(values[-1]):
+            ours, theirs = np.linalg.qr(projection)[0], np.linalg.qr(vectors)[0]
+            sine = np.linalg.norm(theirs - ours @ (ours.T @ theirs), 2)
+            assert np.arcsin(min(sine, 1.0)) < 1e-8
+        assert record.residual <= RESIDUAL_BOUND
+
+
+def test_records_carry_the_solve_residual_and_eigengap():
+    pair, labels = generate(standard_shift_spec())
+    config = _small_config(pca_dim=10, subspace_dim=4, iterations=11)
+    records = run_adaptation(pair, config, labels).records
+    assert all(0.0 <= rec.residual <= RESIDUAL_BOUND for rec in records)
+    assert all(isinstance(rec.eigengap, float) and rec.eigengap >= 0.0 for rec in records)
+    assert {"residual", "eigengap"} <= set(asdict(records[0]))
+    # with every component kept there is no theta_{k+1}
+    full = run_adaptation(pair, replace(config, subspace_dim=config.pca_dim), labels)
+    assert all(rec.eigengap is None for rec in full.records)
+
+
+def test_step_distances_match_a_refit_of_the_embedded_source(monkeypatch):
+    # A step takes its source centers from the whitened moments, not from a
+    # refit; its distance table must be the one a refit on z would give.
+    import cdem.trainer as trainer_mod
+
+    seen = []
+    evaluate = trainer_mod.evaluate_cross_domain_errors
+
+    def spy(task, z, to_source, *args):
+        seen.append((task, z.copy(), to_source.copy()))
+        return evaluate(task, z, to_source, *args)
+
+    monkeypatch.setattr(trainer_mod, "evaluate_cross_domain_errors", spy)
+    pair, labels = generate(_small_spec(seed=15, classes=3, translation=(1.0, -1.0, 0.5)))
+    result = run_adaptation(pair, _small_config(), labels)
+    assert len(seen) == len(result.records)
+    for task, z, to_source in seen:
+        centers = fit_prototypes(z[task.source_rows], task.source_y, task.n_classes)
+        expected = squared_distances(z, centers)
+        assert np.abs(to_source - expected).max() <= 1e-10 * expected.max()
+    assert np.array_equal(z[task.target_rows, :2], result.target_embedding)
+
+
 def test_error_carries_step_context(monkeypatch):
     import cdem.trainer as trainer_mod
     from cdem.errors import DataError
@@ -193,9 +266,10 @@ def test_error_carries_step_context(monkeypatch):
 def test_constraint_factored_once_per_run(monkeypatch):
     import cdem.trainer as trainer_mod
 
-    counts = {"cholesky": 0, "solve": 0}
+    counts = {"cholesky": 0, "solve": 0, "reduce": 0}
     cholesky = np.linalg.cholesky
     solve = trainer_mod.solve_generalized
+    reduce = FactoredConstraint.reduce
 
     def counting_cholesky(*args, **kwargs):
         counts["cholesky"] += 1
@@ -205,12 +279,18 @@ def test_constraint_factored_once_per_run(monkeypatch):
         counts["solve"] += 1
         return solve(*args, **kwargs)
 
+    def counting_reduce(*args, **kwargs):
+        counts["reduce"] += 1
+        return reduce(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(trainer_mod, "solve_generalized", counting_solve)
+    # a run without a dump builds its operand W'AW from whitened moments
+    monkeypatch.setattr(FactoredConstraint, "reduce", counting_reduce)
     pair, labels = generate(_small_spec(seed=10))
     result = run_adaptation(pair, _small_config(iterations=11), labels)
     assert len(result.records) == 11
-    assert counts == {"cholesky": 1, "solve": 11}
+    assert counts == {"cholesky": 1, "solve": 11, "reduce": 0}
 
 
 def test_prepared_task_runs_like_its_pair():
@@ -337,13 +417,22 @@ def test_non_finite_pair_rejected_before_any_numerics(side):
             run(pair, config)
 
 
+def _embedded_task(zs, ys, zt):
+    """A task on the two domains zs (labeled ys) and zt, and their stacked
+    rows, the embedding the diagnostics score in that task's row order."""
+    width = zs.shape[1]
+    config = ExperimentConfig(pca_dim=width, subspace_dim=width, normalize=False)
+    return prepare_task(DomainPair(zs, ys, zt, 2), config), np.vstack([zs, zt])
+
+
 def test_cross_domain_errors_perfect_separation():
     zs = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0]])
     ys = np.array([0, 0, 1, 1])
     zt = zs + 0.01
     yt = ys.copy()
+    task, z = _embedded_task(zs, ys, zt)
     centers = fit_prototypes(zs, ys, 2)
-    errors = evaluate_cross_domain_errors(zs, ys, centers, zt, squared_distances(zt, centers), yt)
+    errors = evaluate_cross_domain_errors(task, z, squared_distances(z, centers), yt)
     assert errors.source_model_on_source == 0.0
     assert errors.target_model_on_target == 0.0
     assert errors.target_model_on_source == 0.0
@@ -356,9 +445,10 @@ def test_cross_domain_errors_against_truth():
     zt = np.array([[0.5], [10.5]])
     pseudo = np.array([0, 0])  # second pseudo label is wrong
     truth = np.array([0, 1])
+    task, z = _embedded_task(zs, ys, zt)
     centers = fit_prototypes(zs, ys, 2)
-    to_source = squared_distances(zt, centers)
-    errors = evaluate_cross_domain_errors(zs, ys, centers, zt, to_source, pseudo, truth)
+    to_source = squared_distances(z, centers)
+    errors = evaluate_cross_domain_errors(task, z, to_source, pseudo, truth)
     # target model has a single class and mislabels the class-1 sample
     assert errors.target_model_on_target == 0.5
     assert errors.source_model_on_target == 0.0
