@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench, selftest, synth
+from . import bench, synth
 from .errors import CdemError
 from .matio import ExperimentConfig, Task, load_config
 
@@ -86,6 +86,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    # Imported here, so the other commands do not pay for loading it.
+    from . import selftest
+
     results = selftest.run_suite(seed=args.seed, cases=args.cases)
     for res in results:
         print(res.line())

@@ -11,57 +11,69 @@ trainer builds it directly in whitened coordinates Y = XW, from moments of
 Y, so a step forms no W'AW sandwich.  A caller holding A in the coordinates
 of B gets M from ``FactoredConstraint.reduce``, which checks A first.  The
 returned columns are orthonormal under B + sI, which is exactly the
-constraint the adaptation objective imposes, and the residual is measured
-in the whitened coordinates the solve works in.
+constraint the adaptation objective imposes.  The residual and the
+orthonormality max|U'U - I| of the whitened basis are measured in the
+whitened coordinates the solve works in, and a solve fails when either is
+above 1e-6.
 
-Every routine is numpy's own LAPACK: ``np.linalg.cholesky`` for L,
-``np.linalg.inv`` for L^-1 and ``np.linalg.eigh`` per step.  The solver
-therefore never imports scipy, whose linalg module alone costs about 0.37 s
-of start-up, more than a small task's whole solve.  The full ``eigh`` stays
-although a step keeps only the smallest pairs: at the default side 128 with
-32 pairs kept it took 1.7-2.4 ms single-threaded, against 1.4-3.2 ms for the
-subset routes (dsyevr, dsyevx, dsytrd+dstemr or dstedc+dormtr, scipy's
-``eigh(subset_by_index=...)``).  Once the step solved in whitened
-coordinates, replacing its ``eigh`` by dsytrd+dstedc+dormtr, the fastest
-of those routes, bought only about 3% more of the benchmark's ``suite-12``
-run time.
+Every routine is numpy's own LAPACK, from the OpenBLAS its wheel bundles:
+``np.linalg.cholesky`` for L, ``np.linalg.inv`` for L^-1, and per step
+dsytrd, dstedc and dormtr, called through ctypes (``_kept_eigenpairs``).
+The solver therefore never imports scipy, whose linalg module alone costs
+about 0.37 s of start-up, more than a small task's whole solve.  The three
+routines are the steps of ``np.linalg.eigh``'s dsyevd: dsytrd reduces M to
+tridiagonal form, dstedc solves the tridiagonal problem by divide and
+conquer (Gu & Eisenstat, SIAM J. Matrix Anal. Appl., 1995) and dormtr
+carries the eigenvectors back.  Called one by one, they reduce a temporary
+in place and carry back only the k kept columns, so a solve makes no copy
+of M, no m×m output and none of dsyevd's back-transforms of the m - k
+discarded vectors.  At the default side 128 with 32 pairs kept a solve took
+1.5-2.0 ms single-threaded against 1.8-2.4 ms for ``eigh``; at side 2048
+with 4 kept (``cdem synth``'s config on an 8800×2048 pair) a whole run fell
+from 50 to 38 s.  Where numpy's library lacks any of the three symbols,
+``np.linalg.eigh`` runs instead.
 
 PCA needs the other end of a spectrum: the k largest eigenpairs of a Gram
 whose side can reach the feature width.  ``top_eigenpairs`` calls LAPACK's
 subset driver dsyevr (RANGE='I': bisection and inverse iteration on the
-tridiagonal form) from the same bundled OpenBLAS that ``np.linalg`` calls,
-through ctypes, when the side n is at least SUBSET_MIN_SIDE and k is at most
-SUBSET_MAX_SHARE of it.  Below that, or when numpy's library does not export
-``scipy_LAPACKE_dsyevr64_``, it runs the full ``np.linalg.eigh`` and keeps k
-pairs.  Subset time over full ``eigh`` time on random Grams, one BLAS
-thread, median of 3-5 runs (about half of a subset solve is the tridiagonal
+tridiagonal form) from the same library when the side n is at least
+SUBSET_MIN_SIDE and k is at most SUBSET_MAX_SHARE of it, and
+``_kept_eigenpairs`` otherwise.  The rule is about memory as much as time:
+beside the Gram, dsyevr holds n×k numbers and O(n) workspace, where the
+kernel holds 2n² while dstedc runs (its n×n eigenvectors and as much
+workspace), 64 MB at n = 2048.  Subset time over kernel time on random
+Grams, one BLAS thread, range over two passes of medians of 3-5
+interleaved runs (about half of a subset solve is the tridiagonal
 reduction: on the 800-side Gram of ``wide-d``, 52 of 98-107 ms at k=128):
 
-    n      k=1    k=32   k=128   k=256   k=410   k=512
-    256    0.30   0.79   2.20
-    512    0.28   0.46   1.02    1.76
-    576    0.31   0.51   1.07    1.85
-    640    0.33   0.47   0.94    1.51
-    800    0.38   0.46   0.81    1.24
-    1024   0.37   0.43   0.63    0.89
-    1536                 0.53    0.57    0.84    0.89
-    2048                 0.49    0.56    0.63    0.72
+    n      k=1         k=32        k=128       k=256       k=410       k=512
+    256    0.43-0.44   1.16-1.17   2.76-2.85
+    512    0.46-0.49   0.72        1.39-1.43   2.49-2.65
+    576    0.47-0.49   0.70-0.71   1.31-1.38   2.24-2.49
+    640    0.51-0.52   0.66-0.68   1.10-1.21   1.96-2.25
+    800    0.56-0.57   0.65-0.66   0.92-0.93   1.51-1.83
+    1024   0.62-0.67   0.68-0.71   0.92-0.93   1.23-1.28
+    1536                           0.75-0.77   0.97-1.04   1.17-1.25   1.30-1.35
+    2048                           0.72-0.75   0.89-0.93   1.00-1.08   1.07-1.13
 
-Every pair the rule admits is below 1.  At two BLAS threads the full
-``eigh`` gains more from the second thread, and k=128 at n = 640 and 800
-took 1.07-1.08 times the full solve (0.69 at n = 1024, 0.47 at 2048).
-Below SUBSET_MIN_SIDE the subset solve still wins at k = n/10, but at the
-rule's k = n/5 it loses at n = 128 and breaks about even up to 400 (range
-over two passes of interleaved medians):
+Of the pairs the rule admits, only k = n/5 at n = 640 is slower than the
+kernel, by 10-21%, and there the kernel's 2n² is 6.6 MB.  Below
+SUBSET_MIN_SIDE the subset solve wins 10-20% at k = n/10 but loses by a
+quarter or more at the rule's k = n/5, against a saving of at most 6.5 MB,
+so the side rule stays where it was measured against ``eigh``:
 
     n      k=n/10      k=n/5
-    128    0.71-0.72   1.11-1.16
-    200    0.66-0.68   1.00-1.03
-    256    0.67-0.73   1.01-1.14
-    320    0.63-0.71   0.96-1.11
-    400    0.62        0.93-0.94
-    512    0.55-0.57   0.81-0.84
-    576    0.57-0.58   0.84-0.88
+    128    0.75-0.85   1.34-1.42
+    200    0.86-0.94   1.22-1.37
+    256    0.85-0.91   1.38
+    320    0.84-0.88   1.20-1.29
+    400    0.86-0.91   1.30-1.35
+    512    0.88-0.93   1.24-1.31
+    576    0.82-0.87   1.12-1.24
+    640    0.79-0.82   1.05-1.07
+
+Neither table has been measured at two BLAS threads, where dsyevr took
+1.07-1.08 times ``eigh`` at n = 640 and 800 with k=128.
 """
 
 from __future__ import annotations
@@ -77,9 +89,10 @@ from .errors import ConfigError, NumericError
 # Relative ridge added to B before factorization; keeps the reduction stable
 # when the centered gram matrix is numerically rank deficient.
 DEFAULT_RIDGE_SCALE = 1e-9
-# Largest relative residual a solve may return; anything above it is a bad
-# solve, not a projection.
+# Largest relative residual, and largest max|U'U - I| of the whitened basis,
+# a solve may return; anything above either is a bad solve, not a projection.
 RESIDUAL_BOUND = 1e-6
+ORTHONORMALITY_BOUND = 1e-6
 # top_eigenpairs uses LAPACK's subset solve from this Gram side up, for k up
 # to this share of the side (the table in the module docstring).
 SUBSET_MIN_SIDE = 640
@@ -103,6 +116,7 @@ class TransformSolution:
     residual : max over columns of ||M u - theta u|| relative to
         ||M||_F + |theta| sqrt(m), measured in whitened coordinates; the
         numerator is ||W'(A p - theta (B + sI) p)||
+    orthonormality : max|U'U - I|, which equals max|P'(B + sI)P - I|
     """
 
     projection: np.ndarray
@@ -111,6 +125,7 @@ class TransformSolution:
     eigengap: float | None
     objective: float
     residual: float
+    orthonormality: float
 
 
 @dataclass(frozen=True)
@@ -173,13 +188,13 @@ def solve_generalized(
     if n_components < 1 or n_components > m:
         raise ConfigError(f"n_components={n_components} not in [1, {m}]")
     reduced = 0.5 * (reduced + reduced.T)
-    eigenvalues, vectors = np.linalg.eigh(reduced)
+    eigenvalues, basis = _kept_eigenpairs(reduced.copy(), n_components, largest=False)
     theta = eigenvalues[:n_components].copy()
-    projection = constraint.whiten @ vectors[:, :n_components]
+    projection = constraint.whiten @ basis
     pivots = np.abs(projection).argmax(axis=0)
     signs = np.where(projection[pivots, np.arange(n_components)] < 0, -1.0, 1.0)
     projection *= signs
-    basis = vectors[:, :n_components] * signs
+    basis = basis * signs
     product = reduced @ basis
     resid = product - basis * theta[None, :]
     denom = np.linalg.norm(reduced) + np.abs(theta) * np.sqrt(m)
@@ -190,6 +205,12 @@ def solve_generalized(
         raise NumericError(
             f"eigensolver residual {rel.max():.3e} exceeds {RESIDUAL_BOUND:g}"
         )
+    orthonormality = float(np.abs(basis.T @ basis - np.eye(n_components)).max())
+    if orthonormality > ORTHONORMALITY_BOUND:
+        raise NumericError(
+            f"eigensolver basis orthonormality {orthonormality:.3e} exceeds "
+            f"{ORTHONORMALITY_BOUND:g}"
+        )
     return TransformSolution(
         projection=projection,
         basis=basis,
@@ -197,6 +218,7 @@ def solve_generalized(
         eigengap=float(eigenvalues[n_components] - theta[-1]) if n_components < m else None,
         objective=float(np.sum(basis * product)),
         residual=float(rel.max()),
+        orthonormality=orthonormality,
     )
 
 
@@ -231,56 +253,132 @@ def _openblas():
         return None
 
 
+def _lapacke(name: str, *argtypes):
+    """LAPACKE_<name> (ILP64) from ``_openblas`` with its argument types
+    set, or None where that library does not export it under this name.
+    Each routine's own cached lookup calls this once."""
+    fn = getattr(_openblas(), f"scipy_LAPACKE_{name}64_", None)
+    if fn is not None:
+        fn.argtypes = list(argtypes)
+        fn.restype = ctypes.c_int64
+    return fn
+
+
 @functools.cache
-def _dsyevr():
-    """LAPACKE_dsyevr (ILP64) from ``_openblas``, or None where that library
-    does not export it under this name."""
-    fn = getattr(_openblas(), "scipy_LAPACKE_dsyevr64_", None)
-    if fn is None:
-        return None
+def _arrays():
+    """ctypes argument types for a writeable column-major float64 matrix, a
+    float64 vector and an int64 vector."""
     from numpy.ctypeslib import ndpointer
 
-    int64 = ctypes.c_int64
-    matrix = ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
-    vector = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    indices = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    return (
+        ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE"),
+        ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+        ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+    )
+
+
+_INT, _CHAR, _INT64, _DOUBLE = ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_double
+
+
+@functools.cache
+def _dsyevr():
+    matrix, vector, indices = _arrays()
     # matrix_layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
     # m, w, z, ldz, isuppz
-    fn.argtypes = [
-        ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, int64,
-        matrix, int64, ctypes.c_double, ctypes.c_double, int64, int64, ctypes.c_double,
-        indices, vector, matrix, int64, indices,
-    ]
-    fn.restype = int64
-    return fn
+    return _lapacke(
+        "dsyevr", _INT, _CHAR, _CHAR, _CHAR, _INT64, matrix, _INT64, _DOUBLE, _DOUBLE,
+        _INT64, _INT64, _DOUBLE, indices, vector, matrix, _INT64, indices,
+    )
+
+
+@functools.cache
+def _dsytrd():
+    matrix, vector, _ = _arrays()
+    # matrix_layout, uplo, n, a, lda, d, e, tau
+    return _lapacke("dsytrd", _INT, _CHAR, _INT64, matrix, _INT64, vector, vector, vector)
+
+
+@functools.cache
+def _dstedc():
+    matrix, vector, _ = _arrays()
+    # matrix_layout, compz, n, d, e, z, ldz
+    return _lapacke("dstedc", _INT, _CHAR, _INT64, vector, vector, matrix, _INT64)
+
+
+@functools.cache
+def _dormtr():
+    matrix, vector, _ = _arrays()
+    # matrix_layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
+    return _lapacke(
+        "dormtr", _INT, _CHAR, _CHAR, _CHAR, _INT64, _INT64, matrix, _INT64, vector, matrix,
+        _INT64,
+    )
+
+
+def _check_info(routine: str, info: int) -> None:
+    # LAPACKE checks its input arrays for NaN first and reports the first
+    # such argument as a negative info.
+    if info != 0:
+        raise NumericError(f"LAPACK {routine} failed with info={info}")
+
+
+def _kept_eigenpairs(mat: np.ndarray, k: int, largest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of the symmetric n×n mat, ascending, and the
+    eigenvectors of its k smallest (largest=False) or k largest, as columns
+    in the same ascending order.
+
+    mat is the caller's C-contiguous float64 temporary, overwritten here;
+    only its lower triangle is read.  dsytrd reduces it to tridiagonal form
+    in place, dstedc (divide and conquer, Gu & Eisenstat, 1995) solves the
+    tridiagonal problem, and dormtr carries back only the k kept columns:
+    the steps of np.linalg.eigh's dsyevd without its copy of mat, its n×n
+    output or the back-transform of the n - k discarded vectors.  Where
+    numpy's library lacks any of the three, np.linalg.eigh runs instead.
+    """
+    n = mat.shape[0]
+    routines = _dsytrd(), _dstedc(), _dormtr()
+    if None in routines:
+        values, vectors = np.linalg.eigh(mat)
+        return values, vectors[:, n - k :] if largest else vectors[:, :k]
+    dsytrd, dstedc, dormtr = routines
+    diagonal, off_diagonal, tau = np.empty(n), np.empty(n), np.empty(n)
+    # mat.T is mat's own buffer read column-major; its upper triangle is the
+    # lower one of mat, the triangle np.linalg.eigh (UPLO='L') reads.
+    packed = mat.T
+    _check_info(
+        "dsytrd", dsytrd(_LAPACK_COL_MAJOR, b"U", n, packed, n, diagonal, off_diagonal, tau)
+    )
+    vectors = np.empty((n, n), order="F")
+    _check_info("dstedc", dstedc(_LAPACK_COL_MAJOR, b"I", n, diagonal, off_diagonal, vectors, n))
+    kept = vectors[:, n - k :] if largest else vectors[:, :k]
+    _check_info(
+        "dormtr", dormtr(_LAPACK_COL_MAJOR, b"L", b"U", b"N", n, k, packed, n, tau, kept, n)
+    )
+    return diagonal, kept.copy(order="F")
 
 
 def top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenvalues of the symmetric n×n gram, descending, and
-    their eigenvectors as columns, from LAPACK's subset solve or the full
-    ``np.linalg.eigh`` by the rule in the module docstring.  gram is the
-    caller's C-contiguous float64 temporary: the subset solve overwrites it.
-    Both solves read only its lower triangle, so a caller need fill only
-    that one.
+    their eigenvectors as columns, from LAPACK's subset solve dsyevr or
+    ``_kept_eigenpairs`` by the rule in the module docstring.  gram is the
+    caller's C-contiguous float64 temporary: either solve overwrites it.
+    Both read only its lower triangle, so a caller need fill only that one.
     """
     n = gram.shape[0]
     dsyevr = _dsyevr() if n >= SUBSET_MIN_SIDE and k <= SUBSET_MAX_SHARE * n else None
     if dsyevr is None:
-        evals, evecs = np.linalg.eigh(gram)
-        return evals[::-1][:k], evecs[:, ::-1][:, :k]
+        evals, evecs = _kept_eigenpairs(gram, k, largest=True)
+        return evals[::-1][:k], evecs[:, ::-1]
     count = np.zeros(1, dtype=np.int64)
     evals = np.empty(n)
     evecs = np.empty((n, k), order="F")
     support = np.empty(2 * k, dtype=np.int64)
-    # gram.T is gram's own buffer read column-major; its upper triangle is
-    # the lower one of gram, the triangle np.linalg.eigh (UPLO='L') reads.
+    # the same lower triangle as _kept_eigenpairs reads
     info = dsyevr(
         _LAPACK_COL_MAJOR, b"V", b"I", b"U", n, gram.T, n, 0.0, 0.0, n - k + 1, n, 0.0,
         count, evals, evecs, n, support,
     )
-    if info != 0:
-        # LAPACKE checks the Gram for NaN first and reports it as info=-6.
-        raise NumericError(f"LAPACK dsyevr failed with info={info}")
+    _check_info("dsyevr", info)
     if count[0] != k:
         raise NumericError(f"LAPACK dsyevr returned {count[0]} of {k} eigenpairs")
     return evals[k - 1::-1], evecs[:, ::-1]

@@ -5,7 +5,9 @@ returns those scores and keeps no mean or basis to apply elsewhere.  It
 takes those rows as separate blocks, a pair's two domains as they were read,
 and centers them piece by piece, so no stacked or centered copy of the pair
 is ever formed.  Each piece is added into the Gram in place by BLAS dsyrk
-(``_dsyrk``), so no product of Gram size is formed either."""
+(``_dsyrk``), so no product of Gram size is formed either, and pieces have
+at most 256 rows or columns, so the Gram is the PCA's only array of its
+size."""
 
 from __future__ import annotations
 
@@ -21,6 +23,11 @@ from .errors import ConfigError, DegenerateDataError
 # CBLAS enum codes: row-major storage, lower triangle, C = AA' or C = A'A.
 _CBLAS_ROW_MAJOR, _CBLAS_LOWER = 101, 122
 _CBLAS_NO_TRANS, _CBLAS_TRANS = 111, 112
+# Rows (n >= d) or columns (n < d) per centered piece of the Gram's sum.
+# fit_pca took as long with 256 as with pieces of the Gram's own side on
+# 1000+1000 rows × 512 and on 400+400 rows × 4096 (one BLAS thread), and
+# 1-4% longer with 128.
+_PIECE = 256
 
 
 @functools.cache
@@ -46,26 +53,26 @@ def _dsyrk():
 
 def _centered_pieces(blocks: list[np.ndarray], mean: np.ndarray) -> Iterator[np.ndarray]:
     """The rows of the stacked blocks minus mean, piece by piece, each
-    written over one reused buffer no larger than the Gram: with fewer rows
-    n than columns d, all n rows of at most n columns at a time; else at
-    most d rows of one block at a time, in stacked order.  Each piece is
-    valid until the next one is made."""
+    written over one reused buffer: with fewer rows n than columns d, all n
+    rows of at most _PIECE columns at a time; else at most _PIECE rows of
+    one block at a time, in stacked order.  Each piece is valid until the
+    next one is made."""
     n, d = sum(block.shape[0] for block in blocks), mean.size
-    buffer = np.empty(min(n, d) ** 2)
     if n < d:
-        for start in range(0, d, n):
-            width = min(n, d - start)
-            columns = slice(start, start + width)
-            piece = buffer[: n * width].reshape(n, width)
+        buffer = np.empty(n * min(d, _PIECE))
+        for start in range(0, d, _PIECE):
+            columns = slice(start, min(start + _PIECE, d))
+            piece = buffer[: n * (columns.stop - start)].reshape(n, -1)
             row = 0
             for block in blocks:
                 np.subtract(block[:, columns], mean[columns], out=piece[row : row + block.shape[0]])
                 row += block.shape[0]
             yield piece
         return
+    buffer = np.empty(min(max(block.shape[0] for block in blocks), _PIECE) * d)
     for block in blocks:
-        for start in range(0, block.shape[0], d):
-            rows = block[start : start + d]
+        for start in range(0, block.shape[0], _PIECE):
+            rows = block[start : start + _PIECE]
             piece = buffer[: rows.size].reshape(rows.shape)
             np.subtract(rows, mean, out=piece)
             yield piece
@@ -87,18 +94,21 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
     that is zero or of order √(eps λ₁).
 
     C is never formed.  The pooled Gram is a sum of per-piece products
-    (Chan, Golub & LeVeque, 1979): pieces of at most d rows of one block
-    for C'C, of all rows and at most n columns for CC', each centered into
-    one reused buffer (``_centered_pieces``), so no temporary is larger than
-    the Gram.  BLAS dsyrk (Dongarra, Du Croz, Hammarling & Duff, 1990) adds
-    each piece's product into the Gram's lower triangle in place, the only
-    triangle ``top_eigenpairs`` reads; where numpy's OpenBLAS does not export
-    it, the product goes through one reused array and an add.  The two
-    paths' sums differ in the last bits, where dsyrk blocks a long piece.
+    (Chan, Golub & LeVeque, 1979): pieces of at most 256 rows of one block
+    for C'C, of all rows and at most 256 columns for CC', each centered into
+    one reused buffer (``_centered_pieces``) of at most 256 × min(n, d)
+    numbers, so the Gram is the only array of its size.  BLAS dsyrk
+    (Dongarra, Du Croz, Hammarling & Duff, 1990) adds each piece's product
+    into the Gram's lower triangle in place, the only triangle
+    ``top_eigenpairs`` reads; where numpy's OpenBLAS does not export it, the
+    product goes through one reused array and an add.  The two paths' sums
+    differ in the last bits, where dsyrk blocks a long piece.
     The tall scores C V_k are formed piece by piece the same way.
 
-    The eigensolve is ``eigsolve.top_eigenpairs``, whose docstring gives
-    its rule for LAPACK's subset driver dsyevr and the timings behind it.
+    The eigensolve is ``eigsolve.top_eigenpairs``, which overwrites the
+    Gram and back-transforms only the kept eigenvectors; its module
+    docstring gives the rule for LAPACK's subset driver dsyevr and the
+    timings behind it.
 
     A Gram that overflows float64 (features near 1e160 and up) raises
     DegenerateDataError.  Each kept Gram eigenvector is flipped so that its
@@ -127,7 +137,9 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
                     _CBLAS_ROW_MAJOR, _CBLAS_LOWER, _CBLAS_NO_TRANS if wide else _CBLAS_TRANS,
                     side, cols if wide else rows, 1.0, piece, cols, 1.0, gram, side,
                 )
-    del product  # not held through the eigensolve's workspace
+    # Neither the product nor the last piece's buffer is held through the
+    # eigensolve's workspace.
+    del product, piece
     if not np.isfinite(gram).all():
         raise DegenerateDataError("feature magnitudes overflow float64 in the PCA Gram")
     evals, evecs = top_eigenpairs(gram, n_components)

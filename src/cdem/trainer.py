@@ -83,6 +83,8 @@ class IterationRecord:
     errors: CrossDomainErrors
     residual: float
     eigengap: float | None
+    orthonormality: float
+    kmeans_iters: int
     skipped: list[str] = field(default_factory=list)
 
 
@@ -308,7 +310,7 @@ def run_adaptation(
             # One table to the source centers serves p_source, the first Lloyd
             # iteration and the diagnostics; k-means returns its final one.
             to_source = squared_distances(z, source_centers)
-            _, _, _, to_clusters = target_kmeans(zt, source_centers, to_source[target])
+            _, _, history, to_clusters = target_kmeans(zt, source_centers, to_source[target])
 
             p_source = class_probabilities(to_source[target])
             p_target = class_probabilities(to_clusters)
@@ -340,6 +342,8 @@ def run_adaptation(
                     errors=errors,
                     residual=solution.residual,
                     eigengap=solution.eigengap,
+                    orthonormality=solution.orthonormality,
+                    kmeans_iters=len(history),
                     skipped=list(parts.skipped),
                 )
             )

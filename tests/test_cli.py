@@ -196,6 +196,23 @@ def test_runs_load_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_run_never_loads_selftest(tmp_path):
+    # The oracle suite is for `cdem selftest` alone; `run` starts without it.
+    probe = (
+        "import sys\n"
+        "from cdem.cli import main\n"
+        "from cdem.synth import ShiftSpec, write_dataset\n"
+        "config = write_dataset(ShiftSpec(n_per_domain=40, dims=12), sys.argv[1])['config']\n"
+        "assert main(['run', '--config', str(config), '--out', sys.argv[1] + '/run']) == 0\n"
+        "print('cdem.selftest' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        check=True, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_baseline_flow(tmp_path):
     config = _make_dataset(tmp_path)
     out = tmp_path / "base"

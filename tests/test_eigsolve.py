@@ -81,10 +81,13 @@ def test_solution_reports_whitened_residual_gap_and_objective(monkeypatch):
     # Each field against its definition on A p = theta (B + sI) p.  The
     # eigenvectors are perturbed by 1e-9, so the residual sits well above
     # rounding and below RESIDUAL_BOUND, and its two forms can be compared.
-    exact = np.linalg.eigh
-    monkeypatch.setattr(
-        eigsolve.np.linalg, "eigh", lambda mat: (exact(mat)[0], exact(mat)[1] + 1e-9)
-    )
+    exact = eigsolve._kept_eigenpairs
+
+    def perturbed(mat, k, largest):
+        values, vectors = exact(mat, k, largest)
+        return values, vectors + 1e-9
+
+    monkeypatch.setattr(eigsolve, "_kept_eigenpairs", perturbed)
     rng = np.random.default_rng(17)
     m = 9
     a = rng.standard_normal((m, m))
@@ -100,7 +103,9 @@ def test_solution_reports_whitened_residual_gap_and_objective(monkeypatch):
         sol = solve_generalized(reduced, constraint, k)
         p, theta = sol.projection, sol.eigenvalues
         assert np.array_equal(p, w @ sol.basis)
-        assert np.abs(sol.basis.T @ sol.basis - np.eye(k)).max() <= 1e-8
+        deviation = np.abs(sol.basis.T @ sol.basis - np.eye(k)).max()
+        assert 1e-11 < deviation <= 1e-8
+        assert sol.orthonormality == deviation
         resid = w.T @ (a @ p - constraint.shifted @ p * theta)
         denom = np.linalg.norm(0.5 * (reduced + reduced.T)) + np.abs(theta) * np.sqrt(m)
         expected = float((np.linalg.norm(resid, axis=0) / denom).max())
@@ -250,15 +255,13 @@ def test_factored_rank_deficient_constraint_reused_across_objectives():
 
 
 def test_residual_gate(monkeypatch):
-    import cdem.eigsolve as eigsolve_mod
+    exact = eigsolve._kept_eigenpairs
 
-    exact = np.linalg.eigh
-
-    def perturbed(mat):
-        values, vectors = exact(mat)
+    def perturbed(mat, k, largest):
+        values, vectors = exact(mat, k, largest)
         return values, vectors + 1e-3
 
-    monkeypatch.setattr(eigsolve_mod.np.linalg, "eigh", perturbed)
+    monkeypatch.setattr(eigsolve, "_kept_eigenpairs", perturbed)
     rng = np.random.default_rng(16)
     a = rng.standard_normal((6, 6))
     with pytest.raises(NumericError, match=r"^eigensolver residual .* exceeds 1e-06$"):
@@ -281,13 +284,16 @@ def _numpy_blas_name():
     reason="numpy is built against a BLAS other than its bundled OpenBLAS",
 )
 def test_bundled_openblas_exports_every_symbol_cdem_binds():
-    # A numpy upgrade that renames either symbol fails here, instead of
-    # sending the PCA quietly down its slower numpy-only paths.
+    # A numpy upgrade that renames any of these symbols fails here, instead
+    # of sending the solves quietly down their slower numpy-only paths.
     from cdem import preprocess
 
-    for name in ("scipy_LAPACKE_dsyevr64_", "scipy_cblas_dsyrk64_"):
+    for routine in ("dsyevr", "dsytrd", "dstedc", "dormtr"):
+        name = f"scipy_LAPACKE_{routine}64_"
         assert hasattr(eigsolve._openblas(), name), name
-    assert eigsolve._dsyevr() is not None and preprocess._dsyrk() is not None
+        assert getattr(eigsolve, f"_{routine}")() is not None, routine
+    assert hasattr(eigsolve._openblas(), "scipy_cblas_dsyrk64_")
+    assert preprocess._dsyrk() is not None
 
 
 def _random_gram(side, seed):
@@ -319,14 +325,98 @@ def test_top_eigenpairs_subset_solve_matches_eigh(side, k, dsyevr_calls):
 
 
 def test_top_eigenpairs_full_solve_below_the_crossover(dsyevr_calls):
-    # Below the side, or above a fifth of it kept, the full eigh runs as is.
+    # Below the side, or above a fifth of it kept, the subset driver is not
+    # asked for; the kernel's pairs are eigh's, up to rounding and sign.
+    for side, k in ((SUBSET_MIN_SIDE - 1, 1), (SUBSET_MIN_SIDE, 129)):
+        gram = _random_gram(side, seed=side)
+        full_values, full_vectors = np.linalg.eigh(gram)
+        values, vectors = top_eigenpairs(gram, k)
+        assert values.shape == (k,) and vectors.shape == (side, k)
+        assert np.abs(values - full_values[::-1][:k]).max() <= 1e-13 * full_values[-1]
+        cosines = np.abs(np.einsum("ij,ij->j", vectors, full_vectors[:, ::-1][:, :k]))
+        assert cosines.min() >= 1 - 1e-12
+    assert dsyevr_calls == []
+
+
+KERNEL_ROUTINES = ("_dsytrd", "_dstedc", "_dormtr")
+
+needs_kernel = pytest.mark.skipif(
+    any(getattr(eigsolve, name)() is None for name in KERNEL_ROUTINES),
+    reason="numpy's bundled OpenBLAS lacks dsytrd, dstedc or dormtr",
+)
+
+
+@needs_kernel
+@pytest.mark.parametrize("largest", [False, True], ids=["smallest", "largest"])
+@pytest.mark.parametrize("side", [1, 2, 3, 128, 511, 639])
+def test_kernel_matches_eigh(side, largest):
+    gram = _random_gram(side, seed=side)
+    full_values, full_vectors = np.linalg.eigh(gram)
+    for k in sorted({1, max(1, side // 4), side}):
+        values, vectors = eigsolve._kept_eigenpairs(gram.copy(), k, largest)
+        assert np.abs(values - full_values).max() <= 1e-13 * np.abs(full_values).max()
+        expected = full_vectors[:, side - k :] if largest else full_vectors[:, :k]
+        assert vectors.shape == (side, k)
+        cosines = np.abs(np.einsum("ij,ij->j", vectors, expected))
+        assert cosines.min() >= 1 - 1e-12
+
+
+@needs_kernel
+def test_kernel_reads_only_the_lower_triangle():
+    gram = _random_gram(40, seed=3)
+    full_values, _ = np.linalg.eigh(gram)
+    upper = np.triu_indices(40, 1)
+    lower_only = gram.copy()
+    lower_only[upper] = np.nan
+    values, _ = eigsolve._kept_eigenpairs(lower_only, 4, largest=True)
+    assert np.abs(values - full_values).max() <= 1e-13 * full_values[-1]
+
+
+@needs_kernel
+def test_kernel_nan_trips_lapacke_check():
+    gram = _random_gram(SUBSET_MIN_SIDE - 1, seed=1)
+    gram[5, 3] = np.nan
+    with pytest.raises(NumericError, match=r"^LAPACK dsytrd failed with info=-4$"):
+        top_eigenpairs(gram, 1)
+    with pytest.raises(NumericError, match=r"^LAPACK dsytrd failed with info=-4$"):
+        solve_generalized(np.full((3, 3), np.nan), factor_constraint(np.eye(3)), 1)
+
+
+@needs_kernel
+@pytest.mark.parametrize("routine", KERNEL_ROUTINES)
+def test_kernel_checks_every_routine_info(monkeypatch, routine):
+    resolve = getattr(eigsolve, routine)
+    failing = lambda *args: resolve()(*args) or 2  # runs, then reports info=2
+    monkeypatch.setattr(eigsolve, routine, lambda: failing)
+    message = rf"^LAPACK {routine[1:]} failed with info=2$"
+    with pytest.raises(NumericError, match=message):
+        top_eigenpairs(_random_gram(8, seed=4), 2)
+    with pytest.raises(NumericError, match=message):
+        _solve(np.diag([3.0, 1.0, 2.0]), factor_constraint(np.eye(3)), 2)
+
+
+@pytest.mark.parametrize("missing", KERNEL_ROUTINES)
+def test_without_a_kernel_symbol_solves_are_eigh_bytes(monkeypatch, missing):
+    monkeypatch.setattr(eigsolve, missing, lambda: None)
     for side, k in ((SUBSET_MIN_SIDE - 1, 1), (SUBSET_MIN_SIDE, 129)):
         gram = _random_gram(side, seed=side)
         full_values, full_vectors = np.linalg.eigh(gram)
         values, vectors = top_eigenpairs(gram, k)
         assert np.array_equal(values, full_values[::-1][:k])
         assert np.array_equal(vectors, full_vectors[:, ::-1][:, :k])
-    assert dsyevr_calls == []
+    rng = np.random.default_rng(18)
+    m, k = 12, 5
+    a = rng.standard_normal((m, m))
+    constraint = assemble_operands(rng.standard_normal((40, m)))
+    reduced = constraint.reduce(a + a.T)
+    sol = solve_generalized(reduced, constraint, k)
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    projection = constraint.whiten @ vectors[:, :k]
+    signs = np.where(projection[np.abs(projection).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    assert np.array_equal(sol.eigenvalues, values[:k])
+    assert np.array_equal(sol.basis, vectors[:, :k] * signs)
+    assert np.array_equal(sol.projection, projection * signs)
+    assert sol.eigengap == values[k] - values[k - 1]
 
 
 @needs_dsyevr

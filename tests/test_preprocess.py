@@ -192,16 +192,19 @@ def _full_eigh_scores(x, m):
     the Gram on the smaller side of their centered rows C, with its sign rule
     and its summation order: the pooled mean is the blocks' column sums over
     n, and the Gram and the tall scores C V_k are summed and formed piece by
-    piece, each piece at most d rows of one block for C'C and all rows of at
-    most n columns for CC'."""
+    piece, each piece at most ``_PIECE`` rows of one block for C'C and all
+    rows of at most ``_PIECE`` columns for CC'."""
     blocks = _blocks(x)
     (n, d), wide = x.shape, x.shape[0] < x.shape[1]
     mean = sum(block.sum(axis=0) for block in blocks) / n
+    size = preprocess._PIECE
     if wide:
         centered = np.vstack(blocks) - mean
-        pieces = [np.ascontiguousarray(centered[:, j : j + n]) for j in range(0, d, n)]
+        pieces = [np.ascontiguousarray(centered[:, j : j + size]) for j in range(0, d, size)]
     else:
-        pieces = [block[i : i + d] - mean for block in blocks for i in range(0, len(block), d)]
+        pieces = [
+            block[i : i + size] - mean for block in blocks for i in range(0, len(block), size)
+        ]
     gram = sum(p @ p.T if wide else p.T @ p for p in pieces)
     values, vectors = np.linalg.eigh(gram)
     values, vectors = values[::-1][:m], vectors[:, ::-1][:, :m]
@@ -247,8 +250,10 @@ def test_subset_solve_scores_match_full_eigh(shape, monkeypatch):
 @pytest.mark.parametrize("shape", sorted(CROSSOVER_SHAPES))
 def test_without_subset_solver_scores_are_full_eigh_bytes(shape, monkeypatch):
     # numpy alone: dsyrk's blocked sums differ from matmul plus add in the
-    # last bits, so the byte pin holds on the fallback Gram only.
-    monkeypatch.setattr(eigsolve, "_dsyevr", lambda: None)
+    # last bits, and the kernel's back-transform from eigh's, so the byte
+    # pin holds on the fallback Gram and eigensolve only.
+    for routine in ("_dsyevr", "_dsytrd", "_dstedc", "_dormtr"):
+        monkeypatch.setattr(eigsolve, routine, lambda: None)
     monkeypatch.setattr(preprocess, "_dsyrk", lambda: None)
     x = _above_crossover(CROSSOVER_SHAPES[shape])
     assert np.array_equal(_pca(x, 128), _full_eigh_scores(x, 128))

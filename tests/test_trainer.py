@@ -8,11 +8,12 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from cdem.eigsolve import RESIDUAL_BOUND, FactoredConstraint
+from cdem import preprocess
+from cdem.eigsolve import ORTHONORMALITY_BOUND, RESIDUAL_BOUND, FactoredConstraint, top_eigenpairs
 from cdem.errors import ConfigError, DataError, DegenerateDataError
 from cdem.matio import DomainPair, ExperimentConfig, read_matrix
 from cdem.preprocess import normalize_rows
-from cdem.prototype import fit_prototypes, squared_distances
+from cdem.prototype import KMEANS_MAX_ITERS, fit_prototypes, squared_distances
 from cdem.selftest import oracle_marginal_mmd
 from cdem.synth import ShiftSpec, generate, standard_shift_spec
 from cdem.trainer import evaluate_cross_domain_errors, prepare_task, run_adaptation
@@ -220,10 +221,29 @@ def test_records_carry_the_solve_residual_and_eigengap():
     records = run_adaptation(pair, config, labels).records
     assert all(0.0 <= rec.residual <= RESIDUAL_BOUND for rec in records)
     assert all(isinstance(rec.eigengap, float) and rec.eigengap >= 0.0 for rec in records)
-    assert {"residual", "eigengap"} <= set(asdict(records[0]))
+    assert all(0.0 <= rec.orthonormality <= ORTHONORMALITY_BOUND for rec in records)
+    assert {"residual", "eigengap", "orthonormality", "kmeans_iters"} <= set(asdict(records[0]))
     # with every component kept there is no theta_{k+1}
     full = run_adaptation(pair, replace(config, subspace_dim=config.pca_dim), labels)
     assert all(rec.eigengap is None for rec in full.records)
+
+
+def test_records_count_each_steps_kmeans_iterations(monkeypatch):
+    import cdem.trainer as trainer_mod
+
+    lengths = []
+    kmeans = trainer_mod.target_kmeans
+
+    def spy(*args):
+        result = kmeans(*args)
+        lengths.append(len(result[2]))
+        return result
+
+    monkeypatch.setattr(trainer_mod, "target_kmeans", spy)
+    pair, labels = generate(standard_shift_spec())
+    records = run_adaptation(pair, _small_config(pca_dim=10, subspace_dim=4), labels).records
+    assert [rec.kmeans_iters for rec in records] == lengths
+    assert all(1 <= count <= KMEANS_MAX_ITERS for count in lengths)
 
 
 def test_step_distances_match_a_refit_of_the_embedded_source(monkeypatch):
@@ -312,19 +332,44 @@ def test_prepared_task_runs_like_its_pair():
             run_adaptation(task, other)
 
 
-def test_residual_gate_carries_step_context(monkeypatch):
+def _stub_kernel(monkeypatch, change):
+    """Make every step's eigensolve return change(vectors) for its kept
+    eigenvectors."""
     import cdem.eigsolve as eigsolve_mod
+
+    exact = eigsolve_mod._kept_eigenpairs
+
+    def changed(mat, k, largest):
+        values, vectors = exact(mat, k, largest)
+        return values, change(vectors)
+
+    monkeypatch.setattr(eigsolve_mod, "_kept_eigenpairs", changed)
+
+
+def test_residual_gate_carries_step_context(monkeypatch):
     from cdem.errors import NumericError
 
-    exact = np.linalg.eigh
-
-    def perturbed(mat):
-        values, vectors = exact(mat)
-        return values, vectors + 1e-3
-
-    monkeypatch.setattr(eigsolve_mod.np.linalg, "eigh", perturbed)
+    _stub_kernel(monkeypatch, lambda vectors: vectors + 1e-3)
     pair, _ = generate(_small_spec(seed=11))
     with pytest.raises(NumericError, match=r"^step 1: eigensolver residual .* exceeds 1e-06$"):
+        run_adaptation(pair, _small_config(), None)
+
+
+def test_orthonormality_gate_carries_step_context(monkeypatch):
+    # One column 1.01 times too long still solves M u = theta u, so the
+    # residual gate stays quiet; U'U is 1.0201 on its diagonal.
+    from cdem.errors import NumericError
+
+    def stretched(vectors):
+        vectors = vectors.copy()
+        vectors[:, 0] *= 1.01
+        return vectors
+
+    _stub_kernel(monkeypatch, stretched)
+    pair, _ = generate(_small_spec(seed=11))
+    with pytest.raises(
+        NumericError, match=r"^step 1: eigensolver basis orthonormality 2\.010e-02 exceeds 1e-06$"
+    ):
         run_adaptation(pair, _small_config(), None)
 
 
@@ -347,14 +392,15 @@ def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
     centered = stacked - mean
     if dims < stacked.shape[0]:
         # fit_pca's order of summation: the Gram of the centered rows is a sum
-        # over pieces of at most d rows of one domain, each projected alone
+        # over pieces of at most _PIECE rows of one domain, each projected alone
+        size = preprocess._PIECE
         pieces = [
-            x[i : i + dims] - mean
+            x[i : i + size] - mean
             for x in (pair.source_x, pair.target_x)
-            for i in range(0, x.shape[0], dims)
+            for i in range(0, x.shape[0], size)
         ]
         gram = sum(piece.T @ piece for piece in pieces)
-        basis = _positive_pivots(np.linalg.eigh(gram)[1][:, ::-1][:, :m])
+        basis = _positive_pivots(top_eigenpairs(gram, m)[1])
         parts = [piece @ basis for piece in pieces]
         if normalize:
             parts = [normalize_rows(z) for z in parts]
@@ -368,13 +414,18 @@ def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
 
 
 @pytest.mark.parametrize(
-    "n, d, pca_dim, bound", [(400, 4096, 128, 0.5), (1500, 400, 8, 0.8)], ids=["wide", "tall"]
+    "n, d, pca_dim, bound",
+    [(400, 4096, 128, 0.35), (1500, 400, 8, 0.8), (1000, 512, 128, 0.7)],
+    ids=["wide", "tall", "tall-k128"],
 )
 def test_prepare_task_peak_memory_below_four_fifths_of_the_pair(n, d, pca_dim, bound):
-    # wide-d's shape, then a tall pair.  No n×d temporary is made: fit_pca
-    # takes the two domains as they are and centers them piece by piece into
-    # one buffer no larger than its Gram (800² on the wide side, 400² on
-    # the tall one), and BLAS dsyrk adds each piece into the Gram in place.
+    # wide-d's shape, a tall pair, and pair-large-n's shape.  No n×d
+    # temporary is made: fit_pca takes the two domains as they are and
+    # centers them piece by piece into one buffer of at most 256 columns
+    # (wide) or rows (tall), and BLAS dsyrk adds each piece into the Gram in
+    # place.  On the Gram of side 512 the eigensolve overwrites the Gram and
+    # back-transforms only the 128 kept eigenvectors, where np.linalg.eigh
+    # returned all 512.
     rng = np.random.default_rng(0)
     pair = DomainPair(
         rng.standard_normal((n, d)), np.arange(n) % 2, rng.standard_normal((n, d)), 2
