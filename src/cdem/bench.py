@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import matio
+from . import eigsolve, matio
 from .errors import ConfigError
 from .matio import (
     WEIGHT_KEYS,
@@ -66,6 +66,8 @@ ABLATION_STAGES = (
 )
 
 ENV_THREADS = "CDEM_THREADS"
+# Environment variables that fix OpenBLAS's thread count when it loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -192,11 +194,29 @@ def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[Task
 
 def _parallel_map(fn: Callable, items: list) -> list:
     """fn over items, on a thread pool when there is more than one
-    (CDEM_THREADS caps workers); results in input order."""
+    (CDEM_THREADS caps workers); results in input order.
+
+    While the pool runs more than one item at a time, numpy's OpenBLAS runs
+    one thread per call, and its previous count is restored afterwards:
+    two task workers each running two BLAS threads oversubscribe two cores,
+    while one task alone gains from the second thread.  A count set in
+    BLAS_THREAD_VARS is left alone.
+    """
     if len(items) == 1:
         return [fn(items[0])]
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        return list(pool.map(fn, items))
+    workers = max_workers()
+    blas = None
+    if min(len(items), workers) > 1 and not any(v in os.environ for v in BLAS_THREAD_VARS):
+        blas = eigsolve._openblas()
+    if blas is not None:
+        previous = blas.get_num_threads()
+        blas.set_num_threads(1)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        if blas is not None:
+            blas.set_num_threads(previous)
 
 
 def load_tasks(

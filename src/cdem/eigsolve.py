@@ -30,8 +30,8 @@ of M, no m×m output and none of dsyevd's back-transforms of the m - k
 discarded vectors.  At the default side 128 with 32 pairs kept a solve took
 1.5-2.0 ms single-threaded against 1.8-2.4 ms for ``eigh``; at side 2048
 with 4 kept (``cdem synth``'s config on an 8800×2048 pair) a whole run fell
-from 50 to 38 s.  Where numpy's library lacks any of the three symbols,
-``np.linalg.eigh`` runs instead.
+from 50 to 38 s.  ``_openblas`` binds every OpenBLAS routine cdem calls at
+once; where it is None, every solve runs ``np.linalg.eigh`` instead.
 
 PCA needs the other end of a spectrum: the k largest eigenpairs of a Gram
 whose side can reach the feature width.  ``top_eigenpairs`` calls LAPACK's
@@ -81,6 +81,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -243,76 +244,57 @@ def assemble_operands(features: np.ndarray) -> FactoredConstraint:
 
 
 @functools.cache
-def _openblas():
-    """A handle on the OpenBLAS that numpy's linalg module is linked against,
-    or None where it cannot be opened.  Opened on first use, so importing
-    cdem pays nothing; every ctypes binding in cdem looks its symbol up here."""
-    try:
-        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
-        return None
-
-
-def _lapacke(name: str, *argtypes):
-    """LAPACKE_<name> (ILP64) from ``_openblas`` with its argument types
-    set, or None where that library does not export it under this name.
-    Each routine's own cached lookup calls this once."""
-    fn = getattr(_openblas(), f"scipy_LAPACKE_{name}64_", None)
-    if fn is not None:
-        fn.argtypes = list(argtypes)
-        fn.restype = ctypes.c_int64
-    return fn
-
-
-@functools.cache
-def _arrays():
-    """ctypes argument types for a writeable column-major float64 matrix, a
-    float64 vector and an int64 vector."""
+def _openblas() -> SimpleNamespace | None:
+    """Every OpenBLAS routine cdem calls, bound once from the library numpy's
+    linalg module links against (numpy's wheels export each ILP64 routine
+    as ``scipy_<name>64_``), as one namespace named by the table below; or
+    None where that library cannot be opened or lacks any of them, and then
+    every caller takes numpy's own path.  Opened on first use, so importing
+    cdem pays nothing."""
     from numpy.ctypeslib import ndpointer
 
-    return (
-        ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE"),
-        ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
-        ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
-    )
-
-
-_INT, _CHAR, _INT64, _DOUBLE = ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_double
-
-
-@functools.cache
-def _dsyevr():
-    matrix, vector, indices = _arrays()
-    # matrix_layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
-    # m, w, z, ldz, isuppz
-    return _lapacke(
-        "dsyevr", _INT, _CHAR, _CHAR, _CHAR, _INT64, matrix, _INT64, _DOUBLE, _DOUBLE,
-        _INT64, _INT64, _DOUBLE, indices, vector, matrix, _INT64, indices,
-    )
-
-
-@functools.cache
-def _dsytrd():
-    matrix, vector, _ = _arrays()
-    # matrix_layout, uplo, n, a, lda, d, e, tau
-    return _lapacke("dsytrd", _INT, _CHAR, _INT64, matrix, _INT64, vector, vector, vector)
-
-
-@functools.cache
-def _dstedc():
-    matrix, vector, _ = _arrays()
-    # matrix_layout, compz, n, d, e, z, ldz
-    return _lapacke("dstedc", _INT, _CHAR, _INT64, vector, vector, matrix, _INT64)
-
-
-@functools.cache
-def _dormtr():
-    matrix, vector, _ = _arrays()
-    # matrix_layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
-    return _lapacke(
-        "dormtr", _INT, _CHAR, _CHAR, _CHAR, _INT64, _INT64, matrix, _INT64, vector, matrix,
-        _INT64,
-    )
+    try:
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    int_, char, int64, double = ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_double
+    # writeable arrays: float64 column- and row-major matrices, vectors; int64 vectors
+    matrix = ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
+    rows = ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+    vector = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    indices = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    # symbol: (restype, *argtypes), bound as the name after its first "_"
+    table = {
+        # matrix_layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
+        # m, w, z, ldz, isuppz
+        "LAPACKE_dsyevr": (
+            int64, int_, char, char, char, int64, matrix, int64, double, double, int64,
+            int64, double, indices, vector, matrix, int64, indices,
+        ),
+        # matrix_layout, uplo, n, a, lda, d, e, tau
+        "LAPACKE_dsytrd": (int64, int_, char, int64, matrix, int64, vector, vector, vector),
+        # matrix_layout, compz, n, d, e, z, ldz
+        "LAPACKE_dstedc": (int64, int_, char, int64, vector, vector, matrix, int64),
+        # matrix_layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
+        "LAPACKE_dormtr": (
+            int64, int_, char, char, char, int64, int64, matrix, int64, vector, matrix, int64,
+        ),
+        # order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc
+        "cblas_dsyrk": (
+            None, int_, int_, int_, int64, int64, double, rows, int64, double, rows, int64,
+        ),
+        "openblas_get_num_threads": (int_,),
+        # num_threads
+        "openblas_set_num_threads": (None, int_),
+    }
+    routines = {}
+    for name, (restype, *argtypes) in table.items():
+        fn = getattr(library, f"scipy_{name}64_", None)
+        if fn is None:
+            return None
+        fn.restype, fn.argtypes = restype, argtypes
+        routines[name.split("_", 1)[1]] = fn
+    return SimpleNamespace(**routines)
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -333,27 +315,25 @@ def _kept_eigenpairs(mat: np.ndarray, k: int, largest: bool) -> tuple[np.ndarray
     tridiagonal problem, and dormtr carries back only the k kept columns:
     the steps of np.linalg.eigh's dsyevd without its copy of mat, its n×n
     output or the back-transform of the n - k discarded vectors.  Where
-    numpy's library lacks any of the three, np.linalg.eigh runs instead.
+    ``_openblas`` is None, np.linalg.eigh runs instead.
     """
     n = mat.shape[0]
-    routines = _dsytrd(), _dstedc(), _dormtr()
-    if None in routines:
+    lapack = _openblas()
+    if lapack is None:
         values, vectors = np.linalg.eigh(mat)
         return values, vectors[:, n - k :] if largest else vectors[:, :k]
-    dsytrd, dstedc, dormtr = routines
     diagonal, off_diagonal, tau = np.empty(n), np.empty(n), np.empty(n)
     # mat.T is mat's own buffer read column-major; its upper triangle is the
     # lower one of mat, the triangle np.linalg.eigh (UPLO='L') reads.
     packed = mat.T
-    _check_info(
-        "dsytrd", dsytrd(_LAPACK_COL_MAJOR, b"U", n, packed, n, diagonal, off_diagonal, tau)
-    )
+    info = lapack.dsytrd(_LAPACK_COL_MAJOR, b"U", n, packed, n, diagonal, off_diagonal, tau)
+    _check_info("dsytrd", info)
     vectors = np.empty((n, n), order="F")
-    _check_info("dstedc", dstedc(_LAPACK_COL_MAJOR, b"I", n, diagonal, off_diagonal, vectors, n))
+    info = lapack.dstedc(_LAPACK_COL_MAJOR, b"I", n, diagonal, off_diagonal, vectors, n)
+    _check_info("dstedc", info)
     kept = vectors[:, n - k :] if largest else vectors[:, :k]
-    _check_info(
-        "dormtr", dormtr(_LAPACK_COL_MAJOR, b"L", b"U", b"N", n, k, packed, n, tau, kept, n)
-    )
+    info = lapack.dormtr(_LAPACK_COL_MAJOR, b"L", b"U", b"N", n, k, packed, n, tau, kept, n)
+    _check_info("dormtr", info)
     return diagonal, kept.copy(order="F")
 
 
@@ -365,8 +345,8 @@ def top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Both read only its lower triangle, so a caller need fill only that one.
     """
     n = gram.shape[0]
-    dsyevr = _dsyevr() if n >= SUBSET_MIN_SIDE and k <= SUBSET_MAX_SHARE * n else None
-    if dsyevr is None:
+    lapack = _openblas()
+    if lapack is None or n < SUBSET_MIN_SIDE or k > SUBSET_MAX_SHARE * n:
         evals, evecs = _kept_eigenpairs(gram, k, largest=True)
         return evals[::-1][:k], evecs[:, ::-1]
     count = np.zeros(1, dtype=np.int64)
@@ -374,7 +354,7 @@ def top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     evecs = np.empty((n, k), order="F")
     support = np.empty(2 * k, dtype=np.int64)
     # the same lower triangle as _kept_eigenpairs reads
-    info = dsyevr(
+    info = lapack.dsyevr(
         _LAPACK_COL_MAJOR, b"V", b"I", b"U", n, gram.T, n, 0.0, 0.0, n - k + 1, n, 0.0,
         count, evals, evecs, n, support,
     )

@@ -5,19 +5,18 @@ returns those scores and keeps no mean or basis to apply elsewhere.  It
 takes those rows as separate blocks, a pair's two domains as they were read,
 and centers them piece by piece, so no stacked or centered copy of the pair
 is ever formed.  Each piece is added into the Gram in place by BLAS dsyrk
-(``_dsyrk``), so no product of Gram size is formed either, and pieces have
-at most 256 rows or columns, so the Gram is the PCA's only array of its
-size."""
+(from ``eigsolve._openblas``, like the eigensolve's LAPACK), so no product
+of Gram size is formed either, and pieces have at most 256 rows or
+columns, so the Gram is the PCA's only array of its size."""
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from collections.abc import Iterator
 
 import numpy as np
 
-from .eigsolve import _openblas, top_eigenpairs
+from . import eigsolve
+from .eigsolve import top_eigenpairs
 from .errors import ConfigError, DegenerateDataError
 
 # CBLAS enum codes: row-major storage, lower triangle, C = AA' or C = A'A.
@@ -28,27 +27,6 @@ _CBLAS_NO_TRANS, _CBLAS_TRANS = 111, 112
 # 1000+1000 rows × 512 and on 400+400 rows × 4096 (one BLAS thread), and
 # 1-4% longer with 128.
 _PIECE = 256
-
-
-@functools.cache
-def _dsyrk():
-    """cblas_dsyrk (ILP64) from ``eigsolve._openblas``, or None where that
-    library does not export it under this name."""
-    fn = getattr(_openblas(), "scipy_cblas_dsyrk64_", None)
-    if fn is None:
-        return None
-    from numpy.ctypeslib import ndpointer
-
-    int64 = ctypes.c_int64
-    matrix = ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    # order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc
-    fn.argtypes = [
-        ctypes.c_int, ctypes.c_int, ctypes.c_int, int64, int64,
-        ctypes.c_double, matrix, int64, ctypes.c_double,
-        ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"), int64,
-    ]
-    fn.restype = None
-    return fn
 
 
 def _centered_pieces(blocks: list[np.ndarray], mean: np.ndarray) -> Iterator[np.ndarray]:
@@ -100,7 +78,7 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
     numbers, so the Gram is the only array of its size.  BLAS dsyrk
     (Dongarra, Du Croz, Hammarling & Duff, 1990) adds each piece's product
     into the Gram's lower triangle in place, the only triangle
-    ``top_eigenpairs`` reads; where numpy's OpenBLAS does not export it, the
+    ``top_eigenpairs`` reads; where ``eigsolve._openblas`` is None, the
     product goes through one reused array and an add.  The two paths' sums
     differ in the last bits, where dsyrk blocks a long piece.
     The tall scores C V_k are formed piece by piece the same way.
@@ -125,15 +103,15 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
     wide = n < d
     side = min(n, d)
     gram = np.zeros((side, side))
-    dsyrk = _dsyrk()
-    product = np.empty_like(gram) if dsyrk is None else None
+    blas = eigsolve._openblas()
+    product = np.empty_like(gram) if blas is None else None
     with np.errstate(over="ignore", invalid="ignore"):
         for piece in _centered_pieces(blocks, mean):
-            if dsyrk is None:
+            if blas is None:
                 gram += np.matmul(*((piece, piece.T) if wide else (piece.T, piece)), out=product)
             else:
                 rows, cols = piece.shape
-                dsyrk(
+                blas.dsyrk(
                     _CBLAS_ROW_MAJOR, _CBLAS_LOWER, _CBLAS_NO_TRANS if wide else _CBLAS_TRANS,
                     side, cols if wide else rows, 1.0, piece, cols, 1.0, gram, side,
                 )

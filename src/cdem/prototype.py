@@ -82,7 +82,7 @@ def nearest_center_labels(centers: np.ndarray, features: np.ndarray) -> np.ndarr
 
 def target_kmeans(
     features: np.ndarray, init_centers: np.ndarray, init_distances: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray, bool]:
     """Lloyd iterations from the given centers, whose ``squared_distances``
     from the features the caller passes as init_distances.
 
@@ -90,7 +90,10 @@ def target_kmeans(
     cluster index c to class c, so no matching step is needed afterwards.
     Empty clusters keep their previous center.  Returns the final (C, k)
     centers, the assignment vector, the per-iteration sum of squared errors
-    (non-increasing) and the (n, C) squared distances to the final centers.
+    (non-increasing), the (n, C) squared distances to the final centers and
+    whether Lloyd stopped by its own rule (assignments unchanged, or a
+    relative SSE decrease of at most KMEANS_TOL) rather than by running
+    KMEANS_MAX_ITERS passes.
     """
     z = np.asarray(features, dtype=np.float64)
     centers = np.asarray(init_centers, dtype=np.float64).copy()
@@ -104,18 +107,20 @@ def target_kmeans(
         raise ConfigError(f"init_distances are {dist.shape}, expected {(z.shape[0], n_clusters)}")
     history: list[float] = []
     prev_assign: np.ndarray | None = None
+    converged = False
     for _ in range(KMEANS_MAX_ITERS):
         assign = np.argmin(dist, axis=1).astype(np.int64)
         sse = float(dist[np.arange(z.shape[0]), assign].sum())
         history.append(sse)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        if len(history) > 1 and history[-2] - sse <= KMEANS_TOL * max(history[-2], 1e-300):
+        converged = (prev_assign is not None and np.array_equal(assign, prev_assign)) or (
+            len(history) > 1 and history[-2] - sse <= KMEANS_TOL * max(history[-2], 1e-300)
+        )
+        if converged:
             break
         counts, sums = class_moments(z, assign, n_clusters)
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
         prev_assign = assign
         dist = squared_distances(z, centers)
-    return centers, assign, history, dist
+    return centers, assign, history, dist, converged
 

@@ -85,6 +85,7 @@ class IterationRecord:
     eigengap: float | None
     orthonormality: float
     kmeans_iters: int
+    kmeans_converged: bool
     skipped: list[str] = field(default_factory=list)
 
 
@@ -310,7 +311,9 @@ def run_adaptation(
             # One table to the source centers serves p_source, the first Lloyd
             # iteration and the diagnostics; k-means returns its final one.
             to_source = squared_distances(z, source_centers)
-            _, _, history, to_clusters = target_kmeans(zt, source_centers, to_source[target])
+            _, _, history, to_clusters, converged = target_kmeans(
+                zt, source_centers, to_source[target]
+            )
 
             p_source = class_probabilities(to_source[target])
             p_target = class_probabilities(to_clusters)
@@ -344,6 +347,7 @@ def run_adaptation(
                     eigengap=solution.eigengap,
                     orthonormality=solution.orthonormality,
                     kmeans_iters=len(history),
+                    kmeans_converged=converged,
                     skipped=list(parts.skipped),
                 )
             )

@@ -6,11 +6,12 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cdem import bench
+from cdem import bench, eigsolve
 from cdem.cli import main
 from cdem.errors import ConfigError, DataError
 from cdem.matio import (
@@ -90,6 +91,54 @@ def test_max_workers_env(monkeypatch):
     monkeypatch.setenv(bench.ENV_THREADS, "many")
     with pytest.raises(ConfigError):
         bench.max_workers()
+
+
+def _stub_openblas(monkeypatch):
+    """Thread calls an OpenBLAS stub receives, "get" or the count set, with
+    no thread variable set."""
+    calls = []
+    stub = SimpleNamespace(
+        get_num_threads=lambda: calls.append("get") or 2, set_num_threads=calls.append
+    )
+    monkeypatch.setattr(eigsolve, "_openblas", lambda: stub)
+    for name in bench.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    return calls
+
+
+def test_pool_runs_one_blas_thread_and_restores_the_count(monkeypatch):
+    calls = _stub_openblas(monkeypatch)
+    monkeypatch.setenv(bench.ENV_THREADS, "2")
+    during = []
+    doubled = bench._parallel_map(lambda x: during.append(list(calls)) or 2 * x, [1, 2, 3])
+    assert doubled == [2, 4, 6]
+    assert during == [["get", 1]] * 3
+    assert calls == ["get", 1, 2]
+
+    def fail(x):
+        raise ValueError(x)
+
+    calls.clear()
+    with pytest.raises(ValueError):
+        bench._parallel_map(fail, [1, 2, 3])
+    assert calls == ["get", 1, 2]
+    monkeypatch.setattr(eigsolve, "_openblas", lambda: None)
+    assert bench._parallel_map(lambda x: 2 * x, [1, 2, 3]) == [2, 4, 6]
+
+
+@pytest.mark.parametrize(
+    "items, env",
+    [([1], {}), ([1, 2, 3], {bench.ENV_THREADS: "1"})]
+    + [([1, 2, 3], {name: "2"}) for name in bench.BLAS_THREAD_VARS],
+    ids=["one-item", "one-worker", *bench.BLAS_THREAD_VARS],
+)
+def test_blas_thread_count_left_alone(monkeypatch, items, env):
+    calls = _stub_openblas(monkeypatch)
+    monkeypatch.setenv(bench.ENV_THREADS, "2")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert bench._parallel_map(lambda x: 2 * x, items) == [2 * x for x in items]
+    assert calls == []
 
 
 def test_expand_tasks():

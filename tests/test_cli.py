@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import cdem
+from cdem.bench import BLAS_THREAD_VARS
 from cdem.cli import build_parser, main
 from cdem.matio import write_labels, write_matrix
 from cdem.synth import ShiftSpec, generate, write_dataset
@@ -159,6 +160,31 @@ def test_reports_identical_across_task_workers(tmp_path):
             assert reports[0] == reports[1]
 
 
+def test_suite_predictions_identical_across_workers_at_default_blas_threads(tmp_path):
+    # With no thread variable set, a pool of 3 workers runs OpenBLAS at one
+    # thread and a lone worker at its default count, so report.json and the
+    # embedding floats may differ in the last digits; predictions and
+    # report.csv may not.
+    config = _three_domain_registry(tmp_path, rows=320, dims=700, settings=())
+    thread_vars = (*BLAS_THREAD_VARS, "CDEM_THREADS")
+    env = {name: value for name, value in _child_env().items() if name not in thread_vars}
+    outputs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"run{workers}"
+        subprocess.run(
+            [sys.executable, "-m", "cdem.cli", "run", "--config", str(config), "--task", "all",
+             "--out", str(out)],
+            check=True, env=dict(env, CDEM_THREADS=workers), stdout=subprocess.DEVNULL,
+            timeout=120,
+        )
+        outputs.append({
+            p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.name == "report.csv" or p.name.endswith("_predictions.txt")
+        })
+    assert len(outputs[0]) == 7
+    assert outputs[0] == outputs[1]
+
+
 _SCIPY_PROBE = """
 import sys
 from cdem import eigsolve
@@ -167,6 +193,11 @@ from cdem.synth import ShiftSpec, write_dataset
 
 out = sys.argv[1]
 config = out + "/data/config.txt"
+subset_calls = []
+routines = eigsolve._openblas()
+if routines is not None:
+    dsyevr = routines.dsyevr
+    routines.dsyevr = lambda *args: subset_calls.append(1) or dsyevr(*args)
 # A wide pair whose 640-row Gram takes the subset PCA solve at pca_dim=128.
 wide = write_dataset(ShiftSpec(n_per_domain=320, dims=700), out + "/wide")["config"]
 wide.write_text("".join(
@@ -181,7 +212,7 @@ for argv in (
     ["run", "--config", str(wide), "--out", out + "/wide-run"],
 ):
     assert main(argv) == 0, argv
-assert eigsolve._dsyevr.cache_info().misses == 1
+assert len(subset_calls) == (routines is not None)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -250,6 +281,9 @@ def test_grid_rejects_unknown_param(tmp_path, capsys):
                  "--params", "iterations"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    code = main(["grid", "--config", str(config), "--out", str(tmp_path / "g"), "--params", ","])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --params needs at least one name\n"
 
 
 def test_selftest_passes(capsys):

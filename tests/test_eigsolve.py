@@ -268,9 +268,16 @@ def test_residual_gate(monkeypatch):
         _solve(a + a.T, factor_constraint(np.eye(6)), 3)
 
 
-needs_dsyevr = pytest.mark.skipif(
-    eigsolve._dsyevr() is None,
-    reason="numpy's bundled OpenBLAS exports no scipy_LAPACKE_dsyevr64_",
+needs_openblas = pytest.mark.skipif(
+    eigsolve._openblas() is None,
+    reason="numpy's linalg library lacks a routine cdem binds",
+)
+
+# Every OpenBLAS symbol cdem binds, without numpy's "scipy_" prefix and "64_"
+# suffix.
+BOUND_SYMBOLS = (
+    "LAPACKE_dsyevr", "LAPACKE_dsytrd", "LAPACKE_dstedc", "LAPACKE_dormtr", "cblas_dsyrk",
+    "openblas_get_num_threads", "openblas_set_num_threads",
 )
 
 
@@ -286,14 +293,9 @@ def _numpy_blas_name():
 def test_bundled_openblas_exports_every_symbol_cdem_binds():
     # A numpy upgrade that renames any of these symbols fails here, instead
     # of sending the solves quietly down their slower numpy-only paths.
-    from cdem import preprocess
-
-    for routine in ("dsyevr", "dsytrd", "dstedc", "dormtr"):
-        name = f"scipy_LAPACKE_{routine}64_"
-        assert hasattr(eigsolve._openblas(), name), name
-        assert getattr(eigsolve, f"_{routine}")() is not None, routine
-    assert hasattr(eigsolve._openblas(), "scipy_cblas_dsyrk64_")
-    assert preprocess._dsyrk() is not None
+    routines = eigsolve._openblas()
+    assert routines is not None
+    assert sorted(vars(routines)) == sorted(name.split("_", 1)[1] for name in BOUND_SYMBOLS)
 
 
 def _random_gram(side, seed):
@@ -303,14 +305,16 @@ def _random_gram(side, seed):
 
 @pytest.fixture
 def dsyevr_calls(monkeypatch):
-    """Counts top_eigenpairs' lookups of the subset solver."""
+    """Counts top_eigenpairs' calls of the subset solver."""
     calls = []
-    resolve = eigsolve._dsyevr
-    monkeypatch.setattr(eigsolve, "_dsyevr", lambda: calls.append(1) or resolve())
+    routines = eigsolve._openblas()
+    if routines is not None:
+        dsyevr = routines.dsyevr
+        monkeypatch.setattr(routines, "dsyevr", lambda *args: calls.append(1) or dsyevr(*args))
     return calls
 
 
-@needs_dsyevr
+@needs_openblas
 @pytest.mark.parametrize("k", [1, 128])
 @pytest.mark.parametrize("side", [640, 800, 1024])
 def test_top_eigenpairs_subset_solve_matches_eigh(side, k, dsyevr_calls):
@@ -338,15 +342,10 @@ def test_top_eigenpairs_full_solve_below_the_crossover(dsyevr_calls):
     assert dsyevr_calls == []
 
 
-KERNEL_ROUTINES = ("_dsytrd", "_dstedc", "_dormtr")
-
-needs_kernel = pytest.mark.skipif(
-    any(getattr(eigsolve, name)() is None for name in KERNEL_ROUTINES),
-    reason="numpy's bundled OpenBLAS lacks dsytrd, dstedc or dormtr",
-)
+KERNEL_ROUTINES = ("dsytrd", "dstedc", "dormtr")
 
 
-@needs_kernel
+@needs_openblas
 @pytest.mark.parametrize("largest", [False, True], ids=["smallest", "largest"])
 @pytest.mark.parametrize("side", [1, 2, 3, 128, 511, 639])
 def test_kernel_matches_eigh(side, largest):
@@ -361,7 +360,7 @@ def test_kernel_matches_eigh(side, largest):
         assert cosines.min() >= 1 - 1e-12
 
 
-@needs_kernel
+@needs_openblas
 def test_kernel_reads_only_the_lower_triangle():
     gram = _random_gram(40, seed=3)
     full_values, _ = np.linalg.eigh(gram)
@@ -372,7 +371,7 @@ def test_kernel_reads_only_the_lower_triangle():
     assert np.abs(values - full_values).max() <= 1e-13 * full_values[-1]
 
 
-@needs_kernel
+@needs_openblas
 def test_kernel_nan_trips_lapacke_check():
     gram = _random_gram(SUBSET_MIN_SIDE - 1, seed=1)
     gram[5, 3] = np.nan
@@ -382,22 +381,43 @@ def test_kernel_nan_trips_lapacke_check():
         solve_generalized(np.full((3, 3), np.nan), factor_constraint(np.eye(3)), 1)
 
 
-@needs_kernel
+@needs_openblas
 @pytest.mark.parametrize("routine", KERNEL_ROUTINES)
 def test_kernel_checks_every_routine_info(monkeypatch, routine):
-    resolve = getattr(eigsolve, routine)
-    failing = lambda *args: resolve()(*args) or 2  # runs, then reports info=2
-    monkeypatch.setattr(eigsolve, routine, lambda: failing)
-    message = rf"^LAPACK {routine[1:]} failed with info=2$"
+    routines = eigsolve._openblas()
+    resolve = getattr(routines, routine)
+    failing = lambda *args: resolve(*args) or 2  # runs, then reports info=2
+    monkeypatch.setattr(routines, routine, failing)
+    message = rf"^LAPACK {routine} failed with info=2$"
     with pytest.raises(NumericError, match=message):
         top_eigenpairs(_random_gram(8, seed=4), 2)
     with pytest.raises(NumericError, match=message):
         _solve(np.diag([3.0, 1.0, 2.0]), factor_constraint(np.eye(3)), 2)
 
 
-@pytest.mark.parametrize("missing", KERNEL_ROUTINES)
-def test_without_a_kernel_symbol_solves_are_eigh_bytes(monkeypatch, missing):
-    monkeypatch.setattr(eigsolve, missing, lambda: None)
+class _Lacking:
+    """A library that lacks one symbol and otherwise forwards to ctypes.CDLL."""
+
+    def __init__(self, library, missing):
+        self.library, self.missing = library, missing
+
+    def __getattr__(self, name):
+        if name == self.missing:
+            raise AttributeError(name)
+        return getattr(self.library, name)
+
+
+@pytest.mark.parametrize("missing", BOUND_SYMBOLS)
+def test_a_library_lacking_any_bound_symbol_binds_none(monkeypatch, missing):
+    # So every solve takes numpy's path, and none mixes ctypes LAPACK with eigh.
+    cdll = eigsolve.ctypes.CDLL
+    symbol = f"scipy_{missing}64_"
+    monkeypatch.setattr(eigsolve.ctypes, "CDLL", lambda path: _Lacking(cdll(path), symbol))
+    assert eigsolve._openblas.__wrapped__() is None
+
+
+def test_without_openblas_solves_are_eigh_bytes(monkeypatch):
+    monkeypatch.setattr(eigsolve, "_openblas", lambda: None)
     for side, k in ((SUBSET_MIN_SIDE - 1, 1), (SUBSET_MIN_SIDE, 129)):
         gram = _random_gram(side, seed=side)
         full_values, full_vectors = np.linalg.eigh(gram)
@@ -419,7 +439,7 @@ def test_without_a_kernel_symbol_solves_are_eigh_bytes(monkeypatch, missing):
     assert sol.eigengap == values[k] - values[k - 1]
 
 
-@needs_dsyevr
+@needs_openblas
 def test_top_eigenpairs_nan_gram_trips_lapacke_check():
     gram = _random_gram(SUBSET_MIN_SIDE, seed=1)
     gram[3, 5] = gram[5, 3] = np.nan
@@ -435,7 +455,8 @@ def test_top_eigenpairs_nan_gram_trips_lapacke_check():
     ],
     ids=["info", "count"],
 )
+@needs_openblas
 def test_top_eigenpairs_checks_info_and_count(monkeypatch, stub, message):
-    monkeypatch.setattr(eigsolve, "_dsyevr", lambda: stub)
+    monkeypatch.setattr(eigsolve._openblas(), "dsyevr", stub)
     with pytest.raises(NumericError, match=message):
         top_eigenpairs(_random_gram(SUBSET_MIN_SIDE, seed=2), 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,10 @@ def test_empty_matrix_rejected(tmp_path):
         read_matrix(path)
     with pytest.raises(FormatError):
         write_matrix(np.zeros((0, 3)), tmp_path / "z.cdm")
+    path = tmp_path / "rows0.cdm"
+    path.write_bytes(MAGIC + (0).to_bytes(4, "little") + (3).to_bytes(4, "little"))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: empty matrix of shape (0, 3)")):
+        read_matrix(path)
 
 
 def test_ragged_csv_rejected(tmp_path):
@@ -148,6 +153,8 @@ def test_labels_validation(tmp_path):
     path.write_text("1\n99999999999999999999\n")
     with pytest.raises(FormatError, match="int64 range"):
         read_labels(path)
+    with pytest.raises(DataError, match=re.escape(f"{path}: labels must be 1-d")):
+        write_labels([[0, 1]], path)
 
 
 @pytest.mark.parametrize("line", ["1_0", "+1", "\u0661", "\uff11", "1.0", "0x1", "- 1"])
@@ -268,6 +275,8 @@ def test_domain_pair_validation():
         DomainPair(xs, [0, 1, 0, 1], np.zeros((2, 4)), 2)  # width mismatch
     with pytest.raises(DataError):
         DomainPair(xs, [0, 0, 0, 0], xt, 1)  # single class
+    with pytest.raises(DataError, match="^source labels must be 1-d$"):
+        DomainPair(xs, [[0, 1], [0, 1]], xt, 2)
     with pytest.raises(FormatError, match="^target features: expected a 2-d matrix"):
         DomainPair(xs, [0, 1, 0, 1], np.zeros(3), 2)
     with pytest.raises(FormatError, match="^source features: empty matrix"):
@@ -387,6 +396,12 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     path.write_text("iterations=0\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    path.write_text("pca_dim=0\n")
+    with pytest.raises(ConfigError, match="^pca_dim and subspace_dim must be positive$"):
+        load_config(path)
+    path.write_text("dataset.X.labels=x.txt\n")
+    with pytest.raises(ConfigError, match="^dataset.X: missing features path$"):
+        load_config(path)
     path.write_text("beta=-0.5\n")
     with pytest.raises(ConfigError, match=r"^beta must be non-negative$"):
         load_config(path)
@@ -459,6 +474,12 @@ def test_config_registry_tasks(tmp_path):
         load_domain_pair(config, ("S", "X"))
     with pytest.raises(ConfigError):
         load_domain_pair(config)  # no explicit paths in this file
+    direct = replace(config, source_features=tmp_path / "xs.cdm", source_labels=Path("ys.txt"))
+    with pytest.raises(ConfigError, match="^config does not define target_features$"):
+        load_domain_pair(direct)
+    unlabeled = replace(config, datasets={**config.datasets, "U": DatasetEntry(Path("xt.cdm"))})
+    with pytest.raises(ConfigError, match="^dataset 'U' has no label file, cannot be a source$"):
+        load_domain_pair(unlabeled, ("U", "S"))
 
 
 def _registry_config(*names):

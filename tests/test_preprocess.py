@@ -232,15 +232,25 @@ CROSSOVER_SHAPES = {
 }
 
 
-@pytest.mark.skipif(
-    eigsolve._dsyevr() is None,
-    reason="numpy's bundled OpenBLAS exports no scipy_LAPACKE_dsyevr64_",
+needs_openblas = pytest.mark.skipif(
+    eigsolve._openblas() is None,
+    reason="numpy's linalg library lacks a routine cdem binds",
 )
+
+
+def _counted(monkeypatch, routine):
+    """A list that gains one entry per call of the bound routine."""
+    calls = []
+    routines = eigsolve._openblas()
+    bound = getattr(routines, routine)
+    monkeypatch.setattr(routines, routine, lambda *args: calls.append(1) or bound(*args))
+    return calls
+
+
+@needs_openblas
 @pytest.mark.parametrize("shape", sorted(CROSSOVER_SHAPES))
 def test_subset_solve_scores_match_full_eigh(shape, monkeypatch):
-    calls = []
-    resolve = eigsolve._dsyevr
-    monkeypatch.setattr(eigsolve, "_dsyevr", lambda: calls.append(1) or resolve())
+    calls = _counted(monkeypatch, "dsyevr")
     x = _above_crossover(CROSSOVER_SHAPES[shape])
     z, ref = _pca(x, 128), _full_eigh_scores(x, 128)
     assert calls == [1]
@@ -252,26 +262,19 @@ def test_without_subset_solver_scores_are_full_eigh_bytes(shape, monkeypatch):
     # numpy alone: dsyrk's blocked sums differ from matmul plus add in the
     # last bits, and the kernel's back-transform from eigh's, so the byte
     # pin holds on the fallback Gram and eigensolve only.
-    for routine in ("_dsyevr", "_dsytrd", "_dstedc", "_dormtr"):
-        monkeypatch.setattr(eigsolve, routine, lambda: None)
-    monkeypatch.setattr(preprocess, "_dsyrk", lambda: None)
+    monkeypatch.setattr(eigsolve, "_openblas", lambda: None)
     x = _above_crossover(CROSSOVER_SHAPES[shape])
     assert np.array_equal(_pca(x, 128), _full_eigh_scores(x, 128))
 
 
-@pytest.mark.skipif(
-    preprocess._dsyrk() is None,
-    reason="numpy's bundled OpenBLAS exports no scipy_cblas_dsyrk64_",
-)
+@needs_openblas
 @pytest.mark.parametrize("shape", sorted(CROSSOVER_SHAPES))
 def test_dsyrk_gram_scores_match_the_matmul_fallback(shape, monkeypatch):
-    calls = []
-    resolve = preprocess._dsyrk
-    monkeypatch.setattr(preprocess, "_dsyrk", lambda: calls.append(1) or resolve())
+    calls = _counted(monkeypatch, "dsyrk")
     x = _above_crossover(CROSSOVER_SHAPES[shape])
     z = _pca(x, 128)
-    assert calls == [1]
-    monkeypatch.setattr(preprocess, "_dsyrk", lambda: None)
+    assert calls
+    monkeypatch.setattr(eigsolve, "_openblas", lambda: None)
     ref = _pca(x, 128)
     assert np.abs(z - ref).max() <= 1e-12 * np.abs(ref).max()
 

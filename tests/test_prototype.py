@@ -98,9 +98,9 @@ def test_kmeans_converges_immediately_on_true_centers():
         [centers[0] + 0.1 * rng.standard_normal((20, 2)),
          centers[1] + 0.1 * rng.standard_normal((20, 2))]
     )
-    found, assign, history, _ = _kmeans(z, centers)
+    found, assign, history, _, converged = _kmeans(z, centers)
     assert assign[:20].tolist() == [0] * 20 and assign[20:].tolist() == [1] * 20
-    assert len(history) <= 3
+    assert len(history) <= 3 and converged
     assert np.allclose(found[0], z[:20].mean(axis=0))
 
 
@@ -108,14 +108,14 @@ def test_kmeans_sse_non_increasing():
     rng = np.random.default_rng(24)
     z = rng.standard_normal((80, 3))
     init = rng.standard_normal((4, 3))
-    _, _, history, _ = _kmeans(z, init)
+    _, _, history, _, _ = _kmeans(z, init)
     assert (np.diff(history) <= 1e-9).all()
 
 
 def test_kmeans_empty_cluster_keeps_previous_center():
     z = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
     far = np.array([100.0, 100.0])
-    centers, assign, _, _ = _kmeans(z, np.vstack([[0.0, 0.0], far]))
+    centers, assign, _, _, _ = _kmeans(z, np.vstack([[0.0, 0.0], far]))
     assert assign.tolist() == [0, 0, 0]
     assert np.allclose(centers[1], far)
     assert np.bincount(assign, minlength=2).tolist() == [3, 0]
@@ -124,7 +124,7 @@ def test_kmeans_empty_cluster_keeps_previous_center():
 def test_kmeans_single_cluster_is_global_mean():
     rng = np.random.default_rng(25)
     z = rng.standard_normal((12, 2))
-    centers, assign, _, _ = _kmeans(z, z[:1])
+    centers, assign, _, _, _ = _kmeans(z, z[:1])
     assert np.allclose(centers[0], z.mean(axis=0))
     assert (assign == 0).all()
 
@@ -148,11 +148,11 @@ def test_kmeans_returns_final_centers_distances(monkeypatch, cap):
     rng = np.random.default_rng(26)
     z = np.vstack([c + rng.standard_normal((25, 3)) for c in 3.0 * rng.standard_normal((4, 3))])
     init = rng.standard_normal((4, 3))
-    centers, _, history, dist = _kmeans(z, init)
+    centers, _, history, dist, converged = _kmeans(z, init)
     if cap is None:
-        assert len(history) < prototype.KMEANS_MAX_ITERS  # converged
+        assert len(history) < prototype.KMEANS_MAX_ITERS and converged
     else:
-        assert len(history) == cap
+        assert len(history) == cap and not converged
     assert np.array_equal(dist, squared_distances(z, centers))
 
 
@@ -230,7 +230,7 @@ def test_kmeans_matches_per_cluster_loop(seed):
     z = np.vstack([c + rng.standard_normal((30, 5)) for c in truth])
     # a far center never wins a sample, so its cluster stays empty throughout
     init = np.vstack([truth + rng.standard_normal(truth.shape), np.full(5, 1e3)])
-    centers, assign, history, _ = _kmeans(z, init)
+    centers, assign, history, _, _ = _kmeans(z, init)
     ref_centers, ref_assign, ref_history = _loop_kmeans(z, init)
     assert np.array_equal(assign, ref_assign)
     assert len(history) == len(ref_history)

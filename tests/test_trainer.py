@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdem import preprocess
+import cdem
+from cdem import eigsolve, preprocess
 from cdem.eigsolve import ORTHONORMALITY_BOUND, RESIDUAL_BOUND, FactoredConstraint, top_eigenpairs
 from cdem.errors import ConfigError, DataError, DegenerateDataError
 from cdem.matio import DomainPair, ExperimentConfig, read_matrix
@@ -222,7 +227,8 @@ def test_records_carry_the_solve_residual_and_eigengap():
     assert all(0.0 <= rec.residual <= RESIDUAL_BOUND for rec in records)
     assert all(isinstance(rec.eigengap, float) and rec.eigengap >= 0.0 for rec in records)
     assert all(0.0 <= rec.orthonormality <= ORTHONORMALITY_BOUND for rec in records)
-    assert {"residual", "eigengap", "orthonormality", "kmeans_iters"} <= set(asdict(records[0]))
+    fields = {"residual", "eigengap", "orthonormality", "kmeans_iters", "kmeans_converged"}
+    assert fields <= set(asdict(records[0]))
     # with every component kept there is no theta_{k+1}
     full = run_adaptation(pair, replace(config, subspace_dim=config.pca_dim), labels)
     assert all(rec.eigengap is None for rec in full.records)
@@ -244,6 +250,32 @@ def test_records_count_each_steps_kmeans_iterations(monkeypatch):
     records = run_adaptation(pair, _small_config(pca_dim=10, subspace_dim=4), labels).records
     assert [rec.kmeans_iters for rec in records] == lengths
     assert all(1 <= count <= KMEANS_MAX_ITERS for count in lengths)
+
+
+def test_records_tell_whether_each_steps_kmeans_converged(monkeypatch):
+    import cdem.prototype as prototype_mod
+
+    pair, labels = generate(standard_shift_spec())
+    config = _small_config(pca_dim=10, subspace_dim=4)
+    assert all(rec.kmeans_converged for rec in run_adaptation(pair, config, labels).records)
+    # one pass cannot meet either stopping rule, which compare two passes
+    monkeypatch.setattr(prototype_mod, "KMEANS_MAX_ITERS", 1)
+    records = run_adaptation(pair, config, labels).records
+    assert [(rec.kmeans_iters, rec.kmeans_converged) for rec in records] == [(1, False)] * 5
+
+
+@pytest.mark.parametrize("dims", [40, 700], ids=["kernel", "subset-pca"])
+def test_run_without_openblas_predicts_as_the_native_path(monkeypatch, dims):
+    # numpy's own path throughout: matmul plus add for the PCA Gram and
+    # np.linalg.eigh for every solve.  At 700 features the pair's 640-row
+    # Gram takes dsyevr on the native path.
+    pair, labels = generate(ShiftSpec(n_per_domain=320, dims=dims))
+    config = _small_config(pca_dim=128 if dims > 128 else 10, subspace_dim=4)
+    native = run_adaptation(pair, config, labels)
+    monkeypatch.setattr(eigsolve, "_openblas", lambda: None)
+    fallback = run_adaptation(pair, config, labels)
+    assert len(fallback.records) == len(native.records)
+    assert np.array_equal(fallback.predictions, native.predictions)
 
 
 def test_step_distances_match_a_refit_of_the_embedded_source(monkeypatch):
@@ -439,6 +471,50 @@ def test_prepare_task_peak_memory_below_four_fifths_of_the_pair(n, d, pca_dim, b
     finally:
         tracemalloc.stop()
     assert peak - baseline <= bound * pair_bytes
+
+
+_VMHWM_PROBE = """
+import sys
+import numpy as np
+from cdem.matio import DomainPair, ExperimentConfig
+from cdem.trainer import prepare_task
+
+def vmhwm_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+n, d = int(sys.argv[1]), int(sys.argv[2])
+rng = np.random.default_rng(0)
+pair = DomainPair(rng.standard_normal((n, d)), np.arange(n) % 2, rng.standard_normal((n, d)), 2)
+before = vmhwm_kib()
+prepare_task(pair, ExperimentConfig(pca_dim=128, subspace_dim=2))
+print((vmhwm_kib() - before) * 1024 / (pair.source_x.nbytes + pair.target_x.nbytes))
+"""
+
+
+def _has_vmhwm():
+    try:
+        return "VmHWM:" in Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="/proc/self/status has no VmHWM")
+@pytest.mark.parametrize(
+    "n, d, bound", [(400, 4096, 0.5), (1000, 512, 1.35)], ids=["wide", "tall-k128"]
+)
+def test_prepare_task_peak_rss_growth_in_a_child(n, d, bound):
+    # The resident high-water mark, unlike tracemalloc, also counts what
+    # LAPACK allocates itself (the eigensolve's workspace).  Measured at one
+    # BLAS thread: 0.40 and 1.19 times the pair's bytes.
+    src = str(Path(cdem.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _VMHWM_PROBE, str(n), str(d)],
+        check=True, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert float(done.stdout) <= bound
 
 
 def test_preparing_leaves_the_pair_matrices_unchanged():
