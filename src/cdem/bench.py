@@ -1,9 +1,11 @@
 """Task running, baselines, ablation, grid search, and report emission.
 
 Tasks travel as ``matio.Task`` name pairs and report as ``S-T`` (or
-``task``).  Every command prepares each task once (``trainer.PreparedTask``:
-PCA scores and factored constraint) and runs all of its methods, ablation
-stages and grid points on it.  Tasks are loaded together: each feature and
+``task``).  Every command is one task-major list of runs, each a report
+method on a task under its own config, executed on one pool; each task is
+prepared once (``trainer.PreparedTask``: PCA scores and factored constraint)
+for all of its methods, ablation stages and grid points.  Tasks are loaded
+together: each feature and
 label file is read and checked once, however many tasks name it, and each
 unordered pair of registry domains is prepared once, its two domains taken
 in sorted-name order, in a pool pass before any task runs; a task and its
@@ -21,6 +23,7 @@ byte-identical report files under a fixed BLAS configuration.
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import json
@@ -53,7 +56,6 @@ from .trainer import (
     as_prepared,
     preprocess_rows,
     run_adaptation,
-    task_view,
 )
 
 GRID_VALUES = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
@@ -147,24 +149,18 @@ def run_adaptation_task(
     )
 
 
-def _run_method(
-    pair: PreparedTask,
-    config: ExperimentConfig,
-    eval_labels: np.ndarray | None,
-    task: str,
-    method: str,
-    dump_dir: Path | None = None,
-) -> TaskResult:
-    """One report method: "source-only", "cdem" (the config as given) or an
-    ABLATION_STAGES name (the config with that stage's components)."""
-    if method == "source-only":
-        return run_source_only(pair, config, eval_labels, task=task)
-    stages = dict(ABLATION_STAGES)
-    if method in stages:
-        config = replace(config, components=stages[method])
-    elif method != "cdem":
-        raise ConfigError(f"unknown method {method!r}")
-    return run_adaptation_task(pair, config, eval_labels, task, method, dump_dir)
+@dataclass(frozen=True)
+class _Run:
+    """One pool item: a report method on a task under its config, None for
+    the source-only baseline."""
+
+    task: Task
+    method: str
+    config: ExperimentConfig | None
+
+    def __str__(self) -> str:
+        # perfbench's tracer labels a pool item's spans by str()
+        return task_name(self.task)
 
 
 def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[Task]:
@@ -242,14 +238,16 @@ def load_tasks(
     labels = functools.cache(lambda path: matio.read_labels(path))
     blocks: dict[Task, list[np.ndarray]] = {}
 
-    def check(task: Task) -> tuple[Task, bool, np.ndarray, int, np.ndarray | None]:
+    def check(task: Task) -> tuple[Task, tuple, np.ndarray | None]:
+        """The task's pool key, the PreparedTask fields after the key's
+        ``preprocess_rows`` result, and its evaluation labels."""
         pair = load_domain_pair(config, task, matrix, labels)
         eval_labels = load_eval_labels(config, pair, task, labels)
         swapped = task is not None and task[0] > task[1]
         key = None if task is None else tuple(sorted(task))
         domains = [pair.source_x, pair.target_x]
         blocks.setdefault(key, domains[::-1] if swapped else domains)
-        return key, swapped, pair.source_y, pair.n_classes, eval_labels
+        return key, (pair.source_y, pair.n_classes, config.normalize, not swapped), eval_labels
 
     checked = {task: check(task) for task in dict.fromkeys(tasks)}
     matrix.cache_clear()
@@ -257,9 +255,28 @@ def load_tasks(
     prepare = lambda key: preprocess_rows(*blocks.pop(key), config)
     rows = dict(zip(keys, _parallel_map(prepare, keys)))
     return {
-        task: (task_view(rows[key], source_y, n_classes, config, not swapped), eval_labels)
-        for task, (key, swapped, source_y, n_classes, eval_labels) in checked.items()
+        task: (PreparedTask(*rows[key], *fields), eval_labels)
+        for task, (key, fields, eval_labels) in checked.items()
     }
+
+
+def _run_all(
+    config: ExperimentConfig,
+    loaded: dict[Task, tuple[PreparedTask, np.ndarray | None]],
+    runs: list[_Run],
+    dump_dir: Path | None = None,
+) -> list[TaskResult]:
+    """Every run on its task's ``load_tasks`` entry, on one pool
+    (CDEM_THREADS caps workers); results in run order."""
+
+    def one(run: _Run) -> TaskResult:
+        prepared, eval_labels = loaded[run.task]
+        name = task_name(run.task)
+        if run.config is None:
+            return run_source_only(prepared, config, eval_labels, name)
+        return run_adaptation_task(prepared, run.config, eval_labels, name, run.method, dump_dir)
+
+    return _parallel_map(one, runs)
 
 
 def run_task_suite(
@@ -268,23 +285,24 @@ def run_task_suite(
     methods: Sequence[str] = ("cdem",),
     dump_dir: Path | None = None,
 ) -> list[TaskResult]:
-    """Run every method (see _run_method) on every task, in that order,
-    parallelized across tasks (CDEM_THREADS caps workers).  Each task is
-    prepared once for all of its methods (see ``load_tasks``).
+    """Every method on every task, in that order, as one list of runs on the
+    pool (CDEM_THREADS caps workers).  A method is "source-only", "cdem" (the
+    config as given) or an ABLATION_STAGES name (the config with that stage's
+    components); an unknown one raises before any file is read.  Each task
+    is prepared once for all of its methods (see ``load_tasks``).
 
     dump_dir, when given, receives each adaptation run's per-step matrices.
     Their file names carry neither task nor method, so pass it with a single
     task and a single adaptation method only.
     """
+    known = {"source-only": None, "cdem": config}
+    known.update((name, replace(config, components=parts)) for name, parts in ABLATION_STAGES)
+    for method in methods:
+        if method not in known:
+            raise ConfigError(f"unknown method {method!r}")
     loaded = load_tasks(config, tasks)
-
-    def one_task(task: Task) -> list[TaskResult]:
-        prepared, eval_labels = loaded[task]
-        name = task_name(task)
-        return [_run_method(prepared, config, eval_labels, name, m, dump_dir) for m in methods]
-
-    chunks = _parallel_map(one_task, tasks)
-    return [result for chunk in chunks for result in chunk]
+    runs = [_Run(task, method, known[method]) for task in tasks for method in methods]
+    return _run_all(config, loaded, runs, dump_dir)
 
 
 def run_grid(
@@ -295,9 +313,9 @@ def run_grid(
 ) -> list[tuple[dict[str, float], float]]:
     """Sweep the standard grid over the named weights; score by mean accuracy.
 
-    Requires evaluation labels for every task.  The tasks are swept one
-    after another, each prepared once and run at every grid point
-    (parallelized across points, CDEM_THREADS caps workers).
+    Requires evaluation labels for every task.  Each task is prepared once
+    and run at every grid point, all as one list of runs on the pool
+    (CDEM_THREADS caps workers).
     Returns (assignment, mean accuracy over the tasks) per grid point, in
     deterministic sweep order.
     """
@@ -314,22 +332,13 @@ def run_grid(
         dict(zip(param_names, combo))
         for combo in itertools.product(values, repeat=len(param_names))
     ]
-
-    def sweep(task: Task) -> list[float | None]:
-        prepared, eval_labels = loaded[task]
-
-        def one_point(assignment: dict[str, float]) -> float | None:
-            fields = {WEIGHT_KEYS[k]: v for k, v in assignment.items()}
-            point_config = replace(config, **fields)
-            result = run_adaptation_task(prepared, point_config, eval_labels, task_name(task))
-            return result.accuracy
-
-        return _parallel_map(one_point, points)
-
-    per_task = [sweep(task) for task in tasks]
+    configs = [replace(config, **{WEIGHT_KEYS[k]: v for k, v in p.items()}) for p in points]
+    runs = [_Run(task, "cdem", cfg) for task in tasks for cfg in configs]
+    accs = [result.accuracy for result in _run_all(config, loaded, runs)]
+    # task-major: point i's accuracies are every len(points)-th from i
     return [
-        (assignment, float(np.mean([a for a in accs if a is not None])))
-        for assignment, accs in zip(points, zip(*per_task))
+        (assignment, float(np.mean(accs[i :: len(points)])))
+        for i, assignment in enumerate(points)
     ]
 
 
@@ -362,18 +371,18 @@ def emit_report(results: list[TaskResult], out_dir: str | Path) -> dict[str, Pat
         if res.method not in methods:
             methods.append(res.method)
 
-    csv_lines = ["task,method,accuracy"]
-    for res in results:
-        acc = "" if res.accuracy is None else f"{res.accuracy:.1f}"
-        csv_lines.append(f"{res.task},{res.method},{acc}")
+    one_decimal = lambda acc: "" if acc is None else f"{acc:.1f}"
+    rows = [("task", "method", "accuracy")]
+    rows += [(res.task, res.method, one_decimal(res.accuracy)) for res in results]
     averages: dict[str, float | None] = {}
     for method in methods:
         accs = [r.accuracy for r in results if r.method == method and r.accuracy is not None]
         averages[method] = float(np.mean(accs)) if accs else None
-        acc = "" if averages[method] is None else f"{averages[method]:.1f}"
-        csv_lines.append(f"average,{method},{acc}")
+        rows.append(("average", method, one_decimal(averages[method])))
     csv_path = out / "report.csv"
-    csv_path.write_text("\n".join(csv_lines) + "\n")
+    # csv quotes a task or method name that holds a comma or a quote
+    with csv_path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
     payload = {
         "results": [

@@ -308,7 +308,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for lineno, key, value in read_key_values(path):
         if key.startswith("dataset."):
             parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in ("features", "labels"):
+            if len(parts) != 3 or not parts[1] or parts[2] not in ("features", "labels"):
                 raise ConfigError(f"line {lineno}: bad dataset key {key!r}")
             name = parts[1]
             entry = datasets.setdefault(name, DatasetEntry(features=Path()))

@@ -75,11 +75,6 @@ def class_probabilities(distances: np.ndarray) -> np.ndarray:
     return p
 
 
-def nearest_center_labels(centers: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Hard assignment to the closest center (ties go to the lower index)."""
-    return np.argmin(squared_distances(features, centers), axis=1).astype(np.int64)
-
-
 def target_kmeans(
     features: np.ndarray, init_centers: np.ndarray, init_distances: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray, bool]:

@@ -51,7 +51,6 @@ from .prototype import (
     class_moments,
     class_probabilities,
     fit_prototypes,
-    nearest_center_labels,
     squared_distances,
     target_kmeans,
 )
@@ -107,16 +106,18 @@ class AdaptationResult:
 class PreparedTask:
     """What every run on one task shares: the read-only PCA scores of both
     domains (``features``, m columns, the two blocks in the order they were
-    prepared, the source block first when ``source_first``), the source
-    labels and the factored constraint B = X'HX of the features.
+    prepared, the source block first when ``source_first``), the factored
+    constraint B = X'HX of the features and the source labels.
     ``normalize`` records whether the rows were scaled to unit length; m is
-    the ``pca_dim`` they were prepared with."""
+    the ``pca_dim`` they were prepared with.  The first two fields are a
+    ``preprocess_rows`` result, so ``PreparedTask(*preprocess_rows(...),
+    ...)`` builds one."""
 
     features: np.ndarray
+    constraint: FactoredConstraint
     source_y: np.ndarray
     n_classes: int
     normalize: bool
-    constraint: FactoredConstraint
     source_first: bool
 
     @property
@@ -161,33 +162,13 @@ def preprocess_rows(
     return features, assemble_operands(features)
 
 
-def task_view(
-    rows: tuple[np.ndarray, FactoredConstraint],
-    source_y: np.ndarray,
-    n_classes: int,
-    config: ExperimentConfig,
-    source_first: bool,
-) -> PreparedTask:
-    """The task on a ``preprocess_rows`` result whose source, labeled
-    source_y, is its first row block when source_first, else its last."""
-    features, constraint = rows
-    return PreparedTask(
-        features=features,
-        source_y=source_y,
-        n_classes=n_classes,
-        normalize=config.normalize,
-        constraint=constraint,
-        source_first=source_first,
-    )
-
-
 def prepare_task(pair: DomainPair, config: ExperimentConfig) -> PreparedTask:
     """Prepare pair, whose own matrices are left unchanged, once for any
     number of runs that share its pca_dim and normalize settings."""
     check_finite(pair.source_x, "source features")
     check_finite(pair.target_x, "target features")
     rows = preprocess_rows(pair.source_x, pair.target_x, config)
-    return task_view(rows, pair.source_y, pair.n_classes, config, source_first=True)
+    return PreparedTask(*rows, pair.source_y, pair.n_classes, config.normalize, source_first=True)
 
 
 def as_prepared(task: DomainPair | PreparedTask, config: ExperimentConfig) -> PreparedTask:
@@ -219,7 +200,8 @@ def evaluate_cross_domain_errors(
     source, target = task.source_rows, task.target_rows
     counts, sums = class_moments(z[target], pseudo_labels, task.n_classes)
     classes_t = np.flatnonzero(counts)
-    target_model = classes_t[nearest_center_labels(sums[classes_t] / counts[classes_t, None], z)]
+    target_centers = sums[classes_t] / counts[classes_t, None]
+    target_model = classes_t[squared_distances(z, target_centers).argmin(axis=1)]
     source_model = np.argmin(to_source, axis=1)
     y_target_ref = pseudo_labels if eval_labels is None else eval_labels
     return CrossDomainErrors(

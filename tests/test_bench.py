@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import tracemalloc
@@ -189,8 +190,10 @@ def test_run_task_suite_from_files(tmp_path):
     results = bench.run_task_suite(config, [None], ["source-only", "cdem"])
     assert [r.method for r in results] == ["source-only", "cdem"]
     assert all(r.accuracy is not None for r in results)
+    # raised before any file is read: this source file does not exist
+    missing = replace(config, source_features=tmp_path / "missing.cdm")
     with pytest.raises(ConfigError, match="unknown method 'bogus'"):
-        bench.run_task_suite(config, [None], ["bogus"])
+        bench.run_task_suite(missing, [None], ["cdem", "bogus"])
 
 
 def test_run_task_suite_parallel_registry(tmp_path, monkeypatch):
@@ -327,6 +330,18 @@ def test_emit_report_handles_missing_accuracy(tmp_path):
     assert lines[2] == "average,cdem,"
     payload = json.loads(paths["json"].read_text())
     assert payload["average"]["cdem"] is None
+
+
+def test_report_csv_quotes_a_name_with_a_comma(tmp_path):
+    # "a,b" is a legal registry name, so "a,b-c" is a legal task name
+    result = bench.TaskResult(
+        task="a,b-c", method="cdem", accuracy=50.0, predictions=np.zeros(4, dtype=np.int64)
+    )
+    with bench.emit_report([result], tmp_path)["csv"].open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["task", "method", "accuracy"], ["a,b-c", "cdem", "50.0"], ["average", "cdem", "50.0"]
+    ]
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -138,25 +138,39 @@ def _three_domain_registry(root, rows=60, dims=10, settings=("pca_dim=8", "subsp
     return root / "config.txt"
 
 
+# argv after the command name -> files written for the six tasks of
+# `--task all`: report.csv and report.json, each task's predictions and,
+# for an adaptation method, its embedding; grid writes grid.csv alone
+_WORKER_COMMANDS = {
+    ("run",): 2 + 6 * 2,
+    ("baseline",): 2 + 6,
+    ("run", "--ablation", "--with-baseline"): 2 + 6 * (1 + 4 * 2),
+    ("grid", "--params", "beta"): 1,
+}
+
+
 def test_reports_identical_across_task_workers(tmp_path):
     # "wide": each pair stacks 640 rows of 700 features, so every pair's PCA
     # takes LAPACK's subset solve (default pca_dim=128), and at 3 workers
-    # the pair pool makes concurrent calls into it.
-    for registry, shape in (("small", {}), ("wide", {"rows": 320, "dims": 700, "settings": ()})):
+    # the pair pool makes concurrent calls into it.  That pair pass is the
+    # same for every command, so the wide registry runs the first two only.
+    wide = {"rows": 320, "dims": 700, "settings": ()}
+    for registry, shape, commands in (("small", {}, 4), ("wide", wide, 2)):
         (tmp_path / registry).mkdir()
         config = _three_domain_registry(tmp_path / registry, **shape)
-        for command in ("run", "baseline"):
+        chosen = list(_WORKER_COMMANDS.items())[:commands]
+        for index, ((command, *flags), files) in enumerate(chosen):
             reports = []
             for workers in ("1", "3"):
-                out = tmp_path / registry / f"{command}{workers}"
+                out = tmp_path / registry / f"{index}-{workers}"
                 env = _child_env(OPENBLAS_NUM_THREADS="1", CDEM_THREADS=workers)
                 subprocess.run(
-                    [sys.executable, "-m", "cdem.cli", command, "--config", str(config),
+                    [sys.executable, "-m", "cdem.cli", command, *flags, "--config", str(config),
                      "--task", "all", "--out", str(out)],
                     check=True, env=env, stdout=subprocess.DEVNULL, timeout=120,
                 )
                 reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-            assert len(reports[0]) > 2
+            assert len(reports[0]) == files
             assert reports[0] == reports[1]
 
 

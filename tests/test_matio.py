@@ -402,6 +402,11 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     path.write_text("dataset.X.labels=x.txt\n")
     with pytest.raises(ConfigError, match="^dataset.X: missing features path$"):
         load_config(path)
+    # an empty name would register tasks "-X" and "X-"
+    for key in ("dataset.X.weights", "dataset.X", "dataset..features"):
+        path.write_text(f"dataset.X.features=x.cdm\n{key}=x.txt\n")
+        with pytest.raises(ConfigError, match=f"^line 2: bad dataset key {key!r}$"):
+            load_config(path)
     path.write_text("beta=-0.5\n")
     with pytest.raises(ConfigError, match=r"^beta must be non-negative$"):
         load_config(path)

@@ -581,47 +581,50 @@ def test_cross_domain_errors_against_truth():
     assert errors.source_model_on_target == 0.0
 
 
-def _metamorphic_task(seed, dims):
+def _metamorphic_task(seed, dims, subspace_dim):
     """A 4-class task whose class margins leave no near-ties to flip."""
     spec = ShiftSpec(
         classes=4, n_per_domain=120, dims=dims, separation=6.0,
         rotation_deg=20.0, translation=(1.0, -1.0, 0.5), noise_scale=0.3, seed=seed,
     )
     pair, labels = generate(spec)
-    config = _small_config(pca_dim=12, subspace_dim=6, iterations=5)
+    config = _small_config(pca_dim=12, subspace_dim=subspace_dim, iterations=5)
     predictions = run_adaptation(pair, config, labels).predictions
     assert np.unique(predictions).size == pair.n_classes
     return pair, config, predictions
 
 
-# (seed, dims): the 240 stacked rows put PCA on its tall side with 20 feature
-# columns and on its wide side with 300
-METAMORPHIC_TASKS = [pytest.param(seed, 20, id=str(seed)) for seed in range(4)] + [
-    pytest.param(seed, 300, id=f"wide-{seed}") for seed in range(4)
-]
+# (seed, dims, subspace_dim): the 240 stacked rows put PCA on its tall side
+# with 20 feature columns and on its wide side with 300; a subspace of 4 has
+# exactly as many axes as there are classes
+METAMORPHIC_TASKS = (
+    [pytest.param(seed, 20, 6, id=str(seed)) for seed in range(4)]
+    + [pytest.param(seed, 300, 6, id=f"wide-{seed}") for seed in range(4)]
+    + [pytest.param(seed, 20, 4, id=f"k4-{seed}") for seed in range(8)]
+)
 
 
-@pytest.mark.parametrize("seed, dims", METAMORPHIC_TASKS)
-def test_permuting_target_rows_permutes_predictions(seed, dims):
-    pair, config, predictions = _metamorphic_task(seed, dims)
+@pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
+def test_permuting_target_rows_permutes_predictions(seed, dims, subspace_dim):
+    pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
     perm = np.random.default_rng(seed).permutation(pair.n_target)
     moved = DomainPair(pair.source_x, pair.source_y, pair.target_x[perm], pair.n_classes)
     assert np.array_equal(run_adaptation(moved, config).predictions, predictions[perm])
 
 
-@pytest.mark.parametrize("seed, dims", METAMORPHIC_TASKS)
-def test_permuting_class_ids_permutes_labels(seed, dims):
-    pair, config, predictions = _metamorphic_task(seed, dims)
+@pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
+def test_permuting_class_ids_permutes_labels(seed, dims, subspace_dim):
+    pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
     ids = np.random.default_rng(seed).permutation(pair.n_classes)
     renamed = DomainPair(pair.source_x, ids[pair.source_y], pair.target_x, pair.n_classes)
     assert np.array_equal(run_adaptation(renamed, config).predictions, ids[predictions])
 
 
-@pytest.mark.parametrize("seed, dims", METAMORPHIC_TASKS)
-def test_rotating_and_translating_features_keeps_predictions(seed, dims):
+@pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
+def test_rotating_and_translating_features_keeps_predictions(seed, dims, subspace_dim):
     # PCA and the eigensolver fix each axis's sign from the data, so the
     # rotated run may flip axes; distances, and so labels, cannot change
-    pair, config, predictions = _metamorphic_task(seed, dims)
+    pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
     rng = np.random.default_rng(seed)
     d = pair.source_x.shape[1]
     rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
