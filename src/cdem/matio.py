@@ -25,7 +25,6 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .objectives import KNOWN_COMPONENTS
 
 MAGIC = b"CDM1"
 _HEADER = struct.Struct("<4sII")
@@ -66,16 +65,17 @@ def _read_binary_matrix(f: BinaryIO, header: bytes, context: str) -> np.ndarray:
 
 
 def read_text(path: str | Path) -> str:
-    """A text file's contents; bytes that are not UTF-8 raise FormatError."""
+    """A text file's contents, without a leading UTF-8 byte-order mark;
+    bytes that are not UTF-8 raise FormatError."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
 
 
 def _read_csv_matrix(raw: bytes, context: str) -> np.ndarray:
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{context}: not a CDM1 container and not UTF-8 text") from exc
     rows: list[list[float]] = []
@@ -240,7 +240,6 @@ class ExperimentConfig:
     eta: float = 0.1
     delta: float = 1.0
     normalize: bool = True
-    components: tuple[str, ...] = KNOWN_COMPONENTS
     datasets: dict[str, DatasetEntry] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -258,11 +257,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if not self.components:
-            raise ConfigError(f"components is empty; choose from {list(KNOWN_COMPONENTS)}")
-        bad = [c for c in self.components if c not in KNOWN_COMPONENTS]
-        if bad:
-            raise ConfigError(f"unknown components: {bad}")
 
 
 _BOOL_KEYS = {"normalize"}
@@ -331,8 +325,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"line {lineno}: {key} must be a number") from exc
         elif key in _BOOL_KEYS:
             kwargs[key] = _parse_bool(value, key)
-        elif key == "components":
-            kwargs[key] = tuple(tok.strip() for tok in value.split(",") if tok.strip())
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     for name, entry in datasets.items():

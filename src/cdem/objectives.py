@@ -50,8 +50,6 @@ from .prototype import class_moments
 if TYPE_CHECKING:
     from .matio import ExperimentConfig
 
-# The objective blocks a config's ``components`` switch on and off (``term_weights``).
-KNOWN_COMPONENTS = ("erm", "da", "cde", "dfl")
 # The terms A is a weighted sum of, in the order ``term_weights`` lists them.
 TERMS = ("within_class", "center_push", "mmd", "cross_st", "cross_ts", "laplacian")
 
@@ -105,11 +103,10 @@ def term_weights(config: ExperimentConfig) -> dict[str, float]:
     The empirical block (erm) is within_class - beta * center_push;
     distribution alignment (da) adds lam * mmd, the cross-domain push (cde)
     -gamma * (cross_st + cross_ts) and the affinity Laplacian (dfl)
-    eta * laplacian.  A component config leaves out weighs its terms by 0.
+    eta * laplacian.  A block is left out by a zero weight.
     """
-    erm, da, cde, dfl = (float(name in config.components) for name in KNOWN_COMPONENTS)
-    cross = -config.gamma * cde
-    weights = (erm, -config.beta * erm, config.lam * da, cross, cross, config.eta * dfl)
+    cross = -config.gamma
+    weights = (1.0, -config.beta, config.lam, cross, cross, config.eta)
     return dict(zip(TERMS, weights))
 
 

@@ -10,15 +10,16 @@ the label-free constraint B = X'HX once.  A ``PreparedTask`` is a view of that
 prepared pair: its ``source`` and ``target`` are row slices of the scores, in
 whichever order the two blocks were passed, so a task and its reverse share
 one pair.  Methods, ablation stages and grid points that differ only in
-their weights or components share one ``PreparedTask``.  ``run_adaptation``
-bootstraps pseudo labels from a source-only prototype classifier on the
-scores X, then works in whitened coordinates Y = XW, W = L^-T from the
-constraint's Cholesky factor: it forms Y once per run, computes the
-source-side moments of the objective on Y, and alternates for a fixed
-number of steps between (a) solving the eigenproblem whose operand W'AW is
-built from those moments, the selected target rows of Y and their pseudo
-labels, and (b) refreshing pseudo labels and the curriculum selection in
-the new subspace, whose embedding YU equals XP.  True target labels never
+their weights (an ablation stage zeroes some of them) share one
+``PreparedTask``.  ``run_adaptation`` bootstraps pseudo labels from the
+source-only prototype classifier on the scores X (``source_probabilities``,
+which is also the source-only baseline), then works in whitened coordinates
+Y = XW, W = L^-T from the constraint's Cholesky factor: it forms Y once per
+run, computes the source-side moments of the objective on Y, and alternates
+for a fixed number of steps between (a) solving the eigenproblem whose
+operand W'AW is built from those moments, the selected target rows of Y and
+their pseudo labels, and (b) refreshing pseudo labels and the curriculum
+selection in the new subspace, whose embedding YU equals XP.  True target labels never
 enter any of these steps; when provided they are used solely to score
 predictions per step."""
 
@@ -171,18 +172,32 @@ def prepare_task(pair: DomainPair, config: ExperimentConfig) -> PreparedTask:
     return PreparedTask(*rows, pair.source_y, pair.n_classes, config.normalize, source_first=True)
 
 
-def as_prepared(task: DomainPair | PreparedTask, config: ExperimentConfig) -> PreparedTask:
+def as_prepared(
+    task: DomainPair | PreparedTask,
+    config: ExperimentConfig,
+    eval_labels: np.ndarray | None = None,
+) -> tuple[PreparedTask, np.ndarray | None]:
     """task itself when already prepared (with config's pca_dim and
-    normalize), else ``prepare_task(task, config)``."""
+    normalize), else ``prepare_task(task, config)``; and eval_labels checked
+    against it (see ``validate_eval_labels``), None staying None."""
     if isinstance(task, DomainPair):
-        return prepare_task(task, config)
+        task = prepare_task(task, config)
     prepared_as = (task.features.shape[1], task.normalize)
     if prepared_as != (config.pca_dim, config.normalize):
         raise ConfigError(
             f"task prepared with (pca_dim, normalize) = {prepared_as}, config asks for "
             f"{(config.pca_dim, config.normalize)}"
         )
-    return task
+    if eval_labels is not None:
+        eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")
+    return task, eval_labels
+
+
+def source_probabilities(task: PreparedTask) -> np.ndarray:
+    """The source-only classifier: class probabilities of the target rows
+    under the source class prototypes of the prepared features."""
+    centers = fit_prototypes(task.source, task.source_y, task.n_classes)
+    return class_probabilities(squared_distances(task.target, centers))
 
 
 def evaluate_cross_domain_errors(
@@ -247,18 +262,14 @@ def run_adaptation(
 ) -> AdaptationResult:
     """Full alternating run on a pair, prepared here, or on a task prepared
     beforehand; returns exactly config.iterations records."""
-    task = as_prepared(pair, config)
-    if eval_labels is not None:
-        eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")
+    task, eval_labels = as_prepared(pair, config, eval_labels)
     weights = term_weights(config)
     total = config.iterations
     source, target = task.source_rows, task.target_rows
 
-    # Bootstrap in the identity projection: source prototypes classify the
-    # preprocessed targets, and that one distribution stands for both
-    # classifiers.
-    centers = fit_prototypes(task.source, task.source_y, task.n_classes)
-    p_source = class_probabilities(squared_distances(task.target, centers))
+    # Bootstrap in the identity projection: the source-only classifier's
+    # distribution stands for both classifiers.
+    p_source = source_probabilities(task)
     table = combined_pseudo_labels(p_source, p_source, 1, total)
     state = curriculum.select(table, 1, total)
     prev_labels = table.label

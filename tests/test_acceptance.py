@@ -190,14 +190,15 @@ def test_synthetic_adaptation_beats_baseline():
     pair, labels = generate(standard_shift_spec())
     config = _reference_config()
     baseline = bench.run_source_only(pair, config, labels)
-    adapted = bench.run_adaptation_task(pair, config, labels)
+    adapted = bench.run_adaptation(pair, config, labels)
     elapsed = time.perf_counter() - start
-    gain = adapted.accuracy - baseline.accuracy
-    ok = adapted.accuracy >= 95.0 and gain >= 10.0 and elapsed < 30.0
+    accuracy = bench.accuracy_pct(adapted.predictions, labels)
+    gain = accuracy - baseline.accuracy
+    ok = accuracy >= 95.0 and gain >= 10.0 and elapsed < 30.0
     _verdict(
         "synthetic-adaptation",
         ok,
-        f"baseline {baseline.accuracy:.1f}%, adapted {adapted.accuracy:.1f}%, "
+        f"baseline {baseline.accuracy:.1f}%, adapted {accuracy:.1f}%, "
         f"gain {gain:.1f} (needs >= 10.0 and >= 95.0%), {elapsed:.2f}s",
     )
 
@@ -205,14 +206,13 @@ def test_synthetic_adaptation_beats_baseline():
 def test_ablation_means_monotone():
     config = _reference_config()
     sums = np.zeros(len(bench.ABLATION_STAGES))
+    configs = [replace(config, **dict.fromkeys(off, 0.0)) for _, off in bench.ABLATION_STAGES]
     seeds = range(5)
     for seed in seeds:
         pair, labels = generate(standard_shift_spec(seed=seed))
         sums += np.array([
-            bench.run_adaptation_task(
-                pair, replace(config, components=components), labels, method=name
-            ).accuracy
-            for name, components in bench.ABLATION_STAGES
+            bench.accuracy_pct(bench.run_adaptation(pair, stage, labels).predictions, labels)
+            for stage in configs
         ])
     means = sums / len(list(seeds))
     ok = bool(np.all(np.diff(means) >= -1e-9))

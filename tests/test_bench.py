@@ -26,7 +26,7 @@ from cdem.matio import (
     write_matrix,
 )
 from cdem.synth import ShiftSpec, generate, write_dataset
-from cdem.trainer import AdaptationResult, preprocess_rows
+from cdem.trainer import AdaptationResult, as_prepared, preprocess_rows, run_adaptation
 
 
 def _separable_pair(seed=0, n=40, dims=4):
@@ -41,6 +41,12 @@ def _fast_config(**over):
     base = dict(pca_dim=4, subspace_dim=2, iterations=3, delta=0.1)
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def _adapted(pair, config, labels):
+    """The TaskResult of a "cdem" run on pair under config, named "demo" and
+    built by the one function every command's runs go through."""
+    return bench._task_result("demo", "cdem", config, *as_prepared(pair, config, labels))
 
 
 def test_source_only_result():
@@ -69,7 +75,7 @@ def test_source_only_result():
 def test_source_only_checks_eval_labels_as_adaptation_does(labels, message):
     pair, _ = generate(ShiftSpec(classes=3, n_per_domain=60, dims=6, separation=6.0, seed=3))
     config = _fast_config()
-    for run in (bench.run_source_only, bench.run_adaptation_task):
+    for run in (bench.run_source_only, run_adaptation):
         with pytest.raises(DataError, match=message):
             run(pair, config, labels)
 
@@ -162,23 +168,32 @@ def test_expand_tasks():
         bench.expand_tasks(empty, ["all"])
 
 
-def test_ablation_stage_order():
-    pair, labels = _separable_pair(seed=1)
-    config = _fast_config()
-    assert [name for name, _ in bench.ABLATION_STAGES] == ["erm", "erm+da", "erm+da+cde", "full"]
-    for name, components in bench.ABLATION_STAGES:
-        r = bench.run_adaptation_task(
-            pair, replace(config, components=components), labels, task="demo", method=name
-        )
-        assert r.method == name
-        assert r.trace is not None
-        assert len(r.trace.records) == 3
+def test_ablation_stage_order(tmp_path):
+    spec = ShiftSpec(classes=3, n_per_domain=40, dims=6, separation=6.0, seed=1)
+    paths = write_dataset(spec, tmp_path)
+    config = replace(load_config(paths["config"]), pca_dim=4, subspace_dim=2, iterations=3)
+    names = [name for name, _ in bench.ABLATION_STAGES]
+    assert names == ["erm", "erm+da", "erm+da+cde", "full"]
+    zeroed = [off for _, off in bench.ABLATION_STAGES]
+    assert zeroed == [("lam", "gamma", "eta"), ("gamma", "eta"), ("eta",), ()]
+    results = bench.run_task_suite(config, [None], ["cdem", *names])
+    assert [r.method for r in results] == ["cdem", *names]
+    pair = bench.load_domain_pair(config)
+    labels = read_labels(paths["target_labels"])
+    for result, off in zip(results[1:], zeroed):
+        assert result.trace is not None and len(result.trace.records) == 3
+        # each stage is the config with its weights set to 0, run as usual
+        alone = run_adaptation(pair, replace(config, **dict.fromkeys(off, 0.0)), labels)
+        assert np.array_equal(result.predictions, alone.predictions)
+        assert np.array_equal(result.trace.projection, alone.projection)
+    # the full stage is the config as given
+    assert np.array_equal(results[-1].trace.projection, results[0].trace.projection)
 
 
 def test_adaptation_task_beats_chance():
     pair, labels = _separable_pair(seed=2)
-    result = bench.run_adaptation_task(pair, _fast_config(), labels, task="demo")
-    assert result.method == "cdem"
+    result = _adapted(pair, _fast_config(), labels)
+    assert result.task == "demo" and result.method == "cdem"
     assert result.accuracy is not None and result.accuracy > 80.0
     assert result.trace is not None
 
@@ -255,7 +270,7 @@ def test_emit_report_contents(tmp_path):
     config = _fast_config()
     results = [
         bench.run_source_only(pair, config, labels, task="demo"),
-        bench.run_adaptation_task(pair, config, labels, task="demo"),
+        _adapted(pair, config, labels),
     ]
     paths = bench.emit_report(results, tmp_path / "report")
     csv_lines = paths["csv"].read_text().splitlines()
@@ -351,12 +366,26 @@ def test_reports_are_deterministic(tmp_path):
     for name in ("one", "two"):
         results = [
             bench.run_source_only(pair, config, labels, task="demo"),
-            bench.run_adaptation_task(pair, config, labels, task="demo"),
+            _adapted(pair, config, labels),
         ]
         paths = bench.emit_report(results, tmp_path / name)
         outputs.append((paths["csv"].read_bytes(), paths["json"].read_bytes()))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+
+
+def test_json_default_rejects_what_is_not_numpy():
+    assert json.dumps([np.arange(2), np.float64(0.5)], default=bench._numpy_to_json) == (
+        "[[0, 1], 0.5]"
+    )
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        json.dumps({"x": object()}, default=bench._numpy_to_json)
+
+
+def test_run_prints_as_its_task_name():
+    # perfbench's tracer labels a pool item's spans by str()
+    assert str(bench._Run(("A", "B"), "cdem", None)) == "A-B"
+    assert str(bench._Run(None, "source-only", None)) == "task"
 
 
 def test_safe_name_sanitizes():

@@ -134,6 +134,8 @@ def test_invalid_inputs():
         solve_generalized(a, factor_constraint(np.eye(4)), 1)
     with pytest.raises(ConfigError):
         factor_constraint(skew)
+    with pytest.raises(ConfigError, match=r"^B must be square, got \(2, 3\)$"):
+        factor_constraint(np.ones((2, 3)))
     with pytest.raises(ConfigError):
         factor_constraint(np.eye(3), b_shift=-1.0)
 
@@ -265,6 +267,15 @@ def test_residual_gate(monkeypatch):
     rng = np.random.default_rng(16)
     a = rng.standard_normal((6, 6))
     with pytest.raises(NumericError, match=r"^eigensolver residual .* exceeds 1e-06$"):
+        _solve(a + a.T, factor_constraint(np.eye(6)), 3)
+
+    def not_a_number(mat, k, largest):
+        values, vectors = exact(mat, k, largest)
+        vectors[0, 0] = np.nan
+        return values, vectors
+
+    monkeypatch.setattr(eigsolve, "_kept_eigenpairs", not_a_number)
+    with pytest.raises(NumericError, match=r"^eigensolver produced non-finite residuals$"):
         _solve(a + a.T, factor_constraint(np.eye(6)), 3)
 
 

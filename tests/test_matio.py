@@ -29,6 +29,7 @@ from cdem.matio import (
     write_labels,
     write_matrix,
 )
+from cdem.synth import parse_shift_spec
 from cdem.trainer import run_adaptation
 
 
@@ -185,13 +186,31 @@ def test_non_utf8_text_rejected(tmp_path):
         load_config(config)
 
 
+# kind -> (reader, text, a function of what it read that compares by ==)
+_BOM_INPUTS = {
+    "labels": (read_labels, "0\n2\n1\n", lambda labels: labels.tolist()),
+    "config": (load_config, "pca_dim=5\nsubspace_dim=2\n", lambda config: config),
+    "shift-spec": (parse_shift_spec, "classes=3\nseed=7\n", lambda spec: spec),
+    "matrix-csv": (read_matrix, "1.5,2\n-3,4e-2\n", lambda matrix: matrix.tolist()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BOM_INPUTS))
+def test_leading_byte_order_mark_is_ignored(tmp_path, kind):
+    reader, text, value = _BOM_INPUTS[kind]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes("\ufeff".encode() + text.encode())
+    assert value(reader(marked)) == value(reader(plain))
+
+
 _FUZZ_SEEDS = {
     "labels": (read_labels, "".join(f"{i % 7}\n" for i in range(40)).encode()),
     "config": (
         load_config,
         b"source_features=s.cdm\nsource_labels=s.txt\ntarget_features=t.cdm\n"
         b"pca_dim=10\nsubspace_dim=4\niterations=5\nbeta=0.1\nlambda=0.2\n"
-        b"normalize=true\ncomponents=erm,da\ndataset.A.features=a.cdm\n",
+        b"normalize=true\ngamma=0.0\neta=0.3\ndataset.A.features=a.cdm\n",
     ),
     "matrix-cdm1": (
         read_matrix,
@@ -410,13 +429,8 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     path.write_text("beta=-0.5\n")
     with pytest.raises(ConfigError, match=r"^beta must be non-negative$"):
         load_config(path)
-    path.write_text("components=\n")
-    with pytest.raises(ConfigError, match=r"^components is empty"):
-        load_config(path)
-    with pytest.raises(ConfigError, match=r"^components is empty"):
-        ExperimentConfig(components=())
     for removed in ("joint_pca", "kmeans_warm_start", "legacy_beta_prefactor",
-                    "include_unselected_in_m0", "seed"):
+                    "include_unselected_in_m0", "seed", "components"):
         path.write_text(f"{removed}=true\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
@@ -438,7 +452,7 @@ def test_readme_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("Remaining keys and defaults:", 1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"^\| `([a-z_]+)` \|", table, flags=re.MULTILINE))
-    accepted = _INT_KEYS | set(WEIGHT_KEYS) | _BOOL_KEYS | {"components"}
+    accepted = _INT_KEYS | set(WEIGHT_KEYS) | _BOOL_KEYS
     assert listed == accepted
 
 

@@ -162,16 +162,22 @@ def test_compose_distribution_only():
     assert np.allclose(parts.combined, parts.within_class + parts.mmd)
 
 
+def _stage_config(params, stage):
+    """params with the weights an ablation stage sets to 0 zeroed."""
+    return replace(params, **dict.fromkeys(dict(ABLATION_STAGES)[stage], 0.0))
+
+
 def test_compose_component_switches():
     rng = np.random.default_rng(6)
     lab = _labeling(rng.integers(0, 3, 10), rng.integers(0, 3, 9))
     params = ExperimentConfig(beta=0.3, lam=0.7, gamma=0.2, eta=0.4, delta=1.0)
     features = np.eye(19)
     parts = _build(lab, features, 3, params)
-    erm_only = _build(lab, features, 3, replace(params, components=("erm",))).combined
+    stage = lambda name: _stage_config(params, name)
+    erm_only = _build(lab, features, 3, stage("erm")).combined
     expected = parts.within_class - 0.3 * parts.center_push
     assert np.abs(erm_only - expected).max() <= 1e-12 * np.abs(expected).max()
-    da = _build(lab, features, 3, replace(params, components=("erm", "da"))).combined
+    da = _build(lab, features, 3, stage("erm+da")).combined
     assert np.allclose(da, erm_only + 0.7 * parts.mmd)
 
 
@@ -188,7 +194,6 @@ def _deselect_one_class(inst, rng):
 def test_operand_is_weighted_sum_of_unit_terms(stage):
     # A is linear in the weights: the one-pass operand equals the sum of the
     # unit-weight terms times their weights, every weight zero or not.
-    components = dict(ABLATION_STAGES)[stage]
     rng = np.random.default_rng(84)
     skipped = 0
     for case in range(12):
@@ -196,8 +201,8 @@ def test_operand_is_weighted_sum_of_unit_terms(stage):
         if case % 2:
             inst = _deselect_one_class(inst, rng)
         raw = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.7)
-        params = ExperimentConfig(
-            beta=raw[0], lam=raw[1], gamma=raw[2], eta=raw[3], components=components
+        params = _stage_config(
+            ExperimentConfig(beta=raw[0], lam=raw[1], gamma=raw[2], eta=raw[3]), stage
         )
         moments = source_moments(inst.xs, inst.xt, inst.ys, inst.n_classes)
         xt_sel, y_sel = inst.xt[inst.selected], inst.yt[inst.selected]
@@ -221,8 +226,23 @@ def test_term_weights_follow_components():
         "cross_ts": -0.4,
         "laplacian": 0.5,
     }
-    off = term_weights(replace(params, components=("da",)))
-    assert [name for name in UNIT_TERMS if off[name]] == ["mmd"]
+
+
+@pytest.mark.parametrize("stage", [name for name, _ in ABLATION_STAGES])
+def test_stage_weights_match_block_gating_bit_for_bit(stage):
+    # A stage's zeroed weights give each term the same float, sign of zero
+    # included, as multiplying the full weights by a 0/1 switch per block
+    # (erm, da, cde, dfl), so a stage's operand keeps its bytes.
+    on = {"erm": 1, "erm+da": 2, "erm+da+cde": 3, "full": 4}[stage]
+    erm, da, cde, dfl = (float(i < on) for i in range(4))
+    rng = np.random.default_rng(91)
+    for _ in range(50):
+        raw = rng.uniform(0.0, 3.0, 4) * (rng.random(4) < 0.8)
+        params = ExperimentConfig(beta=raw[0], lam=raw[1], gamma=raw[2], eta=raw[3])
+        cross = -params.gamma * cde
+        gated = (erm, -params.beta * erm, params.lam * da, cross, cross, params.eta * dfl)
+        weights = term_weights(_stage_config(params, stage))
+        assert np.array([weights[t] for t in UNIT_TERMS]).tobytes() == np.array(gated).tobytes()
 
 
 @pytest.mark.parametrize("name", ["beta", "lam", "gamma", "eta", "delta"])

@@ -280,10 +280,21 @@ def test_dsyrk_gram_scores_match_the_matmul_fallback(shape, monkeypatch):
 
 
 def test_zero_variance_rejected():
-    with pytest.raises(DegenerateDataError):
-        _pca(np.ones((6, 3)), 1)
-    with pytest.raises(DegenerateDataError):
-        _pca(np.ones((3, 6)), 1)
+    identical = "^all samples identical: no variance to project$"
+    underflow = "^feature magnitudes underflow float64 in the PCA Gram$"
+    rng = np.random.default_rng(4)
+    # both Gram sides: n >= d and n < d
+    for shape in ((6, 3), (3, 6)):
+        with pytest.raises(DegenerateDataError, match=identical):
+            _pca(np.ones(shape), 1)
+        # rows that differ, but whose squares underflow to zero
+        with pytest.raises(DegenerateDataError, match=underflow):
+            _pca(1e-170 * rng.standard_normal(shape), 1)
+    # only the last row, in the second block, differs from the rest
+    x = np.ones((6, 3))
+    x[-1, -1] = 1.0 + 1e-15
+    with pytest.raises(DegenerateDataError, match=underflow):
+        _pca(1e-170 * x, 1)
 
 
 def test_normalize_rows_fixed_example():

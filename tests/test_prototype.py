@@ -28,8 +28,24 @@ def test_fit_prototypes_fixed_example():
 
 
 def test_fit_prototypes_missing_class_rejected():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^class 1 has no samples$"):
         fit_prototypes(np.zeros((3, 2)), np.array([0, 0, 0]), 2)
+
+
+@pytest.mark.parametrize(
+    "features, labels, n_classes, message",
+    [
+        (np.zeros(3), [0, 1, 0], 2, r"^features must be \(n, k\) with one label per row$"),
+        (np.zeros((3, 2)), [0, 1], 2, r"^features must be \(n, k\) with one label per row$"),
+        (np.zeros((3, 2)), [0, 0, 0], 1, "^need at least two classes$"),
+        (np.zeros((3, 2)), [0, 2, 1], 2, r"^labels outside \[0, 2\)$"),
+        (np.zeros((3, 2)), [0, -1, 1], 2, r"^labels outside \[0, 2\)$"),
+    ],
+    ids=["one-dimensional", "label-count", "one-class", "label-too-large", "negative-label"],
+)
+def test_fit_prototypes_rejects_bad_inputs(features, labels, n_classes, message):
+    with pytest.raises(DataError, match=message):
+        fit_prototypes(features, np.array(labels), n_classes)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e4])

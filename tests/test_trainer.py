@@ -154,7 +154,7 @@ def test_objective_matches_eigenvalue_sum():
 
 def test_component_subset_runs():
     pair, labels = generate(_small_spec(seed=7))
-    config = _small_config(components=("erm",))
+    config = _small_config(lam=0.0, gamma=0.0, eta=0.0)
     result = run_adaptation(pair, config, labels)
     assert len(result.records) == config.iterations
 
@@ -189,7 +189,7 @@ def test_dump_writes_term_matrices(tmp_path):
 WHITENED_LOOP_CASES = {
     "normalized": ({}, {}),
     "unnormalized": ({}, {"normalize": False}),
-    "erm+da": ({}, {"components": ("erm", "da")}),
+    "erm+da": ({}, {"gamma": 0.0, "eta": 0.0}),
     "wide": ({"dims": 300}, {"pca_dim": 20, "subspace_dim": 4}),
 }
 
@@ -352,7 +352,7 @@ def test_prepared_task_runs_like_its_pair():
     assert not task.features.flags.writeable
     assert (task.n_source, task.n_target) == (pair.n_source, pair.n_target)
     direct = run_adaptation(pair, config, labels)
-    for run_config in (config, replace(config, beta=1.0, components=("erm", "da"))):
+    for run_config in (config, replace(config, beta=1.0, gamma=0.0, eta=0.0)):
         prepared = run_adaptation(task, run_config, labels)
         fresh = run_adaptation(pair, run_config, labels)
         assert np.array_equal(prepared.predictions, fresh.predictions)
@@ -402,6 +402,26 @@ def test_orthonormality_gate_carries_step_context(monkeypatch):
     with pytest.raises(
         NumericError, match=r"^step 1: eigensolver basis orthonormality 2\.010e-02 exceeds 1e-06$"
     ):
+        run_adaptation(pair, _small_config(), None)
+
+
+def test_non_finite_objective_carries_step_context(monkeypatch):
+    # No finite operand passes the eigensolve's gates with an infinite
+    # objective, so the solve is stubbed to return one at step 2.
+    import cdem.trainer as trainer_mod
+    from cdem.errors import NumericError
+
+    solve = trainer_mod.solve_generalized
+    calls = []
+
+    def infinite_at_step_2(*args):
+        calls.append(1)
+        solution = solve(*args)
+        return replace(solution, objective=np.inf) if len(calls) == 2 else solution
+
+    monkeypatch.setattr(trainer_mod, "solve_generalized", infinite_at_step_2)
+    pair, _ = generate(_small_spec(seed=11))
+    with pytest.raises(NumericError, match=r"^step 2: objective value is not finite$"):
         run_adaptation(pair, _small_config(), None)
 
 
@@ -636,6 +656,19 @@ def test_rotating_and_translating_features_keeps_predictions(seed, dims, subspac
     assert np.array_equal(run_adaptation(moved, config).predictions, predictions)
 
 
+def _scaled(pair, scale):
+    return DomainPair(scale * pair.source_x, pair.source_y, scale * pair.target_x, pair.n_classes)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
+def test_scaling_features_keeps_predictions(seed, dims, subspace_dim, scale):
+    # normalize (on by default) takes out a global scale, down to where the
+    # PCA Gram underflows and up to where it overflows
+    pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
+    assert np.array_equal(run_adaptation(_scaled(pair, scale), config).predictions, predictions)
+
+
 def _with_target(pair, target_x):
     return DomainPair(pair.source_x, pair.source_y, target_x, pair.n_classes)
 
@@ -674,6 +707,8 @@ def _last_source_label_huge(pair):
 
 
 _OVERFLOW = (DegenerateDataError, "^feature magnitudes overflow float64 in the PCA Gram$")
+# Features near 1e-170, whose squares underflow to zero: the rows differ.
+_UNDERFLOW = (DegenerateDataError, "^feature magnitudes underflow float64 in the PCA Gram$")
 
 # case -> (input from the 4-class task, config overrides, outcome): an outcome
 # is the named error and its message, or the predicted classes and the number
@@ -694,6 +729,14 @@ DEGENERATE_CASES = {
     # 640 rows of 712 columns: a 640-side Gram, which dsyevr solves at pca_dim=128
     "overflowing-features-subset-solve": (
         lambda pair: _overflowing(pair, copies=8, noise_columns=700), {"pca_dim": 128}, _OVERFLOW
+    ),
+    "underflowing-features": (lambda pair: _scaled(pair, 1e-170), {}, _UNDERFLOW),
+    "underflowing-features-wide": (
+        lambda pair: _scaled(_wide_pair(pair), 1e-170), {"pca_dim": 80}, _UNDERFLOW
+    ),
+    "identical-rows": (
+        lambda pair: _scaled(pair, 0.0), {},
+        (DegenerateDataError, "^all samples identical: no variance to project$"),
     ),
     "constant-feature-column": (_constant_first_column, {}, ([0, 1, 2, 3], 0)),
     "identical-domains": (lambda pair: _with_target(pair, pair.source_x), {}, ([0, 1, 2, 3], 0)),
