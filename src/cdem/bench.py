@@ -51,6 +51,7 @@ from .matio import (
 from .trainer import (
     AdaptationResult,
     PreparedTask,
+    accuracy_pct,
     as_prepared,
     preprocess_rows,
     run_adaptation,
@@ -82,10 +83,6 @@ class TaskResult:
     trace: AdaptationResult | None = None
     wall_time: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.accuracy is not None and not 0.0 <= self.accuracy <= 100.0:
-            raise ConfigError(f"accuracy {self.accuracy} outside [0, 100]")
-
 
 def max_workers() -> int:
     raw = os.environ.get(ENV_THREADS, "")
@@ -98,12 +95,6 @@ def max_workers() -> int:
     if value < 1:
         raise ConfigError(f"{ENV_THREADS} must be positive")
     return value
-
-
-def accuracy_pct(predictions: np.ndarray, truth: np.ndarray | None) -> float | None:
-    if truth is None:
-        return None
-    return float(np.mean(np.asarray(predictions) == np.asarray(truth)) * 100.0)
 
 
 def _task_result(
@@ -183,7 +174,8 @@ def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[Task
 
 def _parallel_map(fn: Callable, items: list) -> list:
     """fn over items, on a thread pool when there is more than one
-    (CDEM_THREADS caps workers); results in input order.
+    (CDEM_THREADS caps workers, and is checked however many items there
+    are); results in input order.
 
     While the pool runs more than one item at a time, numpy's OpenBLAS runs
     one thread per call, and its previous count is restored afterwards:
@@ -191,9 +183,9 @@ def _parallel_map(fn: Callable, items: list) -> list:
     while one task alone gains from the second thread.  A count set in
     BLAS_THREAD_VARS is left alone.
     """
+    workers = max_workers()
     if len(items) == 1:
         return [fn(items[0])]
-    workers = max_workers()
     blas = None
     if min(len(items), workers) > 1 and not any(v in os.environ for v in BLAS_THREAD_VARS):
         blas = eigsolve._openblas()
@@ -333,18 +325,11 @@ def run_grid(
     ]
 
 
-def _numpy_to_json(value):
-    """json.dumps default: numpy arrays and scalars as plain lists and numbers."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _trace_payload(trace: AdaptationResult) -> dict:
     return {
-        "eigenvalues": trace.eigenvalues,
+        "eigenvalues": trace.eigenvalues.tolist(),
         "steps": [asdict(rec) for rec in trace.records],
-        "n_selected_final": int(trace.selected.sum()),
+        "n_selected_final": trace.records[-1].n_selected,
     }
 
 
@@ -388,9 +373,7 @@ def emit_report(results: list[TaskResult], out_dir: str | Path) -> dict[str, Pat
         "average": averages,
     }
     json_path = out / "report.json"
-    json_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
-    )
+    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     paths = {"csv": csv_path, "json": json_path}
     for res in results:

@@ -264,13 +264,13 @@ _INT_KEYS = {"pca_dim", "subspace_dim", "iterations"}
 _PATH_KEYS = {"source_features", "source_labels", "target_features", "target_labels"}
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str, context: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ConfigError(f"{context}: expected a boolean, got {value!r}")
 
 
 def read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
@@ -295,15 +295,17 @@ def read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat key=value experiment file; relative paths resolve against
-    the directory containing it."""
+    the directory containing it.  A key or value this rejects is named with
+    the file and line; the values' own checks are ``ExperimentConfig``'s."""
     base_dir = Path(path).parent.resolve()
     kwargs: dict = {}
     datasets: dict[str, DatasetEntry] = {}
     for lineno, key, value in read_key_values(path):
+        where = f"{path}: line {lineno}"
         if key.startswith("dataset."):
             parts = key.split(".")
             if len(parts) != 3 or not parts[1] or parts[2] not in ("features", "labels"):
-                raise ConfigError(f"line {lineno}: bad dataset key {key!r}")
+                raise ConfigError(f"{where}: bad dataset key {key!r}")
             name = parts[1]
             entry = datasets.setdefault(name, DatasetEntry(features=Path()))
             if parts[2] == "features":
@@ -317,19 +319,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
             try:
                 kwargs[key] = int(value)
             except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {key} must be an integer") from exc
+                raise ConfigError(f"{where}: {key} must be an integer, got {value!r}") from exc
         elif key in WEIGHT_KEYS:
             try:
                 kwargs[WEIGHT_KEYS[key]] = float(value)
             except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {key} must be a number") from exc
+                raise ConfigError(f"{where}: {key} must be a number, got {value!r}") from exc
         elif key in _BOOL_KEYS:
-            kwargs[key] = _parse_bool(value, key)
+            kwargs[key] = _parse_bool(value, f"{where}: {key}")
         else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
     for name, entry in datasets.items():
         if entry.features == Path():
-            raise ConfigError(f"dataset.{name}: missing features path")
+            raise ConfigError(f"{path}: dataset.{name}: missing features path")
     kwargs["datasets"] = datasets
     return ExperimentConfig(**kwargs)
 

@@ -152,7 +152,7 @@ def parse_shift_spec(path: str | Path) -> ShiftSpec:
             else:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: bad value for {key}") from exc
+            raise FormatError(f"{path}: line {lineno}: bad value for {key}, got {value!r}") from exc
     return ShiftSpec(**kwargs)
 
 

@@ -76,7 +76,7 @@ class CrossDomainErrors:
 class IterationRecord:
     step: int
     objective: float
-    selected_per_class: np.ndarray
+    selected_per_class: list[int]
     n_selected: int
     agreement: float
     accuracy: float | None
@@ -191,6 +191,13 @@ def as_prepared(
     if eval_labels is not None:
         eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")
     return task, eval_labels
+
+
+def accuracy_pct(predictions: np.ndarray, truth: np.ndarray | None) -> float | None:
+    """The percentage of predictions equal to truth, None without truth."""
+    if truth is None:
+        return None
+    return float(np.mean(np.asarray(predictions) == np.asarray(truth)) * 100.0)
 
 
 def source_probabilities(task: PreparedTask) -> np.ndarray:
@@ -323,18 +330,15 @@ def run_adaptation(
 
             agreement = float(np.mean(table.label == prev_labels))
             prev_labels = table.label
-            accuracy = None
-            if eval_labels is not None:
-                accuracy = float(np.mean(table.label == eval_labels) * 100.0)
             errors = evaluate_cross_domain_errors(task, z, to_source, table.label, eval_labels)
             records.append(
                 IterationRecord(
                     step=step,
                     objective=solution.objective,
-                    selected_per_class=state.quotas,
+                    selected_per_class=state.quotas.tolist(),
                     n_selected=int(state.selected.sum()),
                     agreement=agreement,
-                    accuracy=accuracy,
+                    accuracy=accuracy_pct(table.label, eval_labels),
                     errors=errors,
                     residual=solution.residual,
                     eigengap=solution.eigengap,
@@ -348,14 +352,13 @@ def run_adaptation(
             raise type(exc)(f"step {step}: {exc}") from exc
 
     assert solution is not None
-    embed_cols = min(2, solution.projection.shape[1])
     return AdaptationResult(
         projection=solution.projection,
         eigenvalues=solution.eigenvalues,
         records=records,
         predictions=table.label,
         selected=state.selected,
-        source_embedding=z[source, :embed_cols].copy(),
-        target_embedding=z[target, :embed_cols].copy(),
+        source_embedding=z[source, :2].copy(),
+        target_embedding=z[target, :2].copy(),
         source_labels=task.source_y.copy(),
     )

@@ -320,6 +320,26 @@ def test_unknown_task_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "must be an integer, got 'abc'"), ("0", "must be positive")],
+    ids=["not-an-integer", "zero"],
+)
+@pytest.mark.parametrize("tasks", [[], ["A-B"], ["all"]], ids=["direct", "one-task", "all"])
+def test_every_run_rejects_a_bad_worker_count(tmp_path, monkeypatch, capsys, tasks, value,
+                                               message):
+    # one task prepares one pair and runs once, so no pool is needed
+    config = _three_domain_registry(tmp_path) if tasks else _make_dataset(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setenv("CDEM_THREADS", value)
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "r")]
+    for task in tasks:
+        argv += ["--task", task]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: CDEM_THREADS {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_no_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])

@@ -419,12 +419,14 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     with pytest.raises(ConfigError, match="^pca_dim and subspace_dim must be positive$"):
         load_config(path)
     path.write_text("dataset.X.labels=x.txt\n")
-    with pytest.raises(ConfigError, match="^dataset.X: missing features path$"):
+    missing = f"{path}: dataset.X: missing features path"
+    with pytest.raises(ConfigError, match=f"^{re.escape(missing)}$"):
         load_config(path)
     # an empty name would register tasks "-X" and "X-"
     for key in ("dataset.X.weights", "dataset.X", "dataset..features"):
         path.write_text(f"dataset.X.features=x.cdm\n{key}=x.txt\n")
-        with pytest.raises(ConfigError, match=f"^line 2: bad dataset key {key!r}$"):
+        message = f"{path}: line 2: bad dataset key {key!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
     path.write_text("beta=-0.5\n")
     with pytest.raises(ConfigError, match=r"^beta must be non-negative$"):
@@ -434,6 +436,25 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
         path.write_text(f"{removed}=true\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("pca_dim=four", "line 1: pca_dim must be an integer, got 'four'"),
+        ("beta=much", "line 1: beta must be a number, got 'much'"),
+        ("normalize=maybe", "line 1: normalize: expected a boolean, got 'maybe'"),
+        ("foo=1", "line 1: unknown key 'foo'"),
+        ("dataset..features=x.cdm", "line 1: bad dataset key 'dataset..features'"),
+        ("dataset.A.labels=a.txt", "dataset.A: missing features path"),
+    ],
+    ids=["integer", "number", "boolean", "unknown-key", "dataset-key", "no-features"],
+)
+def test_config_errors_name_the_file_and_line(tmp_path, line, message):
+    path = tmp_path / "config.txt"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -210,7 +211,8 @@ def test_parse_shift_spec_errors(tmp_path):
         parse_shift_spec(bad_key)
     bad_value = tmp_path / "b.txt"
     bad_value.write_text("classes=two\n")
-    with pytest.raises(FormatError):
+    message = f"{bad_value}: line 1: bad value for classes, got 'two'"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         parse_shift_spec(bad_value)
     no_eq = tmp_path / "c.txt"
     no_eq.write_text("classes 2\n")

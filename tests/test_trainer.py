@@ -52,7 +52,7 @@ def test_record_count_and_fields():
         assert np.isfinite(rec.objective)
         assert 0.0 <= rec.agreement <= 1.0
         assert rec.accuracy is not None and 0.0 <= rec.accuracy <= 100.0
-        assert rec.n_selected == rec.selected_per_class.sum()
+        assert rec.n_selected == sum(rec.selected_per_class)
         for rate in (
             rec.errors.source_model_on_source,
             rec.errors.target_model_on_target,
