@@ -3,15 +3,15 @@
 Tasks travel as ``matio.Task`` name pairs and report as ``S-T`` (or
 ``task``).  Every command is one task-major list of runs, each a report
 method on a task under its own config, executed on one pool; each task is
-prepared once (``trainer.PreparedTask``: PCA scores and factored constraint)
-for all of its methods, ablation stages and grid points.  Tasks are loaded
-together: each feature and
-label file is read and checked once, however many tasks name it, and each
-unordered pair of registry domains is prepared once, its two domains taken
-in sorted-name order, in a pool pass before any task runs; a task and its
-reverse are two views of that one prepared pair.  The pool pass hands each
-pair's two read matrices to its PCA as they are, with no stacked copy, and
-drops them once the pair is prepared.
+prepared once (``trainer.PreparedTask``: PCA scores and the W that whitens
+their constraint) for all of its methods, ablation stages and grid points.
+Tasks are loaded together: each feature and label file is read and checked
+once, however many tasks name it, and each unordered pair of registry
+domains is prepared once, its two domains taken in sorted-name order, in a
+pool pass before any task runs; a task and its reverse are two views of that
+one prepared pair.  The pool pass hands each pair's two read matrices to its
+PCA as they are, with no stacked copy, and drops them once the pair is
+prepared.
 
 Reports are written as a compact CSV (one decimal accuracy, plus an average
 row per method) and a JSON file carrying full-precision accuracies and the
@@ -212,7 +212,7 @@ def load_tasks(
     name it.  A registry task takes its two domains in sorted-name order,
     so it and its reverse are two views of one ``preprocess_rows`` result,
     one pool item keyed by the two names in that order, sharing its
-    features and constraint; the config's direct pair takes source then
+    features and whitening W; the config's direct pair takes source then
     target.  A pool item passes its pair's two read matrices to
     ``preprocess_rows`` as they are and then drops them; no stacked copy of
     a pair is made.
@@ -272,9 +272,10 @@ def run_task_suite(
     weights set to 0); an unknown one raises before any file is read.  Each
     task is prepared once for all of its methods (see ``load_tasks``).
 
-    dump_dir, when given, receives each adaptation run's per-step matrices.
-    Their file names carry neither task nor method, so pass it with a single
-    task and a single adaptation method only.
+    dump_dir, when given, receives the adaptation run's per-step matrices.
+    Their file names carry neither task nor method, so more than one
+    adaptation run (methods other than "source-only", times tasks) with a
+    dump_dir raises ConfigError, before any file is read.
     """
     known = {"source-only": None, "cdem": config}
     known.update(
@@ -283,8 +284,10 @@ def run_task_suite(
     for method in methods:
         if method not in known:
             raise ConfigError(f"unknown method {method!r}")
-    loaded = load_tasks(config, tasks)
     runs = [_Run(task, method, known[method]) for task in tasks for method in methods]
+    if dump_dir is not None and sum(run.config is not None for run in runs) > 1:
+        raise ConfigError("a dump needs a single task and a single adaptation method")
+    loaded = load_tasks(config, tasks)
     return _run_all(loaded, runs, dump_dir)
 
 

@@ -44,11 +44,7 @@ def _report(results: list[bench.TaskResult], out: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, tasks = _load(args)
-    dump_dir = None
-    if args.dump is not None:
-        if len(tasks) != 1 or args.ablation:
-            raise CdemError("--dump needs a single task without --ablation")
-        dump_dir = Path(args.dump)
+    dump_dir = None if args.dump is None else Path(args.dump)
     methods = ["source-only"] if args.with_baseline else []
     methods += [name for name, _ in bench.ABLATION_STAGES] if args.ablation else ["cdem"]
     _report(bench.run_task_suite(config, tasks, methods, dump_dir), args.out)

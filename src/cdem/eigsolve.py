@@ -3,18 +3,18 @@
 Solves A p = theta (B + sI) p for the k smallest eigenvalues, where
 B = X'HX is the centered Gram matrix of the features and s a small relative
 ridge.  B depends only on the features, so a run builds, checks and
-Cholesky-factors it once (``assemble_operands``): with B + sI = L L' the
-constraint keeps W = L^-T, and the pencil reduces to the standard symmetric
-problem M u = theta u with M = W'AW and p = W u (Golub & Van Loan, *Matrix
-Computations*, section 8.7).  ``solve_generalized`` takes M itself: the
-trainer builds it directly in whitened coordinates Y = XW, from moments of
-Y, so a step forms no W'AW sandwich.  A caller holding A in the coordinates
-of B gets M from ``FactoredConstraint.reduce``, which checks A first.  The
-returned columns are orthonormal under B + sI, which is exactly the
+Cholesky-factors it once (``assemble_operands``), keeping only W = L^-T for
+B + sI = L L'.  The pencil is then the standard symmetric problem M u =
+theta u with M = W'AW and p = W u (Golub & Van Loan, *Matrix Computations*,
+section 8.7), and ``solve_generalized`` takes M itself: the trainer builds
+it directly in whitened coordinates Y = XW, from moments of Y, so a step
+forms no W'AW sandwich and no P = WU.  A solve returns the whitened basis U,
+whose columns p = W u are orthonormal under B + sI, which is exactly the
 constraint the adaptation objective imposes.  The residual and the
-orthonormality max|U'U - I| of the whitened basis are measured in the
-whitened coordinates the solve works in, and a solve fails when either is
-above 1e-6.
+orthonormality max|U'U - I| are measured in the whitened coordinates the
+solve works in, and a solve fails when either is above 1e-6.  The signs of
+U's columns are whatever LAPACK returns; ``column_signs`` gives the sign
+convention a caller applies once to the P it forms.
 
 Every routine is numpy's own LAPACK, from the OpenBLAS its wheel bundles:
 ``np.linalg.cholesky`` for L, ``np.linalg.inv`` for L^-1, and per step
@@ -107,10 +107,7 @@ class TransformSolution:
     """k smallest generalized eigenpairs of A p = theta (B + sI) p, solved
     as M u = theta u with M = W'AW.
 
-    projection : (m, k) P = WU, columns B-orthonormal, sign-fixed so the
-        largest-magnitude entry of each column is positive
-    basis : (m, k) U, the same columns in whitened coordinates, orthonormal
-        and with the same signs
+    basis : (m, k) U, orthonormal, with LAPACK's column signs; P = WU
     eigenvalues : (k,), ascending
     eigengap : theta_{k+1} - theta_k, or None when k = m
     objective : tr(U'MU) = tr(P'AP), summed from the residual's product
@@ -120,30 +117,12 @@ class TransformSolution:
     orthonormality : max|U'U - I|, which equals max|P'(B + sI)P - I|
     """
 
-    projection: np.ndarray
     basis: np.ndarray
     eigenvalues: np.ndarray
     eigengap: float | None
     objective: float
     residual: float
     orthonormality: float
-
-
-@dataclass(frozen=True)
-class FactoredConstraint:
-    """The constraint matrix B + sI and W = L^-T for its Cholesky factor L,
-    so that W'(B + sI)W = I."""
-
-    shifted: np.ndarray
-    whiten: np.ndarray
-
-    def reduce(self, a: np.ndarray) -> np.ndarray:
-        """W'AW, the operand ``solve_generalized`` takes, for a symmetric A
-        given in the coordinates of B."""
-        a = _check_symmetric(a, "A")
-        if a.shape != self.shifted.shape:
-            raise ConfigError(f"A is {a.shape}, B is {self.shifted.shape}")
-        return self.whiten.T @ a @ self.whiten
 
 
 def _check_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
@@ -158,13 +137,8 @@ def _check_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def factor_constraint(b: np.ndarray, b_shift: float = 0.0) -> FactoredConstraint:
-    """Check B, add b_shift I and factor the result once for many solves."""
-    b = _check_symmetric(b, "B")
-    if b_shift < 0:
-        raise ConfigError("b_shift must be non-negative")
-    m = b.shape[0]
-    shifted = b + b_shift * np.eye(m)
+def _whiten(shifted: np.ndarray) -> np.ndarray:
+    """W = L^-T for the Cholesky factor L of shifted, so W'(shifted)W = I."""
     try:
         chol = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError as exc:
@@ -174,28 +148,32 @@ def factor_constraint(b: np.ndarray, b_shift: float = 0.0) -> FactoredConstraint
         ) from exc
     # inv() runs a pivoted LU, which can leave rounding-size entries above
     # the diagonal of L^-T; triu keeps W upper triangular by construction.
-    whiten = np.triu(np.linalg.inv(chol).T)
-    return FactoredConstraint(shifted=shifted, whiten=whiten)
+    return np.triu(np.linalg.inv(chol).T)
+
+
+def factor_constraint(b: np.ndarray, b_shift: float = 0.0) -> np.ndarray:
+    """W = L^-T for the Cholesky factor L of B + b_shift I, after checking
+    B, so that W'(B + b_shift I)W = I."""
+    b = _check_symmetric(b, "B")
+    if b_shift < 0:
+        raise ConfigError("b_shift must be non-negative")
+    return _whiten(b + b_shift * np.eye(b.shape[0]))
 
 
 def solve_generalized(
-    reduced: np.ndarray, constraint: FactoredConstraint, n_components: int
+    reduced: np.ndarray, whiten: np.ndarray, n_components: int
 ) -> TransformSolution:
     """Smallest n_components eigenpairs of A p = theta (B + sI) p, from
-    reduced = W'AW for the W of B + sI's factored constraint."""
-    m = constraint.whiten.shape[0]
+    reduced = W'AW for the W that whitens B + sI; reduced is checked as B
+    is (square, finite, symmetric) and symmetrized."""
+    m = whiten.shape[0]
     if reduced.shape != (m, m):
-        raise ConfigError(f"W'AW is {reduced.shape}, B is {constraint.shifted.shape}")
+        raise ConfigError(f"W'AW is {reduced.shape}, W is {whiten.shape}")
     if n_components < 1 or n_components > m:
         raise ConfigError(f"n_components={n_components} not in [1, {m}]")
-    reduced = 0.5 * (reduced + reduced.T)
+    reduced = _check_symmetric(reduced, "W'AW")
     eigenvalues, basis = _kept_eigenpairs(reduced.copy(), n_components, largest=False)
     theta = eigenvalues[:n_components].copy()
-    projection = constraint.whiten @ basis
-    pivots = np.abs(projection).argmax(axis=0)
-    signs = np.where(projection[pivots, np.arange(n_components)] < 0, -1.0, 1.0)
-    projection *= signs
-    basis = basis * signs
     product = reduced @ basis
     resid = product - basis * theta[None, :]
     denom = np.linalg.norm(reduced) + np.abs(theta) * np.sqrt(m)
@@ -213,7 +191,6 @@ def solve_generalized(
             f"{ORTHONORMALITY_BOUND:g}"
         )
     return TransformSolution(
-        projection=projection,
         basis=basis,
         eigenvalues=theta,
         eigengap=float(eigenvalues[n_components] - theta[-1]) if n_components < m else None,
@@ -223,24 +200,34 @@ def solve_generalized(
     )
 
 
+def column_signs(columns: np.ndarray) -> np.ndarray:
+    """+1 or -1 per column, the sign that makes the column's largest-magnitude
+    entry positive: the one sign convention for the PCA's eigenvectors and a
+    run's projection P = WU."""
+    pivots = columns[np.abs(columns).argmax(axis=0), np.arange(columns.shape[1])]
+    return np.where(pivots < 0, -1.0, 1.0)
+
+
 def relative_ridge(b: np.ndarray) -> float:
     """The b_shift used with B: DEFAULT_RIDGE_SCALE times B's mean diagonal."""
     return DEFAULT_RIDGE_SCALE * float(np.trace(b)) / b.shape[0]
 
 
-def assemble_operands(features: np.ndarray) -> FactoredConstraint:
-    """Build B = X'HX from stacked row features (samples in rows), add the
-    relative ridge and factor it.
-
-    B is formed as the centered gram matrix C'C so it is symmetric positive
-    semidefinite by construction.
-    """
+def shifted_gram(features: np.ndarray) -> np.ndarray:
+    """B + sI for stacked row features (samples in rows): B = X'HX formed as
+    the centered Gram C'C, so it is symmetric positive semidefinite by
+    construction, and s its relative ridge."""
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ConfigError("features must be 2-d (samples in rows)")
     centered = f - f.mean(axis=0)
     b = centered.T @ centered
-    return factor_constraint(b, relative_ridge(b))
+    return _check_symmetric(b, "B") + relative_ridge(b) * np.eye(b.shape[0])
+
+
+def assemble_operands(features: np.ndarray) -> np.ndarray:
+    """W = L^-T for the Cholesky factor L of the features' ``shifted_gram``."""
+    return _whiten(shifted_gram(features))
 
 
 @functools.cache

@@ -296,7 +296,8 @@ def read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat key=value experiment file; relative paths resolve against
     the directory containing it.  A key or value this rejects is named with
-    the file and line; the values' own checks are ``ExperimentConfig``'s."""
+    the file and line; the values' own checks are ``ExperimentConfig``'s,
+    whose errors are named with the file."""
     base_dir = Path(path).parent.resolve()
     kwargs: dict = {}
     datasets: dict[str, DatasetEntry] = {}
@@ -333,7 +334,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if entry.features == Path():
             raise ConfigError(f"{path}: dataset.{name}: missing features path")
     kwargs["datasets"] = datasets
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ConfigError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 Task = tuple[str, str] | None

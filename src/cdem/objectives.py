@@ -26,7 +26,7 @@ a unit weight on it (``objective_terms``), for dumps and checks.
 
 Every term is linear in the moments' coordinates: the moments of the rows
 of XT give T'AT.  The trainer computes them on the whitened rows Y = XW,
-with W = L^-T from the factored constraint B + sI = LL', so the operand it
+with W = L^-T for the constraint B + sI = LL', so the operand it
 builds is W'AW, the standard-form matrix the eigensolver takes, and no step
 forms W'AW from A.  A dump builds the same operand from the moments of X.
 

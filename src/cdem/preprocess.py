@@ -16,7 +16,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import eigsolve
-from .eigsolve import top_eigenpairs
+from .eigsolve import column_signs, top_eigenpairs
 from .errors import ConfigError, DegenerateDataError
 
 # CBLAS enum codes: row-major storage, lower triangle, C = AA' or C = A'A.
@@ -91,8 +91,9 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
     A Gram that overflows float64 raises DegenerateDataError, and so do one
     that underflows to no variance and rows that are all identical, each
     with its own message (on 200 rows of 64 features, a global scale of
-    1e153 and up overflows and one of 1e-163 and down underflows).  Each kept Gram eigenvector is flipped so that its
-    largest-magnitude entry is positive, which makes the result a pure
+    1e153 and up overflows and one of 1e-163 and down underflows).  Each
+    kept Gram eigenvector is flipped so that its largest-magnitude entry is
+    positive (``eigsolve.column_signs``), which makes the result a pure
     function of the input bytes.  The blocks are never modified.
     """
     blocks = [np.asarray(block, dtype=np.float64) for block in blocks]
@@ -129,8 +130,7 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
         if any((block != first).any() for block in blocks):
             raise DegenerateDataError("feature magnitudes underflow float64 in the PCA Gram")
         raise DegenerateDataError("all samples identical: no variance to project")
-    pivots = evecs[np.abs(evecs).argmax(axis=0), np.arange(n_components)]
-    evecs = evecs * np.where(pivots < 0, -1.0, 1.0)
+    evecs = evecs * column_signs(evecs)
     if wide:
         return evecs * np.sqrt(np.maximum(evals, 0.0))
     scores = np.empty((n, n_components))

@@ -137,7 +137,8 @@ def standard_shift_spec(seed: int = 0) -> ShiftSpec:
 
 
 def parse_shift_spec(path: str | Path) -> ShiftSpec:
-    """Read a ShiftSpec from a flat key=value file."""
+    """Read a ShiftSpec from a flat key=value file; an error of ShiftSpec's
+    own value checks is named with the file."""
     kwargs: dict = {}
     for lineno, key, value in read_key_values(path):
         try:
@@ -153,7 +154,10 @@ def parse_shift_spec(path: str | Path) -> ShiftSpec:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: bad value for {key}, got {value!r}") from exc
-    return ShiftSpec(**kwargs)
+    try:
+        return ShiftSpec(**kwargs)
+    except ConfigError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_dataset(spec: ShiftSpec, out_dir: str | Path) -> dict[str, Path]:

@@ -2,26 +2,30 @@
 
 A run works on one feature matrix holding both domains' rows.
 ``preprocess_rows`` does everything that depends only on those rows,
-``pca_dim`` and ``normalize``: it takes the two domains' matrices as they
-are, fits one PCA on both together (``preprocess.fit_pca`` centers them piece
-by piece, so no stacked copy is made), keeps the read-only scores of their
-rows in that order (unit-length rows when ``normalize`` is on), and factors
-the label-free constraint B = X'HX once.  A ``PreparedTask`` is a view of that
-prepared pair: its ``source`` and ``target`` are row slices of the scores, in
-whichever order the two blocks were passed, so a task and its reverse share
-one pair.  Methods, ablation stages and grid points that differ only in
-their weights (an ablation stage zeroes some of them) share one
-``PreparedTask``.  ``run_adaptation`` bootstraps pseudo labels from the
-source-only prototype classifier on the scores X (``source_probabilities``,
-which is also the source-only baseline), then works in whitened coordinates
-Y = XW, W = L^-T from the constraint's Cholesky factor: it forms Y once per
-run, computes the source-side moments of the objective on Y, and alternates
-for a fixed number of steps between (a) solving the eigenproblem whose
-operand W'AW is built from those moments, the selected target rows of Y and
-their pseudo labels, and (b) refreshing pseudo labels and the curriculum
-selection in the new subspace, whose embedding YU equals XP.  True target labels never
-enter any of these steps; when provided they are used solely to score
-predictions per step."""
+``pca_dim`` and ``normalize``: it takes the two domains' matrices as they are,
+fits one PCA on both together (``preprocess.fit_pca`` centers them piece by
+piece, so no stacked copy is made), keeps the read-only scores of their rows
+in that order (unit-length rows when ``normalize`` is on), and factors the
+label-free constraint B = X'HX once, keeping only the W that whitens it.  A
+``PreparedTask`` is a view of that prepared pair: its ``source`` and
+``target`` are row slices of the scores, in whichever order the two blocks
+were passed, so a task and its reverse share one pair.  Methods, ablation
+stages and grid points that differ only in their weights (an ablation stage
+zeroes some of them) share one ``PreparedTask``.  ``run_adaptation``
+bootstraps pseudo labels from the source-only prototype classifier on the
+scores X (``source_probabilities``, which is also the source-only baseline),
+then works in whitened coordinates Y = XW, W = L^-T from the constraint's
+Cholesky factor: it forms Y once per run, computes the source-side moments of
+the objective on Y, and alternates for a fixed number of steps between (a)
+solving the eigenproblem whose operand W'AW is built from those moments, the
+selected target rows of Y and their pseudo labels, and (b) refreshing pseudo
+labels and the curriculum selection in the new subspace, whose embedding YU
+equals XP.  A step keeps the whitened basis U with LAPACK's column signs, to
+which distances, k-means, probabilities and every record are blind; P = WU is
+formed and sign-fixed (``eigsolve.column_signs``) once, when the run ends,
+together with the embeddings it reports.  True target labels never enter any
+of these steps; when provided they are used solely to score predictions per
+step."""
 
 from __future__ import annotations
 
@@ -33,9 +37,10 @@ import numpy as np
 from . import curriculum
 from .curriculum import combined_pseudo_labels
 from .eigsolve import (
-    FactoredConstraint,
     TransformSolution,
     assemble_operands,
+    column_signs,
+    shifted_gram,
     solve_generalized,
 )
 from .errors import CdemError, ConfigError, NumericError
@@ -107,15 +112,16 @@ class AdaptationResult:
 class PreparedTask:
     """What every run on one task shares: the read-only PCA scores of both
     domains (``features``, m columns, the two blocks in the order they were
-    prepared, the source block first when ``source_first``), the factored
-    constraint B = X'HX of the features and the source labels.
+    prepared, the source block first when ``source_first``), the W = L^-T
+    that whitens their constraint B + sI = LL' (B = X'HX) and the source
+    labels.
     ``normalize`` records whether the rows were scaled to unit length; m is
     the ``pca_dim`` they were prepared with.  The first two fields are a
     ``preprocess_rows`` result, so ``PreparedTask(*preprocess_rows(...),
     ...)`` builds one."""
 
     features: np.ndarray
-    constraint: FactoredConstraint
+    whiten: np.ndarray
     source_y: np.ndarray
     n_classes: int
     normalize: bool
@@ -150,12 +156,13 @@ class PreparedTask:
 
 def preprocess_rows(
     head: np.ndarray, tail: np.ndarray, config: ExperimentConfig
-) -> tuple[np.ndarray, FactoredConstraint]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The label-free part of preparing a task: read-only PCA scores of the
     rows of head followed by those of tail, which are left unchanged,
-    unit-length when config.normalize is on, plus their factored constraint
-    B = X'HX.  A task and its reverse take the same two blocks, so a suite
-    computes this once per unordered domain pair."""
+    unit-length when config.normalize is on, plus the W that whitens their
+    constraint B = X'HX (``assemble_operands``).  A task and its reverse
+    take the same two blocks, so a suite computes this once per unordered
+    domain pair."""
     features = fit_pca(head, tail, n_components=config.pca_dim)
     if config.normalize:
         features = normalize_rows(features)
@@ -234,6 +241,15 @@ def evaluate_cross_domain_errors(
     )
 
 
+def _projection(task: PreparedTask, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = WU for a whitened basis U, sign-fixed by ``column_signs``, and
+    those signs."""
+    projection = task.whiten @ basis
+    signs = column_signs(projection)
+    projection *= signs
+    return projection, signs
+
+
 def _dump_iteration(
     dump_dir: Path,
     step: int,
@@ -253,8 +269,8 @@ def _dump_iteration(
         **objective_terms(moments, xt_sel, labels),
         "combined": combined,
         "operand_a": combined + config.delta * np.eye(combined.shape[0]),
-        "operand_b": task.constraint.shifted,
-        "projection": solution.projection,
+        "operand_b": shifted_gram(task.features),
+        "projection": _projection(task, solution.basis)[0],
         "eigenvalues": solution.eigenvalues.reshape(1, -1),
     }
     for name, mat in named.items():
@@ -285,7 +301,7 @@ def run_adaptation(
 
     # Every step works in whitened coordinates Y = XW, where the operand is
     # W'AW: the moments of Y give W'(combined)W, and delta W'W is W'(delta I)W.
-    whiten = task.constraint.whiten
+    whiten = task.whiten
     whitened = task.features @ whiten
     target_whitened = whitened[target]
     moments = source_moments(whitened[source], target_whitened, task.source_y, task.n_classes)
@@ -299,9 +315,7 @@ def run_adaptation(
             selected = state.selected
             y_sel = table.label[selected]
             parts = build_objective_matrices(moments, target_whitened[selected], y_sel, weights)
-            solution = solve_generalized(
-                parts.combined + delta_gram, task.constraint, config.subspace_dim
-            )
+            solution = solve_generalized(parts.combined + delta_gram, whiten, config.subspace_dim)
             # YU = XP embeds both domains; the source class means of Y map to
             # the source centers in it.
             z = whitened @ solution.basis
@@ -352,13 +366,14 @@ def run_adaptation(
             raise type(exc)(f"step {step}: {exc}") from exc
 
     assert solution is not None
+    projection, signs = _projection(task, solution.basis)
     return AdaptationResult(
-        projection=solution.projection,
+        projection=projection,
         eigenvalues=solution.eigenvalues,
         records=records,
         predictions=table.label,
         selected=state.selected,
-        source_embedding=z[source, :2].copy(),
-        target_embedding=z[target, :2].copy(),
+        source_embedding=z[source, :2] * signs[:2],
+        target_embedding=z[target, :2] * signs[:2],
         source_labels=task.source_y.copy(),
     )

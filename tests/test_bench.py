@@ -204,6 +204,35 @@ def test_run_task_suite_from_files(tmp_path):
         bench.run_task_suite(missing, [None], ["cdem", "bogus"])
 
 
+@pytest.mark.parametrize(
+    "tasks, methods",
+    [
+        ([("A", "B"), ("B", "C")], ["cdem"]),
+        ([("A", "B")], ["source-only", *(name for name, _ in bench.ABLATION_STAGES)]),
+        ([("A", "B"), ("A", "B")], ["cdem"]),
+    ],
+    ids=["two-tasks", "ablation", "task-twice"],
+)
+def test_dump_with_more_than_one_adaptation_run_rejected(tmp_path, monkeypatch, tasks, methods):
+    # The dump's file names carry neither task nor method, so two runs would
+    # write the same files from two pool threads.
+    config = load_config(_registry(tmp_path))
+    read = lambda *args: pytest.fail("a file was read before the dump was rejected")
+    monkeypatch.setattr(bench.matio, "read_matrix", read)
+    monkeypatch.setattr(bench.matio, "read_labels", read)
+    with pytest.raises(ConfigError, match="^a dump needs a single task and a single adaptation"):
+        bench.run_task_suite(config, tasks, methods, dump_dir=tmp_path / "dump")
+    assert not (tmp_path / "dump").exists()
+
+
+def test_dump_beside_the_source_only_baseline(tmp_path):
+    config = load_config(_registry(tmp_path))
+    results = bench.run_task_suite(config, [("A", "B")], ["source-only", "cdem"], tmp_path / "d")
+    assert [r.method for r in results] == ["source-only", "cdem"]
+    steps = results[1].trace.records[-1].step
+    assert (tmp_path / "d" / f"step{steps:02d}_projection.cdm").exists()
+
+
 def test_run_task_suite_parallel_registry(tmp_path, monkeypatch):
     monkeypatch.setenv(bench.ENV_THREADS, "2")
     write_dataset(ShiftSpec(classes=2, n_per_domain=20, dims=4, seed=4), tmp_path / "a")
@@ -466,19 +495,19 @@ def test_reverse_task_takes_the_pair_rows_swapped(tmp_path):
     config = load_config(_registry(tmp_path, labeled=("B", "C")))
     alone, _ = bench.load_tasks(config, [("B", "A")])[("B", "A")]
     a, b = (read_matrix(tmp_path / f"{name}_x.cdm") for name in "AB")
-    features, constraint = preprocess_rows(a, b, config)
+    features, whiten = preprocess_rows(a, b, config)
     n_a = a.shape[0]
     assert alone.n_source == b.shape[0] and alone.n_target == n_a
     assert np.array_equal(alone.features, features)
     assert np.array_equal(alone.source, features[n_a:])
     assert np.array_equal(alone.target, features[:n_a])
-    assert np.array_equal(alone.constraint.whiten, constraint.whiten)
+    assert np.array_equal(alone.whiten, whiten)
     assert not alone.features.flags.writeable
     in_suite = bench.load_tasks(config, bench.expand_tasks(config, ["all"]))
     assert np.array_equal(in_suite[("B", "A")][0].features, alone.features)
     # B-C and C-B are two views of one prepared pair, not copies.
     (bc, _), (cb, _) = in_suite[("B", "C")], in_suite[("C", "B")]
-    assert bc.features is cb.features and bc.constraint is cb.constraint
+    assert bc.features is cb.features and bc.whiten is cb.whiten
     assert bc.n_source == read_matrix(tmp_path / "B_x.cdm").shape[0]
     assert np.array_equal(bc.source, cb.target) and np.shares_memory(bc.source, cb.target)
     assert np.array_equal(bc.target, cb.source) and np.shares_memory(bc.target, cb.source)

@@ -10,27 +10,46 @@ from cdem import eigsolve, selftest
 from cdem.eigsolve import (
     SUBSET_MIN_SIDE,
     assemble_operands,
+    column_signs,
     factor_constraint,
     relative_ridge,
+    shifted_gram,
     solve_generalized,
     top_eigenpairs,
 )
 from cdem.errors import ConfigError, NumericError
 
 
-def _solve(a, constraint, k):
+def _solve(a, whiten, k):
     """solve_generalized on an A given in the coordinates of B."""
-    return solve_generalized(constraint.reduce(a), constraint, k)
+    return solve_generalized(whiten.T @ a @ whiten, whiten, k)
+
+
+def _projection(whiten, sol):
+    """P = WU with the sign convention a run applies once, at its end."""
+    projection = whiten @ sol.basis
+    return projection * column_signs(projection)
 
 
 def test_diagonal_case():
     a = np.diag([3.0, 1.0, 2.0])
-    sol = _solve(a, factor_constraint(np.eye(3)), 2)
+    whiten = factor_constraint(np.eye(3))
+    sol = _solve(a, whiten, 2)
     assert np.allclose(sol.eigenvalues, [1.0, 2.0], atol=1e-12)
     expected = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(np.abs(sol.projection), expected, atol=1e-12)
+    projection = _projection(whiten, sol)
+    assert np.allclose(np.abs(projection), expected, atol=1e-12)
     # sign convention: the dominant entry of each column is positive
-    assert sol.projection[1, 0] > 0 and sol.projection[2, 1] > 0
+    assert projection[1, 0] > 0 and projection[2, 1] > 0
+
+
+def test_column_signs_make_each_largest_magnitude_entry_positive():
+    columns = np.array([[1.0, -3.0, 0.5], [-2.0, 1.0, 0.25], [0.5, 2.0, -0.5]])
+    assert np.array_equal(column_signs(columns), [-1.0, -1.0, 1.0])
+    fixed = columns * column_signs(columns)
+    assert (fixed[np.abs(fixed).argmax(axis=0), np.arange(3)] > 0).all()
+    # a column flipped beforehand gets the opposite sign and the same result
+    assert np.array_equal(-columns * column_signs(-columns), fixed)
 
 
 def test_identical_operands_give_unit_eigenvalues():
@@ -50,9 +69,11 @@ def test_eigenvalues_ascending_and_b_orthonormal():
         a = 0.5 * (a + a.T)
         root = rng.standard_normal((m, m))
         b = root @ root.T + 0.25 * np.eye(m)
-        sol = _solve(a, factor_constraint(b), k)
+        whiten = factor_constraint(b)
+        sol = _solve(a, whiten, k)
         assert (np.diff(sol.eigenvalues) >= -1e-12).all()
-        gram = sol.projection.T @ b @ sol.projection
+        projection = whiten @ sol.basis
+        gram = projection.T @ b @ projection
         assert np.abs(gram - np.eye(k)).max() <= 1e-6
         assert sol.residual <= 1e-6
 
@@ -94,19 +115,17 @@ def test_solution_reports_whitened_residual_gap_and_objective(monkeypatch):
     a = 0.5 * (a + a.T)
     root = rng.standard_normal((m, m))
     b = root @ root.T + 0.5 * np.eye(m)
-    constraint = factor_constraint(b, relative_ridge(b))
-    reduced = constraint.reduce(a)
-    w = constraint.whiten
-    assert np.abs(reduced - w.T @ a @ w).max() <= 1e-12 * np.abs(reduced).max()
-    everything = scipy.linalg.eigh(a, constraint.shifted, eigvals_only=True)
+    shifted = b + relative_ridge(b) * np.eye(m)
+    w = factor_constraint(b, relative_ridge(b))
+    reduced = w.T @ a @ w
+    everything = scipy.linalg.eigh(a, shifted, eigvals_only=True)
     for k in (1, 4, m):
-        sol = solve_generalized(reduced, constraint, k)
-        p, theta = sol.projection, sol.eigenvalues
-        assert np.array_equal(p, w @ sol.basis)
+        sol = solve_generalized(reduced, w, k)
+        p, theta = w @ sol.basis, sol.eigenvalues
         deviation = np.abs(sol.basis.T @ sol.basis - np.eye(k)).max()
         assert 1e-11 < deviation <= 1e-8
         assert sol.orthonormality == deviation
-        resid = w.T @ (a @ p - constraint.shifted @ p * theta)
+        resid = w.T @ (a @ p - shifted @ p * theta)
         denom = np.linalg.norm(0.5 * (reduced + reduced.T)) + np.abs(theta) * np.sqrt(m)
         expected = float((np.linalg.norm(resid, axis=0) / denom).max())
         assert 1e-11 < expected <= eigsolve.RESIDUAL_BOUND
@@ -125,13 +144,11 @@ def test_invalid_inputs():
     a = np.eye(3)
     with pytest.raises(ConfigError):
         _solve(a, factor_constraint(np.eye(3)), 4)
-    with pytest.raises(ConfigError):
-        _solve(a, factor_constraint(np.eye(4)), 1)
-    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ConfigError):
-        _solve(skew, factor_constraint(np.eye(2)), 1)
-    with pytest.raises(ConfigError, match=r"^W'AW is \(3, 3\), B is \(4, 4\)$"):
+    with pytest.raises(ConfigError, match=r"^W'AW is \(3, 3\), W is \(4, 4\)$"):
         solve_generalized(a, factor_constraint(np.eye(4)), 1)
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ConfigError, match=r"^W'AW is not symmetric$"):
+        solve_generalized(skew, factor_constraint(np.eye(2)), 1)
     with pytest.raises(ConfigError):
         factor_constraint(skew)
     with pytest.raises(ConfigError, match=r"^B must be square, got \(2, 3\)$"):
@@ -151,24 +168,25 @@ def test_non_finite_operands_raise_numeric_error():
     with pytest.raises(NumericError, match="^B has NaN or infinite entries$"):
         factor_constraint(bad)
     bad[0, 0] = np.inf
-    with pytest.raises(NumericError, match="^A has NaN or infinite entries$"):
-        _solve(bad, factor_constraint(np.eye(3)), 1)
+    with pytest.raises(NumericError, match="^W'AW has NaN or infinite entries$"):
+        solve_generalized(bad, factor_constraint(np.eye(3)), 1)
 
 
 def test_assemble_operands_structure():
     rng = np.random.default_rng(12)
     f = rng.standard_normal((15, 6))
-    constraint = assemble_operands(f)
     h = np.eye(15) - np.full((15, 15), 1 / 15)
     b = f.T @ h @ f
     shifted = b + relative_ridge(b) * np.eye(6)
-    assert np.allclose(constraint.shifted, shifted, atol=1e-10)
-    assert np.abs(constraint.shifted - constraint.shifted.T).max() == 0.0
-    w = constraint.whiten
+    assert np.allclose(shifted_gram(f), shifted, atol=1e-10)
+    assert np.abs(shifted_gram(f) - shifted_gram(f).T).max() == 0.0
+    w = assemble_operands(f)
     assert np.abs(w.T @ shifted @ w - np.eye(6)).max() <= 1e-10
     assert np.abs(np.tril(w, -1)).max() == 0.0  # W = L^-T is upper triangular
     with pytest.raises(ConfigError):
         assemble_operands(np.ones(15))
+    with pytest.raises(ConfigError):
+        shifted_gram(np.ones(15))
 
 
 def test_whiten_upper_triangular_for_rank_deficient_b():
@@ -179,10 +197,9 @@ def test_whiten_upper_triangular_for_rank_deficient_b():
     f = rng.standard_normal((15, 6))
     f[:, 5] = 2.0 * f[:, 0]
     f[:, 4] = f[:, 2] - 3.0 * f[:, 1]
-    constraint = assemble_operands(f)
-    w = constraint.whiten
+    w = assemble_operands(f)
     assert np.abs(np.tril(w, -1)).max() == 0.0
-    assert np.abs(w.T @ constraint.shifted @ w - np.eye(6)).max() <= 1e-6
+    assert np.abs(w.T @ shifted_gram(f) @ w - np.eye(6)).max() <= 1e-6
 
 
 def test_assemble_and_solve_centering_constraint():
@@ -191,9 +208,10 @@ def test_assemble_and_solve_centering_constraint():
     q = rng.standard_normal((25, 25))
     q = 0.5 * (q + q.T)
     a = f.T @ q @ f + 0.1 * np.eye(8)
-    sol = _solve(a, assemble_operands(f), 3)
+    w = assemble_operands(f)
+    projection = w @ _solve(a, w, 3).basis
     centered = f - f.mean(axis=0)
-    gram = sol.projection.T @ (centered.T @ centered) @ sol.projection
+    gram = projection.T @ (centered.T @ centered) @ projection
     assert np.abs(gram - np.eye(3)).max() <= 1e-6
 
 
@@ -221,14 +239,15 @@ def _per_a_cholesky_reference(a, shifted, k):
 def test_factored_constraint_reused_across_objectives():
     rng = np.random.default_rng(15)
     m, k = 8, 4
-    constraint = assemble_operands(rng.standard_normal((40, m)))
+    f = rng.standard_normal((40, m))
+    w = assemble_operands(f)
     for _ in range(5):
         q = rng.standard_normal((m, m))
         a = q @ q.T + rng.uniform(0.0, 1.0) * np.eye(m)
-        sol = _solve(a, constraint, k)
-        theta, p = _per_a_cholesky_reference(a, constraint.shifted, k)
+        sol = _solve(a, w, k)
+        theta, p = _per_a_cholesky_reference(a, shifted_gram(f), k)
         assert np.abs(sol.eigenvalues - theta).max() <= 1e-10 * np.abs(theta).max()
-        assert np.abs(sol.projection - p).max() <= 1e-10 * np.abs(p).max()
+        assert np.abs(_projection(w, sol) - p).max() <= 1e-10 * np.abs(p).max()
 
 
 def test_factored_rank_deficient_constraint_reused_across_objectives():
@@ -243,17 +262,17 @@ def test_factored_rank_deficient_constraint_reused_across_objectives():
     m, k, delta = 8, 4, 1e-3
     f = rng.standard_normal((40, m))
     f[:, 5:] = f[:, :3]
-    constraint = assemble_operands(f)
-    root = np.linalg.cholesky(constraint.shifted).T
+    w, shifted = assemble_operands(f), shifted_gram(f)
+    root = np.linalg.cholesky(shifted).T
     centering = np.eye(40) - 1 / 40
     for _ in range(5):
         q = rng.standard_normal((40, 40))
         q = centering @ q @ q.T @ centering
         a = f.T @ q @ f + delta * np.eye(m)
-        sol = _solve(a, constraint, k)
-        theta, p = _per_a_cholesky_reference(a, constraint.shifted, k)
+        sol = _solve(a, w, k)
+        theta, p = _per_a_cholesky_reference(a, shifted, k)
         assert np.abs(sol.eigenvalues - theta).max() <= 1e-10 * np.abs(theta).max()
-        assert np.abs(root @ (sol.projection - p)).max() <= 1e-10
+        assert np.abs(root @ (_projection(w, sol) - p)).max() <= 1e-10
 
 
 def test_residual_gate(monkeypatch):
@@ -388,7 +407,8 @@ def test_kernel_nan_trips_lapacke_check():
     gram[5, 3] = np.nan
     with pytest.raises(NumericError, match=r"^LAPACK dsytrd failed with info=-4$"):
         top_eigenpairs(gram, 1)
-    with pytest.raises(NumericError, match=r"^LAPACK dsytrd failed with info=-4$"):
+    # solve_generalized rejects a non-finite W'AW before the kernel sees it
+    with pytest.raises(NumericError, match=r"^W'AW has NaN or infinite entries$"):
         solve_generalized(np.full((3, 3), np.nan), factor_constraint(np.eye(3)), 1)
 
 
@@ -438,15 +458,12 @@ def test_without_openblas_solves_are_eigh_bytes(monkeypatch):
     rng = np.random.default_rng(18)
     m, k = 12, 5
     a = rng.standard_normal((m, m))
-    constraint = assemble_operands(rng.standard_normal((40, m)))
-    reduced = constraint.reduce(a + a.T)
-    sol = solve_generalized(reduced, constraint, k)
+    w = assemble_operands(rng.standard_normal((40, m)))
+    reduced = w.T @ (a + a.T) @ w
+    sol = solve_generalized(reduced, w, k)
     values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    projection = constraint.whiten @ vectors[:, :k]
-    signs = np.where(projection[np.abs(projection).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
     assert np.array_equal(sol.eigenvalues, values[:k])
-    assert np.array_equal(sol.basis, vectors[:, :k] * signs)
-    assert np.array_equal(sol.projection, projection * signs)
+    assert np.array_equal(sol.basis, vectors[:, :k])
     assert sol.eigengap == values[k] - values[k - 1]
 
 

@@ -416,7 +416,8 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     with pytest.raises(ConfigError):
         load_config(path)
     path.write_text("pca_dim=0\n")
-    with pytest.raises(ConfigError, match="^pca_dim and subspace_dim must be positive$"):
+    message = f"{path}: pca_dim and subspace_dim must be positive"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         load_config(path)
     path.write_text("dataset.X.labels=x.txt\n")
     missing = f"{path}: dataset.X: missing features path"
@@ -429,7 +430,7 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
     path.write_text("beta=-0.5\n")
-    with pytest.raises(ConfigError, match=r"^beta must be non-negative$"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: beta must be non-negative')}$"):
         load_config(path)
     for removed in ("joint_pca", "kmeans_warm_start", "legacy_beta_prefactor",
                     "include_unselected_in_m0", "seed", "components"):
@@ -460,12 +461,12 @@ def test_config_errors_name_the_file_and_line(tmp_path, line, message):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", sorted(WEIGHT_KEYS))
 def test_config_rejects_non_finite_weights(tmp_path, key, value):
-    message = f"^{WEIGHT_KEYS[key]} must be finite, got {re.escape(value)}$"
-    with pytest.raises(ConfigError, match=message):
+    message = f"{WEIGHT_KEYS[key]} must be finite, got {value}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(**{WEIGHT_KEYS[key]: float(value)})
     path = tmp_path / "config.txt"
     path.write_text(f"{key}={value}\n")
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_config(path)
 
 

@@ -252,3 +252,27 @@ def test_kmeans_matches_per_cluster_loop(seed):
     assert np.bincount(assign, minlength=init.shape[0])[-1] == 0
     assert np.array_equal(centers[-1], init[-1])
     assert np.abs(centers - ref_centers).max() <= 1e-12 * np.abs(z).max()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_sign_flips_leave_every_table_bitwise_unchanged(seed):
+    # A step's whitened basis keeps LAPACK's column signs; negating any
+    # columns of the embedding and of the centers must change no bit of
+    # what the step computes from them, since (-a)(-b) = ab and the
+    # centers' mean shift negates exactly.
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((60, 5)) * rng.uniform(0.1, 10.0, 5)
+    centers = z[rng.choice(60, 4, replace=False)] + 0.1 * rng.standard_normal((4, 5))
+    flips = np.where(rng.random(5) < 0.5, -1.0, 1.0)
+    flips[seed % 5] = -1.0
+    plain = squared_distances(z, centers)
+    flipped = squared_distances(z * flips, centers * flips)
+    assert np.array_equal(plain, flipped)
+    assert np.array_equal(class_probabilities(plain), class_probabilities(flipped))
+    ours = target_kmeans(z, centers, plain)
+    theirs = target_kmeans(z * flips, centers * flips, flipped)
+    assert np.array_equal(ours[0] * flips, theirs[0])
+    assert np.array_equal(ours[1], theirs[1])
+    assert ours[2] == theirs[2]
+    assert np.array_equal(ours[3], theirs[3])
+    assert ours[4] == theirs[4]

@@ -222,6 +222,12 @@ def test_parse_shift_spec_errors(tmp_path):
     duplicate.write_text("classes=2\nseed=1\nclasses=3\n")
     with pytest.raises(ConfigError, match="line 3: duplicate key 'classes'"):
         parse_shift_spec(duplicate)
+    # ShiftSpec's own value checks are named with the file, not the line
+    one_class = tmp_path / "f.txt"
+    one_class.write_text("classes=1\n")
+    message = f"{one_class}: need at least two classes"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_shift_spec(one_class)
     not_utf8 = tmp_path / "d.txt"
     not_utf8.write_bytes(b"classes=\xff3\n")
     with pytest.raises(FormatError, match="not UTF-8 text"):

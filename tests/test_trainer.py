@@ -14,7 +14,7 @@ import pytest
 
 import cdem
 from cdem import eigsolve, preprocess
-from cdem.eigsolve import ORTHONORMALITY_BOUND, RESIDUAL_BOUND, FactoredConstraint, top_eigenpairs
+from cdem.eigsolve import ORTHONORMALITY_BOUND, RESIDUAL_BOUND, top_eigenpairs
 from cdem.errors import ConfigError, DataError, DegenerateDataError
 from cdem.matio import DomainPair, ExperimentConfig, read_matrix
 from cdem.preprocess import normalize_rows
@@ -125,8 +125,9 @@ def test_alignment_weight_reduces_domain_gap_term():
         weights = term_weights(params)
         parts = build_objective_matrices(moments, xt_sel, labels, weights)
         a = parts.combined + params.delta * np.eye(features.shape[1])
-        solution = solve_generalized(task.constraint.reduce(a), task.constraint, 3)
-        gap_terms.append(trace_form(mmd, solution.projection))
+        w = task.whiten
+        solution = solve_generalized(w.T @ a @ w, w, 3)
+        gap_terms.append(trace_form(mmd, w @ solution.basis))
     # both solves minimize over the same feasible frames, so the heavier
     # alignment weight cannot end up with a larger alignment term
     assert gap_terms[1] <= gap_terms[0] + 1e-9 * (1.0 + abs(gap_terms[0]))
@@ -298,7 +299,11 @@ def test_step_distances_match_a_refit_of_the_embedded_source(monkeypatch):
         centers = fit_prototypes(z[task.source_rows], task.source_y, task.n_classes)
         expected = squared_distances(z, centers)
         assert np.abs(to_source - expected).max() <= 1e-10 * expected.max()
-    assert np.array_equal(z[task.target_rows, :2], result.target_embedding)
+    # the run's last z, with each column's sign fixed once, at the run's end
+    last = z[task.target_rows, :2]
+    for j in range(2):
+        column = result.target_embedding[:, j]
+        assert np.array_equal(last[:, j], column) or np.array_equal(-last[:, j], column)
 
 
 def test_error_carries_step_context(monkeypatch):
@@ -318,10 +323,10 @@ def test_error_carries_step_context(monkeypatch):
 def test_constraint_factored_once_per_run(monkeypatch):
     import cdem.trainer as trainer_mod
 
-    counts = {"cholesky": 0, "solve": 0, "reduce": 0}
+    counts = {"cholesky": 0, "solve": 0, "signs": 0}
     cholesky = np.linalg.cholesky
     solve = trainer_mod.solve_generalized
-    reduce = FactoredConstraint.reduce
+    column_signs = trainer_mod.column_signs
 
     def counting_cholesky(*args, **kwargs):
         counts["cholesky"] += 1
@@ -331,18 +336,36 @@ def test_constraint_factored_once_per_run(monkeypatch):
         counts["solve"] += 1
         return solve(*args, **kwargs)
 
-    def counting_reduce(*args, **kwargs):
-        counts["reduce"] += 1
-        return reduce(*args, **kwargs)
+    def counting_signs(*args, **kwargs):
+        counts["signs"] += 1
+        return column_signs(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(trainer_mod, "solve_generalized", counting_solve)
-    # a run without a dump builds its operand W'AW from whitened moments
-    monkeypatch.setattr(FactoredConstraint, "reduce", counting_reduce)
+    # P = WU is formed and sign-fixed once per run, not once per step
+    monkeypatch.setattr(trainer_mod, "column_signs", counting_signs)
     pair, labels = generate(_small_spec(seed=10))
     result = run_adaptation(pair, _small_config(iterations=11), labels)
     assert len(result.records) == 11
-    assert counts == {"cholesky": 1, "solve": 11, "reduce": 0}
+    assert counts == {"cholesky": 1, "solve": 11, "signs": 1}
+
+
+def test_final_projection_sign_fixed_and_constraint_orthonormal():
+    from cdem.eigsolve import shifted_gram
+
+    pair, labels = generate(_small_spec(seed=16, classes=3, translation=(1.0, -1.0, 0.5)))
+    config = _small_config()
+    task = prepare_task(pair, config)
+    result = run_adaptation(task, config, labels)
+    p = result.projection
+    # each column's largest-magnitude entry is positive
+    assert (p[np.abs(p).argmax(axis=0), np.arange(p.shape[1])] > 0).all()
+    gram = p.T @ shifted_gram(task.features) @ p
+    assert np.abs(gram - np.eye(p.shape[1])).max() <= ORTHONORMALITY_BOUND
+    # the reported embeddings are XP's first two columns
+    embedding = task.features @ p[:, :2]
+    assert np.allclose(result.source_embedding, embedding[task.source_rows], atol=1e-12)
+    assert np.allclose(result.target_embedding, embedding[task.target_rows], atol=1e-12)
 
 
 def test_prepared_task_runs_like_its_pair():
