@@ -137,41 +137,33 @@ def _check_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _whiten(shifted: np.ndarray) -> np.ndarray:
-    """W = L^-T for the Cholesky factor L of shifted, so W'(shifted)W = I."""
+def factor_constraint(shifted: np.ndarray) -> np.ndarray:
+    """W = L^-T for the Cholesky factor L of B + sI, after checking it, so
+    that W'(B + sI)W = I."""
+    shifted = _check_symmetric(shifted, "B")
     try:
         chol = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "B is not positive definite even after the ridge shift; "
-            "increase b_shift or check the feature matrix for rank collapse"
+            "check the feature matrix for rank collapse"
         ) from exc
     # inv() runs a pivoted LU, which can leave rounding-size entries above
     # the diagonal of L^-T; triu keeps W upper triangular by construction.
     return np.triu(np.linalg.inv(chol).T)
 
 
-def factor_constraint(b: np.ndarray, b_shift: float = 0.0) -> np.ndarray:
-    """W = L^-T for the Cholesky factor L of B + b_shift I, after checking
-    B, so that W'(B + b_shift I)W = I."""
-    b = _check_symmetric(b, "B")
-    if b_shift < 0:
-        raise ConfigError("b_shift must be non-negative")
-    return _whiten(b + b_shift * np.eye(b.shape[0]))
-
-
 def solve_generalized(
     reduced: np.ndarray, whiten: np.ndarray, n_components: int
 ) -> TransformSolution:
     """Smallest n_components eigenpairs of A p = theta (B + sI) p, from
-    reduced = W'AW for the W that whitens B + sI; reduced is checked as B
-    is (square, finite, symmetric) and symmetrized."""
+    reduced = W'AW for the W that whitens B + sI."""
     m = whiten.shape[0]
     if reduced.shape != (m, m):
         raise ConfigError(f"W'AW is {reduced.shape}, W is {whiten.shape}")
     if n_components < 1 or n_components > m:
         raise ConfigError(f"n_components={n_components} not in [1, {m}]")
-    reduced = _check_symmetric(reduced, "W'AW")
+    reduced = 0.5 * (reduced + reduced.T)
     eigenvalues, basis = _kept_eigenpairs(reduced.copy(), n_components, largest=False)
     theta = eigenvalues[:n_components].copy()
     product = reduced @ basis
@@ -209,7 +201,7 @@ def column_signs(columns: np.ndarray) -> np.ndarray:
 
 
 def relative_ridge(b: np.ndarray) -> float:
-    """The b_shift used with B: DEFAULT_RIDGE_SCALE times B's mean diagonal."""
+    """The s of B + sI: DEFAULT_RIDGE_SCALE times B's mean diagonal."""
     return DEFAULT_RIDGE_SCALE * float(np.trace(b)) / b.shape[0]
 
 
@@ -222,12 +214,12 @@ def shifted_gram(features: np.ndarray) -> np.ndarray:
         raise ConfigError("features must be 2-d (samples in rows)")
     centered = f - f.mean(axis=0)
     b = centered.T @ centered
-    return _check_symmetric(b, "B") + relative_ridge(b) * np.eye(b.shape[0])
+    return b + relative_ridge(b) * np.eye(b.shape[0])
 
 
 def assemble_operands(features: np.ndarray) -> np.ndarray:
     """W = L^-T for the Cholesky factor L of the features' ``shifted_gram``."""
-    return _whiten(shifted_gram(features))
+    return factor_constraint(shifted_gram(features))
 
 
 @functools.cache

@@ -255,13 +255,15 @@ def _dump_iteration(
     step: int,
     task: PreparedTask,
     moments: SourceMoments,
+    shifted: np.ndarray,
     selected: np.ndarray,
     labels: np.ndarray,
     config: ExperimentConfig,
     solution: TransformSolution,
 ) -> None:
     """Write one step's matrices in the coordinates of the scores X, from
-    their own source moments; only a dump builds these, and the terms alone."""
+    their own source moments and B + sI; only a dump builds these, and the
+    terms alone."""
     dump_dir.mkdir(parents=True, exist_ok=True)
     xt_sel = task.target[selected]
     combined = build_objective_matrices(moments, xt_sel, labels, term_weights(config)).combined
@@ -269,7 +271,7 @@ def _dump_iteration(
         **objective_terms(moments, xt_sel, labels),
         "combined": combined,
         "operand_a": combined + config.delta * np.eye(combined.shape[0]),
-        "operand_b": shifted_gram(task.features),
+        "operand_b": shifted,
         "projection": _projection(task, solution.basis)[0],
         "eigenvalues": solution.eigenvalues.reshape(1, -1),
     }
@@ -306,9 +308,10 @@ def run_adaptation(
     target_whitened = whitened[target]
     moments = source_moments(whitened[source], target_whitened, task.source_y, task.n_classes)
     delta_gram = config.delta * (whiten.T @ whiten)
-    dump_moments = None
+    dump_moments = dump_shifted = None
     if dump_dir is not None:
         dump_moments = source_moments(task.source, task.target, task.source_y, task.n_classes)
+        dump_shifted = shifted_gram(task.features)
 
     for step in range(1, total + 1):
         try:
@@ -339,7 +342,8 @@ def run_adaptation(
                 raise NumericError("objective value is not finite")
             if dump_dir is not None:
                 _dump_iteration(
-                    Path(dump_dir), step, task, dump_moments, selected, y_sel, config, solution
+                    Path(dump_dir), step, task, dump_moments, dump_shifted, selected, y_sel,
+                    config, solution,
                 )
 
             agreement = float(np.mean(table.label == prev_labels))

@@ -93,7 +93,7 @@ def test_reference_agreement_with_shift():
     b = root @ root.T + 0.5 * np.eye(m)
     shift = relative_ridge(b)
     assert shift == 1e-9 * np.trace(b) / m
-    sol = _solve(a, factor_constraint(b, shift), 5)
+    sol = _solve(a, factor_constraint(b + shift * np.eye(m)), 5)
     reference = scipy.linalg.eigh(a, b + shift * np.eye(m), eigvals_only=True)
     assert np.abs(sol.eigenvalues - reference[:5]).max() <= 1e-8
 
@@ -116,7 +116,7 @@ def test_solution_reports_whitened_residual_gap_and_objective(monkeypatch):
     root = rng.standard_normal((m, m))
     b = root @ root.T + 0.5 * np.eye(m)
     shifted = b + relative_ridge(b) * np.eye(m)
-    w = factor_constraint(b, relative_ridge(b))
+    w = factor_constraint(shifted)
     reduced = w.T @ a @ w
     everything = scipy.linalg.eigh(a, shifted, eigvals_only=True)
     for k in (1, 4, m):
@@ -147,14 +147,10 @@ def test_invalid_inputs():
     with pytest.raises(ConfigError, match=r"^W'AW is \(3, 3\), W is \(4, 4\)$"):
         solve_generalized(a, factor_constraint(np.eye(4)), 1)
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ConfigError, match=r"^W'AW is not symmetric$"):
-        solve_generalized(skew, factor_constraint(np.eye(2)), 1)
     with pytest.raises(ConfigError):
         factor_constraint(skew)
     with pytest.raises(ConfigError, match=r"^B must be square, got \(2, 3\)$"):
         factor_constraint(np.ones((2, 3)))
-    with pytest.raises(ConfigError):
-        factor_constraint(np.eye(3), b_shift=-1.0)
 
 
 def test_indefinite_b_raises_numeric_error():
@@ -168,8 +164,8 @@ def test_non_finite_operands_raise_numeric_error():
     with pytest.raises(NumericError, match="^B has NaN or infinite entries$"):
         factor_constraint(bad)
     bad[0, 0] = np.inf
-    with pytest.raises(NumericError, match="^W'AW has NaN or infinite entries$"):
-        solve_generalized(bad, factor_constraint(np.eye(3)), 1)
+    with pytest.raises(NumericError, match="^B has NaN or infinite entries$"):
+        factor_constraint(bad)
 
 
 def test_assemble_operands_structure():
@@ -407,8 +403,7 @@ def test_kernel_nan_trips_lapacke_check():
     gram[5, 3] = np.nan
     with pytest.raises(NumericError, match=r"^LAPACK dsytrd failed with info=-4$"):
         top_eigenpairs(gram, 1)
-    # solve_generalized rejects a non-finite W'AW before the kernel sees it
-    with pytest.raises(NumericError, match=r"^W'AW has NaN or infinite entries$"):
+    with pytest.raises(NumericError, match=r"^LAPACK dsytrd failed with info=-4$"):
         solve_generalized(np.full((3, 3), np.nan), factor_constraint(np.eye(3)), 1)
 
 

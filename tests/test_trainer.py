@@ -160,12 +160,24 @@ def test_component_subset_runs():
     assert len(result.records) == config.iterations
 
 
-def test_dump_writes_term_matrices(tmp_path):
+def test_dump_writes_term_matrices(tmp_path, monkeypatch):
+    import cdem.trainer as trainer_mod
     from cdem.objectives import TERMS, term_weights
 
+    built = []
+    shifted_gram = trainer_mod.shifted_gram
+    monkeypatch.setattr(
+        trainer_mod, "shifted_gram", lambda features: built.append(1) or shifted_gram(features)
+    )
     pair, labels = generate(_small_spec(seed=8))
     config = _small_config(iterations=2)
     dumped = run_adaptation(pair, config, labels, dump_dir=tmp_path)
+    # B + sI is label-free: built once per run, written at every step
+    assert len(built) == 1
+    assert np.array_equal(
+        read_matrix(tmp_path / "step01_operand_b.cdm"),
+        read_matrix(tmp_path / "step02_operand_b.cdm"),
+    )
     names = TERMS + ("combined", "operand_a", "operand_b", "projection", "eigenvalues")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"step{step:02d}_{name}.cdm" for step in (1, 2) for name in names
