@@ -153,14 +153,12 @@ def factor_constraint(shifted: np.ndarray) -> np.ndarray:
     return np.triu(np.linalg.inv(chol).T)
 
 
-def solve_generalized(
-    reduced: np.ndarray, whiten: np.ndarray, n_components: int
-) -> TransformSolution:
+def solve_generalized(reduced: np.ndarray, n_components: int) -> TransformSolution:
     """Smallest n_components eigenpairs of A p = theta (B + sI) p, from
     reduced = W'AW for the W that whitens B + sI."""
-    m = whiten.shape[0]
-    if reduced.shape != (m, m):
-        raise ConfigError(f"W'AW is {reduced.shape}, W is {whiten.shape}")
+    if reduced.ndim != 2 or reduced.shape[0] != reduced.shape[1]:
+        raise ConfigError(f"W'AW must be square, got {reduced.shape}")
+    m = reduced.shape[0]
     if n_components < 1 or n_components > m:
         raise ConfigError(f"n_components={n_components} not in [1, {m}]")
     reduced = 0.5 * (reduced + reduced.T)

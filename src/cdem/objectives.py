@@ -5,24 +5,25 @@ columns; source rows first, then target rows).  A weighs the six ``TERMS``,
 each a quadratic form X'QX equal to a sum of squared distances in the
 projected space.  These sums depend on the samples only through the count
 n_g and row sum s_g of each source and selected-target class (from
-``prototype.class_moments``), the Gram G_c of each source class and the
-selected target rows Xsel.  A step therefore passes the builder the run's
+``prototype.class_moments``) and through the labeled rows themselves: the
+source rows Xs with their labels and the selected target rows Xsel with
+their pseudo labels.  A step therefore passes the builder the run's
 ``SourceMoments``, Xsel and Xsel's pseudo labels, never X or a mask.  With
-means mu_g = s_g / n_g:
+means mu_g = s_g / n_g and n_{y_r} the count of row r's class:
 
-- within-class scatter: sum_c G_c + Xsel'Xsel - sum_g n_g mu_g mu_g'
+- within-class scatter: Xs'Xs + Xsel'Xsel - sum_g n_g mu_g mu_g'
 - center push, marginal and conditional MMD, cross pushes: weighted
   (mu_a - mu_b)(mu_a - mu_b)', complement means taken from totals minus
   the group
-- same-label Laplacian: sum_c n_c G_c + Xsel' diag(n_{y_r}) Xsel
+- same-label Laplacian: Xs' diag(n_{y_r}) Xs + Xsel' diag(n_{y_r}) Xsel
   - sum_c s_c s_c', n_c and s_c counting both sides together
 
 A is linear in the term weights w, so ``build_objective_matrices`` forms it
-from three products, never term by term: sum_c (w_within + w_lap n_c) G_c,
-Xsel' diag(w_within + w_lap n_{y_r}) Xsel, and D' diag(u) D for every
-rank-one part, D stacking the class means, mean differences, class sums and
-the marginal gap (at most 8C + 1 rows).  A term alone is the same call with
-a unit weight on it (``objective_terms``), for dumps and checks.
+from three products, never term by term: Xs' diag(g_{y_r}) Xs and
+Xsel' diag(g_{y_r}) Xsel with g = w_within + w_lap n, and D' diag(u) D for
+every rank-one part, D stacking the class means, mean differences, class
+sums and the marginal gap (at most 8C + 1 rows).  A term alone is the same
+call with a unit weight on it (``objective_terms``), for dumps and checks.
 
 Every term is linear in the moments' coordinates: the moments of the rows
 of XT give T'AT.  The trainer computes them on the whitened rows Y = XW,
@@ -31,10 +32,10 @@ builds is W'AW, the standard-form matrix the eigensolver takes, and no step
 forms W'AW from A.  A dump builds the same operand from the moments of X.
 
 ``source_moments`` computes the source-only parts once per run: the class
-counts, sums and Grams and the gap between the domains' mean rows.  A step
-costs O(n_t m^2 + C m^2) time; the moments hold C m^2 numbers (8.5 MB for 65
-classes at m = 128, 2.2 GB at m = 2048), so a run keeps them only while it
-runs.  Unselected target samples enter only the marginal MMD term.
+counts and sums and the gap between the domains' mean rows, beside the
+source rows and labels it was given, which it keeps without copying.  A step
+costs O(n m^2 + C m^2) time and holds O(n_s m + C m + m^2) numbers beyond
+those rows.  Unselected target samples enter only the marginal MMD term.
 """
 
 from __future__ import annotations
@@ -57,13 +58,14 @@ TERMS = ("within_class", "center_push", "mmd", "cross_st", "cross_ts", "laplacia
 @dataclass(frozen=True)
 class SourceMoments:
     """The source-side terms of every step's objective (see the module
-    docstring): per-class counts (C,) and row sums (C, m), the per-class
-    source Grams (C, m, m), whose sum is the source Gram, and the mean
-    source row minus the mean target row (m,)."""
+    docstring): the source rows (n_s, m) and their labels (n_s,), as given,
+    per-class counts (C,) and row sums (C, m), and the mean source row minus
+    the mean target row (m,)."""
 
+    rows: np.ndarray
+    labels: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
-    class_grams: np.ndarray
     marginal_gap: np.ndarray
 
 
@@ -77,14 +79,11 @@ def source_moments(
     only = np.flatnonzero((counts > 0) & (counts == source_y.shape[0]))
     if only.size:
         raise ConfigError(f"source contains only class {only[0]}: empty complement")
-    class_grams = np.empty((n_classes, xs.shape[1], xs.shape[1]))
-    for cls in range(n_classes):
-        rows = xs[source_y == cls]
-        class_grams[cls] = rows.T @ rows
     return SourceMoments(
+        rows=xs,
+        labels=source_y,
         counts=counts,
         sums=sums,
-        class_grams=class_grams,
         marginal_gap=xs.mean(axis=0) - xt.mean(axis=0),
     )
 
@@ -175,7 +174,7 @@ def build_objective_matrices(
     # Each row's Gram enters the within-class scatter once and the
     # Laplacian n times, n counting the row's class over both sides.
     gram_weight = weights["within_class"] + weights["laplacian"] * n_cls
-    combined = np.tensordot(gram_weight, source.class_grams, axes=1)
+    combined = (source.rows * gram_weight[source.labels, None]).T @ source.rows
     combined += (xt_sel * gram_weight[y_sel, None]).T @ xt_sel
 
     n_sel = n_tgt.sum()

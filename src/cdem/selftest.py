@@ -16,6 +16,7 @@ import numpy as np
 
 from . import objectives
 from .eigsolve import factor_constraint, solve_generalized
+from .errors import ConfigError
 from .matio import ExperimentConfig
 
 
@@ -393,7 +394,7 @@ def check_eigensolver(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> list
         root = rng.standard_normal((m, m))
         b = root @ root.T + 0.5 * np.eye(m)
         w = factor_constraint(b)
-        sol = solve_generalized(w.T @ a @ w, w, k)
+        sol = solve_generalized(w.T @ a @ w, k)
         reference = scipy.linalg.eigh(a, b, eigvals_only=True)
         scale = max(1.0, float(np.abs(reference).max()))
         worst_theta = max(
@@ -411,4 +412,8 @@ def check_eigensolver(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> list
 
 
 def run_suite(seed: int = 0, cases: int = 20) -> list[CheckResult]:
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+    if cases < 1:
+        raise ConfigError(f"cases must be at least 1, got {cases}")
     return check_objective_terms(seed, cases) + check_eigensolver(seed, cases)

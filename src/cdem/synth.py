@@ -45,6 +45,8 @@ class ShiftSpec:
             raise ConfigError("class means need classes <= dims")
         if self.n_per_domain < self.classes:
             raise ConfigError("need at least one sample per class and domain")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         for name in sorted(_SPEC_FLOAT_KEYS):
             value = getattr(self, name)
             if not np.isfinite(value):

@@ -318,7 +318,7 @@ def run_adaptation(
             selected = state.selected
             y_sel = table.label[selected]
             parts = build_objective_matrices(moments, target_whitened[selected], y_sel, weights)
-            solution = solve_generalized(parts.combined + delta_gram, whiten, config.subspace_dim)
+            solution = solve_generalized(parts.combined + delta_gram, config.subspace_dim)
             # YU = XP embeds both domains; the source class means of Y map to
             # the source centers in it.
             z = whitened @ solution.basis

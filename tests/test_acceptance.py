@@ -87,7 +87,7 @@ def test_projection_satisfies_variance_constraint():
     parts = build_objective_matrices(moments, xt_sel, labels, term_weights(params))
     a = parts.combined + params.delta * np.eye(features.shape[1])
     w = task.whiten
-    projection = w @ solve_generalized(w.T @ a @ w, w, config.subspace_dim).basis
+    projection = w @ solve_generalized(w.T @ a @ w, config.subspace_dim).basis
     centered = features - features.mean(axis=0)
     gram = projection.T @ (centered.T @ centered) @ projection
     worst = float(np.abs(gram - np.eye(config.subspace_dim)).max())

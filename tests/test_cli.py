@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 import cdem
+from cdem import selftest
 from cdem.bench import BLAS_THREAD_VARS
 from cdem.cli import build_parser, main
+from cdem.errors import ConfigError
 from cdem.matio import write_labels, write_matrix
 from cdem.synth import ShiftSpec, generate, write_dataset
 
@@ -305,6 +307,42 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--seed", "-5"], "seed must be non-negative"),
+        (["synth", "--spec", "{spec}"], "{spec}: seed must be non-negative"),
+        (["selftest", "--seed", "-1"], "seed must be non-negative"),
+        (["selftest", "--cases", "0"], "cases must be at least 1, got 0"),
+        (["selftest", "--cases", "-3"], "cases must be at least 1, got -3"),
+    ],
+    ids=["synth-seed", "spec-seed", "selftest-seed", "zero-cases", "negative-cases"],
+)
+def test_negative_seed_or_no_cases_is_a_named_error(tmp_path, capsys, argv, message):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("seed=-2\n")
+    out = tmp_path / "data"
+    argv = [arg.format(spec=spec) for arg in argv]
+    if argv[0] == "synth":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(spec=spec)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seed, cases, message",
+    [
+        (-1, 3, "seed must be non-negative"),
+        (0, 0, "cases must be at least 1, got 0"),
+        (0, -3, "cases must be at least 1, got -3"),
+    ],
+)
+def test_run_suite_rejects_a_negative_seed_or_no_cases(seed, cases, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        selftest.run_suite(seed=seed, cases=cases)
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ and oracle agreement."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -408,3 +409,21 @@ def test_two_gram_terms_match_per_class_grams():
     within, laplacian = _per_class_gram_terms(xs, ys, xt[selected], yt[selected], n_classes)
     assert np.abs(parts.within_class - within).max() <= 1e-12 * np.abs(within).max()
     assert np.abs(parts.laplacian - laplacian).max() <= 1e-12 * np.abs(laplacian).max()
+
+
+def test_source_moments_hold_no_per_class_grams():
+    # One m×m Gram per class would be 200 · 64² floats, 6.6 MB; the moments
+    # keep the given rows and labels themselves and only C·m class sums.
+    rng = np.random.default_rng(83)
+    n_classes, m = 200, 64
+    xs = rng.standard_normal((400, m))
+    ys = rng.permutation(np.arange(400) % n_classes)
+    xt = rng.standard_normal((300, m))
+    tracemalloc.start()
+    try:
+        moments = source_moments(xs, xt, ys, n_classes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert moments.rows is xs and moments.labels is ys

@@ -172,6 +172,8 @@ def test_spec_validation():
         ShiftSpec(noise_scale=-1.0)
     with pytest.raises(ConfigError):
         ShiftSpec(dims=2, translation=(1.0, 2.0, 3.0))
+    with pytest.raises(ConfigError, match="^seed must be non-negative$"):
+        ShiftSpec(seed=-1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -228,6 +230,11 @@ def test_parse_shift_spec_errors(tmp_path):
     message = f"{one_class}: need at least two classes"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_shift_spec(one_class)
+    negative_seed = tmp_path / "g.txt"
+    negative_seed.write_text("seed=-2\n")
+    message = f"{negative_seed}: seed must be non-negative"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_shift_spec(negative_seed)
     not_utf8 = tmp_path / "d.txt"
     not_utf8.write_bytes(b"classes=\xff3\n")
     with pytest.raises(FormatError, match="not UTF-8 text"):

@@ -126,7 +126,7 @@ def test_alignment_weight_reduces_domain_gap_term():
         parts = build_objective_matrices(moments, xt_sel, labels, weights)
         a = parts.combined + params.delta * np.eye(features.shape[1])
         w = task.whiten
-        solution = solve_generalized(w.T @ a @ w, w, 3)
+        solution = solve_generalized(w.T @ a @ w, 3)
         gap_terms.append(trace_form(mmd, w @ solution.basis))
     # both solves minimize over the same feasible frames, so the heavier
     # alignment weight cannot end up with a larger alignment term
@@ -665,6 +665,16 @@ def test_permuting_target_rows_permutes_predictions(seed, dims, subspace_dim):
     perm = np.random.default_rng(seed).permutation(pair.n_target)
     moved = DomainPair(pair.source_x, pair.source_y, pair.target_x[perm], pair.n_classes)
     assert np.array_equal(run_adaptation(moved, config).predictions, predictions[perm])
+
+
+@pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
+def test_permuting_source_rows_keeps_predictions(seed, dims, subspace_dim):
+    # The source rows enter only through order-free sums: the PCA Gram, the
+    # class moments and the weighted source Gram of every step's operand
+    pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
+    perm = np.random.default_rng(seed).permutation(pair.n_source)
+    moved = DomainPair(pair.source_x[perm], pair.source_y[perm], pair.target_x, pair.n_classes)
+    assert np.array_equal(run_adaptation(moved, config).predictions, predictions)
 
 
 @pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
