@@ -223,16 +223,17 @@ def load_tasks(
     labels = functools.cache(lambda path: matio.read_labels(path))
     blocks: dict[Task, list[np.ndarray]] = {}
 
-    def check(task: Task) -> tuple[Task, tuple, np.ndarray | None]:
-        """The task's pool key, the PreparedTask fields after the key's
-        ``preprocess_rows`` result, and its evaluation labels."""
+    def check(task: Task) -> tuple[Task, dict, np.ndarray | None]:
+        """The task's pool key, its PreparedTask fields other than the key's
+        ``preprocess_rows`` result, by name, and its evaluation labels."""
         pair = load_domain_pair(config, task, matrix, labels)
         eval_labels = load_eval_labels(config, pair, task, labels)
         swapped = task is not None and task[0] > task[1]
         key = None if task is None else tuple(sorted(task))
         domains = [pair.source_x, pair.target_x]
         blocks.setdefault(key, domains[::-1] if swapped else domains)
-        return key, (pair.source_y, pair.n_classes, config.normalize, not swapped), eval_labels
+        fields = dict(source_y=pair.source_y, n_classes=pair.n_classes, source_first=not swapped)
+        return key, fields, eval_labels
 
     checked = {task: check(task) for task in dict.fromkeys(tasks)}
     matrix.cache_clear()
@@ -240,7 +241,7 @@ def load_tasks(
     prepare = lambda key: preprocess_rows(*blocks.pop(key), config)
     rows = dict(zip(keys, _parallel_map(prepare, keys)))
     return {
-        task: (PreparedTask(*rows[key], *fields), eval_labels)
+        task: (PreparedTask(*rows[key], **fields), eval_labels)
         for task, (key, fields, eval_labels) in checked.items()
     }
 
@@ -301,7 +302,8 @@ def run_grid(
 
     Requires evaluation labels for every task.  Each task is prepared once
     and run at every grid point, all as one list of runs on the pool
-    (CDEM_THREADS caps workers).
+    (CDEM_THREADS caps workers); each run keeps only its accuracy, so no
+    run's projection, embeddings or records outlive it.
     Returns (assignment, mean accuracy over the tasks) per grid point, in
     deterministic sweep order.
     """
@@ -320,7 +322,12 @@ def run_grid(
     ]
     configs = [replace(config, **{WEIGHT_KEYS[k]: v for k, v in p.items()}) for p in points]
     runs = [_Run(task, "cdem", cfg) for task in tasks for cfg in configs]
-    accs = [result.accuracy for result in _run_all(loaded, runs)]
+
+    def accuracy(run: _Run) -> float:
+        name = task_name(run.task)
+        return _task_result(name, run.method, run.config, *loaded[run.task]).accuracy
+
+    accs = _parallel_map(accuracy, runs)
     # task-major: point i's accuracies are every len(points)-th from i
     return [
         (assignment, float(np.mean(accs[i :: len(points)])))

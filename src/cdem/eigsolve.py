@@ -166,8 +166,13 @@ def solve_generalized(reduced: np.ndarray, n_components: int) -> TransformSoluti
     theta = eigenvalues[:n_components].copy()
     product = reduced @ basis
     resid = product - basis * theta[None, :]
-    denom = np.linalg.norm(reduced) + np.abs(theta) * np.sqrt(m)
-    rel = np.linalg.norm(resid, axis=0) / denom
+    # The norms square their entries, so M, the residual and theta are first
+    # scaled by the power of two 2^-e that brings M's largest |eigenvalue|,
+    # its 2-norm and at least max|M|, into [0.5, 1): exact in binary, so the
+    # ratio is unchanged, and no square overflows however large the weights.
+    e = np.frexp(np.abs(eigenvalues).max())[1]
+    denom = np.linalg.norm(np.ldexp(reduced, -e)) + np.ldexp(np.abs(theta), -e) * np.sqrt(m)
+    rel = np.linalg.norm(np.ldexp(resid, -e), axis=0) / denom
     if not np.isfinite(rel).all():
         raise NumericError("eigensolver produced non-finite residuals")
     if rel.max() > RESIDUAL_BOUND:

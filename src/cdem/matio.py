@@ -225,7 +225,8 @@ WEIGHT_KEYS = {"beta": "beta", "lambda": "lam", "gamma": "gamma", "eta": "eta", 
 class ExperimentConfig:
     """Fully resolved experiment settings (defaults match the benchmark setup).
     The term weights beta, lam, gamma, eta and the ridge delta are finite and
-    non-negative."""
+    non-negative.  pca_dim is the one preparation setting: the PCA scores
+    are always scaled to unit-length rows (``trainer.preprocess_rows``)."""
 
     source_features: Path | None = None
     source_labels: Path | None = None
@@ -239,7 +240,6 @@ class ExperimentConfig:
     gamma: float = 0.1
     eta: float = 0.1
     delta: float = 1.0
-    normalize: bool = True
     datasets: dict[str, DatasetEntry] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -259,18 +259,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be non-negative")
 
 
-_BOOL_KEYS = {"normalize"}
 _INT_KEYS = {"pca_dim", "subspace_dim", "iterations"}
 _PATH_KEYS = {"source_features", "source_labels", "target_features", "target_labels"}
-
-
-def _parse_bool(value: str, context: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{context}: expected a boolean, got {value!r}")
 
 
 def read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
@@ -326,8 +316,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 kwargs[WEIGHT_KEYS[key]] = float(value)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {key} must be a number, got {value!r}") from exc
-        elif key in _BOOL_KEYS:
-            kwargs[key] = _parse_bool(value, f"{where}: {key}")
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
     for name, entry in datasets.items():

@@ -1,15 +1,15 @@
 """Alternating optimization: solve for a projection, relabel, reselect.
 
 A run works on one feature matrix holding both domains' rows.
-``preprocess_rows`` does everything that depends only on those rows,
-``pca_dim`` and ``normalize``: it takes the two domains' matrices as they are,
-fits one PCA on both together (``preprocess.fit_pca`` centers them piece by
-piece, so no stacked copy is made), keeps the read-only scores of their rows
-in that order (unit-length rows when ``normalize`` is on), and factors the
-label-free constraint B = X'HX once, keeping only the W that whitens it.  A
-``PreparedTask`` is a view of that prepared pair: its ``source`` and
-``target`` are row slices of the scores, in whichever order the two blocks
-were passed, so a task and its reverse share one pair.  Methods, ablation
+``preprocess_rows`` does everything that depends only on those rows and
+``pca_dim``: it takes the two domains' matrices as they are, fits one PCA on
+both together (``preprocess.fit_pca`` centers them piece by piece, so no
+stacked copy is made), keeps the read-only scores of their rows in that
+order, each scaled to unit length, and factors the label-free constraint
+B = X'HX once, keeping only the W that whitens it.  A ``PreparedTask`` is a
+view of that prepared pair: its ``source`` and ``target`` are row slices of
+the scores, in whichever order the two blocks were passed, so a task and
+its reverse share one pair.  Methods, ablation
 stages and grid points that differ only in their weights (an ablation stage
 zeroes some of them) share one ``PreparedTask``.  ``run_adaptation``
 bootstraps pseudo labels from the source-only prototype classifier on the
@@ -114,17 +114,16 @@ class PreparedTask:
     domains (``features``, m columns, the two blocks in the order they were
     prepared, the source block first when ``source_first``), the W = L^-T
     that whitens their constraint B + sI = LL' (B = X'HX) and the source
-    labels.
-    ``normalize`` records whether the rows were scaled to unit length; m is
-    the ``pca_dim`` they were prepared with.  The first two fields are a
-    ``preprocess_rows`` result, so ``PreparedTask(*preprocess_rows(...),
-    ...)`` builds one."""
+    labels; m is the ``pca_dim`` they were prepared with.  The first two
+    fields are a ``preprocess_rows`` result, so ``PreparedTask(
+    *preprocess_rows(...), ...)`` builds one; ``PreparedTask(x,
+    assemble_operands(x), ...)`` builds one on any read-only scores x, such
+    as PCA scores whose rows were not scaled to unit length."""
 
     features: np.ndarray
     whiten: np.ndarray
     source_y: np.ndarray
     n_classes: int
-    normalize: bool
     source_first: bool
 
     @property
@@ -158,25 +157,22 @@ def preprocess_rows(
     head: np.ndarray, tail: np.ndarray, config: ExperimentConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """The label-free part of preparing a task: read-only PCA scores of the
-    rows of head followed by those of tail, which are left unchanged,
-    unit-length when config.normalize is on, plus the W that whitens their
-    constraint B = X'HX (``assemble_operands``).  A task and its reverse
-    take the same two blocks, so a suite computes this once per unordered
-    domain pair."""
-    features = fit_pca(head, tail, n_components=config.pca_dim)
-    if config.normalize:
-        features = normalize_rows(features)
+    rows of head followed by those of tail, which are left unchanged, each
+    scaled to unit length, plus the W that whitens their constraint B = X'HX
+    (``assemble_operands``).  A task and its reverse take the same two
+    blocks, so a suite computes this once per unordered domain pair."""
+    features = normalize_rows(fit_pca(head, tail, n_components=config.pca_dim))
     features.flags.writeable = False
     return features, assemble_operands(features)
 
 
 def prepare_task(pair: DomainPair, config: ExperimentConfig) -> PreparedTask:
     """Prepare pair, whose own matrices are left unchanged, once for any
-    number of runs that share its pca_dim and normalize settings."""
+    number of runs that share its pca_dim."""
     check_finite(pair.source_x, "source features")
     check_finite(pair.target_x, "target features")
     rows = preprocess_rows(pair.source_x, pair.target_x, config)
-    return PreparedTask(*rows, pair.source_y, pair.n_classes, config.normalize, source_first=True)
+    return PreparedTask(*rows, pair.source_y, pair.n_classes, source_first=True)
 
 
 def as_prepared(
@@ -184,16 +180,15 @@ def as_prepared(
     config: ExperimentConfig,
     eval_labels: np.ndarray | None = None,
 ) -> tuple[PreparedTask, np.ndarray | None]:
-    """task itself when already prepared (with config's pca_dim and
-    normalize), else ``prepare_task(task, config)``; and eval_labels checked
-    against it (see ``validate_eval_labels``), None staying None."""
+    """task itself when already prepared (with config's pca_dim), else
+    ``prepare_task(task, config)``; and eval_labels checked against it (see
+    ``validate_eval_labels``), None staying None."""
     if isinstance(task, DomainPair):
         task = prepare_task(task, config)
-    prepared_as = (task.features.shape[1], task.normalize)
-    if prepared_as != (config.pca_dim, config.normalize):
+    if task.features.shape[1] != config.pca_dim:
         raise ConfigError(
-            f"task prepared with (pca_dim, normalize) = {prepared_as}, config asks for "
-            f"{(config.pca_dim, config.normalize)}"
+            f"task prepared with pca_dim={task.features.shape[1]}, config asks for "
+            f"pca_dim={config.pca_dim}"
         )
     if eval_labels is not None:
         eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")

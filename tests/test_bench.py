@@ -6,6 +6,7 @@ import csv
 import json
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -679,6 +680,26 @@ def test_grid_counts_a_repeated_task_each_time(tmp_path):
     ab, ca = mean_accuracy([("A", "B")]), mean_accuracy([("C", "A")])
     assert ab != ca
     assert mean_accuracy([("A", "B"), ("A", "B"), ("C", "A")]) == float(np.mean([ab, ab, ca]))
+
+
+def test_grid_drops_each_runs_trace_when_it_ends(tmp_path, monkeypatch):
+    # A grid reads only each run's accuracy, so no run's AdaptationResult
+    # (projection, embeddings, predictions, records) is alive when the next
+    # run starts.
+    monkeypatch.setenv(bench.ENV_THREADS, "1")
+    config = load_config(_registry(tmp_path))
+    traces, alive = [], []
+    run = bench.run_adaptation
+
+    def spy(*args, **kwargs):
+        alive.append(sum(trace() is not None for trace in traces))
+        result = run(*args, **kwargs)
+        traces.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(bench, "run_adaptation", spy)
+    bench.run_grid(config, ["beta"], [("A", "B"), ("C", "A")], values=(0.1, 1.0))
+    assert alive == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])

@@ -294,6 +294,21 @@ def test_residual_gate(monkeypatch):
         _solve(a + a.T, factor_constraint(np.eye(6)), 3)
 
 
+@pytest.mark.parametrize("power", [-1000, -530, 530, 1000])
+def test_residual_is_measured_at_any_operand_scale(power):
+    # An operand scaled by 2^±530 (about 1e±160) has squares outside
+    # float64's range, and by 2^±1000 its entries' squares are 0 or inf: the
+    # norms must be taken on a rescaled copy, or the residual reads 0 (any
+    # solve passes) or is not finite (every solve fails).
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((12, 12))
+    base = solve_generalized(a + a.T, 4)
+    scaled = solve_generalized(np.ldexp(a + a.T, power), 4)
+    assert 0.0 < scaled.residual <= 1e-14
+    theta = np.ldexp(scaled.eigenvalues, -power)
+    assert np.abs(theta - base.eigenvalues).max() <= 1e-12 * np.abs(base.eigenvalues).max()
+
+
 needs_openblas = pytest.mark.skipif(
     eigsolve._openblas() is None,
     reason="numpy's linalg library lacks a routine cdem binds",

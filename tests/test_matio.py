@@ -12,7 +12,6 @@ import pytest
 
 from cdem.errors import CdemError, ConfigError, DataError, FormatError
 from cdem.matio import (
-    _BOOL_KEYS,
     _INT_KEYS,
     _PATH_KEYS,
     MAGIC,
@@ -210,7 +209,7 @@ _FUZZ_SEEDS = {
         load_config,
         b"source_features=s.cdm\nsource_labels=s.txt\ntarget_features=t.cdm\n"
         b"pca_dim=10\nsubspace_dim=4\niterations=5\nbeta=0.1\nlambda=0.2\n"
-        b"normalize=true\ngamma=0.0\neta=0.3\ndataset.A.features=a.cdm\n",
+        b"delta=1.5\ngamma=0.0\neta=0.3\ndataset.A.features=a.cdm\n",
     ),
     "matrix-cdm1": (
         read_matrix,
@@ -356,12 +355,10 @@ def test_config_parse_and_load(tmp_path):
         "subspace_dim=2\n"
         "iterations=3\n"
         "lambda=0.5\n"
-        "normalize=false\n"
     )
     config = load_config(cfg_path)
     assert config.pca_dim == 4 and config.subspace_dim == 2
     assert config.lam == 0.5
-    assert config.normalize is False
     assert config.beta == 0.1  # default untouched
     pair = load_domain_pair(config)
     assert pair.n_source == 6 and pair.n_target == 5 and pair.n_classes == 2
@@ -444,12 +441,13 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     [
         ("pca_dim=four", "line 1: pca_dim must be an integer, got 'four'"),
         ("beta=much", "line 1: beta must be a number, got 'much'"),
-        ("normalize=maybe", "line 1: normalize: expected a boolean, got 'maybe'"),
         ("foo=1", "line 1: unknown key 'foo'"),
+        # rows are always scaled to unit length after PCA; the switch is gone
+        ("normalize=true", "line 1: unknown key 'normalize'"),
         ("dataset..features=x.cdm", "line 1: bad dataset key 'dataset..features'"),
         ("dataset.A.labels=a.txt", "dataset.A: missing features path"),
     ],
-    ids=["integer", "number", "boolean", "unknown-key", "dataset-key", "no-features"],
+    ids=["integer", "number", "unknown-key", "normalize", "dataset-key", "no-features"],
 )
 def test_config_errors_name_the_file_and_line(tmp_path, line, message):
     path = tmp_path / "config.txt"
@@ -474,7 +472,7 @@ def test_readme_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("Remaining keys and defaults:", 1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"^\| `([a-z_]+)` \|", table, flags=re.MULTILINE))
-    accepted = _INT_KEYS | set(WEIGHT_KEYS) | _BOOL_KEYS
+    accepted = _INT_KEYS | set(WEIGHT_KEYS)
     assert listed == accepted
 
 

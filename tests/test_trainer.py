@@ -21,7 +21,7 @@ from cdem.preprocess import normalize_rows
 from cdem.prototype import KMEANS_MAX_ITERS, fit_prototypes, squared_distances
 from cdem.selftest import oracle_marginal_mmd
 from cdem.synth import ShiftSpec, generate, standard_shift_spec
-from cdem.trainer import evaluate_cross_domain_errors, prepare_task, run_adaptation
+from cdem.trainer import PreparedTask, evaluate_cross_domain_errors, prepare_task, run_adaptation
 
 
 def _small_spec(seed=0, **over):
@@ -196,14 +196,24 @@ def test_dump_writes_term_matrices(tmp_path, monkeypatch):
     assert np.array_equal(dumped.projection, plain.projection)
 
 
-# case -> (ShiftSpec overrides, config overrides): normalize on (the
-# default) and off, one ablation stage, and a wide task, 80 rows of 300
-# columns, whose PCA takes its n < d side
+def _unnormalized_task(pair, config):
+    """pair prepared by hand on its PCA scores as they are, rows not scaled
+    to unit length."""
+    x = preprocess.fit_pca(pair.source_x, pair.target_x, n_components=config.pca_dim)
+    x.flags.writeable = False
+    whiten = eigsolve.assemble_operands(x)
+    return PreparedTask(x, whiten, pair.source_y, pair.n_classes, source_first=True)
+
+
+# case -> (ShiftSpec overrides, config overrides, the task run_adaptation
+# takes): unit-length rows (the pair, prepared by the run) and rows at their
+# own lengths, one ablation stage, and a wide task, 80 rows of 300 columns,
+# whose PCA takes its n < d side
 WHITENED_LOOP_CASES = {
-    "normalized": ({}, {}),
-    "unnormalized": ({}, {"normalize": False}),
-    "erm+da": ({}, {"gamma": 0.0, "eta": 0.0}),
-    "wide": ({"dims": 300}, {"pca_dim": 20, "subspace_dim": 4}),
+    "normalized": ({}, {}, lambda pair, config: pair),
+    "unnormalized": ({}, {}, _unnormalized_task),
+    "erm+da": ({}, {"gamma": 0.0, "eta": 0.0}, lambda pair, config: pair),
+    "wide": ({"dims": 300}, {"pca_dim": 20, "subspace_dim": 4}, lambda pair, config: pair),
 }
 
 
@@ -213,10 +223,10 @@ def test_dumped_steps_match_an_independent_generalized_solve(case, tmp_path):
     # X-space pencil (A, B + sI) directly.
     import scipy.linalg
 
-    spec_over, config_over = WHITENED_LOOP_CASES[case]
+    spec_over, config_over, prepare = WHITENED_LOOP_CASES[case]
     pair, labels = generate(_small_spec(seed=14, **spec_over))
     config = _small_config(iterations=4, **config_over)
-    result = run_adaptation(pair, config, labels, dump_dir=tmp_path)
+    result = run_adaptation(prepare(pair, config), config, labels, dump_dir=tmp_path)
     k = config.subspace_dim
     for record in result.records:
         read = lambda name: read_matrix(tmp_path / f"step{record.step:02d}_{name}.cdm")
@@ -394,9 +404,9 @@ def test_prepared_task_runs_like_its_pair():
         assert np.array_equal(prepared.projection, fresh.projection)
         assert [r.objective for r in prepared.records] == [r.objective for r in fresh.records]
     assert np.array_equal(run_adaptation(task, config, labels).projection, direct.projection)
-    for other in (replace(config, pca_dim=5), replace(config, normalize=False)):
-        with pytest.raises(ConfigError, match="^task prepared with"):
-            run_adaptation(task, other)
+    mismatch = "^task prepared with pca_dim=6, config asks for pca_dim=5$"
+    with pytest.raises(ConfigError, match=mismatch):
+        run_adaptation(task, replace(config, pca_dim=5))
 
 
 def _stub_kernel(monkeypatch, change):
@@ -441,8 +451,10 @@ def test_orthonormality_gate_carries_step_context(monkeypatch):
 
 
 def test_non_finite_objective_carries_step_context(monkeypatch):
-    # No finite operand passes the eigensolve's gates with an infinite
-    # objective, so the solve is stubbed to return one at step 2.
+    # A finite W'AW can pass the eigensolve's gates with an infinite
+    # objective (three kept eigenvalues of -8e307 sum past float64's range),
+    # but on the tasks tried a run's weights overflow its operand first, so the
+    # solve is stubbed to return one at step 2.
     import cdem.trainer as trainer_mod
     from cdem.errors import NumericError
 
@@ -460,6 +472,18 @@ def test_non_finite_objective_carries_step_context(monkeypatch):
         run_adaptation(pair, _small_config(), None)
 
 
+@pytest.mark.parametrize("weight", [1e160, 1e305])
+def test_large_weights_keep_a_measured_residual(weight):
+    # The residual's norms square W'AW's entries: unscaled, they would read
+    # a residual of 0 at 1e160 and a non-finite one at 1e305.
+    pair, labels = generate(ShiftSpec(classes=3, n_per_domain=60, dims=8, seed=2))
+    weights = dict(beta=weight, lam=weight, gamma=weight, eta=weight)
+    config = ExperimentConfig(pca_dim=6, subspace_dim=3, iterations=3, **weights)
+    result = run_adaptation(pair, config, labels)
+    assert all(0.0 < rec.residual <= 1e-15 for rec in result.records)
+    assert result.records[-1].accuracy == 100.0
+
+
 def _positive_pivots(vecs):
     """vecs with each column flipped so that its largest-magnitude entry is
     positive, fit_pca's sign rule for Gram eigenvectors."""
@@ -467,12 +491,11 @@ def _positive_pivots(vecs):
     return vecs * np.where(pivots < 0, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("dims", [6, 300])
-def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
+def test_preprocess_pair_equals_per_domain_projection(dims):
     # 150 stacked rows: 6 columns put PCA on its tall side, 300 on its wide one
     pair, _ = generate(_small_spec(n_per_domain=75, dims=dims))
-    config = _small_config(pca_dim=6, normalize=normalize)
+    config = _small_config(pca_dim=6)
     m = config.pca_dim
     stacked = np.vstack([pair.source_x, pair.target_x])
     mean = (pair.source_x.sum(axis=0) + pair.target_x.sum(axis=0)) / stacked.shape[0]
@@ -488,15 +511,11 @@ def test_preprocess_pair_equals_per_domain_projection(normalize, dims):
         ]
         gram = sum(piece.T @ piece for piece in pieces)
         basis = _positive_pivots(top_eigenpairs(gram, m)[1])
-        parts = [piece @ basis for piece in pieces]
-        if normalize:
-            parts = [normalize_rows(z) for z in parts]
+        parts = [normalize_rows(piece @ basis) for piece in pieces]
         assert np.array_equal(prepare_task(pair, config).features, np.vstack(parts))
         return
     u, singular, _ = np.linalg.svd(centered, full_matrices=False)
-    ref = _positive_pivots(u[:, :m]) * singular[:m]
-    if normalize:
-        ref = normalize_rows(ref)
+    ref = normalize_rows(_positive_pivots(u[:, :m]) * singular[:m])
     assert np.abs(prepare_task(pair, config).features - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -600,11 +619,11 @@ def test_non_finite_pair_rejected_before_any_numerics(side):
 
 
 def _embedded_task(zs, ys, zt):
-    """A task on the two domains zs (labeled ys) and zt, and their stacked
-    rows, the embedding the diagnostics score in that task's row order."""
-    width = zs.shape[1]
-    config = ExperimentConfig(pca_dim=width, subspace_dim=width, normalize=False)
-    return prepare_task(DomainPair(zs, ys, zt, 2), config), np.vstack([zs, zt])
+    """A task on the two domains zs (labeled ys) and zt, built by hand on
+    their stacked rows, and those rows, the embedding the diagnostics
+    score."""
+    z = np.vstack([zs, zt])
+    return PreparedTask(z, eigsolve.assemble_operands(z), ys, 2, source_first=True), z
 
 
 def test_cross_domain_errors_perfect_separation():
@@ -708,8 +727,8 @@ def _scaled(pair, scale):
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
 @pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
 def test_scaling_features_keeps_predictions(seed, dims, subspace_dim, scale):
-    # normalize (on by default) takes out a global scale, down to where the
-    # PCA Gram underflows and up to where it overflows
+    # scaling the PCA scores to unit length takes out a global scale, down to
+    # where the PCA Gram underflows and up to where it overflows
     pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
     assert np.array_equal(run_adaptation(_scaled(pair, scale), config).predictions, predictions)
 
