@@ -6,7 +6,8 @@ on the target side, then admits at most ceil(count * step / total) samples
 per class, where count is the class's size in the blended labeling, clamped
 by how many consistently-labeled candidates exist.  The ceiling is computed
 in integer arithmetic so quota sequences are exact and the final step always
-admits every consistent sample.
+admits every consistent sample.  The loop's own probability tables and
+1 <= step <= total come in unchecked.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -60,18 +59,12 @@ def combined_pseudo_labels(
     """Blend the two classifiers with weight step/total_steps on the target
     side, so early steps trust the source model and the final step trusts
     target structure alone."""
-    ps = np.asarray(p_source, dtype=np.float64)
-    pt = np.asarray(p_target, dtype=np.float64)
-    if ps.shape != pt.shape or ps.ndim != 2:
-        raise DataError(f"probability tables disagree: {ps.shape} vs {pt.shape}")
-    if not 1 <= step <= total_steps:
-        raise ConfigError(f"step {step} outside [1, {total_steps}]")
     weight = step / total_steps
-    p = (1.0 - weight) * ps + weight * pt
+    p = (1.0 - weight) * p_source + weight * p_target
     return PseudoLabelTable(
         p=p,
         label=np.argmax(p, axis=1).astype(np.int64),
-        consistent=np.argmax(ps, axis=1) == np.argmax(pt, axis=1),
+        consistent=np.argmax(p_source, axis=1) == np.argmax(p_target, axis=1),
         confidence=p.max(axis=1),
     )
 
@@ -79,8 +72,6 @@ def combined_pseudo_labels(
 def quota(count: int | np.ndarray, step: int, total_steps: int) -> int | np.ndarray:
     """ceil(count * step / total_steps) without floating point; count may be
     an integer array of per-class counts."""
-    if np.any(np.asarray(count) < 0) or step < 1 or total_steps < step:
-        raise ConfigError(f"bad quota arguments: count={count}, step={step}/{total_steps}")
     return (count * step + total_steps - 1) // total_steps
 
 

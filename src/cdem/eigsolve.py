@@ -12,9 +12,12 @@ forms no W'AW sandwich and no P = WU.  A solve returns the whitened basis U,
 whose columns p = W u are orthonormal under B + sI, which is exactly the
 constraint the adaptation objective imposes.  The residual and the
 orthonormality max|U'U - I| are measured in the whitened coordinates the
-solve works in, and a solve fails when either is above 1e-6.  The signs of
-U's columns are whatever LAPACK returns; ``column_signs`` gives the sign
-convention a caller applies once to the P it forms.
+solve works in, and a solve fails when either is above 1e-6.  M is the
+loop's own square operand and k at most its side, so neither is checked;
+a non-finite M, as weights that overflow float64 make, is rejected by name
+before LAPACK sees it.  The signs of U's columns are whatever LAPACK
+returns; ``column_signs`` gives the sign convention a caller applies once
+to the P it forms.
 
 Every routine is numpy's own LAPACK, from the OpenBLAS its wheel bundles:
 ``np.linalg.cholesky`` for L, ``np.linalg.inv`` for L^-1, and per step
@@ -155,13 +158,17 @@ def factor_constraint(shifted: np.ndarray) -> np.ndarray:
 
 def solve_generalized(reduced: np.ndarray, n_components: int) -> TransformSolution:
     """Smallest n_components eigenpairs of A p = theta (B + sI) p, from
-    reduced = W'AW for the W that whitens B + sI."""
-    if reduced.ndim != 2 or reduced.shape[0] != reduced.shape[1]:
-        raise ConfigError(f"W'AW must be square, got {reduced.shape}")
+    reduced = W'AW for the W that whitens B + sI.  reduced is the loop's own
+    square operand and 1 <= n_components <= m, which ``ExperimentConfig``
+    and ``as_prepared`` ensure; only its finiteness is checked here."""
+    if not np.isfinite(reduced).all():
+        raise NumericError("W'AW is not finite: the objective weights overflow float64")
     m = reduced.shape[0]
-    if n_components < 1 or n_components > m:
-        raise ConfigError(f"n_components={n_components} not in [1, {m}]")
-    reduced = 0.5 * (reduced + reduced.T)
+    # Halving first keeps entries above half the float64 maximum finite; it
+    # equals 0.5 * (M + M') bit for bit wherever that sum does not overflow
+    # and no half is subnormal.
+    half = 0.5 * reduced
+    reduced = half + half.T
     eigenvalues, basis = _kept_eigenpairs(reduced.copy(), n_components, largest=False)
     theta = eigenvalues[:n_components].copy()
     product = reduced @ basis

@@ -151,6 +151,28 @@ def write_labels(labels, path: str | Path) -> None:
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
 
 
+def check_source_labels(labels, n_classes: int) -> np.ndarray:
+    """labels as int64, once they are 1-d, n_classes is at least 2, each
+    label is in [0, n_classes) and every class has one; the source-label
+    rule of ``DomainPair`` and ``trainer.PreparedTask``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise DataError("source labels must be 1-d")
+    if n_classes < 2:
+        raise DataError("need at least two classes")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise DataError("source labels outside [0, n_classes)")
+    # n labels leave one of the classes 0..n empty when n_classes > n, so
+    # counting the first min(n_classes, n + 1) classes finds the first
+    # empty one without sizing anything by n_classes.
+    counted = min(n_classes, labels.shape[0] + 1)
+    counts = np.bincount(labels[labels < counted], minlength=counted)
+    if (counts == 0).any():
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise DataError(f"class {missing} has no source samples")
+    return labels
+
+
 class DomainPair:
     """One task as training sees it: two 2-d float64 feature matrices of
     equal width, one int64 label per source row, and n_classes ≥ 2 classes,
@@ -163,27 +185,13 @@ class DomainPair:
     def __init__(self, source_x, source_y, target_x, n_classes: int) -> None:
         source_x = _as_matrix(source_x, "source features")
         target_x = _as_matrix(target_x, "target features")
-        source_y = np.asarray(source_y, dtype=np.int64)
-        if source_y.ndim != 1:
-            raise DataError("source labels must be 1-d")
+        source_y = check_source_labels(source_y, n_classes)
         if source_x.shape[0] != source_y.shape[0]:
             raise DataError(f"source has {source_x.shape[0]} rows but {source_y.shape[0]} labels")
         if source_x.shape[1] != target_x.shape[1]:
             raise DataError(
                 f"feature width mismatch: source {source_x.shape[1]}, target {target_x.shape[1]}"
             )
-        if n_classes < 2:
-            raise DataError("need at least two classes")
-        if source_y.min() < 0 or source_y.max() >= n_classes:
-            raise DataError("source labels outside [0, n_classes)")
-        # n labels leave one of the classes 0..n empty when n_classes > n, so
-        # counting the first min(n_classes, n + 1) classes finds the first
-        # empty one without sizing anything by n_classes.
-        counted = min(n_classes, source_y.shape[0] + 1)
-        counts = np.bincount(source_y[source_y < counted], minlength=counted)
-        if (counts == 0).any():
-            missing = int(np.flatnonzero(counts == 0)[0])
-            raise DataError(f"class {missing} has no source samples")
         self.source_x, self.source_y, self.target_x = source_x, source_y, target_x
         self.n_classes = n_classes
 

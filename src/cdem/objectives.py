@@ -36,6 +36,12 @@ counts and sums and the gap between the domains' mean rows, beside the
 source rows and labels it was given, which it keeps without copying.  A step
 costs O(n m^2 + C m^2) time and holds O(n_s m + C m + m^2) numbers beyond
 those rows.  Unselected target samples enter only the marginal MMD term.
+
+``source_moments`` and ``build_objective_matrices`` take the loop's own
+arrays unchecked: the source rows and labels of a ``trainer.PreparedTask``,
+which construction checked (every class has a source row), and the step's
+selected rows and pseudo labels, which the loop forms.  Only an empty
+selection raises.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .prototype import class_moments
 
 if TYPE_CHECKING:
@@ -73,12 +79,8 @@ def source_moments(
     xs: np.ndarray, xt: np.ndarray, source_y: np.ndarray, n_classes: int
 ) -> SourceMoments:
     """Moments of the source rows xs, labeled source_y, against the target
-    rows xt.  A source with a single class has no complement for the center
-    push and is a configuration error."""
+    rows xt."""
     counts, sums = class_moments(xs, source_y, n_classes)
-    only = np.flatnonzero((counts > 0) & (counts == source_y.shape[0]))
-    if only.size:
-        raise ConfigError(f"source contains only class {only[0]}: empty complement")
     return SourceMoments(
         rows=xs,
         labels=source_y,
@@ -121,8 +123,6 @@ def _skipped_terms(n_src: np.ndarray, n_tgt: np.ndarray) -> list[str]:
     tgt_total = int(n_tgt.sum())
     skipped: list[str] = []
     for cls in classes:
-        if not n_src[cls]:
-            skipped.append(f"center-push source block: class {cls} empty")
         if not n_tgt[cls]:
             skipped.append(f"center-push target block: class {cls} has no selected samples")
         elif n_tgt[cls] == tgt_total:
@@ -156,17 +156,9 @@ def build_objective_matrices(
     empty or complement-less, so those blocks are skipped and reported in
     ``skipped``.
     """
-    n_classes, m = source.sums.shape
-    xt_sel = np.asarray(xt_sel, dtype=np.float64)
-    y_sel = np.asarray(y_sel, dtype=np.int64)
-    if xt_sel.ndim != 2 or xt_sel.shape[1] != m:
-        raise ConfigError(f"selected target rows are {xt_sel.shape}, source moments are {m} wide")
+    n_classes = source.counts.shape[0]
     if not xt_sel.shape[0]:
         raise DataError("no selected target samples: cannot build objective")
-    if y_sel.shape != xt_sel.shape[:1]:
-        raise DataError(f"pseudo labels are {y_sel.shape}, expected one per selected row")
-    if y_sel.min() < 0 or y_sel.max() >= n_classes:
-        raise DataError(f"pseudo labels outside [0, {n_classes})")
     n_src, s_src = source.counts, source.sums
     n_tgt, s_tgt = class_moments(xt_sel, y_sel, n_classes)
     n_cls = n_src + n_tgt

@@ -79,8 +79,10 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
     (Dongarra, Du Croz, Hammarling & Duff, 1990) adds each piece's product
     into the Gram's lower triangle in place, the only triangle
     ``top_eigenpairs`` reads; where ``eigsolve._openblas`` is None, the
-    product goes through one reused array and an add.  The two paths' sums
-    differ in the last bits, where dsyrk blocks a long piece.
+    product goes through one reused array and an add.  The two paths' Grams
+    were bitwise equal at 1 and 2 BLAS threads on both of
+    ``tests/test_preprocess.py``'s ``CROSSOVER_SHAPES`` (640×900 and
+    900×640, pieces of 256).
     The tall scores C V_k are formed piece by piece the same way.
 
     The eigensolve is ``eigsolve.top_eigenpairs``, which overwrites the

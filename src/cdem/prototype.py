@@ -7,13 +7,18 @@ exponentials never overflow.  Every distance comes from one BLAS product in
 ``squared_distances``.  Every per-class count and row sum (prototypes,
 k-means, the objective and the trainer's diagnostics) comes from
 ``class_moments``.
+
+These functions take the trainer's own arrays unchecked: the source rows
+and labels of a ``trainer.PreparedTask``, which construction checked, and
+the distance tables the step forms.  ``target_kmeans`` checks only that
+the target has a row for each class, which the task cannot promise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 
 # Lloyd iteration cap and relative SSE decrease below which k-means stops.
@@ -32,19 +37,9 @@ def class_moments(
 
 
 def fit_prototypes(features: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """(C, k) per-class means; every class must be present."""
-    z = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2 or y.shape != (z.shape[0],):
-        raise DataError("features must be (n, k) with one label per row")
-    if n_classes < 2:
-        raise DataError("need at least two classes")
-    if y.min() < 0 or y.max() >= n_classes:
-        raise DataError(f"labels outside [0, {n_classes})")
-    counts, sums = class_moments(z, y, n_classes)
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise DataError(f"class {int(missing[0])} has no samples")
+    """(C, k) per-class means of a checked task's source rows, whose int64
+    labels cover every class (``trainer.PreparedTask``)."""
+    counts, sums = class_moments(features, labels, n_classes)
     return sums / counts[:, None]
 
 
@@ -90,32 +85,27 @@ def target_kmeans(
     relative SSE decrease of at most KMEANS_TOL) rather than by running
     KMEANS_MAX_ITERS passes.
     """
-    z = np.asarray(features, dtype=np.float64)
-    centers = np.asarray(init_centers, dtype=np.float64).copy()
-    if centers.ndim != 2 or centers.shape[1] != z.shape[1]:
-        raise ConfigError("init_centers must be (C, k) matching the features")
-    n_clusters = centers.shape[0]
-    if n_clusters < 1 or n_clusters > z.shape[0]:
-        raise DataError(f"cannot place {n_clusters} clusters on {z.shape[0]} samples")
-    dist = np.asarray(init_distances, dtype=np.float64)
-    if dist.shape != (z.shape[0], n_clusters):
-        raise ConfigError(f"init_distances are {dist.shape}, expected {(z.shape[0], n_clusters)}")
+    n_samples, n_clusters = init_distances.shape
+    if n_clusters > n_samples:
+        raise DataError(f"cannot place {n_clusters} clusters on {n_samples} samples")
+    centers = init_centers.copy()
+    dist = init_distances
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     converged = False
     for _ in range(KMEANS_MAX_ITERS):
         assign = np.argmin(dist, axis=1).astype(np.int64)
-        sse = float(dist[np.arange(z.shape[0]), assign].sum())
+        sse = float(dist[np.arange(n_samples), assign].sum())
         history.append(sse)
         converged = (prev_assign is not None and np.array_equal(assign, prev_assign)) or (
             len(history) > 1 and history[-2] - sse <= KMEANS_TOL * max(history[-2], 1e-300)
         )
         if converged:
             break
-        counts, sums = class_moments(z, assign, n_clusters)
+        counts, sums = class_moments(features, assign, n_clusters)
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
         prev_assign = assign
-        dist = squared_distances(z, centers)
+        dist = squared_distances(features, centers)
     return centers, assign, history, dist, converged
 

@@ -25,12 +25,10 @@ class CheckResult:
     name: str
     passed: bool
     worst: float
-    detail: str = ""
 
     def line(self) -> str:
         status = "ok" if self.passed else "FAIL"
-        extra = f" ({self.detail})" if self.detail else ""
-        return f"[{status}] {self.name}: worst deviation {self.worst:.3e}{extra}"
+        return f"[{status}] {self.name}: worst deviation {self.worst:.3e}"
 
 
 # ---------------------------------------------------------------------------

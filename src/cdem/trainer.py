@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import curriculum
+from . import curriculum, matio
 from .curriculum import combined_pseudo_labels
 from .eigsolve import (
     TransformSolution,
@@ -43,7 +43,7 @@ from .eigsolve import (
     shifted_gram,
     solve_generalized,
 )
-from .errors import CdemError, ConfigError, NumericError
+from .errors import CdemError, ConfigError, DataError, NumericError
 from .matio import DomainPair, ExperimentConfig, check_finite, validate_eval_labels, write_matrix
 from .objectives import (
     SourceMoments,
@@ -118,13 +118,29 @@ class PreparedTask:
     fields are a ``preprocess_rows`` result, so ``PreparedTask(
     *preprocess_rows(...), ...)`` builds one; ``PreparedTask(x,
     assemble_operands(x), ...)`` builds one on any read-only scores x, such
-    as PCA scores whose rows were not scaled to unit length."""
+    as PCA scores whose rows were not scaled to unit length.
+
+    Construction checks what the run's steps then take unchecked, raising
+    DataError: features are 2-d, whiten is (m, m), source_y follows
+    ``matio.check_source_labels`` and is stored as int64, and at least one
+    row is left for the target."""
 
     features: np.ndarray
     whiten: np.ndarray
     source_y: np.ndarray
     n_classes: int
     source_first: bool
+
+    def __post_init__(self) -> None:
+        if self.features.ndim != 2:
+            raise DataError(f"features must be 2-d, got ndim={self.features.ndim}")
+        rows, m = self.features.shape
+        if self.whiten.shape != (m, m):
+            raise DataError(f"whiten is {self.whiten.shape}, expected {(m, m)}")
+        source_y = matio.check_source_labels(self.source_y, self.n_classes)
+        if source_y.shape[0] >= rows:
+            raise DataError(f"no target rows: {rows} rows for {source_y.shape[0]} source labels")
+        object.__setattr__(self, "source_y", source_y)
 
     @property
     def n_source(self) -> int:
@@ -312,8 +328,12 @@ def run_adaptation(
         try:
             selected = state.selected
             y_sel = table.label[selected]
-            parts = build_objective_matrices(moments, target_whitened[selected], y_sel, weights)
-            solution = solve_generalized(parts.combined + delta_gram, config.subspace_dim)
+            # Weights that overflow the operand leave it non-finite, which the
+            # solve rejects by name, so its build raises no float warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                parts = build_objective_matrices(moments, target_whitened[selected], y_sel, weights)
+                reduced = parts.combined + delta_gram
+            solution = solve_generalized(reduced, config.subspace_dim)
             # YU = XP embeds both domains; the source class means of Y map to
             # the source centers in it.
             z = whitened @ solution.basis

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cdem.curriculum import combined_pseudo_labels, quota, select
-from cdem.errors import ConfigError
 
 
 def _table(p_source, p_target, step=1, total=11):
@@ -26,15 +25,6 @@ def test_quota_integer_exact_sequence():
                 got = quota(count, step, total)
                 assert got == -(-count * step // total)
     assert quota(100, 11, 11) == 100
-
-
-def test_quota_validation():
-    with pytest.raises(ConfigError):
-        quota(5, 0, 11)
-    with pytest.raises(ConfigError):
-        quota(5, 12, 11)
-    with pytest.raises(ConfigError):
-        quota(-1, 1, 11)
 
 
 def _make_table(conf_by_class):

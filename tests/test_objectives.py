@@ -84,11 +84,6 @@ def test_center_push_two_singleton_classes():
     assert np.abs(parts.center_push[:2, 2:]).max() == 0.0
 
 
-def test_center_push_single_class_source_rejected():
-    with pytest.raises(ConfigError, match=r"^source contains only class 0: empty complement$"):
-        _terms([0, 0], [0, 1])
-
-
 def test_center_push_target_gaps_skipped():
     # no selected target of class 1: its target block is skipped, not fatal
     parts = _terms([0, 1], [0, 0])
@@ -255,40 +250,6 @@ def test_config_rejects_a_negative_weight(name):
 def test_build_requires_selected_targets():
     with pytest.raises(DataError, match=r"^no selected target samples: cannot build objective$"):
         _terms([0, 1], [0, 1], selected=[False, False])
-
-
-def _moments_and_rows():
-    """Two-class source moments of width 3 and four selected target rows."""
-    rng = np.random.default_rng(9)
-    features = rng.standard_normal((10, 3))
-    xs, xt_sel = features[:6], features[6:]
-    return source_moments(xs, xt_sel, np.array([0, 1, 0, 1, 1, 0]), 2), xt_sel
-
-
-@pytest.mark.parametrize(
-    "y_sel, message",
-    [
-        ([0, 1, 2, 1], r"^pseudo labels outside \[0, 2\)$"),
-        ([0, 1, -1, 1], r"^pseudo labels outside \[0, 2\)$"),
-        ([0, 1, 1], r"^pseudo labels are \(3,\), expected one per selected row$"),
-        ([[0, 1, 1, 0]], r"^pseudo labels are \(1, 4\), expected one per selected row$"),
-    ],
-    ids=["label-equals-C", "negative", "one-short", "2-d"],
-)
-def test_build_rejects_bad_pseudo_labels(y_sel, message):
-    moments, xt_sel = _moments_and_rows()
-    with pytest.raises(DataError, match=message):
-        build_objective_matrices(moments, xt_sel, np.array(y_sel), term_weights(ExperimentConfig()))
-
-
-def test_build_rejects_rows_of_another_width():
-    moments, xt_sel = _moments_and_rows()
-    y_sel = np.array([0, 1, 1, 0])
-    message = r"^selected target rows are \(4, 2\), source moments are 3 wide$"
-    with pytest.raises(ConfigError, match=message):
-        build_objective_matrices(moments, xt_sel[:, :2], y_sel, term_weights(ExperimentConfig()))
-    with pytest.raises(ConfigError, match=r"^selected target rows are \(3,\)"):
-        objective_terms(moments, xt_sel[0], y_sel)
 
 
 def test_skipped_terms_reported():

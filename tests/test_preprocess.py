@@ -262,9 +262,8 @@ def test_subset_solve_scores_match_full_eigh(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", sorted(CROSSOVER_SHAPES))
 def test_without_subset_solver_scores_are_full_eigh_bytes(shape, monkeypatch):
-    # numpy alone: dsyrk's blocked sums differ from matmul plus add in the
-    # last bits, and the kernel's back-transform from eigh's, so the byte
-    # pin holds on the fallback Gram and eigensolve only.
+    # numpy alone: the kernel's back-transform differs from eigh's in the
+    # last bits, so the byte pin holds on the fallback eigensolve only.
     monkeypatch.setattr(eigsolve, "_openblas", lambda: None)
     x = _above_crossover(CROSSOVER_SHAPES[shape])
     assert np.array_equal(_pca(x, 128), _full_eigh_scores(x, 128))

@@ -409,6 +409,59 @@ def test_prepared_task_runs_like_its_pair():
         run_adaptation(task, replace(config, pca_dim=5))
 
 
+# case -> (the fields a hand-built task changes, the DataError's message)
+BROKEN_TASKS = {
+    "whiten-of-another-width": (
+        lambda t: dict(whiten=t.whiten[:-1, :-1]), r"^whiten is \(5, 5\), expected \(6, 6\)$"
+    ),
+    "one-dimensional-features": (
+        lambda t: dict(features=t.features[:, 0]), "^features must be 2-d, got ndim=1$"
+    ),
+    "two-dimensional-labels": (
+        lambda t: dict(source_y=t.source_y[:, None]), "^source labels must be 1-d$"
+    ),
+    "label-equals-class-count": (
+        lambda t: dict(source_y=np.where(t.source_y == 1, 2, 0)),
+        r"^source labels outside \[0, n_classes\)$",
+    ),
+    "negative-label": (
+        lambda t: dict(source_y=t.source_y - 1), r"^source labels outside \[0, n_classes\)$"
+    ),
+    "missing-class": (
+        lambda t: dict(source_y=np.zeros_like(t.source_y)), "^class 1 has no source samples$"
+    ),
+    "one-class": (lambda t: dict(n_classes=1), "^need at least two classes$"),
+    "no-target-rows": (
+        lambda t: dict(features=t.features[: t.n_source]),
+        "^no target rows: 40 rows for 40 source labels$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_TASKS))
+def test_prepared_task_rejects_a_broken_contract(case):
+    change, message = BROKEN_TASKS[case]
+    task = prepare_task(generate(_small_spec(seed=12))[0], _small_config())
+    with pytest.raises(DataError, match=message):
+        replace(task, **change(task))
+
+
+def test_float_source_labels_run_as_int64():
+    from cdem.bench import run_source_only
+
+    pair, labels = generate(_small_spec(seed=12))
+    config = _small_config()
+    task = prepare_task(pair, config)
+    floats = PreparedTask(
+        task.features, task.whiten, task.source_y.astype(np.float64), 2, source_first=True
+    )
+    assert floats.source_y.dtype == np.int64
+    assert np.array_equal(floats.source_y, task.source_y)
+    for run in (run_adaptation, run_source_only):
+        got, want = run(floats, config, labels), run(task, config, labels)
+        assert np.array_equal(got.predictions, want.predictions)
+
+
 def _stub_kernel(monkeypatch, change):
     """Make every step's eigensolve return change(vectors) for its kept
     eigenvectors."""
@@ -472,7 +525,7 @@ def test_non_finite_objective_carries_step_context(monkeypatch):
         run_adaptation(pair, _small_config(), None)
 
 
-@pytest.mark.parametrize("weight", [1e160, 1e305])
+@pytest.mark.parametrize("weight", [1e160, 1e305, 3.7e306])
 def test_large_weights_keep_a_measured_residual(weight):
     # The residual's norms square W'AW's entries: unscaled, they would read
     # a residual of 0 at 1e160 and a non-finite one at 1e305.
@@ -482,6 +535,21 @@ def test_large_weights_keep_a_measured_residual(weight):
     result = run_adaptation(pair, config, labels)
     assert all(0.0 < rec.residual <= 1e-15 for rec in result.records)
     assert result.records[-1].accuracy == 100.0
+
+
+@pytest.mark.parametrize("weight", [5.2e306, 7.2e306, 1.7e308])
+def test_weights_that_overflow_the_operand_raise_a_named_error(weight):
+    # On the task of test_large_weights_keep_a_measured_residual these
+    # weights overflow the operand in float64; the solve names that before
+    # LAPACK sees it, and building the operand warns of nothing on the way.
+    from cdem.errors import NumericError
+
+    pair, labels = generate(ShiftSpec(classes=3, n_per_domain=60, dims=8, seed=2))
+    weights = dict(beta=weight, lam=weight, gamma=weight, eta=weight)
+    config = ExperimentConfig(pca_dim=6, subspace_dim=3, iterations=3, **weights)
+    message = r"^step \d: W'AW is not finite: the objective weights overflow float64$"
+    with pytest.raises(NumericError, match=message):
+        run_adaptation(pair, config, labels)
 
 
 def _positive_pivots(vecs):
