@@ -144,8 +144,20 @@ def read_labels(path: str | Path) -> np.ndarray:
     return labels
 
 
+def _int64_labels(labels, context: str) -> np.ndarray:
+    """labels as int64.  Floats convert only when every entry is a whole
+    number in the int64 range; a fractional, NaN or infinite one raises
+    DataError naming the labels (context) rather than being truncated."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        whole = np.isfinite(labels) & (labels == np.floor(labels)) & (np.abs(labels) < 2.0**63)
+        if not whole.all():
+            raise DataError(f"{context}: label {float(labels[~whole][0])} is not an int64 integer")
+    return labels.astype(np.int64, copy=False)
+
+
 def write_labels(labels, path: str | Path) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int64_labels(labels, str(path))
     if labels.ndim != 1:
         raise DataError(f"{path}: labels must be 1-d")
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
@@ -155,7 +167,7 @@ def check_source_labels(labels, n_classes: int) -> np.ndarray:
     """labels as int64, once they are 1-d, n_classes is at least 2, each
     label is in [0, n_classes) and every class has one; the source-label
     rule of ``DomainPair`` and ``trainer.PreparedTask``."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int64_labels(labels, "source labels")
     if labels.ndim != 1:
         raise DataError("source labels must be 1-d")
     if n_classes < 2:
@@ -208,7 +220,7 @@ def validate_eval_labels(labels, pair, context: str) -> np.ndarray:
     """Held-out target labels as int64: one per target row of pair, each in
     [0, pair.n_classes).  pair is anything with ``n_target`` and
     ``n_classes``, such as a ``DomainPair`` or a ``PreparedTask``."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int64_labels(labels, context)
     if labels.shape != (pair.n_target,):
         raise DataError(
             f"{context}: shape {labels.shape}, expected one label per target row "

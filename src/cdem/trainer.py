@@ -20,12 +20,15 @@ the objective on Y, and alternates for a fixed number of steps between (a)
 solving the eigenproblem whose operand W'AW is built from those moments, the
 selected target rows of Y and their pseudo labels, and (b) refreshing pseudo
 labels and the curriculum selection in the new subspace, whose embedding YU
-equals XP.  A step keeps the whitened basis U with LAPACK's column signs, to
-which distances, k-means, probabilities and every record are blind; P = WU is
-formed and sign-fixed (``eigsolve.column_signs``) once, when the run ends,
-together with the embeddings it reports.  True target labels never enter any
-of these steps; when provided they are used solely to score predictions per
-step."""
+equals XP.  A step hands on to the next one only those blended pseudo
+labels and that selection: it drops each n×C distance or probability table
+and the blend after its last read, and its diagnostics take the source
+model's per-row labels, not its distance table.  A step keeps the whitened
+basis U with LAPACK's column signs, to which distances, k-means,
+probabilities and every record are blind; P = WU is formed and sign-fixed
+(``eigsolve.column_signs``) once, when the run ends, together with the
+embeddings it reports.  True target labels never enter any of these steps;
+when provided they are used solely to score predictions per step."""
 
 from __future__ import annotations
 
@@ -228,22 +231,24 @@ def source_probabilities(task: PreparedTask) -> np.ndarray:
 def evaluate_cross_domain_errors(
     task: PreparedTask,
     z: np.ndarray,
-    to_source: np.ndarray,
-    pseudo_labels: np.ndarray,
+    source_model: np.ndarray,
+    labels: np.ndarray,
     eval_labels: np.ndarray | None = None,
 ) -> CrossDomainErrors:
     """Cross-score the source prototype classifier and a target one fit on
     the pseudo labels of the classes they cover.  z embeds every row of
-    task's features, in their order, and to_source holds its squared
-    distances to the source class centers: one distance table per
-    classifier scores both domains."""
+    task's features, in their order, and source_model holds each row's
+    nearest source class center in it, the argmin the step takes where it
+    forms its distance table to those centers; labels are the step's blended
+    pseudo labels of the target rows, which with the curriculum selection are
+    all a step hands on to the next one.  The target model's distances are
+    formed here, read once and dropped."""
     source, target = task.source_rows, task.target_rows
-    counts, sums = class_moments(z[target], pseudo_labels, task.n_classes)
+    counts, sums = class_moments(z[target], labels, task.n_classes)
     classes_t = np.flatnonzero(counts)
     target_centers = sums[classes_t] / counts[classes_t, None]
     target_model = classes_t[squared_distances(z, target_centers).argmin(axis=1)]
-    source_model = np.argmin(to_source, axis=1)
-    y_target_ref = pseudo_labels if eval_labels is None else eval_labels
+    y_target_ref = labels if eval_labels is None else eval_labels
     return CrossDomainErrors(
         source_model_on_source=float(np.mean(source_model[source] != task.source_y)),
         target_model_on_target=float(np.mean(target_model[target] != y_target_ref)),
@@ -307,8 +312,10 @@ def run_adaptation(
     # distribution stands for both classifiers.
     p_source = source_probabilities(task)
     table = combined_pseudo_labels(p_source, p_source, 1, total)
+    del p_source
     state = curriculum.select(table, 1, total)
-    prev_labels = table.label
+    labels = table.label
+    del table
     records: list[IterationRecord] = []
     solution: TransformSolution | None = None
 
@@ -327,7 +334,7 @@ def run_adaptation(
     for step in range(1, total + 1):
         try:
             selected = state.selected
-            y_sel = table.label[selected]
+            y_sel = labels[selected]
             # Weights that overflow the operand leave it non-finite, which the
             # solve rejects by name, so its build raises no float warnings.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -340,17 +347,26 @@ def run_adaptation(
             zt = z[target]
             source_centers = (moments.sums @ solution.basis) / moments.counts[:, None]
 
-            # One table to the source centers serves p_source, the first Lloyd
-            # iteration and the diagnostics; k-means returns its final one.
+            # One table to the source centers serves the diagnostics' source
+            # model, the first Lloyd iteration and p_source; k-means returns
+            # its final one.  Each n×C table is dropped after its last read,
+            # so the next step sees only the blended labels and the selection.
             to_source = squared_distances(z, source_centers)
+            source_model = to_source.argmin(axis=1)
             _, _, history, to_clusters, converged = target_kmeans(
                 zt, source_centers, to_source[target]
             )
 
             p_source = class_probabilities(to_source[target])
+            del to_source
             p_target = class_probabilities(to_clusters)
+            del to_clusters
             table = combined_pseudo_labels(p_source, p_target, step, total)
+            del p_source, p_target
             state = curriculum.select(table, step, total)
+            agreement = float(np.mean(table.label == labels))
+            labels = table.label
+            del table
 
             # tr(P'AP); with B-orthonormal P this is the eigenvalue sum
             if not np.isfinite(solution.objective):
@@ -361,9 +377,7 @@ def run_adaptation(
                     config, solution,
                 )
 
-            agreement = float(np.mean(table.label == prev_labels))
-            prev_labels = table.label
-            errors = evaluate_cross_domain_errors(task, z, to_source, table.label, eval_labels)
+            errors = evaluate_cross_domain_errors(task, z, source_model, labels, eval_labels)
             records.append(
                 IterationRecord(
                     step=step,
@@ -371,7 +385,7 @@ def run_adaptation(
                     selected_per_class=state.quotas.tolist(),
                     n_selected=int(state.selected.sum()),
                     agreement=agreement,
-                    accuracy=accuracy_pct(table.label, eval_labels),
+                    accuracy=accuracy_pct(labels, eval_labels),
                     errors=errors,
                     residual=solution.residual,
                     eigengap=solution.eigengap,
@@ -390,7 +404,7 @@ def run_adaptation(
         projection=projection,
         eigenvalues=solution.eigenvalues,
         records=records,
-        predictions=table.label,
+        predictions=labels,
         selected=state.selected,
         source_embedding=z[source, :2] * signs[:2],
         target_embedding=z[target, :2] * signs[:2],

@@ -704,13 +704,15 @@ def test_grid_drops_each_runs_trace_when_it_ends(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["run", "grid"])
 def test_commands_hold_one_task_moments_at_a_time(tmp_path, monkeypatch, command):
-    # The bound is twelve 60 x 60 float64 matrices, 345.6 kB.  The two more
-    # tasks add their prepared pairs (scores and W, 146.4 kB together) below
-    # it, while one adaptation run's step arrays peak near 430 kB above its
-    # prepared task, so a second run's arrays alive beside the first exceed it.
+    # The bound, 345.6 kB, lies between what two more tasks may add and what
+    # a second run would add.  The two more tasks add their prepared pairs
+    # (scores and W, 146.4 kB together), which stay below it.  One adaptation
+    # run's step arrays (Y, the m x m operands, the step's distance and
+    # probability tables) peak near 410 kB above its prepared task, so a
+    # second run's arrays alive beside the first exceed it.
     monkeypatch.setenv(bench.ENV_THREADS, "1")
     config = load_config(_registry(tmp_path, classes=12, dims=80, pca_dim=60))
-    bound = 12 * 60 * 60 * 8
+    bound = 345_600
 
     def peak(tasks):
         tracemalloc.start()

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cdem.errors import CdemError, ConfigError, DataError, FormatError
 from cdem.matio import (
@@ -19,12 +24,14 @@ from cdem.matio import (
     DatasetEntry,
     DomainPair,
     ExperimentConfig,
+    check_source_labels,
     load_config,
     load_domain_pair,
     load_eval_labels,
     read_labels,
     read_matrix,
     split_task,
+    validate_eval_labels,
     write_labels,
     write_matrix,
 )
@@ -155,6 +162,69 @@ def test_labels_validation(tmp_path):
         read_labels(path)
     with pytest.raises(DataError, match=re.escape(f"{path}: labels must be 1-d")):
         write_labels([[0, 1]], path)
+
+
+def _label_checks(tmp_path, n_target, n_classes):
+    """The three functions that take labels of any dtype, by the name each
+    gives the labels in its errors."""
+    path = tmp_path / "y.txt"
+    task = SimpleNamespace(n_target=n_target, n_classes=n_classes)
+    return {
+        "source labels": lambda y: check_source_labels(y, n_classes),
+        "evaluation labels": lambda y: validate_eval_labels(y, task, "evaluation labels"),
+        str(path): lambda y: write_labels(y, path) or read_labels(path),
+    }
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.5, 1.7, 0.2, 1.0], [0.9, 1.9, 0.1, 1.2], [0.0, np.nan, 1.0, 1.0], [0.0, 1.0, -np.inf, 1.0]],
+    ids=["fractional", "fractional-rounding-up", "nan", "infinite"],
+)
+def test_labels_that_are_not_integers_are_rejected_not_truncated(tmp_path, values):
+    for name, check in _label_checks(tmp_path, 4, 2).items():
+        message = f"^{re.escape(name)}: label .* is not an int64 integer$"
+        with pytest.raises(DataError, match=message):
+            check(np.array(values))
+        assert check(np.array([0.0, 1.0, 1.0, 0.0])).tolist() == [0, 1, 1, 0]
+
+
+# Floats that no int64 label equals: fractional, NaN, infinite or past 2**63.
+_NOT_INT64 = st.floats().filter(
+    lambda v: not (math.isfinite(v) and v == math.floor(v) and abs(v) < 2**63)
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    extra=st.lists(st.integers(0, 4), max_size=12),
+    bad=st.one_of(st.none(), _NOT_INT64),
+    at=st.integers(0, 16),
+)
+def test_label_contract_converts_integers_and_rejects_the_rest(tmp_path, extra, bad, at):
+    # Integer labels, held as ints or floats, convert exactly; one entry no
+    # int64 equals raises DataError naming the labels, and no RuntimeWarning
+    # from a cast escapes first.
+    ints = np.array([*range(5), *extra])
+    values = ints.astype(np.float64)
+    if bad is not None:
+        values[at % ints.size] = bad
+    for name, check in _label_checks(tmp_path, ints.size, 5).items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if bad is None:
+                for dtype in (np.int32, np.int64, np.float32, np.float64):
+                    converted = check(ints.astype(dtype))
+                    assert converted.dtype == np.int64 and np.array_equal(converted, ints)
+            else:
+                with pytest.raises(DataError, match=f"^{re.escape(name)}: label "):
+                    check(values)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("line", ["1_0", "+1", "\u0661", "\uff11", "1.0", "0x1", "- 1"])

@@ -303,24 +303,35 @@ def test_run_without_openblas_predicts_as_the_native_path(monkeypatch, dims):
 
 def test_step_distances_match_a_refit_of_the_embedded_source(monkeypatch):
     # A step takes its source centers from the whitened moments, not from a
-    # refit; its distance table must be the one a refit on z would give.
+    # refit; its distance table must be the one a refit on z would give, and
+    # the diagnostics' source model that table's argmin.
     import cdem.trainer as trainer_mod
 
-    seen = []
+    tables, seen = [], []
+    distances = trainer_mod.squared_distances
     evaluate = trainer_mod.evaluate_cross_domain_errors
 
-    def spy(task, z, to_source, *args):
-        seen.append((task, z.copy(), to_source.copy()))
-        return evaluate(task, z, to_source, *args)
+    def distance_spy(features, centers):
+        table = distances(features, centers)
+        tables.append(table.copy())
+        return table
 
+    def spy(task, z, source_model, *args):
+        # the step's last table over all rows is its table to the source centers
+        to_source = next(t for t in reversed(tables) if t.shape[0] == z.shape[0])
+        seen.append((task, z.copy(), to_source, source_model.copy()))
+        return evaluate(task, z, source_model, *args)
+
+    monkeypatch.setattr(trainer_mod, "squared_distances", distance_spy)
     monkeypatch.setattr(trainer_mod, "evaluate_cross_domain_errors", spy)
     pair, labels = generate(_small_spec(seed=15, classes=3, translation=(1.0, -1.0, 0.5)))
     result = run_adaptation(pair, _small_config(), labels)
     assert len(seen) == len(result.records)
-    for task, z, to_source in seen:
+    for task, z, to_source, source_model in seen:
         centers = fit_prototypes(z[task.source_rows], task.source_y, task.n_classes)
         expected = squared_distances(z, centers)
         assert np.abs(to_source - expected).max() <= 1e-10 * expected.max()
+        assert np.array_equal(source_model, to_source.argmin(axis=1))
     # the run's last z, with each column's sign fixed once, at the run's end
     last = z[task.target_rows, :2]
     for j in range(2):
@@ -659,6 +670,29 @@ def test_prepare_task_peak_rss_growth_in_a_child(n, d, bound):
     assert float(done.stdout) <= bound
 
 
+def test_run_peak_memory_follows_the_memory_rule():
+    # README's memory rule for a running adaptation, in float64 numbers:
+    # Y (n·m), the class-weighted source copy (n_s·m), the class sums (C·m),
+    # the embedding YU (n·k), one n×C table to the source centers and three
+    # n_t×C tables (k-means' distances and a softmax's two working tables):
+    # 11.6 MiB here, where the run peaks at 11.2 MiB.  It holds only if each
+    # step drops its tables after their last read.
+    n_t = n_s = 1500
+    n, n_classes, m, k = n_s + n_t, 150, 64, 32
+    pair, labels = generate(ShiftSpec(classes=n_classes, n_per_domain=n_t, dims=256, seed=1))
+    config = ExperimentConfig(pca_dim=m, subspace_dim=k, iterations=3)
+    task = prepare_task(pair, config)
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        run_adaptation(task, config, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rule = n * m + n_s * m + n_classes * m + n * k + n * n_classes + 3 * n_t * n_classes
+    assert peak - baseline <= 8 * rule
+
+
 def test_preparing_leaves_the_pair_matrices_unchanged():
     # prepare_task hands the pair's own matrices to fit_pca, which only
     # reads them
@@ -701,7 +735,8 @@ def test_cross_domain_errors_perfect_separation():
     yt = ys.copy()
     task, z = _embedded_task(zs, ys, zt)
     centers = fit_prototypes(zs, ys, 2)
-    errors = evaluate_cross_domain_errors(task, z, squared_distances(z, centers), yt)
+    source_model = squared_distances(z, centers).argmin(axis=1)
+    errors = evaluate_cross_domain_errors(task, z, source_model, yt)
     assert errors.source_model_on_source == 0.0
     assert errors.target_model_on_target == 0.0
     assert errors.target_model_on_source == 0.0
@@ -716,8 +751,8 @@ def test_cross_domain_errors_against_truth():
     truth = np.array([0, 1])
     task, z = _embedded_task(zs, ys, zt)
     centers = fit_prototypes(zs, ys, 2)
-    to_source = squared_distances(z, centers)
-    errors = evaluate_cross_domain_errors(task, z, to_source, pseudo, truth)
+    source_model = squared_distances(z, centers).argmin(axis=1)
+    errors = evaluate_cross_domain_errors(task, z, source_model, pseudo, truth)
     # target model has a single class and mislabels the class-1 sample
     assert errors.target_model_on_target == 0.5
     assert errors.source_model_on_target == 0.0
