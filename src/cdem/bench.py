@@ -125,12 +125,11 @@ def run_source_only(
     pair: DomainPair | PreparedTask,
     config: ExperimentConfig,
     eval_labels: np.ndarray | None = None,
-    task: str = "task",
 ) -> TaskResult:
     """No adaptation: the source-only prototype classifier on pair, prepared
-    here, or on a task prepared beforehand.  wall_time leaves out the
-    preparation."""
-    return _task_result(task, "source-only", None, *as_prepared(pair, config, eval_labels))
+    here, or on a task prepared beforehand, reported as task "task".
+    wall_time leaves out the preparation."""
+    return _task_result("task", "source-only", None, *as_prepared(pair, config, eval_labels))
 
 
 @dataclass(frozen=True)
@@ -246,21 +245,6 @@ def load_tasks(
     }
 
 
-def _run_all(
-    loaded: dict[Task, tuple[PreparedTask, np.ndarray | None]],
-    runs: list[_Run],
-    dump_dir: Path | None = None,
-) -> list[TaskResult]:
-    """Every run on its task's ``load_tasks`` entry, on one pool
-    (CDEM_THREADS caps workers); results in run order."""
-
-    def one(run: _Run) -> TaskResult:
-        name = task_name(run.task)
-        return _task_result(name, run.method, run.config, *loaded[run.task], dump_dir)
-
-    return _parallel_map(one, runs)
-
-
 def run_task_suite(
     config: ExperimentConfig,
     tasks: list[Task],
@@ -289,16 +273,20 @@ def run_task_suite(
     if dump_dir is not None and sum(run.config is not None for run in runs) > 1:
         raise ConfigError("a dump needs a single task and a single adaptation method")
     loaded = load_tasks(config, tasks)
-    return _run_all(loaded, runs, dump_dir)
+
+    def one(run: _Run) -> TaskResult:
+        name = task_name(run.task)
+        return _task_result(name, run.method, run.config, *loaded[run.task], dump_dir)
+
+    return _parallel_map(one, runs)
 
 
 def run_grid(
     config: ExperimentConfig,
     param_names: list[str],
     tasks: list[Task],
-    values: Sequence[float] = GRID_VALUES,
 ) -> list[tuple[dict[str, float], float]]:
-    """Sweep the standard grid over the named weights; score by mean accuracy.
+    """Sweep GRID_VALUES over the named weights; score by mean accuracy.
 
     Requires evaluation labels for every task.  Each task is prepared once
     and run at every grid point, all as one list of runs on the pool
@@ -318,7 +306,7 @@ def run_grid(
         raise ConfigError("grid search needs target labels for every task")
     points = [
         dict(zip(param_names, combo))
-        for combo in itertools.product(values, repeat=len(param_names))
+        for combo in itertools.product(GRID_VALUES, repeat=len(param_names))
     ]
     configs = [replace(config, **{WEIGHT_KEYS[k]: v for k, v in p.items()}) for p in points]
     runs = [_Run(task, "cdem", cfg) for task in tasks for cfg in configs]

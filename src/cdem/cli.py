@@ -66,16 +66,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(params) + ",mean_accuracy"]
-    best = None
     for assignment, acc in points:
-        lines.append(
-            ",".join(repr(assignment[p]) for p in params) + f",{acc:.4f}"
-        )
-        if best is None or acc > best[1]:
-            best = (assignment, acc)
+        lines.append(",".join(repr(assignment[p]) for p in params) + f",{acc:.4f}")
     grid_path = out / "grid.csv"
     grid_path.write_text("\n".join(lines) + "\n")
-    assert best is not None
+    best = max(points, key=lambda point: point[1])
     print(f"best: {best[0]} mean accuracy {best[1]:.2f}")
     print(f"grid: {grid_path}")
     return 0

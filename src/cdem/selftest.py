@@ -180,18 +180,21 @@ class Instance:
         return np.vstack([self.xs, self.xt])
 
 
-def random_instance(
-    rng: np.random.Generator,
-    full_selection: bool = False,
-    max_samples: int = 30,
-    max_dim: int = 16,
-    max_classes: int = 4,
-) -> Instance:
-    n_classes = int(rng.integers(2, max_classes + 1))
-    d = int(rng.integers(2, max_dim + 1))
+# The largest class count, feature width and per-domain row count of a
+# random instance.
+MAX_CLASSES = 4
+MAX_DIM = 16
+MAX_SAMPLES = 30
+# The largest relative error of a term's or an eigenvalue's check.
+TOLERANCE = 1e-8
+
+
+def random_instance(rng: np.random.Generator, full_selection: bool = False) -> Instance:
+    n_classes = int(rng.integers(2, MAX_CLASSES + 1))
+    d = int(rng.integers(2, MAX_DIM + 1))
     k = int(rng.integers(1, d + 1))
-    n_s = int(rng.integers(n_classes, max_samples + 1))
-    n_t = int(rng.integers(n_classes, max_samples + 1))
+    n_s = int(rng.integers(n_classes, MAX_SAMPLES + 1))
+    n_t = int(rng.integers(n_classes, MAX_SAMPLES + 1))
     # every class present on both sides, remaining labels uniform
     ys = np.concatenate(
         [np.arange(n_classes), rng.integers(0, n_classes, n_s - n_classes)]
@@ -258,7 +261,7 @@ def _balanced_subinstance(inst: Instance) -> Instance:
     )
 
 
-def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> list[CheckResult]:
+def check_objective_terms(seed: int = 0, cases: int = 20) -> list[CheckResult]:
     """Compare every m×m term against the sum over classes of its
     distance-sum oracle on random instances, including partially selected
     ones."""
@@ -370,13 +373,13 @@ def check_objective_terms(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> 
 
     results = []
     for name in sorted(worst):
-        bound = 1e-10 if ":" in name else tol
+        bound = 1e-10 if ":" in name else TOLERANCE
         bound = 1e-8 if name.startswith("psd") else bound
         results.append(CheckResult(name, worst[name] <= bound, worst[name]))
     return results
 
 
-def check_eigensolver(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> list[CheckResult]:
+def check_eigensolver(seed: int = 0, cases: int = 20) -> list[CheckResult]:
     """Random symmetric-definite pairs against scipy's dense reference."""
     import scipy.linalg  # the oracle only, so runs need not import scipy
 
@@ -403,7 +406,7 @@ def check_eigensolver(seed: int = 0, cases: int = 20, tol: float = 1e-8) -> list
         worst_ortho = max(worst_ortho, float(np.abs(gram - np.eye(k)).max()))
         worst_resid = max(worst_resid, sol.residual)
     return [
-        CheckResult("eigen:theta_vs_reference", worst_theta <= tol, worst_theta),
+        CheckResult("eigen:theta_vs_reference", worst_theta <= TOLERANCE, worst_theta),
         CheckResult("eigen:b_orthonormal", worst_ortho <= 1e-6, worst_ortho),
         CheckResult("eigen:residual", worst_resid <= 1e-6, worst_resid),
     ]

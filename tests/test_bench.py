@@ -52,7 +52,7 @@ def _adapted(pair, config, labels):
 
 def test_source_only_result():
     pair, labels = _separable_pair()
-    result = bench.run_source_only(pair, _fast_config(), labels, task="demo")
+    result = replace(bench.run_source_only(pair, _fast_config(), labels), task="demo")
     assert result.method == "source-only"
     assert result.task == "demo"
     assert result.accuracy is not None and result.accuracy > 80.0
@@ -252,14 +252,16 @@ def test_run_task_suite_parallel_registry(tmp_path, monkeypatch):
     assert all(r.accuracy is not None for r in results)
 
 
-def test_grid_search_orders_points(tmp_path):
+def test_grid_search_orders_points(tmp_path, monkeypatch):
     spec = ShiftSpec(classes=2, n_per_domain=20, dims=4, separation=8.0, seed=6)
     paths = write_dataset(spec, tmp_path)
     config = replace(load_config(paths["config"]), iterations=2, subspace_dim=2)
-    points = bench.run_grid(config, ["lambda"], [None], values=(0.01, 1.0))
+    monkeypatch.setattr(bench, "GRID_VALUES", (0.01, 1.0))
+    points = bench.run_grid(config, ["lambda"], [None])
     assert [p[0] for p in points] == [{"lambda": 0.01}, {"lambda": 1.0}]
     assert all(0.0 <= p[1] <= 100.0 for p in points)
-    pairs = bench.run_grid(config, ["beta", "eta"], [None], values=(0.1, 1.0))
+    monkeypatch.setattr(bench, "GRID_VALUES", (0.1, 1.0))
+    pairs = bench.run_grid(config, ["beta", "eta"], [None])
     assert [p[0] for p in pairs] == [
         {"beta": 0.1, "eta": 0.1},
         {"beta": 0.1, "eta": 1.0},
@@ -279,20 +281,21 @@ def test_grid_rejects_bad_params(tmp_path):
         bench.run_grid(config, ["beta", "lambda", "beta"], [None])
 
 
-def test_grid_requires_labels(tmp_path):
+def test_grid_requires_labels(tmp_path, monkeypatch):
     spec = ShiftSpec(classes=2, n_per_domain=20, dims=4, seed=8)
     paths = write_dataset(spec, tmp_path)
     config = load_config(paths["config"])
     config.target_labels = None
+    monkeypatch.setattr(bench, "GRID_VALUES", (0.1,))
     with pytest.raises(ConfigError):
-        bench.run_grid(config, ["beta"], [None], values=(0.1,))
+        bench.run_grid(config, ["beta"], [None])
 
 
 def test_emit_report_contents(tmp_path):
     pair, labels = _separable_pair(seed=9)
     config = _fast_config()
     results = [
-        bench.run_source_only(pair, config, labels, task="demo"),
+        replace(bench.run_source_only(pair, config, labels), task="demo"),
         _adapted(pair, config, labels),
     ]
     paths = bench.emit_report(results, tmp_path / "report")
@@ -388,7 +391,7 @@ def test_reports_are_deterministic(tmp_path):
     outputs = []
     for name in ("one", "two"):
         results = [
-            bench.run_source_only(pair, config, labels, task="demo"),
+            replace(bench.run_source_only(pair, config, labels), task="demo"),
             _adapted(pair, config, labels),
         ]
         paths = bench.emit_report(results, tmp_path / name)
@@ -670,11 +673,12 @@ def test_each_feature_file_read_once_per_command(tmp_path, monkeypatch, direct):
     assert len(set(reads)) == len(reads)
 
 
-def test_grid_counts_a_repeated_task_each_time(tmp_path):
+def test_grid_counts_a_repeated_task_each_time(tmp_path, monkeypatch):
     config = load_config(_registry(tmp_path, classes=6))
+    monkeypatch.setattr(bench, "GRID_VALUES", (0.1,))
 
     def mean_accuracy(tasks):
-        (point, accuracy), = bench.run_grid(config, ["beta"], tasks, values=(0.1,))
+        (point, accuracy), = bench.run_grid(config, ["beta"], tasks)
         return accuracy
 
     ab, ca = mean_accuracy([("A", "B")]), mean_accuracy([("C", "A")])
@@ -698,21 +702,26 @@ def test_grid_drops_each_runs_trace_when_it_ends(tmp_path, monkeypatch):
         return result
 
     monkeypatch.setattr(bench, "run_adaptation", spy)
-    bench.run_grid(config, ["beta"], [("A", "B"), ("C", "A")], values=(0.1, 1.0))
+    monkeypatch.setattr(bench, "GRID_VALUES", (0.1, 1.0))
+    bench.run_grid(config, ["beta"], [("A", "B"), ("C", "A")])
     assert alive == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("command", ["run", "grid"])
 def test_commands_hold_one_task_moments_at_a_time(tmp_path, monkeypatch, command):
-    # The bound, 345.6 kB, lies between what two more tasks may add and what
-    # a second run would add.  The two more tasks add their prepared pairs
-    # (scores and W, 146.4 kB together), which stay below it.  One adaptation
-    # run's step arrays (Y, the m x m operands, the step's distance and
-    # probability tables) peak near 410 kB above its prepared task, so a
-    # second run's arrays alive beside the first exceed it.
+    # Two more tasks, B-C and C-A, add their prepared pairs: scores and W,
+    # 146.4 kB here.  The slack covers what else they add: their labels, a
+    # run's step arrays on up to 10 more rows and, for "run", two more
+    # results; 33-47 kB here.  One finished run's arrays kept alive beside
+    # the next (Y, the class-weighted source copy, the m x m operands: about
+    # 150 kB) exceed it.
     monkeypatch.setenv(bench.ENV_THREADS, "1")
-    config = load_config(_registry(tmp_path, classes=12, dims=80, pca_dim=60))
-    bound = 345_600
+    monkeypatch.setattr(bench, "GRID_VALUES", (0.1,))
+    m = 60
+    config = load_config(_registry(tmp_path, classes=12, dims=80, pca_dim=m))
+    extra_rows = (45 + 50) + (50 + 40)  # domains A, B and C have 40, 45 and 50 rows
+    slack = 100_000
+    bound = 8 * (extra_rows * m + 2 * m * m) + slack
 
     def peak(tasks):
         tracemalloc.start()
@@ -720,11 +729,12 @@ def test_commands_hold_one_task_moments_at_a_time(tmp_path, monkeypatch, command
             if command == "run":
                 bench.run_task_suite(config, tasks)
             else:
-                bench.run_grid(config, ["beta"], tasks, values=(0.1,))
+                bench.run_grid(config, ["beta"], tasks)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    peak([("A", "B")])  # a first run's one-time allocations stay out of both peaks
     assert peak([("A", "B"), ("B", "C"), ("C", "A")]) - peak([("A", "B")]) < bound
 
 

@@ -140,14 +140,6 @@ def test_solution_reports_whitened_residual_gap_and_objective(monkeypatch):
             assert abs(sol.eigengap - gap) <= 1e-10 * np.abs(everything).max()
 
 
-def test_invalid_inputs():
-    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ConfigError):
-        factor_constraint(skew)
-    with pytest.raises(ConfigError, match=r"^B must be square, got \(2, 3\)$"):
-        factor_constraint(np.ones((2, 3)))
-
-
 def test_indefinite_b_raises_numeric_error():
     with pytest.raises(NumericError, match="not positive definite"):
         factor_constraint(-np.eye(3))
@@ -161,6 +153,16 @@ def test_non_finite_operands_raise_numeric_error():
     bad[0, 0] = np.inf
     with pytest.raises(NumericError, match="^B has NaN or infinite entries$"):
         factor_constraint(bad)
+
+
+@pytest.mark.parametrize("shape", [(50, 8), (500, 128), (37, 400), (1, 6)],
+                         ids=["tall", "tall-128", "wide", "one-row"])
+def test_shifted_gram_equals_its_transpose_bit_for_bit(shape):
+    # factor_constraint checks no symmetry: C'C comes from BLAS syrk, which
+    # writes one triangle and mirrors it.
+    gram = shifted_gram(np.random.default_rng(21).standard_normal(shape))
+    assert gram.shape == (shape[1], shape[1])
+    assert np.array_equal(gram, gram.T)
 
 
 def test_assemble_operands_structure():

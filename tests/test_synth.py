@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,13 +52,13 @@ def test_generate_shapes_and_labels():
 
 
 def test_generate_deterministic_per_seed():
-    spec = standard_shift_spec(seed=2)
+    spec = replace(standard_shift_spec(), seed=2)
     pair_a, ya = generate(spec)
     pair_b, yb = generate(spec)
     assert np.array_equal(pair_a.source_x, pair_b.source_x)
     assert np.array_equal(pair_a.target_x, pair_b.target_x)
     assert np.array_equal(ya, yb)
-    pair_c, _ = generate(standard_shift_spec(seed=3))
+    pair_c, _ = generate(replace(standard_shift_spec(), seed=3))
     assert not np.array_equal(pair_a.source_x, pair_c.source_x)
 
 
