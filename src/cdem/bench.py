@@ -159,7 +159,7 @@ def expand_tasks(config: ExperimentConfig, names: list[str] | None) -> list[Task
         sources = sorted(n for n, entry in config.datasets.items() if entry.labels is not None)
         tasks = [(src, tgt) for src in sources for tgt in sorted(config.datasets) if src != tgt]
         if not tasks:
-            raise ConfigError("no labeled datasets in the registry to expand 'all'")
+            raise ConfigError("'all' needs a labeled source and a second dataset in the registry")
     else:
         tasks = [matio.split_task(config, name) for name in names]
     stems: dict[str, Task] = {}
@@ -301,9 +301,9 @@ def run_grid(
     repeated = sorted({p for p in param_names if param_names.count(p) > 1})
     if repeated:
         raise ConfigError(f"cannot sweep {repeated} more than once")
-    loaded = load_tasks(config, tasks)
-    if any(eval_labels is None for _, eval_labels in loaded.values()):
+    if any(matio.resolve_task_paths(config, task)[3] is None for task in tasks):
         raise ConfigError("grid search needs target labels for every task")
+    loaded = load_tasks(config, tasks)
     points = [
         dict(zip(param_names, combo))
         for combo in itertools.product(GRID_VALUES, repeat=len(param_names))

@@ -97,7 +97,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
+from .matio import as_matrix
 
 # Relative ridge added to B before factorization; keeps the reduction stable
 # when the centered gram matrix is numerically rank deficient.
@@ -217,10 +218,9 @@ def relative_ridge(b: np.ndarray) -> float:
 def shifted_gram(features: np.ndarray) -> np.ndarray:
     """B + sI for stacked row features (samples in rows): B = X'HX formed as
     the centered Gram C'C, so it is symmetric positive semidefinite by
-    construction, and s its relative ridge."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2:
-        raise ConfigError("features must be 2-d (samples in rows)")
+    construction, and s its relative ridge.  features pass
+    ``matio.as_matrix``."""
+    f = as_matrix(features, "features")
     centered = f - f.mean(axis=0)
     b = centered.T @ centered
     return b + relative_ridge(b) * np.eye(b.shape[0])

@@ -8,11 +8,14 @@ class CdemError(Exception):
 
 
 class FormatError(CdemError):
-    """A file on disk does not conform to the expected layout."""
+    """A file on disk does not conform to the expected layout; raised only
+    while a file is read or parsed."""
 
 
 class DataError(CdemError):
-    """Well-formed input carries values that violate a data contract."""
+    """Input values violate a data contract: an array handed over in memory
+    that breaks ``matio.as_matrix``'s rule or the label rule, or a well-formed
+    file whose values are unusable."""
 
 
 class DegenerateDataError(DataError):

@@ -5,7 +5,9 @@ The binary container is magic ``CDM1``, two little-endian uint32 fields
 (rows, cols), then rows*cols float64 values in row-major order.  Label files
 hold one decimal integer per line.  Experiment configuration is a flat
 ``key=value`` text file; relative paths inside it resolve against the
-directory containing the file.
+directory containing the file.  Every feature matrix cdem is handed, read
+from a file or in memory, passes one gate, ``as_matrix``; labels pass
+``_int64_labels``.
 
 A ``Task`` is the config's direct pair (None) or a (source, target) pair of
 registry names; ``load_domain_pair`` reads one into a ``DomainPair`` and
@@ -30,13 +32,30 @@ MAGIC = b"CDM1"
 _HEADER = struct.Struct("<4sII")
 
 
-def _as_matrix(values, context: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise FormatError(f"{context}: expected a 2-d matrix, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise FormatError(f"{context}: empty matrix of shape {arr.shape}")
+def _real_array(values, context: str) -> np.ndarray:
+    """values as an array of a real dtype (bool, int, uint or float); a
+    ragged nesting or any other dtype (complex, str, bytes, object) raises
+    DataError naming context."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise DataError(f"{context}: expected an array, got a ragged nesting") from exc
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{context}: expected real numbers, got dtype {arr.dtype}")
     return arr
+
+
+def as_matrix(values, context: str) -> np.ndarray:
+    """values as a float64 matrix with at least one row and one column: the
+    one rule for every matrix cdem is handed, in memory or read from a file.
+    Real dtypes convert; a float64 array comes back as itself, so a
+    read-only one stays read-only.  Any other dtype, a ragged nesting,
+    ndim != 2 or an empty side raises DataError naming context.  Finiteness
+    is ``check_finite``'s."""
+    arr = _real_array(values, context)
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise DataError(f"{context}: expected a non-empty 2-d matrix, got shape {arr.shape}")
+    return arr.astype(np.float64, copy=False)
 
 
 def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
@@ -61,7 +80,7 @@ def _read_binary_matrix(f: BinaryIO, header: bytes, context: str) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise FormatError(f"{context}: empty matrix of shape ({rows}, {cols})")
     data = np.fromfile(f, dtype="<f8", count=rows * cols)
-    return check_finite(_as_matrix(data.reshape(rows, cols), context), context)
+    return check_finite(as_matrix(data.reshape(rows, cols), context), context)
 
 
 def read_text(path: str | Path) -> str:
@@ -91,7 +110,7 @@ def _read_csv_matrix(raw: bytes, context: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise FormatError(f"{context}: ragged rows (first row has {width} columns)")
-    return check_finite(_as_matrix(rows, context), context)
+    return check_finite(as_matrix(rows, context), context)
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -110,7 +129,7 @@ def write_matrix(matrix, path: str | Path) -> None:
     container, whose payload streams from the array after the header: a
     C-ordered float64 array is written without a copy."""
     path = Path(path)
-    arr = check_finite(_as_matrix(matrix, str(path)), str(path))
+    arr = check_finite(as_matrix(matrix, str(path)), str(path))
     if path.suffix.lower() == ".csv":
         lines = [",".join(repr(v) for v in row) for row in arr.tolist()]
         path.write_text("\n".join(lines) + "\n")
@@ -147,8 +166,10 @@ def read_labels(path: str | Path) -> np.ndarray:
 def _int64_labels(labels, context: str) -> np.ndarray:
     """labels as int64.  Floats convert only when every entry is a whole
     number in the int64 range; a fractional, NaN or infinite one raises
-    DataError naming the labels (context) rather than being truncated."""
-    labels = np.asarray(labels)
+    DataError naming the labels (context) rather than being truncated, and
+    so do a ragged nesting and any dtype ``as_matrix`` rejects, numeral
+    strings included."""
+    labels = _real_array(labels, context)
     if labels.dtype.kind == "f":
         whole = np.isfinite(labels) & (labels == np.floor(labels)) & (np.abs(labels) < 2.0**63)
         if not whole.all():
@@ -186,17 +207,18 @@ def check_source_labels(labels, n_classes: int) -> np.ndarray:
 
 
 class DomainPair:
-    """One task as training sees it: two 2-d float64 feature matrices of
-    equal width, one int64 label per source row, and n_classes ≥ 2 classes,
-    each present in the source.  Finiteness is checked where the matrices
-    are read (``read_matrix``) or prepared (``trainer.prepare_task``).
+    """One task as training sees it: two feature matrices of equal width,
+    each passed through ``as_matrix``, one int64 label per source row, and
+    n_classes ≥ 2 classes, each present in the source.  Finiteness is
+    checked where the matrices are read (``read_matrix``) or prepared
+    (``trainer.prepare_task``).
     Target labels are deliberately not part of this type: training code only
     ever sees the pair, evaluation labels travel separately.
     """
 
     def __init__(self, source_x, source_y, target_x, n_classes: int) -> None:
-        source_x = _as_matrix(source_x, "source features")
-        target_x = _as_matrix(target_x, "target features")
+        source_x = as_matrix(source_x, "source features")
+        target_x = as_matrix(target_x, "target features")
         source_y = check_source_labels(source_y, n_classes)
         if source_x.shape[0] != source_y.shape[0]:
             raise DataError(f"source has {source_x.shape[0]} rows but {source_y.shape[0]} labels")
@@ -375,9 +397,12 @@ def task_name(task: Task) -> str:
     return "task" if task is None else "-".join(task)
 
 
-def _resolve_task_paths(
+def resolve_task_paths(
     config: ExperimentConfig, task: Task
 ) -> tuple[Path, Path, Path, Path | None]:
+    """task's source features, source labels, target features and target
+    labels paths, the last None without a label file; a registry name not in
+    config or a source without labels raises ConfigError.  Nothing is read."""
     if task is None:
         if config.source_features is None or config.source_labels is None:
             raise ConfigError("config does not define source_features/source_labels")
@@ -408,7 +433,7 @@ def load_domain_pair(
     n_classes the largest source label plus one.  The readers behave as
     ``read_matrix`` and ``read_labels``; a caller that loads many tasks
     passes memoized ones, so a file named by several tasks is read once."""
-    src_x_path, src_y_path, tgt_x_path, _ = _resolve_task_paths(config, task)
+    src_x_path, src_y_path, tgt_x_path, _ = resolve_task_paths(config, task)
     source_x = matrix_reader(src_x_path)
     source_y = label_reader(src_y_path)
     target_x = matrix_reader(tgt_x_path)
@@ -420,7 +445,7 @@ def load_eval_labels(
 ) -> np.ndarray | None:
     """The task's held-out target labels for scoring, checked against pair
     (see ``validate_eval_labels``), or None when it has no label file."""
-    path = _resolve_task_paths(config, task)[3]
+    path = resolve_task_paths(config, task)[3]
     if path is None:
         return None
     return validate_eval_labels(label_reader(path), pair, str(path))

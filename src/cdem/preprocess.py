@@ -15,9 +15,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from . import eigsolve
+from . import eigsolve, matio
 from .eigsolve import column_signs, top_eigenpairs
-from .errors import ConfigError, DegenerateDataError
+from .errors import ConfigError, DataError, DegenerateDataError
 
 # CBLAS enum codes: row-major storage, lower triangle, C = AA' or C = A'A.
 _CBLAS_ROW_MAJOR, _CBLAS_LOWER = 101, 122
@@ -57,8 +57,9 @@ def _centered_pieces(blocks: list[np.ndarray], mean: np.ndarray) -> Iterator[np.
 
 
 def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
-    """PCA scores of the rows of the blocks, stacked in order (the blocks
-    share their width d; n rows in all): n × n_components, column j along
+    """PCA scores of the rows of the blocks, stacked in order (each block
+    passes ``matio.as_matrix`` and all share their width d, else DataError;
+    n rows in all): n × n_components, column j along
     the j-th largest principal direction of the rows centered on their
     pooled mean.
 
@@ -98,8 +99,10 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
     positive (``eigsolve.column_signs``), which makes the result a pure
     function of the input bytes.  The blocks are never modified.
     """
-    blocks = [np.asarray(block, dtype=np.float64) for block in blocks]
+    blocks = [matio.as_matrix(block, f"PCA block {i}") for i, block in enumerate(blocks)]
     n, d = sum(block.shape[0] for block in blocks), blocks[0].shape[1]
+    if any(block.shape[1] != d for block in blocks):
+        raise DataError(f"PCA blocks differ in width: {[block.shape[1] for block in blocks]}")
     if n_components < 1 or n_components > min(n, d):
         raise ConfigError(
             f"n_components={n_components} not in [1, min(n={n}, d={d})]"
@@ -144,10 +147,10 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
 
 
 def normalize_rows(features: np.ndarray) -> np.ndarray:
-    """Scale every row to unit Euclidean length."""
-    x = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
+    """Scale every row of a float64 matrix, such as ``fit_pca``'s scores,
+    to unit Euclidean length."""
+    norms = np.linalg.norm(features, axis=1)
     if (norms == 0.0).any():
         row = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateDataError(f"row {row} has zero norm, cannot normalize")
-    return x / norms[:, None]
+    return features / norms[:, None]

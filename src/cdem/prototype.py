@@ -50,10 +50,9 @@ def squared_distances(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
     stay near the scale of the distances and the cancellation loses little;
     rounding can still leave tiny negatives, which are clipped to 0.
     """
-    c = np.asarray(centers, dtype=np.float64)
-    shift = c.mean(axis=0)
-    z = np.asarray(features, dtype=np.float64) - shift
-    c = c - shift
+    shift = centers.mean(axis=0)
+    z = features - shift
+    c = centers - shift
     dist = z @ (-2.0 * c.T)
     dist += np.einsum("ij,ij->i", z, z)[:, None]
     dist += np.einsum("ij,ij->i", c, c)[None, :]

@@ -124,9 +124,9 @@ class PreparedTask:
     as PCA scores whose rows were not scaled to unit length.
 
     Construction checks what the run's steps then take unchecked, raising
-    DataError: features are 2-d, whiten is (m, m), source_y follows
-    ``matio.check_source_labels`` and is stored as int64, and at least one
-    row is left for the target."""
+    DataError: features pass ``matio.as_matrix`` and are stored as float64,
+    whiten is (m, m), source_y follows ``matio.check_source_labels`` and is
+    stored as int64, and at least one row is left for the target."""
 
     features: np.ndarray
     whiten: np.ndarray
@@ -135,14 +135,14 @@ class PreparedTask:
     source_first: bool
 
     def __post_init__(self) -> None:
-        if self.features.ndim != 2:
-            raise DataError(f"features must be 2-d, got ndim={self.features.ndim}")
-        rows, m = self.features.shape
+        features = matio.as_matrix(self.features, "features")
+        rows, m = features.shape
         if self.whiten.shape != (m, m):
             raise DataError(f"whiten is {self.whiten.shape}, expected {(m, m)}")
         source_y = matio.check_source_labels(self.source_y, self.n_classes)
         if source_y.shape[0] >= rows:
             raise DataError(f"no target rows: {rows} rows for {source_y.shape[0]} source labels")
+        object.__setattr__(self, "features", features)
         object.__setattr__(self, "source_y", source_y)
 
     @property

@@ -157,9 +157,14 @@ def test_expand_tasks():
     assert expanded == [("A", "B"), ("A", "C"), ("B", "A"), ("B", "C")]
     with pytest.raises(ConfigError, match=r"^task 'A-X': dataset 'X' not in registry$"):
         bench.expand_tasks(config, ["A-X"])
+    # neither a registry without labels nor one labeled dataset alone has a task
+    needs = r"^'all' needs a labeled source and a second dataset in the registry$"
     empty = _fast_config(datasets={"C": DatasetEntry(features="c.cdm", labels=None)})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=needs):
         bench.expand_tasks(empty, ["all"])
+    alone = _fast_config(datasets={"A": DatasetEntry(features="a.cdm", labels="a.txt")})
+    with pytest.raises(ConfigError, match=needs):
+        bench.expand_tasks(alone, ["all"])
 
 
 def test_ablation_stage_order(tmp_path):
@@ -284,11 +289,19 @@ def test_grid_rejects_bad_params(tmp_path):
 def test_grid_requires_labels(tmp_path, monkeypatch):
     spec = ShiftSpec(classes=2, n_per_domain=20, dims=4, seed=8)
     paths = write_dataset(spec, tmp_path)
-    config = load_config(paths["config"])
-    config.target_labels = None
+    direct = load_config(paths["config"])
+    direct.target_labels = None
+    registry = load_config(_registry(tmp_path, labeled=("A",), names=("A", "B")))
     monkeypatch.setattr(bench, "GRID_VALUES", (0.1,))
-    with pytest.raises(ConfigError):
-        bench.run_grid(config, ["beta"], [None])
+    # rejected from the config alone: no file is read and no pair prepared
+    calls = []
+    read, prepare = bench.matio.read_matrix, bench.preprocess_rows
+    monkeypatch.setattr(bench.matio, "read_matrix", lambda *a: calls.append("read") or read(*a))
+    monkeypatch.setattr(bench, "preprocess_rows", lambda *a: calls.append("prep") or prepare(*a))
+    for config, task in ((direct, None), (registry, ("A", "B"))):
+        with pytest.raises(ConfigError, match="^grid search needs target labels for every task$"):
+            bench.run_grid(config, ["beta"], [task])
+    assert calls == []
 
 
 def test_emit_report_contents(tmp_path):

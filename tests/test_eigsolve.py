@@ -17,7 +17,7 @@ from cdem.eigsolve import (
     solve_generalized,
     top_eigenpairs,
 )
-from cdem.errors import ConfigError, NumericError
+from cdem.errors import DataError, NumericError
 
 
 def _solve(a, whiten, k):
@@ -176,9 +176,9 @@ def test_assemble_operands_structure():
     w = assemble_operands(f)
     assert np.abs(w.T @ shifted @ w - np.eye(6)).max() <= 1e-10
     assert np.abs(np.tril(w, -1)).max() == 0.0  # W = L^-T is upper triangular
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         assemble_operands(np.ones(15))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         shifted_gram(np.ones(15))
 
 

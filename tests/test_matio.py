@@ -83,7 +83,7 @@ def test_empty_matrix_rejected(tmp_path):
     path.write_text("\n")
     with pytest.raises(FormatError):
         read_matrix(path)
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError):
         write_matrix(np.zeros((0, 3)), tmp_path / "z.cdm")
     path = tmp_path / "rows0.cdm"
     path.write_bytes(MAGIC + (0).to_bytes(4, "little") + (3).to_bytes(4, "little"))
@@ -365,9 +365,9 @@ def test_domain_pair_validation():
         DomainPair(xs, [0, 0, 0, 0], xt, 1)  # single class
     with pytest.raises(DataError, match="^source labels must be 1-d$"):
         DomainPair(xs, [[0, 1], [0, 1]], xt, 2)
-    with pytest.raises(FormatError, match="^target features: expected a 2-d matrix"):
+    with pytest.raises(DataError, match=r"^target features: expected a non-empty 2-d matrix"):
         DomainPair(xs, [0, 1, 0, 1], np.zeros(3), 2)
-    with pytest.raises(FormatError, match="^source features: empty matrix"):
+    with pytest.raises(DataError, match=r"^source features: .* got shape \(0, 3\)$"):
         DomainPair(np.zeros((0, 3)), [], xt, 2)
 
 

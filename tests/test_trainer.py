@@ -426,7 +426,8 @@ BROKEN_TASKS = {
         lambda t: dict(whiten=t.whiten[:-1, :-1]), r"^whiten is \(5, 5\), expected \(6, 6\)$"
     ),
     "one-dimensional-features": (
-        lambda t: dict(features=t.features[:, 0]), "^features must be 2-d, got ndim=1$"
+        lambda t: dict(features=t.features[:, 0]),
+        r"^features: expected a non-empty 2-d matrix, got shape \(80,\)$",
     ),
     "two-dimensional-labels": (
         lambda t: dict(source_y=t.source_y[:, None]), "^source labels must be 1-d$"
