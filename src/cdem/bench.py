@@ -52,7 +52,7 @@ from .trainer import (
     AdaptationResult,
     PreparedTask,
     accuracy_pct,
-    as_prepared,
+    prepare_task,
     preprocess_rows,
     run_adaptation,
     source_probabilities,
@@ -122,14 +122,18 @@ def _task_result(
 
 
 def run_source_only(
-    pair: DomainPair | PreparedTask,
+    pair: DomainPair,
     config: ExperimentConfig,
     eval_labels: np.ndarray | None = None,
 ) -> TaskResult:
     """No adaptation: the source-only prototype classifier on pair, prepared
-    here, or on a task prepared beforehand, reported as task "task".
-    wall_time leaves out the preparation."""
-    return _task_result("task", "source-only", None, *as_prepared(pair, config, eval_labels))
+    here, reported as task "task".  wall_time leaves out the preparation.
+    It goes with ROADMAP item 1 part A, which ports its one caller outside
+    the tests (perfbench's source-only reference) to a command."""
+    task = prepare_task(pair, config)
+    if eval_labels is not None:
+        eval_labels = matio.validate_eval_labels(eval_labels, task, "evaluation labels")
+    return _task_result("task", "source-only", None, task, eval_labels)
 
 
 @dataclass(frozen=True)

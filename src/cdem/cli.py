@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bench, synth
-from .errors import CdemError
+from .errors import CdemError, ConfigError
 from .matio import ExperimentConfig, Task, load_config
 
 
@@ -61,7 +61,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     config, tasks = _load(args)
     params = [p.strip() for p in args.params.split(",") if p.strip()]
     if not params:
-        raise CdemError("--params needs at least one name")
+        raise ConfigError("--params needs at least one name")
     points = bench.run_grid(config, params, tasks)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

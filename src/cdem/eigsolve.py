@@ -160,7 +160,8 @@ def solve_generalized(reduced: np.ndarray, n_components: int) -> TransformSoluti
     """Smallest n_components eigenpairs of A p = theta (B + sI) p, from
     reduced = W'AW for the W that whitens B + sI.  reduced is the loop's own
     square operand and 1 <= n_components <= m, which ``ExperimentConfig``
-    and ``as_prepared`` ensure; only its finiteness is checked here."""
+    and ``run_adaptation``'s pca_dim check ensure; only its finiteness is
+    checked here."""
     if not np.isfinite(reduced).all():
         raise NumericError("W'AW is not finite: the objective weights overflow float64")
     m = reduced.shape[0]

@@ -57,9 +57,9 @@ def _centered_pieces(blocks: list[np.ndarray], mean: np.ndarray) -> Iterator[np.
 
 
 def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
-    """PCA scores of the rows of the blocks, stacked in order (each block
-    passes ``matio.as_matrix`` and all share their width d, else DataError;
-    n rows in all): n × n_components, column j along
+    """PCA scores of the rows of the blocks, stacked in order (at least one
+    block, each passing ``matio.as_matrix``, all sharing their width d, else
+    DataError; n rows in all): n × n_components, column j along
     the j-th largest principal direction of the rows centered on their
     pooled mean.
 
@@ -99,6 +99,8 @@ def fit_pca(*blocks: np.ndarray, n_components: int) -> np.ndarray:
     positive (``eigsolve.column_signs``), which makes the result a pure
     function of the input bytes.  The blocks are never modified.
     """
+    if not blocks:
+        raise DataError("PCA needs at least one block")
     blocks = [matio.as_matrix(block, f"PCA block {i}") for i, block in enumerate(blocks)]
     n, d = sum(block.shape[0] for block in blocks), blocks[0].shape[1]
     if any(block.shape[1] != d for block in blocks):

@@ -9,26 +9,28 @@ order, each scaled to unit length, and factors the label-free constraint
 B = X'HX once, keeping only the W that whitens it.  A ``PreparedTask`` is a
 view of that prepared pair: its ``source`` and ``target`` are row slices of
 the scores, in whichever order the two blocks were passed, so a task and
-its reverse share one pair.  Methods, ablation
-stages and grid points that differ only in their weights (an ablation stage
-zeroes some of them) share one ``PreparedTask``.  ``run_adaptation``
-bootstraps pseudo labels from the source-only prototype classifier on the
-scores X (``source_probabilities``, which is also the source-only baseline),
-then works in whitened coordinates Y = XW, W = L^-T from the constraint's
-Cholesky factor: it forms Y once per run, computes the source-side moments of
-the objective on Y, and alternates for a fixed number of steps between (a)
-solving the eigenproblem whose operand W'AW is built from those moments, the
-selected target rows of Y and their pseudo labels, and (b) refreshing pseudo
-labels and the curriculum selection in the new subspace, whose embedding YU
-equals XP.  A step hands on to the next one only those blended pseudo
-labels and that selection: it drops each n×C distance or probability table
-and the blend after its last read, and its diagnostics take the source
-model's per-row labels, not its distance table.  A step keeps the whitened
-basis U with LAPACK's column signs, to which distances, k-means,
-probabilities and every record are blind; P = WU is formed and sign-fixed
-(``eigsolve.column_signs``) once, when the run ends, together with the
-embeddings it reports.  True target labels never enter any of these steps;
-when provided they are used solely to score predictions per step."""
+its reverse share one pair.  ``prepare_task`` is the one way from a
+``DomainPair`` to a ``PreparedTask``; a run takes only the task and never
+prepares, so methods, ablation stages and grid points that differ only in
+their weights (an ablation stage zeroes some of them) share one.
+``run_adaptation`` bootstraps pseudo labels from the source-only prototype
+classifier on the scores X (``source_probabilities``, which is also the
+source-only baseline), then works in whitened coordinates Y = XW, W = L^-T
+from the constraint's Cholesky factor: it forms Y once per run, computes the
+source-side moments of the objective on Y, and alternates for a fixed
+number of steps between (a) solving the eigenproblem whose operand W'AW is
+built from those moments, the selected target rows of Y and their pseudo
+labels, and (b) refreshing pseudo labels and the curriculum selection in the
+new subspace, whose embedding YU equals XP.  A step hands on to the next one
+only those blended pseudo labels and that selection: it drops each n×C
+distance or probability table and the blend after its last read, and its
+diagnostics take the source model's per-row labels, not its distance table.
+A step keeps the whitened basis U with LAPACK's column signs, to which
+distances, k-means, probabilities and every record are blind; P = WU is
+formed and sign-fixed (``eigsolve.column_signs``) once, when the run ends,
+together with the embeddings it reports.  True target labels never enter any
+of these steps; when provided they are used solely to score predictions per
+step."""
 
 from __future__ import annotations
 
@@ -124,9 +126,10 @@ class PreparedTask:
     as PCA scores whose rows were not scaled to unit length.
 
     Construction checks what the run's steps then take unchecked, raising
-    DataError: features pass ``matio.as_matrix`` and are stored as float64,
-    whiten is (m, m), source_y follows ``matio.check_source_labels`` and is
-    stored as int64, and at least one row is left for the target."""
+    DataError: features and whiten pass ``matio.as_matrix`` and are stored
+    as float64, whiten is (m, m), source_y follows
+    ``matio.check_source_labels`` and is stored as int64, and at least one
+    row is left for the target."""
 
     features: np.ndarray
     whiten: np.ndarray
@@ -137,12 +140,14 @@ class PreparedTask:
     def __post_init__(self) -> None:
         features = matio.as_matrix(self.features, "features")
         rows, m = features.shape
-        if self.whiten.shape != (m, m):
-            raise DataError(f"whiten is {self.whiten.shape}, expected {(m, m)}")
+        whiten = matio.as_matrix(self.whiten, "whiten")
+        if whiten.shape != (m, m):
+            raise DataError(f"whiten is {whiten.shape}, expected {(m, m)}")
         source_y = matio.check_source_labels(self.source_y, self.n_classes)
         if source_y.shape[0] >= rows:
             raise DataError(f"no target rows: {rows} rows for {source_y.shape[0]} source labels")
         object.__setattr__(self, "features", features)
+        object.__setattr__(self, "whiten", whiten)
         object.__setattr__(self, "source_y", source_y)
 
     @property
@@ -192,26 +197,6 @@ def prepare_task(pair: DomainPair, config: ExperimentConfig) -> PreparedTask:
     check_finite(pair.target_x, "target features")
     rows = preprocess_rows(pair.source_x, pair.target_x, config)
     return PreparedTask(*rows, pair.source_y, pair.n_classes, source_first=True)
-
-
-def as_prepared(
-    task: DomainPair | PreparedTask,
-    config: ExperimentConfig,
-    eval_labels: np.ndarray | None = None,
-) -> tuple[PreparedTask, np.ndarray | None]:
-    """task itself when already prepared (with config's pca_dim), else
-    ``prepare_task(task, config)``; and eval_labels checked against it (see
-    ``validate_eval_labels``), None staying None."""
-    if isinstance(task, DomainPair):
-        task = prepare_task(task, config)
-    if task.features.shape[1] != config.pca_dim:
-        raise ConfigError(
-            f"task prepared with pca_dim={task.features.shape[1]}, config asks for "
-            f"pca_dim={config.pca_dim}"
-        )
-    if eval_labels is not None:
-        eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")
-    return task, eval_labels
 
 
 def accuracy_pct(predictions: np.ndarray, truth: np.ndarray | None) -> float | None:
@@ -296,14 +281,19 @@ def _dump_iteration(
 
 
 def run_adaptation(
-    pair: DomainPair | PreparedTask,
+    task: PreparedTask,
     config: ExperimentConfig,
     eval_labels: np.ndarray | None = None,
     dump_dir: str | Path | None = None,
 ) -> AdaptationResult:
-    """Full alternating run on a pair, prepared here, or on a task prepared
-    beforehand; returns exactly config.iterations records."""
-    task, eval_labels = as_prepared(pair, config, eval_labels)
+    """Full alternating run on a task prepared with config's pca_dim (see
+    ``prepare_task``), eval_labels checked against it by
+    ``validate_eval_labels``; returns exactly config.iterations records."""
+    if task.features.shape[1] != config.pca_dim:
+        prepared = f"task prepared with pca_dim={task.features.shape[1]}"
+        raise ConfigError(f"{prepared}, config asks for pca_dim={config.pca_dim}")
+    if eval_labels is not None:
+        eval_labels = validate_eval_labels(eval_labels, task, "evaluation labels")
     weights = term_weights(config)
     total = config.iterations
     source, target = task.source_rows, task.target_rows

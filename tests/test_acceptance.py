@@ -191,7 +191,7 @@ def test_synthetic_adaptation_beats_baseline():
     pair, labels = generate(standard_shift_spec())
     config = _reference_config()
     baseline = bench.run_source_only(pair, config, labels)
-    adapted = bench.run_adaptation(pair, config, labels)
+    adapted = bench.run_adaptation(prepare_task(pair, config), config, labels)
     elapsed = time.perf_counter() - start
     accuracy = bench.accuracy_pct(adapted.predictions, labels)
     gain = accuracy - baseline.accuracy
@@ -211,8 +211,9 @@ def test_ablation_means_monotone():
     seeds = range(5)
     for seed in seeds:
         pair, labels = generate(replace(standard_shift_spec(), seed=seed))
+        task = prepare_task(pair, config)
         sums += np.array([
-            bench.accuracy_pct(bench.run_adaptation(pair, stage, labels).predictions, labels)
+            bench.accuracy_pct(bench.run_adaptation(task, stage, labels).predictions, labels)
             for stage in configs
         ])
     means = sums / len(list(seeds))

@@ -27,7 +27,7 @@ from cdem.matio import (
     write_matrix,
 )
 from cdem.synth import ShiftSpec, generate, write_dataset
-from cdem.trainer import AdaptationResult, as_prepared, preprocess_rows, run_adaptation
+from cdem.trainer import AdaptationResult, prepare_task, preprocess_rows, run_adaptation
 
 
 def _separable_pair(seed=0, n=40, dims=4):
@@ -47,7 +47,7 @@ def _fast_config(**over):
 def _adapted(pair, config, labels):
     """The TaskResult of a "cdem" run on pair under config, named "demo" and
     built by the one function every command's runs go through."""
-    return bench._task_result("demo", "cdem", config, *as_prepared(pair, config, labels))
+    return bench._task_result("demo", "cdem", config, prepare_task(pair, config), labels)
 
 
 def test_source_only_result():
@@ -76,9 +76,10 @@ def test_source_only_result():
 def test_source_only_checks_eval_labels_as_adaptation_does(labels, message):
     pair, _ = generate(ShiftSpec(classes=3, n_per_domain=60, dims=6, separation=6.0, seed=3))
     config = _fast_config()
-    for run in (bench.run_source_only, run_adaptation):
-        with pytest.raises(DataError, match=message):
-            run(pair, config, labels)
+    with pytest.raises(DataError, match=message):
+        bench.run_source_only(pair, config, labels)
+    with pytest.raises(DataError, match=message):
+        run_adaptation(prepare_task(pair, config), config, labels)
 
 
 def test_max_workers_env(monkeypatch):
@@ -177,12 +178,12 @@ def test_ablation_stage_order(tmp_path):
     assert zeroed == [("lam", "gamma", "eta"), ("gamma", "eta"), ("eta",), ()]
     results = bench.run_task_suite(config, [None], ["cdem", *names])
     assert [r.method for r in results] == ["cdem", *names]
-    pair = bench.load_domain_pair(config)
+    task = prepare_task(bench.load_domain_pair(config), config)
     labels = read_labels(paths["target_labels"])
     for result, off in zip(results[1:], zeroed):
         assert result.trace is not None and len(result.trace.records) == 3
         # each stage is the config with its weights set to 0, run as usual
-        alone = run_adaptation(pair, replace(config, **dict.fromkeys(off, 0.0)), labels)
+        alone = run_adaptation(task, replace(config, **dict.fromkeys(off, 0.0)), labels)
         assert np.array_equal(result.predictions, alone.predictions)
         assert np.array_equal(result.trace.projection, alone.projection)
     # the full stage is the config as given

@@ -302,6 +302,15 @@ def test_grid_rejects_unknown_param(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --params needs at least one name\n"
 
 
+def test_grid_without_params_raises_a_config_error(tmp_path):
+    config = _make_dataset(tmp_path)
+    args = build_parser().parse_args(
+        ["grid", "--config", str(config), "--out", str(tmp_path / "g"), "--params", ","]
+    )
+    with pytest.raises(ConfigError, match="^--params needs at least one name$"):
+        args.func(args)
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest", "--cases", "3", "--seed", "7"]) == 0
     out = capsys.readouterr().out

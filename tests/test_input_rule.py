@@ -83,6 +83,12 @@ def _prepared_task(x, out):
     source_probabilities(task)
 
 
+def _whitened_task(w, out):
+    # A run's first use of whiten is the product Y = XW.
+    task = PreparedTask(np.eye(3, _width(w)), w, np.array([0, 1]), 2, source_first=True)
+    task.features @ task.whiten
+
+
 # name -> (how its errors name the input, with {out} the directory written
 # to; the call on that input)
 FEATURE_CALLS = {
@@ -90,6 +96,7 @@ FEATURE_CALLS = {
         "target features", lambda x, out: DomainPair(np.eye(3, _width(x)), [0, 1, 0], x, 2)
     ),
     "PreparedTask": ("features", _prepared_task),
+    "whiten": ("whiten", _whitened_task),
     "fit_pca-one-block": ("PCA block 0", lambda x, out: fit_pca(x, n_components=1)),
     # a first block of width 3 meets blocks of every width
     "fit_pca-two-blocks": (
@@ -127,3 +134,14 @@ def test_feature_entry_points_follow_the_rule(out_dir, name, values):
 def test_label_entry_points_follow_the_rule(out_dir, name, values):
     context, call = LABEL_CALLS[name]
     _check(lambda: call(values, out_dir), _real(values), context.format(out=out_dir))
+
+
+def test_whiten_given_as_a_list_is_stored_as_float64():
+    task = PreparedTask(np.eye(3, 2), [[1, 0], [0, 1]], np.array([0, 1]), 2, source_first=True)
+    assert task.whiten.dtype == np.float64
+    assert np.array_equal(task.whiten, np.eye(2))
+
+
+def test_fit_pca_without_blocks_raises_a_data_error():
+    with pytest.raises(DataError, match="^PCA needs at least one block$"):
+        fit_pca(n_components=1)

@@ -36,7 +36,7 @@ from cdem.matio import (
     write_matrix,
 )
 from cdem.synth import parse_shift_spec
-from cdem.trainer import run_adaptation
+from cdem.trainer import prepare_task, run_adaptation
 
 
 def test_binary_round_trip_bit_identical(tmp_path):
@@ -642,4 +642,4 @@ def test_eval_labels_contract_checked_on_both_paths(tmp_path, labels):
     with pytest.raises(DataError, match=re.escape(str(tmp_path / "yt.txt"))):
         load_eval_labels(config, pair)
     with pytest.raises(DataError, match="^evaluation labels: "):
-        run_adaptation(pair, config, np.array(labels))
+        run_adaptation(prepare_task(pair, config), config, np.array(labels))

@@ -12,7 +12,7 @@ from pathlib import Path
 from cdem.matio import ExperimentConfig
 from cdem.prototype import squared_distances, target_kmeans
 from cdem.synth import ShiftSpec, generate
-from cdem.trainer import run_adaptation
+from cdem.trainer import prepare_task, run_adaptation
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -40,7 +40,7 @@ def test_observers_read_the_shapes_they_expect():
     config = ExperimentConfig(pca_dim=6, subspace_dim=3, iterations=3)
     tracer.install()
     try:
-        result = run_adaptation(pair, config, labels)
+        result = run_adaptation(prepare_task(pair, config), config, labels)
     finally:
         tracer.uninstall()
     # len(target_kmeans(...)[2]): one history entry per Lloyd iteration

@@ -45,7 +45,7 @@ def _small_config(**over):
 def test_record_count_and_fields():
     pair, labels = generate(_small_spec())
     config = _small_config()
-    result = run_adaptation(pair, config, labels)
+    result = run_adaptation(prepare_task(pair, config), config, labels)
     assert len(result.records) == config.iterations
     for step, rec in enumerate(result.records, start=1):
         assert rec.step == step
@@ -68,7 +68,8 @@ def test_record_count_and_fields():
 
 def test_selection_grows_to_consistent_set():
     pair, labels = generate(_small_spec())
-    result = run_adaptation(pair, _small_config(), labels)
+    config = _small_config()
+    result = run_adaptation(prepare_task(pair, config), config, labels)
     sizes = [rec.n_selected for rec in result.records]
     assert sizes[0] < sizes[-1]
     assert result.selected.sum() == sizes[-1]
@@ -82,7 +83,7 @@ def test_identical_domains_reach_perfect_accuracy():
     y = np.repeat([0, 1], 20)
     pair = DomainPair(x, y, x.copy(), 2)
     config = _small_config(pca_dim=5, subspace_dim=2, iterations=3)
-    result = run_adaptation(pair, config, y)
+    result = run_adaptation(prepare_task(pair, config), config, y)
     assert result.records[-1].accuracy == 100.0
 
 
@@ -93,7 +94,8 @@ def test_identical_domains_align_exactly():
     )
     y = np.repeat([0, 1], 15)
     pair = DomainPair(x, y, x.copy(), 2)
-    result = run_adaptation(pair, _small_config(pca_dim=4, subspace_dim=2, iterations=3), y)
+    config = _small_config(pca_dim=4, subspace_dim=2, iterations=3)
+    result = run_adaptation(prepare_task(pair, config), config, y)
     zs = np.asarray(result.source_embedding)
     zt = np.asarray(result.target_embedding)
     # same inputs, same projection: the domain means cannot differ
@@ -137,8 +139,8 @@ def test_alignment_weight_reduces_domain_gap_term():
 def test_eval_labels_do_not_influence_training():
     pair, labels = generate(_small_spec(seed=3))
     config = _small_config()
-    with_labels = run_adaptation(pair, config, labels)
-    without = run_adaptation(pair, config, None)
+    with_labels = run_adaptation(prepare_task(pair, config), config, labels)
+    without = run_adaptation(prepare_task(pair, config), config, None)
     assert np.array_equal(with_labels.predictions, without.predictions)
     assert np.array_equal(with_labels.projection, without.projection)
     assert without.records[-1].accuracy is None
@@ -147,7 +149,7 @@ def test_eval_labels_do_not_influence_training():
 def test_objective_matches_eigenvalue_sum():
     pair, labels = generate(_small_spec(seed=5))
     config = _small_config(iterations=2)
-    result = run_adaptation(pair, config, labels)
+    result = run_adaptation(prepare_task(pair, config), config, labels)
     # tr(P'AP) with B-orthonormal P equals the eigenvalue sum at the solve
     final = result.records[-1]
     assert abs(final.objective - result.eigenvalues.sum()) <= 1e-10 * abs(final.objective)
@@ -156,7 +158,7 @@ def test_objective_matches_eigenvalue_sum():
 def test_component_subset_runs():
     pair, labels = generate(_small_spec(seed=7))
     config = _small_config(lam=0.0, gamma=0.0, eta=0.0)
-    result = run_adaptation(pair, config, labels)
+    result = run_adaptation(prepare_task(pair, config), config, labels)
     assert len(result.records) == config.iterations
 
 
@@ -171,7 +173,7 @@ def test_dump_writes_term_matrices(tmp_path, monkeypatch):
     )
     pair, labels = generate(_small_spec(seed=8))
     config = _small_config(iterations=2)
-    dumped = run_adaptation(pair, config, labels, dump_dir=tmp_path)
+    dumped = run_adaptation(prepare_task(pair, config), config, labels, dump_dir=tmp_path)
     # B + sI is label-free: built once per run, written at every step
     assert len(built) == 1
     assert np.array_equal(
@@ -191,7 +193,7 @@ def test_dump_writes_term_matrices(tmp_path, monkeypatch):
         delta = config.delta * np.eye(config.pca_dim)
         assert np.array_equal(read("operand_a"), read("combined") + delta)
     # building the terms for the dump leaves the run itself unchanged
-    plain = run_adaptation(pair, config, labels)
+    plain = run_adaptation(prepare_task(pair, config), config, labels)
     assert np.array_equal(dumped.predictions, plain.predictions)
     assert np.array_equal(dumped.projection, plain.projection)
 
@@ -206,14 +208,14 @@ def _unnormalized_task(pair, config):
 
 
 # case -> (ShiftSpec overrides, config overrides, the task run_adaptation
-# takes): unit-length rows (the pair, prepared by the run) and rows at their
-# own lengths, one ablation stage, and a wide task, 80 rows of 300 columns,
-# whose PCA takes its n < d side
+# takes): unit-length rows (``prepare_task``) and rows at their own lengths,
+# one ablation stage, and a wide task, 80 rows of 300 columns, whose PCA
+# takes its n < d side
 WHITENED_LOOP_CASES = {
-    "normalized": ({}, {}, lambda pair, config: pair),
+    "normalized": ({}, {}, prepare_task),
     "unnormalized": ({}, {}, _unnormalized_task),
-    "erm+da": ({}, {"gamma": 0.0, "eta": 0.0}, lambda pair, config: pair),
-    "wide": ({"dims": 300}, {"pca_dim": 20, "subspace_dim": 4}, lambda pair, config: pair),
+    "erm+da": ({}, {"gamma": 0.0, "eta": 0.0}, prepare_task),
+    "wide": ({"dims": 300}, {"pca_dim": 20, "subspace_dim": 4}, prepare_task),
 }
 
 
@@ -246,14 +248,16 @@ def test_dumped_steps_match_an_independent_generalized_solve(case, tmp_path):
 def test_records_carry_the_solve_residual_and_eigengap():
     pair, labels = generate(standard_shift_spec())
     config = _small_config(pca_dim=10, subspace_dim=4, iterations=11)
-    records = run_adaptation(pair, config, labels).records
+    records = run_adaptation(prepare_task(pair, config), config, labels).records
     assert all(0.0 <= rec.residual <= RESIDUAL_BOUND for rec in records)
     assert all(isinstance(rec.eigengap, float) and rec.eigengap >= 0.0 for rec in records)
     assert all(0.0 <= rec.orthonormality <= ORTHONORMALITY_BOUND for rec in records)
     fields = {"residual", "eigengap", "orthonormality", "kmeans_iters", "kmeans_converged"}
     assert fields <= set(asdict(records[0]))
     # with every component kept there is no theta_{k+1}
-    full = run_adaptation(pair, replace(config, subspace_dim=config.pca_dim), labels)
+    full = run_adaptation(
+        prepare_task(pair, config), replace(config, subspace_dim=config.pca_dim), labels
+    )
     assert all(rec.eigengap is None for rec in full.records)
 
 
@@ -270,7 +274,8 @@ def test_records_count_each_steps_kmeans_iterations(monkeypatch):
 
     monkeypatch.setattr(trainer_mod, "target_kmeans", spy)
     pair, labels = generate(standard_shift_spec())
-    records = run_adaptation(pair, _small_config(pca_dim=10, subspace_dim=4), labels).records
+    config = _small_config(pca_dim=10, subspace_dim=4)
+    records = run_adaptation(prepare_task(pair, config), config, labels).records
     assert [rec.kmeans_iters for rec in records] == lengths
     assert all(1 <= count <= KMEANS_MAX_ITERS for count in lengths)
 
@@ -280,10 +285,11 @@ def test_records_tell_whether_each_steps_kmeans_converged(monkeypatch):
 
     pair, labels = generate(standard_shift_spec())
     config = _small_config(pca_dim=10, subspace_dim=4)
-    assert all(rec.kmeans_converged for rec in run_adaptation(pair, config, labels).records)
+    task = prepare_task(pair, config)
+    assert all(rec.kmeans_converged for rec in run_adaptation(task, config, labels).records)
     # one pass cannot meet either stopping rule, which compare two passes
     monkeypatch.setattr(prototype_mod, "KMEANS_MAX_ITERS", 1)
-    records = run_adaptation(pair, config, labels).records
+    records = run_adaptation(task, config, labels).records
     assert [(rec.kmeans_iters, rec.kmeans_converged) for rec in records] == [(1, False)] * 5
 
 
@@ -294,9 +300,9 @@ def test_run_without_openblas_predicts_as_the_native_path(monkeypatch, dims):
     # Gram takes dsyevr on the native path.
     pair, labels = generate(ShiftSpec(n_per_domain=320, dims=dims))
     config = _small_config(pca_dim=128 if dims > 128 else 10, subspace_dim=4)
-    native = run_adaptation(pair, config, labels)
+    native = run_adaptation(prepare_task(pair, config), config, labels)
     monkeypatch.setattr(eigsolve, "_openblas", lambda: None)
-    fallback = run_adaptation(pair, config, labels)
+    fallback = run_adaptation(prepare_task(pair, config), config, labels)
     assert len(fallback.records) == len(native.records)
     assert np.array_equal(fallback.predictions, native.predictions)
 
@@ -325,7 +331,8 @@ def test_step_distances_match_a_refit_of_the_embedded_source(monkeypatch):
     monkeypatch.setattr(trainer_mod, "squared_distances", distance_spy)
     monkeypatch.setattr(trainer_mod, "evaluate_cross_domain_errors", spy)
     pair, labels = generate(_small_spec(seed=15, classes=3, translation=(1.0, -1.0, 0.5)))
-    result = run_adaptation(pair, _small_config(), labels)
+    config = _small_config()
+    result = run_adaptation(prepare_task(pair, config), config, labels)
     assert len(seen) == len(result.records)
     for task, z, to_source, source_model in seen:
         centers = fit_prototypes(z[task.source_rows], task.source_y, task.n_classes)
@@ -348,22 +355,29 @@ def test_error_carries_step_context(monkeypatch):
     def explode(*args, **kwargs):
         raise DataError("forced failure")
 
+    config = _small_config()
+    task = prepare_task(pair, config)
     monkeypatch.setattr(trainer_mod, "build_objective_matrices", explode)
     with pytest.raises(DataError, match=r"^step 1: forced failure$"):
-        run_adaptation(pair, _small_config(), None)
+        run_adaptation(task, config, None)
 
 
 def test_constraint_factored_once_per_run(monkeypatch):
     import cdem.trainer as trainer_mod
 
-    counts = {"cholesky": 0, "solve": 0, "signs": 0}
+    counts = {"cholesky": 0, "fit_pca": 0, "solve": 0, "signs": 0}
     cholesky = np.linalg.cholesky
+    pca = trainer_mod.fit_pca
     solve = trainer_mod.solve_generalized
     column_signs = trainer_mod.column_signs
 
     def counting_cholesky(*args, **kwargs):
         counts["cholesky"] += 1
         return cholesky(*args, **kwargs)
+
+    def counting_pca(*args, **kwargs):
+        counts["fit_pca"] += 1
+        return pca(*args, **kwargs)
 
     def counting_solve(*args, **kwargs):
         counts["solve"] += 1
@@ -374,13 +388,18 @@ def test_constraint_factored_once_per_run(monkeypatch):
         return column_signs(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(trainer_mod, "fit_pca", counting_pca)
     monkeypatch.setattr(trainer_mod, "solve_generalized", counting_solve)
     # P = WU is formed and sign-fixed once per run, not once per step
     monkeypatch.setattr(trainer_mod, "column_signs", counting_signs)
     pair, labels = generate(_small_spec(seed=10))
-    result = run_adaptation(pair, _small_config(iterations=11), labels)
+    config = _small_config(iterations=11)
+    task = prepare_task(pair, config)
+    assert counts == {"cholesky": 1, "fit_pca": 1, "solve": 0, "signs": 0}
+    result = run_adaptation(task, config, labels)
     assert len(result.records) == 11
-    assert counts == {"cholesky": 1, "solve": 11, "signs": 1}
+    # the run itself neither factors B nor fits a PCA
+    assert counts == {"cholesky": 1, "fit_pca": 1, "solve": 11, "signs": 1}
 
 
 def test_final_projection_sign_fixed_and_constraint_orthonormal():
@@ -401,19 +420,19 @@ def test_final_projection_sign_fixed_and_constraint_orthonormal():
     assert np.allclose(result.target_embedding, embedding[task.target_rows], atol=1e-12)
 
 
-def test_prepared_task_runs_like_its_pair():
+def test_reused_task_runs_like_a_freshly_prepared_one():
     pair, labels = generate(_small_spec(seed=12))
     config = _small_config()
     task = prepare_task(pair, config)
     assert not task.features.flags.writeable
     assert (task.n_source, task.n_target) == (pair.n_source, pair.n_target)
-    direct = run_adaptation(pair, config, labels)
+    direct = run_adaptation(prepare_task(pair, config), config, labels)
     for run_config in (config, replace(config, beta=1.0, gamma=0.0, eta=0.0)):
-        prepared = run_adaptation(task, run_config, labels)
-        fresh = run_adaptation(pair, run_config, labels)
-        assert np.array_equal(prepared.predictions, fresh.predictions)
-        assert np.array_equal(prepared.projection, fresh.projection)
-        assert [r.objective for r in prepared.records] == [r.objective for r in fresh.records]
+        reused = run_adaptation(task, run_config, labels)
+        fresh = run_adaptation(prepare_task(pair, run_config), run_config, labels)
+        assert np.array_equal(reused.predictions, fresh.predictions)
+        assert np.array_equal(reused.projection, fresh.projection)
+        assert [r.objective for r in reused.records] == [r.objective for r in fresh.records]
     assert np.array_equal(run_adaptation(task, config, labels).projection, direct.projection)
     mismatch = "^task prepared with pca_dim=6, config asks for pca_dim=5$"
     with pytest.raises(ConfigError, match=mismatch):
@@ -459,7 +478,10 @@ def test_prepared_task_rejects_a_broken_contract(case):
 
 
 def test_float_source_labels_run_as_int64():
-    from cdem.bench import run_source_only
+    from cdem.bench import _task_result
+
+    def source_only(task, config, labels):
+        return _task_result("task", "source-only", None, task, labels)
 
     pair, labels = generate(_small_spec(seed=12))
     config = _small_config()
@@ -469,7 +491,7 @@ def test_float_source_labels_run_as_int64():
     )
     assert floats.source_y.dtype == np.int64
     assert np.array_equal(floats.source_y, task.source_y)
-    for run in (run_adaptation, run_source_only):
+    for run in (run_adaptation, source_only):
         got, want = run(floats, config, labels), run(task, config, labels)
         assert np.array_equal(got.predictions, want.predictions)
 
@@ -493,8 +515,9 @@ def test_residual_gate_carries_step_context(monkeypatch):
 
     _stub_kernel(monkeypatch, lambda vectors: vectors + 1e-3)
     pair, _ = generate(_small_spec(seed=11))
+    config = _small_config()
     with pytest.raises(NumericError, match=r"^step 1: eigensolver residual .* exceeds 1e-06$"):
-        run_adaptation(pair, _small_config(), None)
+        run_adaptation(prepare_task(pair, config), config, None)
 
 
 def test_orthonormality_gate_carries_step_context(monkeypatch):
@@ -509,10 +532,11 @@ def test_orthonormality_gate_carries_step_context(monkeypatch):
 
     _stub_kernel(monkeypatch, stretched)
     pair, _ = generate(_small_spec(seed=11))
+    config = _small_config()
     with pytest.raises(
         NumericError, match=r"^step 1: eigensolver basis orthonormality 2\.010e-02 exceeds 1e-06$"
     ):
-        run_adaptation(pair, _small_config(), None)
+        run_adaptation(prepare_task(pair, config), config, None)
 
 
 def test_non_finite_objective_carries_step_context(monkeypatch):
@@ -533,8 +557,9 @@ def test_non_finite_objective_carries_step_context(monkeypatch):
 
     monkeypatch.setattr(trainer_mod, "solve_generalized", infinite_at_step_2)
     pair, _ = generate(_small_spec(seed=11))
+    config = _small_config()
     with pytest.raises(NumericError, match=r"^step 2: objective value is not finite$"):
-        run_adaptation(pair, _small_config(), None)
+        run_adaptation(prepare_task(pair, config), config, None)
 
 
 @pytest.mark.parametrize("weight", [1e160, 1e305, 3.7e306])
@@ -544,7 +569,7 @@ def test_large_weights_keep_a_measured_residual(weight):
     pair, labels = generate(ShiftSpec(classes=3, n_per_domain=60, dims=8, seed=2))
     weights = dict(beta=weight, lam=weight, gamma=weight, eta=weight)
     config = ExperimentConfig(pca_dim=6, subspace_dim=3, iterations=3, **weights)
-    result = run_adaptation(pair, config, labels)
+    result = run_adaptation(prepare_task(pair, config), config, labels)
     assert all(0.0 < rec.residual <= 1e-15 for rec in result.records)
     assert result.records[-1].accuracy == 100.0
 
@@ -561,7 +586,7 @@ def test_weights_that_overflow_the_operand_raise_a_named_error(weight):
     config = ExperimentConfig(pca_dim=6, subspace_dim=3, iterations=3, **weights)
     message = r"^step \d: W'AW is not finite: the objective weights overflow float64$"
     with pytest.raises(NumericError, match=message):
-        run_adaptation(pair, config, labels)
+        run_adaptation(prepare_task(pair, config), config, labels)
 
 
 def _positive_pivots(vecs):
@@ -700,8 +725,7 @@ def test_preparing_leaves_the_pair_matrices_unchanged():
     pair, labels = generate(_small_spec(seed=12))
     before = (pair.source_x.copy(), pair.target_x.copy())
     config = _small_config()
-    prepare_task(pair, config)
-    run_adaptation(pair, config, labels)
+    run_adaptation(prepare_task(pair, config), config, labels)
     assert np.array_equal(pair.source_x, before[0])
     assert np.array_equal(pair.target_x, before[1])
 
@@ -716,7 +740,7 @@ def test_non_finite_pair_rejected_before_any_numerics(side):
     source_x, target_x = (bad, pair.target_x) if side == "source" else (pair.source_x, bad)
     pair = DomainPair(source_x, pair.source_y, target_x, pair.n_classes)
     config = _small_config()
-    for run in (prepare_task, run_adaptation, run_source_only):
+    for run in (prepare_task, run_source_only):
         with pytest.raises(DataError, match=f"^{side} features: matrix contains NaN or infinite"):
             run(pair, config)
 
@@ -759,6 +783,11 @@ def test_cross_domain_errors_against_truth():
     assert errors.source_model_on_target == 0.0
 
 
+def _predictions(pair, config):
+    """The target predictions of a run on pair, prepared for it."""
+    return run_adaptation(prepare_task(pair, config), config).predictions
+
+
 def _metamorphic_task(seed, dims, subspace_dim):
     """A 4-class task whose class margins leave no near-ties to flip."""
     spec = ShiftSpec(
@@ -767,7 +796,7 @@ def _metamorphic_task(seed, dims, subspace_dim):
     )
     pair, labels = generate(spec)
     config = _small_config(pca_dim=12, subspace_dim=subspace_dim, iterations=5)
-    predictions = run_adaptation(pair, config, labels).predictions
+    predictions = run_adaptation(prepare_task(pair, config), config, labels).predictions
     assert np.unique(predictions).size == pair.n_classes
     return pair, config, predictions
 
@@ -787,7 +816,7 @@ def test_permuting_target_rows_permutes_predictions(seed, dims, subspace_dim):
     pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
     perm = np.random.default_rng(seed).permutation(pair.n_target)
     moved = DomainPair(pair.source_x, pair.source_y, pair.target_x[perm], pair.n_classes)
-    assert np.array_equal(run_adaptation(moved, config).predictions, predictions[perm])
+    assert np.array_equal(_predictions(moved, config), predictions[perm])
 
 
 @pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
@@ -797,7 +826,7 @@ def test_permuting_source_rows_keeps_predictions(seed, dims, subspace_dim):
     pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
     perm = np.random.default_rng(seed).permutation(pair.n_source)
     moved = DomainPair(pair.source_x[perm], pair.source_y[perm], pair.target_x, pair.n_classes)
-    assert np.array_equal(run_adaptation(moved, config).predictions, predictions)
+    assert np.array_equal(_predictions(moved, config), predictions)
 
 
 @pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
@@ -805,7 +834,7 @@ def test_permuting_class_ids_permutes_labels(seed, dims, subspace_dim):
     pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
     ids = np.random.default_rng(seed).permutation(pair.n_classes)
     renamed = DomainPair(pair.source_x, ids[pair.source_y], pair.target_x, pair.n_classes)
-    assert np.array_equal(run_adaptation(renamed, config).predictions, ids[predictions])
+    assert np.array_equal(_predictions(renamed, config), ids[predictions])
 
 
 @pytest.mark.parametrize("seed, dims, subspace_dim", METAMORPHIC_TASKS)
@@ -821,7 +850,7 @@ def test_rotating_and_translating_features_keeps_predictions(seed, dims, subspac
         pair.source_x @ rotation + shift, pair.source_y,
         pair.target_x @ rotation + shift, pair.n_classes,
     )
-    assert np.array_equal(run_adaptation(moved, config).predictions, predictions)
+    assert np.array_equal(_predictions(moved, config), predictions)
 
 
 def _scaled(pair, scale):
@@ -834,7 +863,7 @@ def test_scaling_features_keeps_predictions(seed, dims, subspace_dim, scale):
     # scaling the PCA scores to unit length takes out a global scale, down to
     # where the PCA Gram underflows and up to where it overflows
     pair, config, predictions = _metamorphic_task(seed, dims, subspace_dim)
-    assert np.array_equal(run_adaptation(_scaled(pair, scale), config).predictions, predictions)
+    assert np.array_equal(_predictions(_scaled(pair, scale), config), predictions)
 
 
 def _with_target(pair, target_x):
@@ -926,12 +955,14 @@ def test_degenerate_inputs_run_or_raise_named_errors(case):
     settings = dict(pca_dim=10, subspace_dim=6, iterations=5) | overrides
     expected, detail = outcome
     if isinstance(expected, type):
-        # the error may come from building the pair or the config
+        # the error may come from building the pair or the config, or from
+        # preparing the pair
         with pytest.raises(expected, match=detail):
-            run_adaptation(build(pair), ExperimentConfig(**settings))
+            config = ExperimentConfig(**settings)
+            run_adaptation(prepare_task(build(pair), config), config)
         return
     pair, config = build(pair), ExperimentConfig(**settings)
-    result = run_adaptation(pair, config)
+    result = run_adaptation(prepare_task(pair, config), config)
     assert len(result.records) == config.iterations
     assert all(np.isfinite(rec.objective) for rec in result.records)
     assert np.unique(result.predictions).tolist() == expected
