@@ -80,13 +80,14 @@ def select(table: PseudoLabelTable, step: int, total_steps: int) -> CurriculumSt
 
     Each class's quota follows its count in table.label.  Ties in
     confidence break toward the lower sample index, which keeps selection
-    deterministic.
+    deterministic: ``np.lexsort`` is stable and the candidates enter it in
+    ascending index order, so no index key is needed.
     """
     n_classes = table.p.shape[1]
     pool = np.flatnonzero(table.consistent)
     # lexsort: last key is primary, so candidates are grouped by label, most
-    # confident first within a class, ties broken on the original index
-    order = pool[np.lexsort((pool, -table.confidence[pool], table.label[pool]))]
+    # confident first within a class
+    order = pool[np.lexsort((-table.confidence[pool], table.label[pool]))]
     labels = table.label[order]
     consistent_counts = np.bincount(labels, minlength=n_classes)
     counts = np.bincount(table.label, minlength=n_classes)

@@ -39,9 +39,11 @@ those rows.  Unselected target samples enter only the marginal MMD term.
 
 ``source_moments`` and ``build_objective_matrices`` take the loop's own
 arrays unchecked: the source rows and labels of a ``trainer.PreparedTask``,
-which construction checked (every class has a source row), and the step's
-selected rows and pseudo labels, which the loop forms.  Only an empty
-selection raises.
+which construction checked, and the step's selected rows and pseudo labels,
+which the loop forms.  They rely on that contract: every class has a source
+row, so a class is missing from one side only when it has no selected
+target row, and only target counts decide which terms are skipped.  Only
+an empty selection raises.
 """
 
 from __future__ import annotations
@@ -116,10 +118,10 @@ def _means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums / np.maximum(counts, 1)[:, None]
 
 
-def _skipped_terms(n_src: np.ndarray, n_tgt: np.ndarray) -> list[str]:
-    """Terms left out because a class is empty or has an empty complement,
-    in the order the terms are listed."""
-    classes = range(n_src.shape[0])
+def _skipped_terms(n_tgt: np.ndarray) -> list[str]:
+    """Terms left out because a class has no selected target rows or no
+    other class has any, in the order the terms are listed."""
+    classes = range(n_tgt.shape[0])
     tgt_total = int(n_tgt.sum())
     skipped: list[str] = []
     for cls in classes:
@@ -128,10 +130,10 @@ def _skipped_terms(n_src: np.ndarray, n_tgt: np.ndarray) -> list[str]:
         elif n_tgt[cls] == tgt_total:
             skipped.append(f"center-push target block: class {cls} has empty complement")
     for cls in classes:
-        if not (n_src[cls] and n_tgt[cls]):
+        if not n_tgt[cls]:
             skipped.append(f"conditional distribution term: class {cls} missing on one side")
     for cls in classes:
-        if not (n_src[cls] and n_tgt[cls]):
+        if not n_tgt[cls]:
             skipped.append(f"cross-domain push: class {cls} missing on one side")
         elif n_tgt[cls] == tgt_total:
             skipped.append(f"cross-domain push: class {cls} has empty target complement")
@@ -152,9 +154,10 @@ def build_objective_matrices(
     source row count come from source.counts.  The center push weighs each
     class's squared distance to the rest of its domain by its count; the
     cross push compares a class mean with the opposite domain's other-class
-    mean.  On the target side early curriculum stages can leave a class
-    empty or complement-less, so those blocks are skipped and reported in
-    ``skipped``.
+    mean.  Every class has a source row (the module docstring's contract),
+    but early curriculum stages can leave a class without selected target
+    rows, or with no other class selected, so those target-side blocks are
+    skipped and reported in ``skipped``.
     """
     n_classes = source.counts.shape[0]
     if not xt_sel.shape[0]:
@@ -174,7 +177,7 @@ def build_objective_matrices(
     mean_tgt = _means(s_tgt, n_tgt)
     rest_src = _means(s_src.sum(axis=0) - s_src, n_src.sum() - n_src)
     rest_tgt = _means(s_tgt.sum(axis=0) - s_tgt, n_sel - n_tgt)
-    both = ((n_src > 0) & (n_tgt > 0)).astype(float)
+    both = (n_tgt > 0).astype(float)
     tgt_has_rest = n_tgt < n_sel
     # (term, rows of D, their factors): row d with factor f adds f d d'
     rank_one = (
@@ -191,7 +194,7 @@ def build_objective_matrices(
     d = np.concatenate([rows for _, rows, _ in rank_one])
     u = np.concatenate([weights[term] * factor for term, _, factor in rank_one])
     combined += (d * u[:, None]).T @ d
-    return ObjectiveMatrices(combined=combined, skipped=_skipped_terms(n_src, n_tgt))
+    return ObjectiveMatrices(combined=combined, skipped=_skipped_terms(n_tgt))
 
 
 def objective_terms(

@@ -107,7 +107,6 @@ class AdaptationResult:
     eigenvalues: np.ndarray
     records: list[IterationRecord]
     predictions: np.ndarray
-    selected: np.ndarray
     source_embedding: np.ndarray
     target_embedding: np.ndarray
     source_labels: np.ndarray
@@ -395,7 +394,6 @@ def run_adaptation(
         eigenvalues=solution.eigenvalues,
         records=records,
         predictions=labels,
-        selected=state.selected,
         source_embedding=z[source, :2] * signs[:2],
         target_embedding=z[target, :2] * signs[:2],
         source_labels=task.source_y.copy(),

@@ -365,7 +365,6 @@ def test_embedding_bytes_match_per_value_repr(tmp_path, cols):
         eigenvalues=np.zeros(cols),
         records=[],
         predictions=np.array([2, 0, 1], dtype=np.int64),
-        selected=np.ones(3, dtype=bool),
         source_embedding=emb[:4],
         target_embedding=emb[4:],
         source_labels=np.array([0, 1, 2, 10], dtype=np.int64),

@@ -93,10 +93,12 @@ def test_center_push_target_gaps_skipped():
 
 
 def test_marginal_mmd_one_sample_each():
-    # no class on both sides, so the mmd term is the marginal one alone
-    mat = _terms([0, 1], [2], n_classes=3).mmd
-    v = np.array([0.5, 0.5, -1.0])
-    assert np.allclose(mat, np.outer(v, v))
+    # one source row per class and one target row, of class 0: the marginal
+    # term plus class 0's conditional one
+    mat = _terms([0, 1], [0]).mmd
+    marginal = np.array([0.5, 0.5, -1.0])
+    class0 = np.array([1.0, 0.0, -1.0])
+    assert np.allclose(mat, np.outer(marginal, marginal) + np.outer(class0, class0))
 
 
 def test_marginal_mmd_includes_unselected_targets():

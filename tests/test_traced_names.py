@@ -49,7 +49,7 @@ def test_observers_read_the_shapes_they_expect():
     assert isinstance(target_kmeans(pair.target_x, init, to_init)[2], list)
     assert tracer.counts["prototype.kmeans_iters"] >= config.iterations
     # curriculum.select(table, ...) takes the table first, returns .selected_ids
-    assert tracer.last_admit["main"] == (int(result.selected.sum()), pair.n_target)
+    assert tracer.last_admit["main"] == (result.records[-1].n_selected, pair.n_target)
     # A span wrapped under a name the run no longer calls through records
     # nothing, and its time moves unnoticed into the caller's self time.
     called = {span["name"] for span in tracer.spans}

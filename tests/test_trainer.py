@@ -72,7 +72,6 @@ def test_selection_grows_to_consistent_set():
     result = run_adaptation(prepare_task(pair, config), config, labels)
     sizes = [rec.n_selected for rec in result.records]
     assert sizes[0] < sizes[-1]
-    assert result.selected.sum() == sizes[-1]
 
 
 def test_identical_domains_reach_perfect_accuracy():
